@@ -14,6 +14,7 @@ the conventional order is 3 = bottom middle, 4 = right, 5 = left).
 from __future__ import annotations
 
 import string
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -279,7 +280,7 @@ class Graph:
     edges: np.ndarray          # (E, 2) int64 vertex ids
     rep_cell: np.ndarray       # (N,) int64 word encoded base map_count
     rep_corner: np.ndarray     # (N,) int8
-    _index: dict = field(default=None, repr=False)
+    _index: VertexIndex = field(default=None, repr=False)
     _adj: object = field(default=None, repr=False)
 
     @property
@@ -294,10 +295,9 @@ class Graph:
         return (Fraction(int(self.verts[i, 0]), s), Fraction(int(self.verts[i, 1]), s))
 
     def index(self):
+        """Read-only map from integer coordinates (x, y) to vertex id."""
         if self._index is None:
-            self._index = {
-                (int(x), int(y)): i for i, (x, y) in enumerate(self.verts)
-            }
+            self._index = VertexIndex(self.verts, self.scale)
         return self._index
 
     def vertex_id(self, p):
@@ -318,10 +318,25 @@ class Graph:
             code //= self.params.map_count
         return VertexAddress(tuple(reversed(word)), int(self.rep_corner[i]))
 
+    def first_levels(self):
+        """Level at which each vertex first appears in V_*.
+
+        F_c fixes q_c, so F_w(q_c) = F_u(q_c) where u is w without its
+        trailing digits equal to c; that level is len(u).
+        """
+        code = self.rep_cell.copy()
+        corner = self.rep_corner.astype(np.int64)
+        trailing = np.zeros(len(code), dtype=np.int64)
+        run = np.ones(len(code), dtype=bool)
+        for _ in range(self.m):
+            code, digit = np.divmod(code, self.params.map_count)
+            run &= digit == corner
+            trailing += run
+        return self.m - trailing
+
     def neighbors(self, i):
         if self._adj is None:
             n = self.n_vertices()
-            order = np.argsort(self.edges[:, 0], kind="stable")
             both = np.concatenate([self.edges, self.edges[:, ::-1]])
             order = np.argsort(both[:, 0], kind="stable")
             sorted_e = both[order]
@@ -332,6 +347,47 @@ class Graph:
 
     def degrees(self):
         return np.bincount(self.edges.ravel(), minlength=self.n_vertices())
+
+
+class VertexIndex(Mapping):
+    """Vertex ids by binary search over the integer keys x*(2s+1)+y.
+
+    build_graph emits vertices already sorted by these keys; other vertex
+    arrays are sorted once.  The key range widens to cover coordinates
+    outside [0, 2s], so distinct points never share a key.
+    """
+
+    def __init__(self, verts, scale):
+        self._verts = verts
+        ys = verts[:, 1]
+        self._ylo = int(ys.min(initial=0))
+        self._stride = int(ys.max(initial=2 * scale)) - self._ylo + 1
+        keys = verts[:, 0] * np.int64(self._stride) + (ys - self._ylo)
+        self._order = None
+        if (keys[1:] < keys[:-1]).any():
+            self._order = np.argsort(keys, kind="stable")
+            keys = keys[self._order]
+        self._keys = keys
+        # Python-int bounds, so that no query key overflows int64
+        self._klo, self._khi = (int(keys[0]), int(keys[-1])) if len(keys) else (0, -1)
+
+    def __getitem__(self, point):
+        x, y = point
+        if not (self._ylo <= y < self._ylo + self._stride):
+            raise KeyError(point)
+        k = x * self._stride + (y - self._ylo)
+        if not (self._klo <= k <= self._khi):
+            raise KeyError(point)
+        pos = int(np.searchsorted(self._keys, k))
+        if self._keys[pos] != k:
+            raise KeyError(point)
+        return pos if self._order is None else int(self._order[pos])
+
+    def __iter__(self):
+        return ((int(x), int(y)) for x, y in self._verts)
+
+    def __len__(self):
+        return len(self._verts)
 
 
 def _cell_corner_coords(params, m, cell_mask=None):

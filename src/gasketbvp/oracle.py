@@ -3,8 +3,13 @@
 Given boundary vertices and values, solves the mean-value equations
 deg(x) u(x) = sum of neighbour values as a sparse linear system.  This is
 the independent ground truth for every closed-form extension algorithm in
-the package: conjugate gradient with Jacobi preconditioning in float mode,
-exact Fraction elimination in rational mode.
+the package: a sparse direct LU in float mode (Jacobi-preconditioned
+conjugate gradient on request), exact Fraction elimination in rational
+mode.
+
+Vertices are looked up by binary search over their sorted integer keys
+(geometry.VertexIndex).  The LU eliminates interior unknowns finest level
+first, in vertex-id order within a level.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from . import geometry
-from ._exact import solve_dense
+from ._exact import EXACT_UNKNOWN_CAP
 from .errors import SolvabilityError
 
 CG_TOL = 1e-12
@@ -68,9 +73,8 @@ def solve(problem, mode="auto"):
     mode: "rational" for exact Fraction elimination, "float" for a sparse
     direct factorization, "cg" for Jacobi-preconditioned conjugate
     gradient, "auto" picks rational when the boundary values are
-    Fractions/ints.  (CG converges but its iteration count grows with the
-    resistance scaling r^-m, so the direct solve is the float default;
-    see the decisions ledger.)
+    Fractions/ints.  CG converges, but its iteration count grows with the
+    resistance scaling r^-m, so the direct solve is the float default.
     """
     graph = problem.graph
     n = graph.n_vertices()
@@ -94,9 +98,14 @@ def _solve_float(graph, adj, bmask, problem, use_cg=False):
     interior = np.flatnonzero(~bmask)
     if len(interior) == 0:
         return g
+    # finest vertices first: level-k cells meet only at their corners, so
+    # this order is a nested dissection along the cell hierarchy
+    levels = graph.first_levels()[interior]
+    interior = interior[np.argsort(-levels, kind="stable")]
     deg = np.asarray(adj.sum(axis=1)).ravel()
-    a_ii = sp.diags(deg[interior]) - adj[interior][:, interior]
-    b = adj[interior][:, bmask] @ g[bmask]
+    rows = adj[interior]
+    a_ii = sp.diags(deg[interior]) - rows[:, interior]
+    b = rows[:, bmask] @ g[bmask]
     if use_cg:
         a_ii = a_ii.tocsr()
         m_inv = sp.diags(1.0 / a_ii.diagonal())
@@ -105,7 +114,7 @@ def _solve_float(graph, adj, bmask, problem, use_cg=False):
         if info != 0:
             raise SolvabilityError(f"CG did not converge (info={info})")
     else:
-        x = spla.splu(a_ii.tocsc()).solve(b)
+        x = spla.splu(a_ii.tocsc(), permc_spec="NATURAL").solve(b)
     out = g.copy()
     out[interior] = x
     return out
@@ -115,6 +124,11 @@ def _solve_rational(graph, bmask, problem):
     # sparse exact elimination with min-degree pivoting; gasket graphs have
     # tiny treewidth so fill-in stays negligible
     n = graph.n_vertices()
+    unknowns = int((~bmask).sum())
+    if unknowns > EXACT_UNKNOWN_CAP:
+        raise SolvabilityError(
+            f"rational mode capped at {EXACT_UNKNOWN_CAP} unknowns, got {unknowns}"
+        )
     values = [None] * n
     for i, v in zip(problem.boundary_ids, problem.boundary_values):
         values[int(i)] = Fraction(v)
@@ -134,8 +148,6 @@ def _solve_rational(graph, bmask, problem):
                 row[j] = row.get(j, Fraction(0)) - 1
         rows[i] = row
         rhs[i] = b
-    if len(rows) > 5000:
-        raise SolvabilityError("rational mode capped at 5000 unknowns")
     order = []
     heap = [(len(row) - 1, i) for i, row in rows.items()]
     heapq.heapify(heap)
@@ -230,7 +242,6 @@ def domain_restricted_graph(domain, m):
 def solve_full_gasket(params, m, corner_values, mode="auto"):
     """Oracle with B = V_0 on the full gasket; cross-checks the extension."""
     graph = geometry.build_graph(params, m)
-    s = graph.scale
     ids = [
         graph.vertex_id((Fraction(x), Fraction(y)))
         for (x, y) in geometry.CORNERS_INT
@@ -253,8 +264,9 @@ def write_values_csv(graph, values, path):
 def read_values_csv(path):
     out = {}
     with open(path) as fh:
-        header = fh.readline()
-        assert header.strip() == "vertex_id,value"
+        header = fh.readline().strip()
+        if header != "vertex_id,value":
+            raise SolvabilityError(f"expected header 'vertex_id,value', got {header!r}")
         for line in fh:
             vid, val = line.strip().split(",")
             try:

@@ -193,3 +193,46 @@ def test_export_csv(tmp_path):
     # deterministic output
     G.export_graph_csv(g, tmp_path / "e2.csv", tmp_path / "v2.csv")
     assert (tmp_path / "e2.csv").read_text() == e.read_text()
+
+
+def test_vertex_lookup_on_unsorted_vertices():
+    g = G.build_graph(G.gasket(2), 2)
+    perm = np.random.default_rng(3).permutation(g.n_vertices())
+    shuffled = G.Graph(g.params, 2, g.verts[perm], g.edges, g.rep_cell[perm], g.rep_corner[perm])
+    idx = shuffled.index()
+    assert len(idx) == g.n_vertices()
+    for i in range(g.n_vertices()):
+        x, y = (int(c) for c in shuffled.verts[i])
+        assert idx[(x, y)] == i
+        assert idx.get((x, y)) == i
+        assert shuffled.vertex_id(shuffled.point(i)) == i
+
+
+def test_vertex_lookup_misses():
+    g = G.build_graph(G.gasket(2), 2)  # coordinates scaled by 4
+    idx = g.index()
+    for key in ((1, 1), (0, 5), (-1, 0), (9, 0), (4, 9), (10**30, 0)):
+        assert key not in idx and idx.get(key) is None
+        with pytest.raises(KeyError):
+            idx[key]
+    with pytest.raises(AddressError):  # not on the level-2 lattice
+        g.vertex_id((F(1, 8), F(0)))
+    with pytest.raises(AddressError):  # a lattice point off the gasket
+        g.vertex_id((F(1, 4), F(1, 4)))
+    with pytest.raises(AddressError):  # outside the graph's triangle
+        g.vertex_id((F(3), F(0)))
+
+
+def test_first_levels_match_coarser_graphs():
+    for l, m in ((2, 4), (3, 3)):
+        p = G.gasket(l)
+        g = G.build_graph(p, m)
+        coarse = [G.build_graph(p, k).index() for k in range(m + 1)]
+        for i, level in enumerate(g.first_levels().tolist()):
+            x, y = (int(c) for c in g.verts[i])
+            first = next(
+                k for k in range(m + 1)
+                if x % l ** (m - k) == 0 and y % l ** (m - k) == 0
+                and (x // l ** (m - k), y // l ** (m - k)) in coarse[k]
+            )
+            assert level == first

@@ -123,3 +123,31 @@ def test_values_csv_roundtrip(tmp_path):
     O.write_values_csv(graph, vals, path)
     back = O.read_values_csv(path)
     assert back == {i: vals[i] for i in range(graph.n_vertices())}
+
+
+def test_rational_cap_checked_before_assembly():
+    with pytest.raises(SolvabilityError, match="capped"):
+        O.solve_full_gasket(G.gasket(3), 5, (F(1), F(0), F(0)), mode="rational")
+
+
+def test_values_csv_bad_header(tmp_path):
+    path = tmp_path / "vals.csv"
+    path.write_text("id,value\n0,1\n")
+    with pytest.raises(SolvabilityError):
+        O.read_values_csv(path)
+
+
+@pytest.mark.parametrize("domain,m", [
+    (G.HalfDomain(3), 4),
+    (G.LowerDomain(cut_y=F(1)), 6),  # lambda = 1/2
+])
+def test_float_matches_rational_on_domain_skeletons(domain, m):
+    sk = O.domain_restricted_graph(domain, m)
+    data = lambda p: F(1) if p == G.Q1 else p[0] - p[1] / 3
+    exact = O.solve(sk.problem(data), mode="rational")
+    vals = O.solve(sk.problem(lambda p: float(data(p))), mode="float")
+    err = max(abs(v - float(e)) for v, e in zip(vals, exact))
+    assert err < 1e-11
+    bmask = np.zeros(sk.graph.n_vertices(), dtype=bool)
+    bmask[sk.boundary_ids] = True
+    assert O.matching_residuals(sk.graph, vals, bmask) <= 1e-10
