@@ -12,10 +12,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from . import geometry, halfdomain, harmonic, lowerdomain, oracle, upperdomain
+from . import geometry, halfdomain, lowerdomain, oracle, upperdomain
 from .errors import AccuracyError, GasketError
 
 F = Fraction
@@ -39,6 +39,12 @@ class RunConfig:
     out: str = None
     fmt: str = "csv"
     threads: int = 1
+    check_closed_form: bool = False
+    word: str = ""
+    j: int = 1
+    kmax: int = 40
+    svg: str = None
+    levels: tuple = None
 
 
 def _parse_value(v, mode):
@@ -322,7 +328,6 @@ def cmd_compare(cfg):
 def _write_svg(path, xs, ys, width=480, height=320):
     """Minimal hand-rolled line plot; convenience only."""
     pad = 40
-    lo = min(ys) or 1e-16
     import math
 
     logy = [math.log10(max(y, 1e-16)) for y in ys]
@@ -428,18 +433,11 @@ DOMAIN_ALIASES = {"half-sg": ("half", 2), "half-sg2": ("half", 2), "half-sg3": (
 
 
 def _config_from_args(args):
-    cfg = RunConfig(command=args.command)
-    for field in ("domain", "level", "lam", "data_path", "depth", "mode", "out", "fmt"):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
+    taken = {f.name for f in fields(RunConfig)} - {"threads", "levels"}
+    cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in taken})
     if cfg.domain in DOMAIN_ALIASES:
         cfg.domain, cfg.level = DOMAIN_ALIASES[cfg.domain]
     cfg.threads = int(os.environ.get("GASKET_NUM_THREADS", "1") or "1")
-    cfg.check_closed_form = getattr(args, "check_closed_form", False)
-    cfg.word = getattr(args, "word", "")
-    cfg.j = getattr(args, "j", 1)
-    cfg.kmax = getattr(args, "kmax", 40)
-    cfg.svg = getattr(args, "svg", None)
     if hasattr(args, "levels"):
         try:
             lo, hi = args.levels.split(":")

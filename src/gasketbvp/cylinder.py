@@ -1,0 +1,219 @@
+"""Cylinder boundary data and the recursion engine shared by the three
+domain families.
+
+Every family (half, upper, lower) solves its Dirichlet problem the same
+way: boundary data lives on a Cantor set X addressed by cylinder words, an
+extend step gives the solution on V_1, and a vertex is routed into a
+sub-copy F_d(domain) that carries shifted data, where the same step
+recurses.  `CylinderData` is the data on X; a family's *frame* is its domain
+at one recursion node, and `route`, `cut_value` and `stage` run the
+recursion for every family.  They only look values up: all arithmetic stays
+in the families' extend steps and in `harmonic`.
+
+A frame provides
+    level, params     the gasket SG_level the domain lives in
+    name              for error messages
+    slots             corner indices q_s whose values F_d(q_s) the data of a
+                      sub-copy carries
+    normalize(p)      (frame, p) after any rescaling the family needs
+    terminal(f, p)    the value at a boundary corner or on the cut line,
+                      None elsewhere
+    values(f)         the V_1 values of the solution from the family's
+                      extend step, keyed by exact points, corners included
+    full_cells()      the level-1 cells lying wholly inside the domain
+    copies()          the digits of the sub-copies that meet X
+    shift(d)          the frame of the sub-copy F_d
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from functools import lru_cache
+
+from . import geometry, harmonic
+from .errors import AddressError, ContractViolation
+
+Integral = namedtuple("Integral", ["value", "tail_bound"])
+
+DEFAULT_DEPTH = 24
+MAX_RECURSION = 64
+
+
+@lru_cache(maxsize=None)
+def cell_corners(level):
+    """(F_i q0, F_i q1, F_i q2) in exact coordinates for every map i of SG_level."""
+    params = geometry.gasket(level)
+    return tuple(
+        tuple(geometry.apply_word(params, (i,), q) for q in geometry.CORNERS)
+        for i in range(params.map_count)
+    )
+
+
+class CylinderData:
+    """Boundary data on a Cantor set X addressed by cylinder words.
+
+    `cylinders` maps words to the constant value of f on the cylinder X_w
+    (the longest matching word wins) and `default` covers the rest.  A
+    callback `fn(word, ...)` may be given instead, never mixed with the
+    structured data, together with `sup_bound` >= sup |f| for certified
+    truncation.  Subclasses add their corner values and the per-position
+    digit alphabet, against which every cylinder word is checked.
+    """
+
+    def __init__(self, cylinders=None, default=None, fn=None, sup_bound=None):
+        self.cylinders = dict(cylinders or {})
+        self.default = default
+        self.fn = fn
+        self.sup_bound = sup_bound
+        if fn is not None and (self.cylinders or default is not None):
+            raise ContractViolation("callback data must not be mixed with structured data")
+        for w in self.cylinders:
+            for k, ch in enumerate(w, start=1):
+                if geometry.WORD_CHARS.find(ch) not in self.alphabet(k):
+                    raise AddressError(
+                        f"cylinder word {w!r}: digit {ch!r} is not admissible at position {k}"
+                    )
+
+    def alphabet(self, k):
+        """Admissible digits at position k (1-based) of a cylinder word."""
+        raise NotImplementedError
+
+    def refined(self, word):
+        """True when f may vary on X_word: callback data, or a longer
+        cylinder below word."""
+        if self.fn is not None:
+            return True
+        for cyl in self.cylinders:
+            if len(cyl) > len(word) and cyl.startswith(word):
+                return True
+        return False
+
+    def constant(self, word, default):
+        """Value of the longest cylinder containing X_word, else default."""
+        best = None
+        for cyl in self.cylinders:
+            if word.startswith(cyl) and (best is None or len(cyl) > len(best)):
+                best = cyl
+        if best is not None:
+            return self.cylinders[best]
+        if default is not None:
+            return default
+        raise ContractViolation("boundary data is not total")
+
+    def subtree(self, word):
+        """The value of f on X_word if f is constant there, else None."""
+        if self.refined(word):
+            return None
+        return self.constant(word, self.default)
+
+    def data_values(self):
+        vals = list(self.cylinders.values())
+        if self.default is not None:
+            vals.append(self.default)
+        return vals
+
+    def sup(self):
+        if self.sup_bound is not None:
+            return self.sup_bound
+        if self.fn is not None:
+            raise ContractViolation("callback data needs an explicit sup_bound")
+        vals = [abs(v) for v in self.data_values()]
+        return max(vals) if vals else 0
+
+    def restrict(self, digit):
+        """Constructor keywords of the data on the child cylinder X_digit."""
+        ch = geometry.WORD_CHARS[digit]
+        if self.fn is not None:
+            fn = self.fn
+            return {"fn": lambda w, *rest: fn(ch + w, *rest), "sup_bound": self.sup_bound}
+        return {
+            "cylinders": {c[1:]: v for c, v in self.cylinders.items() if c.startswith(ch)},
+            "default": self.cylinders.get("", self.default),
+            "sup_bound": self.sup_bound,
+        }
+
+    def shifted(self, digit, *corners):
+        """Data of the sub-problem on the copy F_digit, whose corner values
+        are given in the family's slot order (for families whose data
+        carries a cut parameter `lam` with `shift()`)."""
+        return type(self)(self.lam.shift(), *corners, **self.restrict(digit))
+
+
+class Frame:
+    """Defaults of the frame protocol (see the module docstring)."""
+
+    def normalize(self, p):
+        return self, p
+
+
+def _copy_data(frame, f, values, d):
+    corners = cell_corners(frame.level)[d]
+    return f.shifted(d, *(values[corners[s]] for s in frame.slots))
+
+
+def route(frame, f, p):
+    """Value at the exact point p of the solution with data f: resolve p in
+    a full cell or at a V_1 point, or enter the sub-copy containing it."""
+    params = frame.params
+    corners = cell_corners(frame.level)
+    for _ in range(MAX_RECURSION):
+        frame, p = frame.normalize(p)
+        value = frame.terminal(f, p)
+        if value is not None:
+            return value
+        values = frame.values(f)
+        if p in values:
+            return values[p]
+        for i in frame.full_cells():
+            local = params.unapply_map(i, p)
+            if geometry.cells_containing(params, local):
+                return harmonic.harmonic_value_in_cell(
+                    frame.level, tuple(values[q] for q in corners[i]), local
+                )
+        for d in frame.copies():
+            local = params.unapply_map(d, p)
+            if geometry.cells_containing(params, local):
+                f = _copy_data(frame, f, values, d)
+                frame, p = frame.shift(d), local
+                break
+        else:
+            raise AddressError(f"{p} could not be routed inside the {frame.name}")
+    raise AddressError("vertex is deeper than the recursion cap")
+
+
+def cut_value(frame, f, p, max_depth=DEFAULT_DEPTH):
+    """Data value at an exact point p of the cut line; at a junction of two
+    cylinders of piecewise-constant data the cylinder values are averaged."""
+    params = frame.params
+    blank = (None,) * len(frame.slots)  # a copy's corner values are not needed
+    vals = []
+
+    def rec(frame, data, p, depth):
+        sub = data.subtree("")
+        if sub is not None:
+            vals.append(sub)
+            return
+        if depth == 0:
+            raise ContractViolation("cut-line value did not resolve within the depth cap")
+        frame, p = frame.normalize(p)
+        hits = 0
+        for d in frame.copies():
+            local = params.unapply_map(d, p)
+            if geometry.cells_containing(params, local):
+                rec(frame.shift(d), data.shifted(d, *blank), local, depth - 1)
+                hits += 1
+        if hits == 0:
+            raise AddressError(f"{p} is not on the cut-line boundary of the {frame.name}")
+
+    rec(frame, f, p, max_depth)
+    return sum(vals) / len(vals)
+
+
+def stage(frame, f):
+    """Corner-value triples of the frame's full cells, and (frame, data)
+    of every sub-copy."""
+    values = frame.values(f)
+    corners = cell_corners(frame.level)
+    cells = [tuple(values[q] for q in corners[i]) for i in frame.full_cells()]
+    copies = [(frame.shift(d), _copy_data(frame, f, values, d)) for d in frame.copies()]
+    return cells, copies

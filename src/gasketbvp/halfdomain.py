@@ -17,17 +17,15 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
-from . import geometry, harmonic
+from . import cylinder, geometry, harmonic
 from ._exact import solve_dense
+from .cylinder import DEFAULT_DEPTH, MAX_RECURSION, CylinderData, Integral
 from .errors import AddressError, ContractViolation, ResolutionError
 from .geometry import CORNERS_INT, Q0, Q1, gasket
 
 F = Fraction
-
-Integral = namedtuple("Integral", ["value", "tail_bound"])
-
-_MAX_RECURSION = 64
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +44,11 @@ class HalfStructure:
         self.r = params.renorm_factor
         ha = geometry._gamma1_harmonic_values(params, (F(0), F(1), F(-1)))
         self.ha_gamma1 = ha
+        # V_1 points: integer coordinates at scale l <-> exact coordinates
+        self.exact_points = {
+            (int(x), int(y)): (F(int(x), level), F(int(y), level)) for x, y in ha
+        }
+        self.int_points = {p: ip for ip, p in self.exact_points.items()}
         # digit weights mu_i = r^{-1} h_a(F_i q_1)
         self.weights = {}
         for i in self.alphabet:
@@ -89,7 +92,7 @@ class HalfStructure:
 
     def _embed_chain(self, p):
         chain = []
-        for _ in range(_MAX_RECURSION):
+        for _ in range(MAX_RECURSION):
             cells = [
                 i for i in geometry.cells_containing(self.params, p) if i in self.alphabet
             ]
@@ -191,7 +194,7 @@ def residual_mass(level, depth):
 # boundary data
 
 
-class HalfBoundaryData:
+class HalfBoundaryData(CylinderData):
     """Boundary data for the half domain: value at q1 plus values at the
     countable atom set {p_{j,w}} of X.
 
@@ -208,9 +211,6 @@ class HalfBoundaryData:
         self.st = structure(level)
         self.q1 = q1
         self.q0 = q0
-        self.fn = fn
-        self.default = default
-        self.sup_bound = sup_bound
         self.geometric_tail = geometric_tail
         self.atoms = {}
         for key, v in (atoms or {}).items():
@@ -222,13 +222,14 @@ class HalfBoundaryData:
             if not (1 <= j <= self.st.atom_count):
                 raise AddressError(f"atom index {j} out of range")
             self.atoms[(word, j)] = v
-        self.cylinders = dict(cylinders or {})
-        for w in self.cylinders:
-            self.st.word_digits(w)
-        if fn is not None and (self.atoms or self.cylinders or default is not None):
+        if fn is not None and self.atoms:
             raise ContractViolation("callback data must not be mixed with structured data")
+        super().__init__(cylinders, default, fn, sup_bound)
         if geometric_tail is not None and level != 2:
             raise ContractViolation("geometric tails are specific to the SG half domain")
+
+    def alphabet(self, k):
+        return self.st.alphabet
 
     # -- resolution ---------------------------------------------------------
 
@@ -256,80 +257,42 @@ class HalfBoundaryData:
     def subtree(self, word):
         """('const', v) if f is constant on the cylinder F_word X, or
         ('geom', A, B, rho) for an SG affine-geometric tail, else None."""
-        if self.fn is not None:
-            return None
         # only atoms of the sub-copy's own measure break constancy; a shorter
         # atom embedded through this cylinder is the copy's accumulation
         # corner and carries no mass
-        for (w, j) in self.atoms:
-            if w.startswith(word):
-                return None
-        for cyl in self.cylinders:
-            if len(cyl) > len(word) and cyl.startswith(word):
-                return None
+        if self.refined(word) or any(w.startswith(word) for w, _ in self.atoms):
+            return None
+        default = self.default
         if self.geometric_tail is not None:
             a, b, rho, start = self.geometric_tail
-            s = len(word)
-            if b != 0:
-                if s >= start:
-                    return ("geom", a, b * rho ** s, rho)
-                return None
-            if s < start:
+            if len(word) < start:
                 return None  # explicit atoms may still differ below
-        best = None
-        for cyl in self.cylinders:
-            if word.startswith(cyl) and (best is None or len(cyl) > len(best)):
-                best = cyl
-        if best is not None:
-            return ("const", self.cylinders[best])
-        if self.geometric_tail is not None and self.geometric_tail[1] == 0:
-            return ("const", self.geometric_tail[0])
-        if self.default is not None:
-            return ("const", self.default)
-        raise ContractViolation("boundary data is not total")
+            if b != 0:
+                return ("geom", a, b * rho ** len(word), rho)
+            default = a
+        return ("const", self.constant(word, default))
 
-    def sup(self):
-        if self.sup_bound is not None:
-            return self.sup_bound
-        if self.fn is not None:
-            raise ContractViolation("callback data needs an explicit sup_bound")
-        vals = [abs(v) for v in self.atoms.values()]
-        vals += [abs(v) for v in self.cylinders.values()]
-        if self.default is not None:
-            vals.append(abs(self.default))
+    def data_values(self):
+        vals = list(self.atoms.values()) + super().data_values()
         if self.geometric_tail is not None:
-            a, b, rho, _ = self.geometric_tail
+            a, b = self.geometric_tail[:2]
             vals.append(abs(a) + abs(b))
-        return max(vals) if vals else 0
+        return vals
 
     def shifted(self, digit, new_q1):
         """Data of the sub-problem on the copy F_digit(half domain)."""
-        st = self.st
-        ch = geometry.WORD_CHARS[digit]
-        top = st.cylinder_top[digit]
+        top = self.st.cylinder_top[digit]
         new_q0 = self.q0 if top is None else self.atom("", top + 1)
-        if self.fn is not None:
-            fn = self.fn
-            return HalfBoundaryData(
-                self.level, q1=new_q1, q0=new_q0,
-                fn=lambda w, j, _c=ch: fn(_c + w, j),
-                sup_bound=self.sup_bound,
-            )
-        atoms = {
-            (w[1:], j): v for (w, j), v in self.atoms.items() if w.startswith(ch)
-        }
-        cylinders = {
-            c[1:]: v for c, v in self.cylinders.items() if c.startswith(ch) and c
-        }
-        default = self.cylinders.get("", self.default)
-        tail = None
-        if self.geometric_tail is not None:
-            a, b, rho, start = self.geometric_tail
-            tail = (a, b * rho, rho, max(start - 1, 0))
-        return HalfBoundaryData(
-            self.level, q1=new_q1, q0=new_q0, atoms=atoms, cylinders=cylinders,
-            default=default, sup_bound=self.sup_bound, geometric_tail=tail,
-        )
+        kwargs = self.restrict(digit)
+        if self.fn is None:
+            ch = geometry.WORD_CHARS[digit]
+            kwargs["atoms"] = {
+                (w[1:], j): v for (w, j), v in self.atoms.items() if w.startswith(ch)
+            }
+            if self.geometric_tail is not None:
+                a, b, rho, start = self.geometric_tail
+                kwargs["geometric_tail"] = (a, b * rho, rho, max(start - 1, 0))
+        return HalfBoundaryData(self.level, q1=new_q1, q0=new_q0, **kwargs)
 
 
 def constant_data(level, c):
@@ -338,9 +301,6 @@ def constant_data(level, c):
 
 # ---------------------------------------------------------------------------
 # integration against the boundary measure
-
-
-DEFAULT_DEPTH = 24
 
 
 def integrate(f, scale_word="", max_depth=DEFAULT_DEPTH):
@@ -414,28 +374,19 @@ def extend_step_sg(f):
     return F(1, 5) * f.q1 + F(1, 5) * f.atom("", 1) + F(3, 5) * i0
 
 
+@lru_cache(maxsize=None)
 def _contained_cells_level1(level):
-    params = gasket(level)
-    out = []
-    for i in range(params.map_count):
-        tr = params.int_translations[i]
-        xs = [CORNERS_INT[c][0] + int(tr[0]) for c in range(3)]
-        if max(xs) <= level:
-            out.append(i)
-    return out
+    """Level-1 cells inside the closed left half: F_i q2 has x <= 1."""
+    translations = gasket(level).int_translations
+    return tuple(i for i, tr in enumerate(translations) if int(tr[0]) + 2 <= level)
 
 
-def _ipt(p, scale):
-    x, y = F(p[0]) * scale, F(p[1]) * scale
-    assert x.denominator == 1 and y.denominator == 1
-    return (int(x), int(y))
-
-
-def _ipt_or_none(p, scale):
-    x, y = F(p[0]) * scale, F(p[1]) * scale
-    if x.denominator != 1 or y.denominator != 1:
-        return None
-    return (int(x), int(y))
+@lru_cache(maxsize=None)
+def _crucial_keys(level):
+    """Integer points (scale l) of the closed-form values: x, y, z on SG_3,
+    z on SG."""
+    cp = crucial_points(level)
+    return tuple(structure(level).int_points[cp[k]] for k in ("xyz" if level == 3 else "z"))
 
 
 def extend_step(f):
@@ -444,47 +395,25 @@ def extend_step(f):
     the level-1 matching system is assembled and solved exactly."""
     level = f.level
     if level == 3:
-        x, y, z = extend_step_sg3(f)
-        cp = crucial_points(3)
-        return {
-            _ipt(cp["x"], 3): x,
-            _ipt(cp["y"], 3): y,
-            _ipt(cp["z"], 3): z,
-        }
+        return dict(zip(_crucial_keys(3), extend_step_sg3(f)))
     if level == 2:
-        z = extend_step_sg(f)
-        return {_ipt(crucial_points(2)["z"], 2): z}
+        return {_crucial_keys(2)[0]: extend_step_sg(f)}
     return _extend_step_system(f)
 
 
 def _extend_step_system(f):
     st = f.st
-    level = f.level
-    params = st.params
-    cells = _contained_cells_level1(level)
-    pts = set()
-    cell_corners = {}
-    for i in cells:
-        tr = params.int_translations[i]
-        cs = tuple(
-            (CORNERS_INT[c][0] + int(tr[0]), CORNERS_INT[c][1] + int(tr[1]))
-            for c in range(3)
-        )
-        cell_corners[i] = cs
-        pts.update(cs)
+    cells = [
+        tuple(st._map_point(i, c) for c in range(3)) for i in _contained_cells_level1(f.level)
+    ]
     boundary = {(0, 0): f.q1}
     for j, p in enumerate(st.atom_points):
-        boundary[_ipt(p, level)] = f.atom("", j + 1)
-    crucial = {}
-    for i in st.alphabet:
-        tr = params.int_translations[i]
-        crucial[(CORNERS_INT[1][0] + int(tr[0]), CORNERS_INT[1][1] + int(tr[1]))] = i
-    unknowns = sorted(p for p in pts if p not in boundary)
+        boundary[st.int_points[p]] = f.atom("", j + 1)
+    unknowns = sorted({p for cs in cells for p in cs if p not in boundary})
     pos = {p: k for k, p in enumerate(unknowns)}
     rows = [[F(0)] * len(unknowns) for _ in unknowns]
     rhs = [F(0)] * len(unknowns)
-    for i in cells:
-        cs = cell_corners[i]
+    for cs in cells:
         for a in range(3):
             for b in range(a + 1, 3):
                 for x, y in ((cs[a], cs[b]), (cs[b], cs[a])):
@@ -494,8 +423,8 @@ def _extend_step_system(f):
                             rows[pos[x]][pos[y]] -= 1
                         else:
                             rhs[pos[x]] += boundary[y]
-    for p, i in crucial.items():
-        k = pos[p]
+    for i in st.alphabet:
+        k = pos[st._map_point(i, 1)]
         rows[k][k] += 3
         rhs[k] += 3 * integrate(f, geometry.WORD_CHARS[i]).value
     sol = solve_dense(rows, rhs)
@@ -509,7 +438,7 @@ def _extend_step_system(f):
 def _atom_word_of_point(st, p):
     """Word and index of the atom at an exact point on the cut line."""
     word = []
-    for _ in range(_MAX_RECURSION):
+    for _ in range(MAX_RECURSION):
         for j, ap in enumerate(st.atom_points):
             if p == ap:
                 return "".join(geometry.WORD_CHARS[d] for d in word), j + 1
@@ -537,55 +466,56 @@ def boundary_value_at(f, p):
     return f.atom(word, j)
 
 
+class HalfFrame(cylinder.Frame):
+    """The half domain of SG_l as a recursion frame; every sub-copy F_d of
+    it is again a half domain, so shifting returns the same frame."""
+
+    name = "half domain"
+    slots = (1,)
+
+    def __init__(self, level):
+        self.level = level
+        self.params = gasket(level)
+        self.st = structure(level)
+
+    def terminal(self, f, p):
+        if p == Q1:
+            return f.q1
+        if p[0] == 1:
+            return boundary_value_at(f, p)
+        return None
+
+    def values(self, f):
+        exact = self.st.exact_points
+        values = {exact[ip]: v for ip, v in extend_step(f).items()}
+        values[Q1] = f.q1
+        for j, ap in enumerate(self.st.atom_points):
+            values[ap] = f.atom("", j + 1)
+        return values
+
+    def full_cells(self):
+        return _contained_cells_level1(self.level)
+
+    def copies(self):
+        return self.st.alphabet
+
+    def shift(self, d):
+        return self
+
+
 def evaluate(f, v):
     """Value at a vertex of the unique harmonic solution with data f.
 
     v is a VertexAddress or an exact point in the closed half domain.
     """
-    st = f.st
-    params = st.params
     if isinstance(v, geometry.VertexAddress):
-        p = geometry.resolve(params, v)
+        p = geometry.resolve(f.st.params, v)
     else:
         p = (F(v[0]), F(v[1]))
     half = geometry.HalfDomain(f.level)
     if geometry.classify_boundary(half, p) == geometry.OUTSIDE:
         raise ResolutionError(f"{p} is outside the closed half domain")
-    contained = _contained_cells_level1(f.level)
-    for _ in range(_MAX_RECURSION):
-        if p == Q1:
-            return f.q1
-        if p[0] == 1:
-            return boundary_value_at(f, p)
-        values = dict(extend_step(f))
-        ip = _ipt_or_none(p, f.level)
-        if ip is not None and ip in values:
-            return values[ip]
-        values[(0, 0)] = f.q1
-        for j, ap in enumerate(st.atom_points):
-            values[_ipt(ap, f.level)] = f.atom("", j + 1)
-        routed = False
-        for i in contained:
-            local = params.unapply_map(i, p)
-            if geometry.cells_containing(params, local):
-                tr = params.int_translations[i]
-                corner_vals = tuple(
-                    values[(CORNERS_INT[c][0] + int(tr[0]), CORNERS_INT[c][1] + int(tr[1]))]
-                    for c in range(3)
-                )
-                return harmonic.harmonic_value_in_cell(f.level, corner_vals, local)
-        for i in st.alphabet:
-            local = params.unapply_map(i, p)
-            if geometry.cells_containing(params, local):
-                tr = params.int_translations[i]
-                q1_local = values[(CORNERS_INT[1][0] + int(tr[0]), CORNERS_INT[1][1] + int(tr[1]))]
-                f = f.shifted(i, q1_local)
-                p = local
-                routed = True
-                break
-        if not routed:
-            raise AddressError(f"{p} could not be routed inside the half domain")
-    raise AddressError("vertex is deeper than the recursion cap")
+    return cylinder.route(HalfFrame(f.level), f, p)
 
 
 # ---------------------------------------------------------------------------
@@ -618,48 +548,33 @@ def energy_form_Q(f, depth):
 
 
 def _stage_cells(f):
-    """Corner-value triples of the level-1 cells of O_1 for the data f."""
-    st = f.st
-    values = dict(extend_step(f))
-    values[(0, 0)] = f.q1
-    for j, ap in enumerate(st.atom_points):
-        values[_ipt(ap, f.level)] = f.atom("", j + 1)
-    out = []
-    for i in _contained_cells_level1(f.level):
-        tr = st.params.int_translations[i]
-        out.append(tuple(
-            values[(CORNERS_INT[c][0] + int(tr[0]), CORNERS_INT[c][1] + int(tr[1]))]
-            for c in range(3)
-        ))
-    return out, values
+    """Corner-value triples of the level-1 cells of O_1 for the data f, and
+    (frame, data) of every sub-copy."""
+    return cylinder.stage(HalfFrame(f.level), f)
 
 
-def _crucial_value(st, values, digit):
-    tr = st.params.int_translations[digit]
-    return values[(CORNERS_INT[1][0] + int(tr[0]), CORNERS_INT[1][1] + int(tr[1]))]
+def _stage_energy(fd, gd, rec):
+    """One stage of the resistance pairing: the level-1 cells of O_1 plus
+    rec over the sub-copies, all scaled by r^-1."""
+    rinv = 1 / fd.st.r
+    fc, fcopies = _stage_cells(fd)
+    gc, gcopies = _stage_cells(gd)
+    total = rinv * sum(
+        harmonic.triangle_energy(a, b) for a, b in zip(fc, gc)
+    )
+    for (_, fs), (_, gs) in zip(fcopies, gcopies):
+        total += rinv * rec(fs, gs)
+    return total
 
 
 def gauss_green_pairing(f, g, m):
     """E_{O_m}(u_f, u_g): the resistance pairing over the first m stages of
     the cylinder exhaustion of the half domain."""
-    st = f.st
-    rinv = 1 / st.r
 
     def rec(fd, gd, k):
         if k >= m:
             return 0
-        fc, fvals = _stage_cells(fd)
-        gc, gvals = _stage_cells(gd)
-        total = rinv * sum(
-            harmonic.triangle_energy(a, b) for a, b in zip(fc, gc)
-        )
-        for i in st.alphabet:
-            total += rinv * rec(
-                fd.shifted(i, _crucial_value(st, fvals, i)),
-                gd.shifted(i, _crucial_value(st, gvals, i)),
-                k + 1,
-            )
-        return total
+        return _stage_energy(fd, gd, lambda fs, gs: rec(fs, gs, k + 1))
 
     return rec(f, g, 0)
 
@@ -670,8 +585,6 @@ def domain_energy(f, g=None):
     (the solution with data (a at q1, c on X) has energy 3 (a-c)^2)."""
     if g is None:
         g = f
-    st = f.st
-    rinv = 1 / st.r
 
     def rec(fd, gd):
         sf = fd.subtree("")
@@ -682,17 +595,7 @@ def domain_energy(f, g=None):
             return (fd.q1 - sf[1]) * (3 * gd.q1 - 3 * integrate(gd).value)
         if sg is not None and sg[0] == "const":
             return (gd.q1 - sg[1]) * (3 * fd.q1 - 3 * integrate(fd).value)
-        fc, fvals = _stage_cells(fd)
-        gc, gvals = _stage_cells(gd)
-        total = rinv * sum(
-            harmonic.triangle_energy(a, b) for a, b in zip(fc, gc)
-        )
-        for i in st.alphabet:
-            total += rinv * rec(
-                fd.shifted(i, _crucial_value(st, fvals, i)),
-                gd.shifted(i, _crucial_value(st, gvals, i)),
-            )
-        return total
+        return _stage_energy(fd, gd, rec)
 
     return rec(f, g)
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from . import geometry, harmonic
+from . import cylinder, geometry, harmonic
+from .cylinder import DEFAULT_DEPTH, CylinderData, Integral
 from .errors import AccuracyError, AddressError, ContractViolation, ResolutionError
-from .geometry import CORNERS_INT, Q0, Q1, gasket
+from .geometry import Q0, Q1, Q2, gasket
 
 F = Fraction
 
 RATIO = F(5, 3)  # r^-1 of SG
-_MAX_RECURSION = 64
 
 EtaPair = namedtuple("EtaPair", ["eta1", "eta2", "depth", "err", "exact"])
 
@@ -330,7 +330,7 @@ def lower_measures(lam, word):
 # boundary data
 
 
-class LowerBoundaryData:
+class LowerBoundaryData(CylinderData):
     """Values at q1, q2 plus data on the cut-line boundary set X.
 
     cylinders maps words over the per-position alphabets ({0} at positions
@@ -343,68 +343,14 @@ class LowerBoundaryData:
         self.lam = lam
         self.q1 = q1
         self.q2 = q2
-        self.cylinders = dict(cylinders or {})
-        self.default = default
-        self.fn = fn
-        self.sup_bound = sup_bound
-        if fn is not None and (self.cylinders or default is not None):
-            raise ContractViolation("callback data must not be mixed with structured data")
-        for w in self.cylinders:
-            for k, ch in enumerate(w, start=1):
-                if int(ch) not in word_alphabet(lam, k):
-                    raise AddressError(f"cylinder word {w!r} conflicts with lambda")
+        super().__init__(cylinders, default, fn, sup_bound)
 
-    def subtree(self, word):
-        if self.fn is not None:
-            return None
-        for cyl in self.cylinders:
-            if len(cyl) > len(word) and cyl.startswith(word):
-                return None
-        best = None
-        for cyl in self.cylinders:
-            if word.startswith(cyl) and (best is None or len(cyl) > len(best)):
-                best = cyl
-        if best is not None:
-            return self.cylinders[best]
-        if self.default is not None:
-            return self.default
-        raise ContractViolation("boundary data is not total")
-
-    def sup(self):
-        if self.sup_bound is not None:
-            return self.sup_bound
-        if self.fn is not None:
-            raise ContractViolation("callback data needs an explicit sup_bound")
-        vals = [abs(v) for v in self.cylinders.values()]
-        if self.default is not None:
-            vals.append(abs(self.default))
-        return max(vals) if vals else 0
-
-    def shifted(self, digit, new_q1, new_q2):
-        ch = geometry.WORD_CHARS[digit]
-        if self.fn is not None:
-            fn = self.fn
-            return LowerBoundaryData(
-                self.lam.shift(), q1=new_q1, q2=new_q2,
-                fn=lambda w, _c=ch: fn(_c + w), sup_bound=self.sup_bound,
-            )
-        cylinders = {
-            c[1:]: v for c, v in self.cylinders.items() if c.startswith(ch) and c
-        }
-        default = self.cylinders.get("", self.default)
-        return LowerBoundaryData(
-            self.lam.shift(), q1=new_q1, q2=new_q2, cylinders=cylinders,
-            default=default, sup_bound=self.sup_bound,
-        )
+    def alphabet(self, k):
+        return word_alphabet(self.lam, k)
 
 
 def constant_lower(lam, c):
     return LowerBoundaryData(lam, q1=c, q2=c, default=c)
-
-
-DEFAULT_DEPTH = 24
-
-Integral = namedtuple("Integral", ["value", "tail_bound"])
 
 
 def integrate_lower(f, measure=1, max_depth=DEFAULT_DEPTH):
@@ -454,13 +400,11 @@ def _mean_over_copy(f, digit, measure):
 def extend_step_lower(lam, f):
     """Values of the solution on V_1 inside the lower domain, keyed by
     exact global points (closed forms for both first-digit cases)."""
-    params = gasket(2)
     e1 = lam.digit(1)
     em = etas(lam.shift())
     x, y = em.eta1, em.eta2
-    p_f0q1 = geometry.apply_word(params, (0,), Q1)
-    p_f0q2 = geometry.apply_word(params, (0,), geometry.CORNERS[2])
-    p_f1q2 = geometry.apply_word(params, (1,), geometry.CORNERS[2])
+    corners = cylinder.cell_corners(2)
+    p_f0q1, p_f0q2, p_f1q2 = corners[0][1], corners[0][2], corners[1][2]
     if e1 == 0:
         i10 = _mean_over_copy(f, 0, 1)
         i20 = _mean_over_copy(f, 0, 2)
@@ -481,95 +425,61 @@ def extend_step_lower(lam, f):
 
 def boundary_value_at_lower(lam, f, p, max_depth=DEFAULT_DEPTH):
     """Data value at an exact point of the cut-line boundary set."""
-    params = gasket(2)
-    vals = []
-
-    def rec(lam, data, p, depth):
-        sub = data.subtree("")
-        if sub is not None:
-            vals.append(sub)
-            return
-        if depth == 0:
-            raise ContractViolation("cut-line value did not resolve within the depth cap")
-        e1 = lam.digit(1)
-        cells = (0,) if e1 == 0 else (1, 2)
-        hits = 0
-        for i in cells:
-            local = params.unapply_map(i, p)
-            if geometry.cells_containing(params, local):
-                rec(lam.shift(), data.shifted(i, None, None), local, depth - 1)
-                hits += 1
-        if hits == 0:
-            raise AddressError(f"{p} is not on the lower-domain boundary")
-
-    rec(lam, f, p, max_depth)
-    return sum(vals) / len(vals)
+    return cylinder.cut_value(LowerFrame(lam), f, p, max_depth)
 
 
-def evaluate_lower(lam, f, v):
-    """Value of the harmonic solution at a vertex of the closed domain."""
-    params = gasket(2)
-    if isinstance(v, geometry.VertexAddress):
-        p = geometry.resolve(params, v)
-    else:
-        p = (F(v[0]), F(v[1]))
-    cut = lam.cut_height()
-    if p[1] > cut:
-        raise ResolutionError(f"{p} lies above the cut line")
-    corners = geometry.CORNERS
-    for _ in range(_MAX_RECURSION):
+class LowerFrame(cylinder.Frame):
+    """The lower domain of SG for one lambda as a recursion frame."""
+
+    name = "lower domain"
+    level = 2
+    slots = (1, 2)
+
+    def __init__(self, lam):
+        self.lam = lam
+        self.params = gasket(2)
+
+    def terminal(self, f, p):
         if p == Q1:
             return f.q1
-        if p == corners[2]:
+        if p == Q2:
             return f.q2
+        lam = self.lam
         if lam.value == 0:
             # whole-gasket cell: boundary is V_0, X reduces to {q0}
             c0 = f.subtree("")
             if c0 is None:
                 c0 = boundary_value_at_lower(lam, f, Q0)
-            return harmonic.harmonic_value_in_cell(
-                2, (c0, f.q1, f.q2), p
-            )
-        if p[1] == cut:
+            return harmonic.harmonic_value_in_cell(2, (c0, f.q1, f.q2), p)
+        if p[1] == lam.cut_height():
             return boundary_value_at_lower(lam, f, p)
-        step = extend_step_lower(lam, f)
-        if p in step:
-            return step[p]
-        e1 = lam.digit(1)
-        values = dict(step)
+        return None
+
+    def values(self, f):
+        values = dict(extend_step_lower(self.lam, f))
         values[Q1] = f.q1
-        values[corners[2]] = f.q2
-        p_f0q1 = geometry.apply_word(params, (0,), Q1)
-        p_f0q2 = geometry.apply_word(params, (0,), corners[2])
-        p_f1q2 = geometry.apply_word(params, (1,), corners[2])
-        routed = False
-        if e1 == 0:
-            for i, cvals in ((1, (values[p_f0q1], f.q1, values[p_f1q2])),
-                             (2, (values[p_f0q2], values[p_f1q2], f.q2))):
-                local = params.unapply_map(i, p)
-                if geometry.cells_containing(params, local):
-                    return harmonic.harmonic_value_in_cell(2, cvals, local)
-            local = params.unapply_map(0, p)
-            if geometry.cells_containing(params, local):
-                f = f.shifted(0, values[p_f0q1], values[p_f0q2])
-                lam = lam.shift()
-                cut = lam.cut_height()
-                p = local
-                routed = True
-        else:
-            for i, (nq1, nq2) in ((1, (f.q1, values[p_f1q2])),
-                                  (2, (values[p_f1q2], f.q2))):
-                local = params.unapply_map(i, p)
-                if geometry.cells_containing(params, local):
-                    f = f.shifted(i, nq1, nq2)
-                    lam = lam.shift()
-                    cut = lam.cut_height()
-                    p = local
-                    routed = True
-                    break
-        if not routed:
-            raise AddressError(f"{p} could not be routed inside the lower domain")
-    raise AddressError("vertex is deeper than the recursion cap")
+        values[Q2] = f.q2
+        return values
+
+    def full_cells(self):
+        return (1, 2) if self.lam.digit(1) == 0 else ()
+
+    def copies(self):
+        return word_alphabet(self.lam, 1)
+
+    def shift(self, d):
+        return LowerFrame(self.lam.shift())
+
+
+def evaluate_lower(lam, f, v):
+    """Value of the harmonic solution at a vertex of the closed domain."""
+    if isinstance(v, geometry.VertexAddress):
+        p = geometry.resolve(gasket(2), v)
+    else:
+        p = (F(v[0]), F(v[1]))
+    if p[1] > lam.cut_height():
+        raise ResolutionError(f"{p} lies above the cut line")
+    return cylinder.route(LowerFrame(lam), f, p)
 
 
 def gauss_green_telescope(lam, hq1, hq2, m):

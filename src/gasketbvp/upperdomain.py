@@ -12,18 +12,17 @@ extension step, the Haar basis and the energy estimates.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import geometry, harmonic
-from .errors import AccuracyError, AddressError, ContractViolation, ResolutionError
-from .geometry import CORNERS_INT, Q0, gasket
+from . import cylinder, geometry, harmonic
+from .cylinder import DEFAULT_DEPTH, CylinderData, Integral
+from .errors import AccuracyError, AddressError, ResolutionError
+from .geometry import Q0, gasket
 
 F = Fraction
 
 RATIO = F(15, 7)                    # r^-1 of SG_3
 ALPHA_MAX = 0.4415378110            # just above alpha(1) = (75 - sqrt(2353))/60
-_MAX_RECURSION = 64
 
 EtaAlpha = namedtuple("EtaAlpha", ["alpha", "eta", "depth", "err"])
 
@@ -244,9 +243,14 @@ def eta_of(lam, tol=1e-13):
 # boundary measure
 
 
+def word_alphabet(lam, k):
+    """Admissible digits at position k of a word: S_iota_k, {4,5} or {1,2,3}."""
+    return (4, 5) if lam.pair(k)[1] == 1 else (1, 2, 3)
+
+
 def level_alphabet(lam):
     """Digit alphabet S_iota1 of the first refinement of X."""
-    return (4, 5) if lam.iota1 == 1 else (1, 2, 3)
+    return word_alphabet(lam, 1)
 
 
 def measure_weights(lam):
@@ -273,7 +277,7 @@ def cylinder_mass(lam, word):
     return mass
 
 
-class UpperBoundaryData:
+class UpperBoundaryData(CylinderData):
     """Data on the boundary of an upper domain: the value at q0 plus a
     piecewise view of f on the Cantor cross-section X.
 
@@ -284,72 +288,20 @@ class UpperBoundaryData:
     def __init__(self, lam, q0=0.0, cylinders=None, default=None, fn=None, sup_bound=None):
         self.lam = lam
         self.q0 = q0
-        self.cylinders = dict(cylinders or {})
-        self.default = default
-        self.fn = fn
-        self.sup_bound = sup_bound
-        if fn is not None and (self.cylinders or default is not None):
-            raise ContractViolation("callback data must not be mixed with structured data")
+        super().__init__(cylinders, default, fn, sup_bound)
 
-    def subtree(self, word):
-        if self.fn is not None:
-            return None
-        for cyl in self.cylinders:
-            if len(cyl) > len(word) and cyl.startswith(word):
-                return None
-        best = None
-        for cyl in self.cylinders:
-            if word.startswith(cyl) and (best is None or len(cyl) > len(best)):
-                best = cyl
-        if best is not None:
-            return self.cylinders[best]
-        if self.default is not None:
-            return self.default
-        raise ContractViolation("boundary data is not total")
-
-    def sup(self):
-        if self.sup_bound is not None:
-            return self.sup_bound
-        if self.fn is not None:
-            raise ContractViolation("callback data needs an explicit sup_bound")
-        vals = [abs(v) for v in self.cylinders.values()]
-        if self.default is not None:
-            vals.append(abs(self.default))
-        return max(vals) if vals else 0
+    def alphabet(self, k):
+        return word_alphabet(self.lam, k)
 
     def with_q0(self, q0):
-        if self.fn is not None:
-            return UpperBoundaryData(self.lam, q0=q0, fn=self.fn, sup_bound=self.sup_bound)
         return UpperBoundaryData(
             self.lam, q0=q0, cylinders=self.cylinders, default=self.default,
-            sup_bound=self.sup_bound,
-        )
-
-    def shifted(self, digit, new_q0):
-        ch = geometry.WORD_CHARS[digit]
-        if self.fn is not None:
-            fn = self.fn
-            return UpperBoundaryData(
-                self.lam.shift(), q0=new_q0,
-                fn=lambda w, _c=ch: fn(_c + w), sup_bound=self.sup_bound,
-            )
-        cylinders = {
-            c[1:]: v for c, v in self.cylinders.items() if c.startswith(ch) and c
-        }
-        default = self.cylinders.get("", self.default)
-        return UpperBoundaryData(
-            self.lam.shift(), q0=new_q0, cylinders=cylinders, default=default,
-            sup_bound=self.sup_bound,
+            fn=self.fn, sup_bound=self.sup_bound,
         )
 
 
 def constant_upper(lam, c):
     return UpperBoundaryData(lam, q0=c, default=c)
-
-
-DEFAULT_DEPTH = 24
-
-Integral = namedtuple("Integral", ["value", "tail_bound"])
 
 
 def integrate_upper(f, prefix="", max_depth=DEFAULT_DEPTH):
@@ -461,87 +413,64 @@ def _crucial_points(params):
 _FULL_CELLS = {1: (0,), 2: (0, 4, 5)}
 
 
-def evaluate_upper(lam, f, v):
-    """Value of the harmonic solution at a vertex of the closed domain."""
-    params = gasket(3)
-    if isinstance(v, geometry.VertexAddress):
-        p = geometry.resolve(params, v)
-    else:
-        p = (F(v[0]), F(v[1]))
-    cut = lam.cut_height()
-    if p[1] < cut:
-        raise ResolutionError(f"{p} lies below the cut line")
-    crucial = _crucial_points(params)
-    for _ in range(_MAX_RECURSION):
+class UpperFrame(cylinder.Frame):
+    """The upper domain of SG_3 for one lambda as a recursion frame."""
+
+    name = "upper domain"
+    level = 3
+    slots = (0,)
+
+    def __init__(self, lam):
+        self.lam = lam
+        self.params = gasket(3)
+
+    def normalize(self, p):
+        # while m_1 > 1 the whole domain sits in the top cell: dilate
+        lam = self.lam
+        while lam.m1 > 1:
+            p = self.params.unapply_map(0, p)
+            lam = lam.dilate()
+        return UpperFrame(lam), p
+
+    def terminal(self, f, p):
         if p == Q0:
             return float(f.q0)
-        if p[1] == cut:
-            return boundary_value_at_upper(lam, f, p)
-        while lam.m1 > 1:
-            # the whole domain sits in the top cell: dilate
-            p = params.unapply_map(0, p)
-            lam = lam.dilate()
-            cut = lam.cut_height()
-        step = extend_step_upper(lam, f)
-        hit = next(
-            (d for d, cp in crucial.items() if d in step and cp == p), None
-        )
-        if hit is not None:
-            return step[hit]
+        if p[1] == self.lam.cut_height():
+            return boundary_value_at_upper(self.lam, f, p)
+        return None
+
+    def values(self, f):
+        corners = cylinder.cell_corners(3)
         values = {Q0: float(f.q0)}
-        for d, val in step.items():
-            values[crucial[d]] = val
-        routed = False
-        for i in _FULL_CELLS[lam.iota1]:
-            local = params.unapply_map(i, p)
-            if geometry.cells_containing(params, local):
-                tr = params.int_translations[i]
-                corner_vals = tuple(
-                    values[(F(CORNERS_INT[c][0] + int(tr[0]), 3), F(CORNERS_INT[c][1] + int(tr[1]), 3))]
-                    for c in range(3)
-                )
-                return harmonic.harmonic_value_in_cell(3, corner_vals, local)
-        for d in level_alphabet(lam):
-            local = params.unapply_map(d, p)
-            if geometry.cells_containing(params, local):
-                f = f.shifted(d, step[d])
-                lam = lam.shift()
-                cut = lam.cut_height()
-                p = local
-                routed = True
-                break
-        if not routed:
-            raise AddressError(f"{p} could not be routed inside the upper domain")
-    raise AddressError("vertex is deeper than the recursion cap")
+        for d, v in extend_step_upper(self.lam, f).items():
+            values[corners[d][0]] = v
+        return values
+
+    def full_cells(self):
+        return _FULL_CELLS[self.lam.iota1]
+
+    def copies(self):
+        return level_alphabet(self.lam)
+
+    def shift(self, d):
+        return UpperFrame(self.lam.shift())
+
+
+def evaluate_upper(lam, f, v):
+    """Value of the harmonic solution at a vertex of the closed domain."""
+    if isinstance(v, geometry.VertexAddress):
+        p = geometry.resolve(gasket(3), v)
+    else:
+        p = (F(v[0]), F(v[1]))
+    if p[1] < lam.cut_height():
+        raise ResolutionError(f"{p} lies below the cut line")
+    return cylinder.route(UpperFrame(lam), f, p)
 
 
 def boundary_value_at_upper(lam, f, p, max_depth=DEFAULT_DEPTH):
     """Data value at an exact point of the cut line; at a junction of two
     cylinders of piecewise-constant data the cylinder values are averaged."""
-    params = gasket(3)
-    vals = []
-
-    def rec(lam, data, p, depth):
-        sub = data.subtree("")
-        if sub is not None:
-            vals.append(sub)
-            return
-        if depth == 0:
-            raise ContractViolation("cut-line value did not resolve within the depth cap")
-        while lam.m1 > 1:
-            p = params.unapply_map(0, p)
-            lam = lam.dilate()
-        hits = 0
-        for d in level_alphabet(lam):
-            local = params.unapply_map(d, p)
-            if geometry.cells_containing(params, local):
-                rec(lam.shift(), data.shifted(d, None), local, depth - 1)
-                hits += 1
-        if hits == 0:
-            raise AddressError(f"{p} is not on the Cantor boundary")
-
-    rec(lam, f, p, max_depth)
-    return sum(vals) / len(vals)
+    return cylinder.cut_value(UpperFrame(lam), f, p, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +494,7 @@ def haar_psi(lam, j):
 def haar_data(lam, word, j):
     """psi_w^(j) as boundary data (zero outside X_word, q0 value 0)."""
     cur = lam
-    for ch in word:
-        d = geometry.WORD_CHARS.index(ch)
-        if d not in level_alphabet(cur):
-            raise AddressError(f"word {word!r} invalid for this lambda")
+    for _ in word:
         cur = cur.shift()
     psi = haar_psi(cur, j)
     cylinders = {word + geometry.WORD_CHARS[d]: v for d, v in psi.items()}
@@ -632,14 +558,14 @@ def domain_energy_upper(lam, a, f, a2=None, g=None):
         a2, g = a, f
     f = f.with_q0(float(a))
     g = g.with_q0(float(a2))
-    params = gasket(3)
     ratio = float(RATIO)
 
-    def rec(lam, fa, fd, ga, gd):
+    def rec(lam, fd, gd):
         scale = 1.0
         while lam.m1 > 1:
             scale *= ratio  # one r^-1 per stripped zero digit
             lam = lam.dilate()
+        fa, ga = fd.q0, gd.q0
         sf = fd.subtree("")
         sg = gd.subtree("")
         if sf is not None and sg is not None:
@@ -648,31 +574,17 @@ def domain_energy_upper(lam, a, f, a2=None, g=None):
             return scale * (fa - sf) * eta_of(lam) * (ga - integrate_upper(gd).value)
         if sg is not None:
             return scale * (ga - sg) * eta_of(lam) * (fa - integrate_upper(fd).value)
-        fstep = extend_step_upper(lam, fd)
-        gstep = extend_step_upper(lam, gd)
-        fvals = {0: fa, **fstep}
-        gvals = {0: ga, **gstep}
+        frame = UpperFrame(lam)
+        fcells, fcopies = cylinder.stage(frame, fd)
+        gcells, gcopies = cylinder.stage(frame, gd)
         total = 0.0
-        crucial = _crucial_points(params)
-        pts = {0: Q0, **crucial}
-        for cell in _FULL_CELLS[lam.iota1]:
-            tr = params.int_translations[cell]
-            cps = [
-                (F(CORNERS_INT[c][0] + int(tr[0]), 3), F(CORNERS_INT[c][1] + int(tr[1]), 3))
-                for c in range(3)
-            ]
-            keymap = {p: k for k, p in pts.items()}
-            fa3 = [fvals[keymap[p]] for p in cps]
-            ga3 = [gvals[keymap[p]] for p in cps]
+        for fa3, ga3 in zip(fcells, gcells):
             total += ratio * harmonic.triangle_energy(fa3, ga3)
-        for d in level_alphabet(lam):
-            total += ratio * rec(
-                lam.shift(), fstep[d], fd.shifted(d, fstep[d]),
-                gstep[d], gd.shifted(d, gstep[d])
-            )
+        for (sub, fs), (_, gs) in zip(fcopies, gcopies):
+            total += ratio * rec(sub.lam, fs, gs)
         return scale * total
 
-    return rec(lam, float(a), f, float(a2), g)
+    return rec(lam, f, g)
 
 
 def gauss_green_h0_energy(lam, depth):

@@ -170,3 +170,14 @@ def test_dtn(tmp_path, capsys):
     code, out, _ = run(["dtn", "--data", data, "--kmax", "30"], capsys)
     assert code == 0
     assert "limit,3/2" in out
+
+
+def test_upper_digit_outside_alphabet_usage_error(tmp_path, capsys):
+    data = write_json(tmp_path / "u.json", {
+        "schema": 1, "q0": "1/2", "cylinders": [{"w": "4", "v": "1"}], "default_tail": "0",
+    })
+    code, out, err = run(
+        ["solve", "--domain", "upper", "--lambda", "1", "--data", data, "--level", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error" in err

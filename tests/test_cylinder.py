@@ -1,0 +1,197 @@
+"""The shared cylinder boundary-data type, checked on all three families:
+callback data on upper and lower domains, and property tests of
+restriction, integration and sup over random valid cylinder sets."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gasketbvp import halfdomain as HD
+from gasketbvp import lowerdomain as LD
+from gasketbvp import upperdomain as UP
+from gasketbvp.errors import ContractViolation
+
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# callback data on upper and lower domains
+
+
+def callback_data(family, lam, fn, **kw):
+    if family == "upper":
+        return UP.UpperBoundaryData(lam, q0=0.0, fn=fn, **kw)
+    return LD.LowerBoundaryData(lam, q1=0.0, q2=0.0, fn=fn, **kw)
+
+
+CALLBACK_CASES = [
+    ("upper", UP.TriadicLambda(1)),
+    ("upper", UP.TriadicLambda(F(2, 3))),
+    ("lower", LD.BinaryLambda(F(1, 2))),
+    ("lower", LD.BinaryLambda(F(1, 3))),
+]
+
+
+def test_shifted_callback_prefixes_digit():
+    up = callback_data("upper", UP.TriadicLambda(F(2, 3)), lambda w: w, sup_bound=1.0)
+    assert up.shifted(5, 0.25).shifted(3, None).fn("12") == "5312"
+    low = callback_data("lower", LD.BinaryLambda(F(1, 2)), lambda w: w, sup_bound=1.0)
+    child = low.shifted(2, 0.5, None)
+    assert child.fn("0") == "20"
+    assert child.shifted(0, None, None).fn("") == "20"
+    assert (child.q1, child.q2) == (0.5, None)
+
+
+@pytest.mark.parametrize("family,lam", CALLBACK_CASES)
+def test_constant_callback_integral_within_tail_bound(family, lam):
+    c, sup_bound = 0.75, 1.0
+    f = callback_data(family, lam, lambda w: c, sup_bound=sup_bound)
+    if family == "upper":
+        results = [UP.integrate_upper(f, max_depth=3)]
+    else:
+        results = [LD.integrate_lower(f, measure, max_depth=3) for measure in (1, 2)]
+    for value, tail_bound in results:
+        assert abs(value - c) <= tail_bound <= sup_bound * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("family,lam", CALLBACK_CASES)
+def test_callback_sup_needs_explicit_bound(family, lam):
+    with pytest.raises(ContractViolation):
+        callback_data(family, lam, lambda w: 0.5).sup()
+    assert callback_data(family, lam, lambda w: 0.5, sup_bound=2.0).sup() == 2.0
+
+
+@pytest.mark.parametrize("family,lam", CALLBACK_CASES)
+def test_callback_not_mixed_with_structured_data(family, lam):
+    with pytest.raises(ContractViolation):
+        callback_data(family, lam, lambda w: 0.5, cylinders={"": 1.0})
+    with pytest.raises(ContractViolation):
+        callback_data(family, lam, lambda w: 0.5, default=0.0)
+
+
+# ---------------------------------------------------------------------------
+# property tests on random valid cylinder sets
+
+
+def cycle(*alphabets):
+    """Per-position alphabet (1-based) repeating the given digit strings."""
+    return lambda k: alphabets[(k - 1) % len(alphabets)]
+
+
+def head_then(first, rest):
+    return lambda k: first if k == 1 else rest
+
+
+# name: (data constructor, alphabet at position k, corner values of a
+# sub-copy, exact arithmetic)
+FAMILIES = {
+    "half-sg3": (
+        lambda cyl, default: HD.HalfBoundaryData(
+            3, q1=default, cylinders=cyl, default=default, q0=default),
+        cycle("03"), (F(0),), True),
+    "upper-1": (
+        lambda cyl, default: UP.UpperBoundaryData(
+            UP.TriadicLambda(1), q0=default, cylinders=cyl, default=default),
+        cycle("123"), (None,), False),
+    "upper-2/3": (
+        lambda cyl, default: UP.UpperBoundaryData(
+            UP.TriadicLambda(F(2, 3)), q0=default, cylinders=cyl, default=default),
+        head_then("45", "123"), (None,), False),
+    "lower-1/2": (
+        lambda cyl, default: LD.LowerBoundaryData(
+            LD.BinaryLambda(F(1, 2)), q1=default, q2=default, cylinders=cyl, default=default),
+        head_then("12", "0"), (None, None), True),
+    "lower-1/3": (
+        lambda cyl, default: LD.LowerBoundaryData(
+            LD.BinaryLambda(F(1, 3)), q1=default, q2=default, cylinders=cyl, default=default),
+        cycle("0", "12"), (None, None), False),
+}
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, database=None)
+
+
+def words(alphabet, min_len=0, max_len=3):
+    """Valid words: each position's digit is picked from its alphabet."""
+    return st.lists(st.integers(0, 5), min_size=min_len, max_size=max_len).map(
+        lambda picks: "".join(
+            alphabet(k)[n % len(alphabet(k))] for k, n in enumerate(picks, start=1)
+        )
+    )
+
+
+def values(exact):
+    return st.integers(-50, 50).map(lambda n: F(n, 7) if exact else n / 7)
+
+
+@st.composite
+def family_data(draw, name, constant=False):
+    make, alphabet, _, exact = FAMILIES[name]
+    default = draw(values(exact))
+    value = st.just(default) if constant else values(exact)
+    cyl = draw(st.dictionaries(words(alphabet), value, max_size=5))
+    return make(cyl, default)
+
+
+def plain(v):
+    """The value of a subtree result: half-domain results are tagged."""
+    return v[1] if isinstance(v, tuple) else v
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_shifted_subtree_matches_prefixed_subtree(name, data):
+    _, alphabet, corners, _ = FAMILIES[name]
+    f = data.draw(family_data(name))
+    word = data.draw(words(alphabet, min_len=1, max_len=4))
+    child = f.shifted(int(word[0]), *corners)
+    assert child.subtree(word[1:]) == f.subtree(word)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_integral_of_constant_data_is_the_constant(name, data):
+    exact = FAMILIES[name][3]
+    f = data.draw(family_data(name, constant=True))
+    c = f.default
+    if name.startswith("half"):
+        results = [HD.integrate(f)]
+    elif name.startswith("upper"):
+        results = [UP.integrate_upper(f)]
+    else:
+        results = [LD.integrate_lower(f, measure) for measure in (1, 2)]
+    for value, tail_bound in results:
+        assert tail_bound == 0
+        if exact:
+            assert value == c
+        else:
+            assert abs(value - c) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_sup_bounds_every_cylinder_value(name, data):
+    alphabet = FAMILIES[name][1]
+    f = data.draw(family_data(name))
+    sup = f.sup()
+    for v in list(f.cylinders.values()) + [f.default]:
+        assert abs(v) <= sup
+    sub = f.subtree(data.draw(words(alphabet, max_len=4)))
+    if sub is not None:
+        assert abs(plain(sub)) <= sup
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_constant_subtree_agrees_with_cylinders_below(name, data):
+    alphabet = FAMILIES[name][1]
+    f = data.draw(family_data(name))
+    word = data.draw(words(alphabet, max_len=3))
+    sub = f.subtree(word)
+    if sub is not None:
+        assert all(v == plain(sub) for c, v in f.cylinders.items() if c.startswith(word))

@@ -68,7 +68,7 @@ def test_edges_deduplicated():
 
 def test_degrees():
     # corners have degree 2; junctions degree 4; for l >= 3 the subdivision
-    # centres sit in three cells and have degree 6 (see decisions ledger).
+    # centres sit in three cells and have degree 6.
     expected = {2: {2, 4}, 3: {2, 4, 6}, 4: {2, 4, 6}}
     for l, allowed in expected.items():
         for m in range(0, 5):

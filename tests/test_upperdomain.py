@@ -374,3 +374,15 @@ def test_psi_energy_equals_generator():
     gen = UP.domain_energy_upper(lam, 0.0, UP.haar_data(lam, "", 1))
     assert est.energy == pytest.approx(gen, rel=1e-12)
     assert est.orthogonal_energy == pytest.approx(gen, rel=1e-9)
+
+
+def test_cylinder_words_checked_against_level_alphabet():
+    # lambda = 1 uses {1,2,3} at every level; lambda = 2/3 starts with {4,5}
+    with pytest.raises(AddressError):
+        UP.UpperBoundaryData(UP.TriadicLambda(1), q0=0.0, cylinders={"4": 1.0}, default=0.0)
+    with pytest.raises(AddressError):
+        UP.UpperBoundaryData(UP.TriadicLambda(1), cylinders={"15": 1.0}, default=0.0)
+    with pytest.raises(AddressError):
+        UP.UpperBoundaryData(UP.TriadicLambda(F(2, 3)), cylinders={"1": 1.0}, default=0.0)
+    ok = UP.UpperBoundaryData(UP.TriadicLambda(F(2, 3)), cylinders={"53": 1.0}, default=0.0)
+    assert ok.shifted(5, 0.0).cylinders == {"3": 1.0}
