@@ -1,49 +1,67 @@
-"""Small dense exact linear algebra over fractions.Fraction.
-
-Only used for desk-scale systems (cell extension rules, rational-mode
-Dirichlet solves); everything larger goes through scipy in float mode.
+"""The package's one exact linear solver: sparse elimination over Fraction,
+for the Gamma_1 harmonic extension, the SG_l (l >= 4) half-domain extend
+step and the rational-mode oracle.  Gasket graphs have tiny treewidth, so
+minimum-degree fill-in stays small; float mode goes through scipy instead.
 """
 
+import heapq
 from fractions import Fraction
 
 from .errors import SolvabilityError
 
+# checked by the oracle against the unknown count, before it builds any row
 EXACT_UNKNOWN_CAP = 5000
 
 
-def solve_dense(rows, rhs):
-    """Solve A x = b exactly by Gaussian elimination with Fraction entries.
+def solve(rows, rhs):
+    """Solve sum_j a_ij x_j = b_i exactly; returns {i: x_i} in the order of rows.
 
-    rows: list of lists (each row of A), rhs: list. Both are copied.
-    Raises SolvabilityError on a singular system.
+    rows maps each unknown i to its sparse row {j: a_ij} and rhs maps i to
+    b_i (ints, floats or Fractions, converted exactly); both are consumed.
+    Minimum-degree elimination without pivoting needs a symmetric positive
+    definite matrix, e.g. a graph Laplacian with a Dirichlet boundary plus
+    nonnegative diagonal terms; a zero pivot raises SolvabilityError.
     """
-    n = len(rows)
-    if n > EXACT_UNKNOWN_CAP:
-        raise SolvabilityError(f"exact solve capped at {EXACT_UNKNOWN_CAP} unknowns, got {n}")
-    a = [[Fraction(x) for x in row] for row in rows]
-    b = [Fraction(x) for x in rhs]
-    perm = list(range(n))
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[perm[r]][col] != 0), None)
-        if piv is None:
-            raise SolvabilityError("singular system in exact elimination")
-        perm[col], perm[piv] = perm[piv], perm[col]
-        prow = a[perm[col]]
-        pinv = Fraction(1) / prow[col]
-        for r in range(col + 1, n):
-            row = a[perm[r]]
-            f = row[col]
-            if f == 0:
+    unknowns = list(rows)
+    for i, row in rows.items():
+        for j, a in row.items():
+            row[j] = Fraction(a)
+        rhs[i] = Fraction(rhs[i])
+    order = []
+    heap = [(len(row) - 1, i) for i, row in rows.items()]
+    heapq.heapify(heap)
+    while heap:
+        deg, i = heapq.heappop(heap)
+        if i not in rows:
+            continue
+        if deg != len(rows[i]) - 1:
+            heapq.heappush(heap, (len(rows[i]) - 1, i))
+            continue
+        row = rows.pop(i)
+        b = rhs.pop(i)
+        piv = row.pop(i, 0)
+        if piv == 0:
+            raise SolvabilityError("singular system in exact elimination (zero pivot)")
+        order.append((i, row, b, piv))
+        for j in row:
+            rj = rows[j]
+            f = rj.pop(i, None)
+            if f is None:
                 continue
-            f *= pinv
-            for c in range(col, n):
-                row[c] -= f * prow[c]
-            b[perm[r]] -= f * b[perm[col]]
-    x = [Fraction(0)] * n
-    for col in range(n - 1, -1, -1):
-        row = a[perm[col]]
-        s = b[perm[col]]
-        for c in range(col + 1, n):
-            s -= row[c] * x[c]
-        x[col] = s / row[col]
-    return x
+            f /= piv
+            for k, v in row.items():
+                rj[k] = rj[k] - f * v if k in rj else -f * v
+            rhs[j] -= f * b
+            heapq.heappush(heap, (len(rj) - 1, j))
+    x = {}
+    while order:  # popping frees each eliminated row once it is used
+        i, row, b, piv = order.pop()
+        s = b
+        for k, v in row.items():
+            s -= v * x[k]
+        x[i] = s / piv
+    return {i: x[i] for i in unknowns}
+
+
+# bench/tracing.py traces the exact solver under this name
+solve_dense = solve

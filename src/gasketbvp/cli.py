@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -38,7 +37,6 @@ class RunConfig:
     mode: str = "auto"
     out: str = None
     fmt: str = "csv"
-    threads: int = 1
     check_closed_form: bool = False
     word: str = ""
     j: int = 1
@@ -301,15 +299,7 @@ def _compare_levels(cfg):
         return max(diffs), sum(diffs) / len(diffs)
 
     levels = list(range(lo, hi + 1))
-    threads = max(1, cfg.threads)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_level, levels))
-    else:
-        results = [one_level(m) for m in levels]
-    return levels, results
+    return levels, [one_level(m) for m in levels]
 
 
 def cmd_compare(cfg):
@@ -433,17 +423,18 @@ DOMAIN_ALIASES = {"half-sg": ("half", 2), "half-sg2": ("half", 2), "half-sg3": (
 
 
 def _config_from_args(args):
-    taken = {f.name for f in fields(RunConfig)} - {"threads", "levels"}
+    taken = {f.name for f in fields(RunConfig)} - {"levels"}
     cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in taken})
     if cfg.domain in DOMAIN_ALIASES:
         cfg.domain, cfg.level = DOMAIN_ALIASES[cfg.domain]
-    cfg.threads = int(os.environ.get("GASKET_NUM_THREADS", "1") or "1")
     if hasattr(args, "levels"):
         try:
             lo, hi = args.levels.split(":")
             cfg.levels = (int(lo), int(hi))
         except ValueError as exc:
             raise UsageError(f"bad --levels {args.levels!r}, expected lo:hi") from exc
+        if cfg.levels[0] > cfg.levels[1]:
+            raise UsageError(f"empty --levels {args.levels!r}: lo must not exceed hi")
     return cfg
 
 

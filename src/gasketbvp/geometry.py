@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._exact import solve_dense
-from .errors import AddressError, CapabilityError, ResolutionError
+from ._exact import solve
+from .errors import AddressError, CapabilityError, ContractViolation, ResolutionError
 
 MAX_LEVEL = 8
 MAX_GRAPH_LEVEL = 14
@@ -150,48 +150,46 @@ def renormalization_factor(level):
         return Fraction(3, 5)
     if level == 3:
         return Fraction(7, 15)
-    params = gasket(level)
-    g = build_graph(params, 1)
-    vals = _gamma1_harmonic_values(params, (Fraction(1), Fraction(0), Fraction(0)))
-    e1 = Fraction(0)
-    for i, j in g.edges:
-        d = vals[tuple(g.verts[i])] - vals[tuple(g.verts[j])]
-        e1 += d * d
-    r = e1 / 2  # E_0 of (1,0,0) is 2
-    assert 0 < r < 1
+    vals = _gamma1_harmonic_values(gasket(level), (Fraction(1), Fraction(0), Fraction(0)))
+    nbrs = gamma1_neighbors(level)
+    # every edge is seen from both ends, and E_0 of (1,0,0) is 2
+    r = sum((vals[p] - vals[q]) ** 2 for p, nb in nbrs.items() for q in nb) / 4
+    if not 0 < r < 1:
+        raise ContractViolation(f"renormalization factor of SG_{level} is {r}, not in (0, 1)")
     return r
+
+
+@lru_cache(maxsize=None)
+def gamma1_neighbors(level):
+    """Neighbour lists of Gamma_1 of SG_l, keyed by integer vertex
+    coordinates at scale l in vertex order.  Shared; do not mutate."""
+    g = build_graph(gasket(level), 1)
+    pts = [tuple(map(int, v)) for v in g.verts]
+    nbrs = {p: [] for p in pts}
+    for i, j in g.edges:
+        nbrs[pts[i]].append(pts[j])
+        nbrs[pts[j]].append(pts[i])
+    return nbrs
 
 
 def _gamma1_harmonic_values(params, corner_values):
     """Exact graph-harmonic extension of V_0 data to Gamma_1, as a dict
     keyed by integer vertex coordinates at scale l."""
-    g = build_graph(params, 1)
-    corner_pts = {(1 * params.level, 2 * params.level): 0, (0, 0): 1, (2 * params.level, 0): 2}
-    keys = [tuple(v) for v in g.verts]
-    idx = {k: n for n, k in enumerate(keys)}
-    interior = [k for k in keys if k not in corner_pts]
-    pos = {k: n for n, k in enumerate(interior)}
-    nbrs = {k: [] for k in keys}
-    for i, j in g.edges:
-        ki, kj = keys[i], keys[j]
-        nbrs[ki].append(kj)
-        nbrs[kj].append(ki)
-    rows, rhs = [], []
-    for k in interior:
-        row = [Fraction(0)] * len(interior)
-        row[pos[k]] = Fraction(len(nbrs[k]))
-        b = Fraction(0)
-        for nb in nbrs[k]:
-            if nb in corner_pts:
-                b += corner_values[corner_pts[nb]]
+    l = params.level
+    corner_pts = {(l, 2 * l): 0, (0, 0): 1, (2 * l, 0): 2}
+    rows, rhs = {}, {}
+    for k, nb in gamma1_neighbors(l).items():
+        if k in corner_pts:
+            continue
+        row = rows[k] = {k: len(nb)}
+        rhs[k] = Fraction(0)
+        for q in nb:
+            if q in corner_pts:
+                rhs[k] += corner_values[corner_pts[q]]
             else:
-                row[pos[nb]] -= 1
-        rows.append(row)
-        rhs.append(b)
-    sol = solve_dense(rows, rhs)
+                row[q] = row.get(q, 0) - 1
     out = {k: corner_values[c] for k, c in corner_pts.items()}
-    out.update({k: sol[pos[k]] for k in interior})
-    assert idx  # keys cover the graph
+    out.update(solve(rows, rhs))
     return out
 
 

@@ -15,12 +15,13 @@ carries several atoms.
 from __future__ import annotations
 
 import warnings
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 from . import cylinder, geometry, harmonic
-from ._exact import solve_dense
+from ._exact import solve
 from .cylinder import DEFAULT_DEPTH, MAX_RECURSION, CylinderData, Integral
 from .errors import AddressError, ContractViolation, ResolutionError
 from .geometry import CORNERS_INT, Q0, Q1, gasket
@@ -409,26 +410,22 @@ def _extend_step_system(f):
     boundary = {(0, 0): f.q1}
     for j, p in enumerate(st.atom_points):
         boundary[st.int_points[p]] = f.atom("", j + 1)
-    unknowns = sorted({p for cs in cells for p in cs if p not in boundary})
-    pos = {p: k for k, p in enumerate(unknowns)}
-    rows = [[F(0)] * len(unknowns) for _ in unknowns]
-    rhs = [F(0)] * len(unknowns)
+    rows, rhs = defaultdict(dict), defaultdict(F)
     for cs in cells:
-        for a in range(3):
-            for b in range(a + 1, 3):
-                for x, y in ((cs[a], cs[b]), (cs[b], cs[a])):
-                    if x in pos:
-                        rows[pos[x]][pos[x]] += 1
-                        if y in pos:
-                            rows[pos[x]][pos[y]] -= 1
-                        else:
-                            rhs[pos[x]] += boundary[y]
+        for x, y in permutations(cs, 2):
+            if x in boundary:
+                continue
+            row = rows[x]
+            row[x] = row.get(x, 0) + 1
+            if y in boundary:
+                rhs[x] += boundary[y]
+            else:
+                row[y] = row.get(y, 0) - 1
     for i in st.alphabet:
-        k = pos[st._map_point(i, 1)]
-        rows[k][k] += 3
-        rhs[k] += 3 * integrate(f, geometry.WORD_CHARS[i]).value
-    sol = solve_dense(rows, rhs)
-    return {p: sol[pos[p]] for p in unknowns}
+        p = st._map_point(i, 1)
+        rows[p][p] += 3
+        rhs[p] += 3 * integrate(f, geometry.WORD_CHARS[i]).value
+    return dict(sorted(solve(rows, rhs).items()))
 
 
 # ---------------------------------------------------------------------------

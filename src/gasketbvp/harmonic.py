@@ -103,35 +103,14 @@ def harmonic_extend_cell(level, values):
     return cell_extension(level, values)
 
 
-def _cell_graph_structure(level):
-    """Adjacency of Gamma_1 inside one cell, on integer scale-l points."""
-    g = geometry.build_graph(gasket(level), 1)
-    pts = [tuple(map(int, v)) for v in g.verts]
-    nbrs = {p: [] for p in pts}
-    for i, j in g.edges:
-        nbrs[pts[i]].append(pts[j])
-        nbrs[pts[j]].append(pts[i])
-    corners = {_corner_point_int(level, c) for c in range(3)}
-    return nbrs, corners
-
-
-_CELL_GRAPH_CACHE = {}
-
-
-def _cell_graph(level):
-    if level not in _CELL_GRAPH_CACHE:
-        _CELL_GRAPH_CACHE[level] = _cell_graph_structure(level)
-    return _CELL_GRAPH_CACHE[level]
-
-
 def check_cell_harmonic(level, v1_values):
     """Verify the matching (mean value) equations at the interior V_1 points
     of a cell; exact in rational mode, MATCHING_RTOL-tolerant in float mode."""
-    nbrs, corners = _cell_graph(level)
+    corners = {_corner_point_int(level, c) for c in range(3)}
     exact = _is_exact(*v1_values.values())
     scale = max((abs(v) for v in v1_values.values()), default=1)
     tol = 0 if exact else MATCHING_RTOL * max(1.0, float(scale))
-    for pt, nb in nbrs.items():
+    for pt, nb in geometry.gamma1_neighbors(level).items():
         if pt in corners:
             continue
         res = len(nb) * v1_values[pt] - sum(v1_values[q] for q in nb)

@@ -3,9 +3,8 @@
 Given boundary vertices and values, solves the mean-value equations
 deg(x) u(x) = sum of neighbour values as a sparse linear system.  This is
 the independent ground truth for every closed-form extension algorithm in
-the package: a sparse direct LU in float mode (Jacobi-preconditioned
-conjugate gradient on request), exact Fraction elimination in rational
-mode.
+the package: a sparse direct LU in float mode, exact Fraction elimination
+(`_exact.solve`) in rational mode.
 
 Vertices are looked up by binary search over their sorted integer keys
 (geometry.VertexIndex).  The LU eliminates interior unknowns finest level
@@ -14,7 +13,6 @@ first, in vertex-id order within a level.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,12 +21,8 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from . import geometry
-from ._exact import EXACT_UNKNOWN_CAP
-from .errors import SolvabilityError
-
-CG_TOL = 1e-12
-CG_MAXITER_PER_UNKNOWN = 20
+from . import _exact, geometry
+from .errors import ContractViolation, SolvabilityError
 
 
 @dataclass
@@ -71,11 +65,11 @@ def solve(problem, mode="auto"):
     """Solve the graph Dirichlet problem; returns values for all vertices.
 
     mode: "rational" for exact Fraction elimination, "float" for a sparse
-    direct factorization, "cg" for Jacobi-preconditioned conjugate
-    gradient, "auto" picks rational when the boundary values are
-    Fractions/ints.  CG converges, but its iteration count grows with the
-    resistance scaling r^-m, so the direct solve is the float default.
+    direct factorization, "auto" picks rational when the boundary values
+    are Fractions/ints.
     """
+    if mode not in ("auto", "rational", "float"):
+        raise ContractViolation(f"unknown oracle mode {mode!r}")
     graph = problem.graph
     n = graph.n_vertices()
     bmask = np.zeros(n, dtype=bool)
@@ -86,10 +80,10 @@ def solve(problem, mode="auto"):
         mode = "rational" if exact else "float"
     if mode == "rational":
         return _solve_rational(graph, bmask, problem)
-    return _solve_float(graph, adj, bmask, problem, use_cg=(mode == "cg"))
+    return _solve_float(graph, adj, bmask, problem)
 
 
-def _solve_float(graph, adj, bmask, problem, use_cg=False):
+def _solve_float(graph, adj, bmask, problem):
     n = graph.n_vertices()
     g = np.zeros(n)
     g[problem.boundary_ids] = np.asarray(
@@ -106,28 +100,18 @@ def _solve_float(graph, adj, bmask, problem, use_cg=False):
     rows = adj[interior]
     a_ii = sp.diags(deg[interior]) - rows[:, interior]
     b = rows[:, bmask] @ g[bmask]
-    if use_cg:
-        a_ii = a_ii.tocsr()
-        m_inv = sp.diags(1.0 / a_ii.diagonal())
-        maxiter = CG_MAXITER_PER_UNKNOWN * len(interior)
-        x, info = spla.cg(a_ii, b, rtol=CG_TOL, atol=0.0, M=m_inv, maxiter=maxiter)
-        if info != 0:
-            raise SolvabilityError(f"CG did not converge (info={info})")
-    else:
-        x = spla.splu(a_ii.tocsc(), permc_spec="NATURAL").solve(b)
+    x = spla.splu(a_ii.tocsc(), permc_spec="NATURAL").solve(b)
     out = g.copy()
     out[interior] = x
     return out
 
 
 def _solve_rational(graph, bmask, problem):
-    # sparse exact elimination with min-degree pivoting; gasket graphs have
-    # tiny treewidth so fill-in stays negligible
     n = graph.n_vertices()
     unknowns = int((~bmask).sum())
-    if unknowns > EXACT_UNKNOWN_CAP:
+    if unknowns > _exact.EXACT_UNKNOWN_CAP:
         raise SolvabilityError(
-            f"rational mode capped at {EXACT_UNKNOWN_CAP} unknowns, got {unknowns}"
+            f"rational mode capped at {_exact.EXACT_UNKNOWN_CAP} unknowns, got {unknowns}"
         )
     values = [None] * n
     for i, v in zip(problem.boundary_ids, problem.boundary_values):
@@ -138,47 +122,18 @@ def _solve_rational(graph, bmask, problem):
         if bmask[i]:
             continue
         nbrs = graph.neighbors(i)
-        row = {i: Fraction(len(nbrs))}
+        row = {i: len(nbrs)}
         b = Fraction(0)
         for j in nbrs:
             j = int(j)
             if bmask[j]:
                 b += values[j]
             else:
-                row[j] = row.get(j, Fraction(0)) - 1
+                row[j] = row.get(j, 0) - 1
         rows[i] = row
         rhs[i] = b
-    order = []
-    heap = [(len(row) - 1, i) for i, row in rows.items()]
-    heapq.heapify(heap)
-    while heap:
-        deg, i = heapq.heappop(heap)
-        if i not in rows:
-            continue
-        if deg != len(rows[i]) - 1:
-            heapq.heappush(heap, (len(rows[i]) - 1, i))
-            continue
-        row = rows.pop(i)
-        b = rhs.pop(i)
-        piv = row.pop(i)
-        order.append((i, row, b, piv))
-        for j in list(row):
-            rj = rows[j]
-            f = rj.pop(i, None)
-            if f is None:
-                continue
-            f /= piv
-            for k, v in row.items():
-                rj[k] = rj.get(k, Fraction(0)) - f * v
-            rhs[j] -= f * b
-            heapq.heappush(heap, (len(rj) - 1, j))
-    for i, row, b, piv in reversed(order):
-        s = b
-        for k, v in row.items():
-            s -= v * values[k]
-        if piv == 0:
-            raise SolvabilityError("singular system in exact elimination")
-        values[i] = s / piv
+    for i, v in _exact.solve(rows, rhs).items():
+        values[i] = v
     return values
 
 

@@ -147,6 +147,15 @@ def test_compare_lower_dyadic_exact_zero(tmp_path, capsys):
         assert float(ln.split(",")[1]) < 1e-12
 
 
+@pytest.mark.parametrize("levels", ["5:3", "12:3"])
+def test_compare_empty_level_range_usage_error(half_data, capsys, levels):
+    code, out, err = run(
+        ["compare", "--domain", "half", "--data", half_data, "--levels", levels], capsys)
+    assert code == 2
+    assert out == ""
+    assert levels in err
+
+
 def test_haar(tmp_path, capsys):
     data = write_json(tmp_path / "u.json", {
         "schema": 1, "q0": 0.0,
