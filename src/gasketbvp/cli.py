@@ -48,9 +48,7 @@ class RunConfig:
 def _parse_value(v, mode):
     if mode == "float":
         return float(F(v)) if isinstance(v, str) else float(v)
-    if isinstance(v, str):
-        return F(v)
-    if isinstance(v, int):
+    if isinstance(v, (str, int)):
         return F(v)
     if isinstance(v, float) and mode == "rational":
         raise UsageError(f"rational mode cannot take the float literal {v!r}")
@@ -101,14 +99,21 @@ def load_boundary_data(path, domain, mode, lam=None, level=3):
     raise UsageError(f"unknown domain {domain!r}")
 
 
-def _domain_descriptor(cfg):
+LAMBDA_TYPES = {"upper": upperdomain.TriadicLambda, "lower": lowerdomain.BinaryLambda}
+
+
+def _lam(cfg, domain=None):
+    """The parsed --lambda of an upper or lower domain (cfg.domain's by default)."""
+    kind = LAMBDA_TYPES.get(domain or cfg.domain)
+    return None if kind is None else kind.parse(cfg.lam)
+
+
+def _domain_descriptor(cfg, lam):
     if cfg.domain == "half":
         return geometry.HalfDomain(cfg.level)
     if cfg.domain == "upper":
-        lam = upperdomain.TriadicLambda.parse(cfg.lam)
         return geometry.UpperDomain(cut_y=lam.cut_height())
     if cfg.domain == "lower":
-        lam = lowerdomain.BinaryLambda.parse(cfg.lam)
         return geometry.LowerDomain(cut_y=lam.cut_height())
     raise UsageError(f"unknown domain {cfg.domain!r}")
 
@@ -133,12 +138,8 @@ def _emit(lines, out):
 
 
 def cmd_solve(cfg):
-    dom = _domain_descriptor(cfg)
-    lam = None
-    if cfg.domain == "upper":
-        lam = upperdomain.TriadicLambda.parse(cfg.lam)
-    elif cfg.domain == "lower":
-        lam = lowerdomain.BinaryLambda.parse(cfg.lam)
+    lam = _lam(cfg)
+    dom = _domain_descriptor(cfg, lam)
     mode = cfg.mode
     if cfg.domain == "upper" and mode == "rational":
         raise UsageError("upper-domain evaluation needs eta limits: use float mode")
@@ -174,9 +175,9 @@ def cmd_solve(cfg):
 
 
 def cmd_eta(cfg):
+    lam = _lam(cfg)
     lines = []
     if cfg.domain == "upper":
-        lam = upperdomain.TriadicLambda.parse(cfg.lam)
         ea = upperdomain.eta_alpha(lam, tol=1e-12)
         lines.append(f"alpha,{ea.alpha!r}")
         lines.append(f"eta,{ea.eta!r}")
@@ -190,7 +191,6 @@ def cmd_eta(cfg):
             else:
                 lines.append("closed_form,none_available,skipped")
     elif cfg.domain == "lower":
-        lam = lowerdomain.BinaryLambda.parse(cfg.lam)
         ep = lowerdomain.eta_pair(lam, tol=1e-12)
         lines.append(f"eta1,{_fmt(ep.eta1)}")
         lines.append(f"eta2,{_fmt(ep.eta2)}")
@@ -222,19 +222,15 @@ def cmd_eta(cfg):
 
 
 def cmd_measure(cfg):
+    lam, word = _lam(cfg), cfg.word or ""
     lines = []
     if cfg.domain == "half":
-        word = cfg.word or ""
         mass = halfdomain.atom_mass(cfg.level, word, cfg.j)
         lines.append(f"atom_mass,{word},{cfg.j},{_fmt(mass)}")
         lines.append(f"residual_mass_depth_{cfg.depth},{_fmt(halfdomain.residual_mass(cfg.level, cfg.depth))}")
     elif cfg.domain == "upper":
-        lam = upperdomain.TriadicLambda.parse(cfg.lam)
-        word = cfg.word or ""
         lines.append(f"cylinder_mass,{word},{upperdomain.cylinder_mass(lam, word)!r}")
     elif cfg.domain == "lower":
-        lam = lowerdomain.BinaryLambda.parse(cfg.lam)
-        word = cfg.word or ""
         m1, m2 = lowerdomain.lower_measures(lam, word)
         lines.append(f"mu1_mass,{word},{_fmt(m1)}")
         lines.append(f"mu2_mass,{word},{_fmt(m2)}")
@@ -255,7 +251,7 @@ def cmd_energy(cfg):
             lines.append(f"ratio,{float(e) / float(q)!r}")
             lines.append(f"upper_bound_225_28,{float(F(225, 28) * q)!r}")
     elif cfg.domain == "upper":
-        lam = upperdomain.TriadicLambda.parse(cfg.lam)
+        lam = _lam(cfg)
         f = load_boundary_data(cfg.data_path, "upper", "float", lam=lam)
         est = upperdomain.energy_estimate_upper(lam, f.q0 or 0.0, f, cfg.depth)
         lines.append(f"weighted_sum,{est.weighted_sum!r}")
@@ -270,12 +266,8 @@ def cmd_energy(cfg):
 
 def _compare_levels(cfg):
     lo, hi = cfg.levels
-    dom = _domain_descriptor(cfg)
-    lam = None
-    if cfg.domain == "upper":
-        lam = upperdomain.TriadicLambda.parse(cfg.lam)
-    elif cfg.domain == "lower":
-        lam = lowerdomain.BinaryLambda.parse(cfg.lam)
+    lam = _lam(cfg)
+    dom = _domain_descriptor(cfg, lam)
     mode = cfg.mode if cfg.domain != "upper" else "float"
     f = load_boundary_data(cfg.data_path, cfg.domain, mode, lam=lam, level=cfg.level)
     base = oracle.domain_restricted_graph(dom, cfg.depth)
@@ -342,7 +334,7 @@ def _write_svg(path, xs, ys, width=480, height=320):
 
 
 def cmd_haar(cfg):
-    lam = upperdomain.TriadicLambda.parse(cfg.lam)
+    lam = _lam(cfg, "upper")
     f = load_boundary_data(cfg.data_path, "upper", "float", lam=lam)
     b, coeffs = upperdomain.haar_expand(lam, f, cfg.depth)
     lines = ["word,j,coefficient", f",mean,{b!r}"]

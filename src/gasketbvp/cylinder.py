@@ -6,23 +6,35 @@ way: boundary data lives on a Cantor set X addressed by cylinder words, an
 extend step gives the solution on V_1, and a vertex is routed into a
 sub-copy F_d(domain) that carries shifted data, where the same step
 recurses.  `CylinderData` is the data on X; a family's *frame* is its domain
-at one recursion node, and `route`, `cut_value` and `stage` run the
-recursion for every family.  They only look values up: all arithmetic stays
-in the families' extend steps and in `harmonic`.
+at one recursion node.  `route`, `cut_value`, `integrate`, `energy` and
+`words` are the only recursions over cylinder words; the formulas stay in
+the families' extend steps and in `harmonic`.
 
 A frame provides
     level, params     the gasket SG_level the domain lives in
-    name              for error messages
-    slots             corner indices q_s whose values F_d(q_s) the data of a
-                      sub-copy carries
-    normalize(p)      (frame, p) after any rescaling the family needs
+    name, slots       for error messages; the corners q_s whose values
+                      F_d(q_s) the data of a sub-copy carries
+    dilate()          (frame, n) when the domain lies in F_0^n of the
+                      returned frame's domain (upper domains with m_1 > 1)
     terminal(f, p)    the value at a boundary corner or on the cut line,
                       None elsewhere
     values(f)         the V_1 values of the solution from the family's
                       extend step, keyed by exact points, corners included
     full_cells()      the level-1 cells lying wholly inside the domain
-    copies()          the digits of the sub-copies that meet X
-    shift(d)          the frame of the sub-copy F_d
+    copies(), shift(d)  the digits of the sub-copies that meet X; the frame
+                      of the sub-copy F_d
+as the measure state at the node X_word that `integrate` walks
+    children()        (digit, weight, node) of the sub-cylinders: a child's
+                      integral enters its parent's times weight
+    mass              the mass of a truncated leaf (1 where the weights
+                      carry it)
+    own(f, word)      the node's own mass term (the half domain's atoms)
+    closed(f, word)   the integral over X_word in closed form, or None
+                      (by default the value of constant data)
+and for `energy`
+    ratio             r^-1, the scale of one stage
+    coefficient()     c: data constant v on X has energy c (corner - v)^2
+    corner(f)         the data's value at that boundary corner
 """
 
 from __future__ import annotations
@@ -106,6 +118,15 @@ class CylinderData:
             return None
         return self.constant(word, self.default)
 
+    def finite(self):
+        """True when f is constant on every cylinder of some finite depth."""
+        return self.fn is None
+
+    def truncated(self, word):
+        """f on a leaf X_word where `integrate` stops: the callback's mean
+        fn(word), else 0 (the tail bound covers it)."""
+        return 0 if self.fn is None else self.fn(word)
+
     def data_values(self):
         vals = list(self.cylinders.values())
         if self.default is not None:
@@ -142,8 +163,23 @@ class CylinderData:
 class Frame:
     """Defaults of the frame protocol (see the module docstring)."""
 
+    mass = 1
+
+    def dilate(self):
+        return self, 0
+
     def normalize(self, p):
-        return self, p
+        """(frame, p) with p seen through the dilations of `dilate`."""
+        frame, n = self.dilate()
+        for _ in range(n):
+            p = self.params.unapply_map(0, p)
+        return frame, p
+
+    def own(self, f, word):
+        return 0
+
+    def closed(self, f, word):
+        return f.subtree(word)
 
 
 def _copy_data(frame, f, values, d):
@@ -217,3 +253,79 @@ def stage(frame, f):
     cells = [tuple(values[q] for q in corners[i]) for i in frame.full_cells()]
     copies = [(frame.shift(d), _copy_data(frame, f, values, d)) for d in frame.copies()]
     return cells, copies
+
+
+def integrate(node, f, word="", max_depth=DEFAULT_DEPTH):
+    """Integral of f over X_word against the measure whose state at X_word
+    is `node`, as an Integral.  Exact (zero tail bound) once f is constant
+    or in closed form on every branch; otherwise the leaves max_depth below
+    word enter with f.truncated and the bound sup|f| times their mass."""
+    sup = None
+
+    def rec(node, word, depth):
+        nonlocal sup
+        value = node.closed(f, word)
+        if value is not None:
+            return value, 0
+        if depth == 0:
+            if sup is None:
+                sup = f.sup()
+            mass = node.mass
+            return mass * f.truncated(word), abs(mass) * sup
+        total, bound = node.own(f, word), 0
+        for d, weight, child in node.children():
+            v, tb = rec(child, word + geometry.WORD_CHARS[d], depth - 1)
+            total += weight * v
+            bound += weight * tb
+        return total, bound
+
+    return Integral(*rec(node, word, max_depth))
+
+
+def energy(frame, f, g, stages=None):
+    """E(u_f, u_g) on the frame's domain, summed stage by stage: a stage
+    pairs the energies of the full cells and recurses into the sub-copies,
+    both scaled by r^-1.  Without `stages` a branch ends in closed form once
+    f or g is constant on it, and data that is never constant (see
+    `finite`) raises ContractViolation; with `stages` only the first
+    `stages` stages are summed (the pairing over O_stages)."""
+    if stages is None and not (f.finite() and g.finite()):
+        raise ContractViolation("energy needs data that is constant below some cylinder depth")
+
+    def rec(frame, f, g, k):
+        frame, n = frame.dilate()
+        scale = 1
+        for _ in range(n):
+            scale *= frame.ratio
+        if stages is None:
+            sf, sg = f.subtree(""), g.subtree("")
+            if sf is not None or sg is not None:
+                c = frame.coefficient()
+                fa, ga = frame.corner(f), frame.corner(g)
+                if sg is None:
+                    return scale * (fa - sf) * c * (ga - integrate(frame, g).value)
+                if sf is None:
+                    return scale * (ga - sg) * c * (fa - integrate(frame, f).value)
+                return scale * c * (fa - sf) * (ga - sg)
+        elif k >= stages:
+            return 0
+        fcells, fcopies = stage(frame, f)
+        gcells, gcopies = stage(frame, g)
+        total = 0
+        for a, b in zip(fcells, gcells):
+            total += frame.ratio * harmonic.triangle_energy(a, b)
+        for (sub, fs), (_, gs) in zip(fcopies, gcopies):
+            total += frame.ratio * rec(sub, fs, gs, k + 1)
+        return scale * total
+
+    return rec(frame, f, g, 0)
+
+
+def words(alphabet, depth, word=""):
+    """Every word of length <= depth below `word`, depth first in preorder;
+    alphabet(k) gives the digits admissible at position k."""
+    if len(word) <= depth:
+        yield word
+    if len(word) < depth:
+        for d in alphabet(len(word) + 1):
+            yield from words(alphabet, depth, word + geometry.WORD_CHARS[d])

@@ -18,11 +18,11 @@ import warnings
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 
 from . import cylinder, geometry, harmonic
 from ._exact import solve
-from .cylinder import DEFAULT_DEPTH, MAX_RECURSION, CylinderData, Integral
+from .cylinder import DEFAULT_DEPTH, MAX_RECURSION, CylinderData
 from .errors import AddressError, ContractViolation, ResolutionError
 from .geometry import CORNERS_INT, Q0, Q1, gasket
 
@@ -86,6 +86,7 @@ class HalfStructure:
             else:
                 self.cylinder_top[i] = self.atom_points.index(top)
         self.digit_chars = {i: geometry.WORD_CHARS[i] for i in self.alphabet}
+        self.frame = HalfFrame(self)  # the domain as a recursion frame
 
     def _map_point(self, cell, corner):
         tr = self.params.int_translations[cell]
@@ -134,13 +135,9 @@ class HalfStructure:
         return chain.startswith(rest)
 
 
-_STRUCTURES = {}
-
-
+@lru_cache(maxsize=None)
 def structure(level):
-    if level not in _STRUCTURES:
-        _STRUCTURES[level] = HalfStructure(level)
-    return _STRUCTURES[level]
+    return HalfStructure(level)
 
 
 def antisymmetric_values(level):
@@ -255,23 +252,28 @@ class HalfBoundaryData(CylinderData):
             return self.default
         raise ContractViolation(f"boundary data is not total: atom ({word!r}, {j})")
 
-    def subtree(self, word):
-        """('const', v) if f is constant on the cylinder F_word X, or
-        ('geom', A, B, rho) for an SG affine-geometric tail, else None."""
+    def refined(self, word):
         # only atoms of the sub-copy's own measure break constancy; a shorter
         # atom embedded through this cylinder is the copy's accumulation
         # corner and carries no mass
-        if self.refined(word) or any(w.startswith(word) for w, _ in self.atoms):
+        return super().refined(word) or any(w.startswith(word) for w, _ in self.atoms)
+
+    def subtree(self, word):
+        """The value of f on the cylinder F_word X if f is constant there,
+        else None (also on an SG geometric tail with B != 0, and above its
+        start, where explicit atoms may still differ)."""
+        tail = self.geometric_tail
+        if self.refined(word) or tail is not None and (tail[1] != 0 or len(word) < tail[3]):
             return None
-        default = self.default
-        if self.geometric_tail is not None:
-            a, b, rho, start = self.geometric_tail
-            if len(word) < start:
-                return None  # explicit atoms may still differ below
-            if b != 0:
-                return ("geom", a, b * rho ** len(word), rho)
-            default = a
-        return ("const", self.constant(word, default))
+        return self.constant(word, self.default if tail is None else tail[0])
+
+    def finite(self):
+        tail = self.geometric_tail
+        return super().finite() and (tail is None or tail[1] == 0)
+
+    def truncated(self, word):
+        # a callback gives atom values, not cylinder means
+        return 0
 
     def data_values(self):
         vals = list(self.atoms.values()) + super().data_values()
@@ -311,36 +313,8 @@ def integrate(f, scale_word="", max_depth=DEFAULT_DEPTH):
     constants; otherwise the truncated atom sum with the geometric tail
     bound (sum of weights)^depth * sup|f|.
     """
-    st = f.st
-    sup = None
-
-    def rec(word, depth):
-        nonlocal sup
-        sub = f.subtree(word)
-        if sub is not None and sub[0] == "const":
-            return sub[1], 0
-        if sub is not None and sub[0] == "geom":
-            _, a, b, rho = sub
-            mu = st.weights[st.alphabet[0]]
-            base = st.atom_base[0]
-            return a + b * base / (1 - rho * mu), 0
-        if depth == 0:
-            if sup is None:
-                sup = f.sup()
-            return 0, sup
-        total = 0
-        bound = 0
-        for j in range(1, st.atom_count + 1):
-            total += st.atom_base[j - 1] * f.atom(word, j)
-        for i in st.alphabet:
-            v, tb = rec(word + geometry.WORD_CHARS[i], depth - 1)
-            total += st.weights[i] * v
-            bound += st.weights[i] * tb
-        return total, bound
-
-    st.word_digits(scale_word)
-    value, bound = rec(scale_word, max_depth)
-    return Integral(value, bound)
+    f.st.word_digits(scale_word)
+    return cylinder.integrate(f.st.frame, f, scale_word, max_depth)
 
 
 def normal_derivative_q1(f):
@@ -470,10 +444,12 @@ class HalfFrame(cylinder.Frame):
     name = "half domain"
     slots = (1,)
 
-    def __init__(self, level):
-        self.level = level
-        self.params = gasket(level)
-        self.st = structure(level)
+    def __init__(self, st):
+        self.st = st
+        self.level = st.level
+        self.params = st.params
+        self.ratio = 1 / st.r
+        self._children = [(i, st.weights[i], self) for i in st.alphabet]
 
     def terminal(self, f, p):
         if p == Q1:
@@ -499,6 +475,30 @@ class HalfFrame(cylinder.Frame):
     def shift(self, d):
         return self
 
+    # the measure: fixed digit weights, atom base masses at every node
+    def children(self):
+        return self._children
+
+    def own(self, f, word):
+        return sum(base * f.atom(word, j) for j, base in enumerate(self.st.atom_base, start=1))
+
+    def closed(self, f, word):
+        """Constant data, or the SG geometric tail A + B rho^k summed in
+        closed form over the atoms below word."""
+        tail = f.geometric_tail
+        if tail is None or tail[1] == 0 or len(word) < tail[3] or f.refined(word):
+            return f.subtree(word)
+        a, b, rho, _ = tail
+        mu = self.st.weights[self.st.alphabet[0]]
+        return a + b * rho ** len(word) * self.st.atom_base[0] / (1 - rho * mu)
+
+    # the energy: constant data c gives 3 (f(q1) - c)^2
+    def coefficient(self):
+        return 3
+
+    def corner(self, f):
+        return f.q1
+
 
 def evaluate(f, v):
     """Value at a vertex of the unique harmonic solution with data f.
@@ -512,7 +512,7 @@ def evaluate(f, v):
     half = geometry.HalfDomain(f.level)
     if geometry.classify_boundary(half, p) == geometry.OUTSIDE:
         raise ResolutionError(f"{p} is outside the closed half domain")
-    return cylinder.route(HalfFrame(f.level), f, p)
+    return cylinder.route(f.st.frame, f, p)
 
 
 # ---------------------------------------------------------------------------
@@ -523,78 +523,31 @@ def energy_form_Q(f, depth):
     """Partial sum of the boundary energy form Q(f), including squared
     increments from levels |w| < depth to their children."""
     st = f.st
+    js = range(1, st.atom_count + 1)
     total = 0
-    for j in range(1, st.atom_count + 1):
+    for j in js:
         total += (f.q1 - f.atom("", j)) ** 2
     rinv = 1 / st.r
-
-    def rec(word, k):
-        nonlocal total
-        if k >= depth:
-            return
+    for child in islice(cylinder.words(lambda k: st.alphabet, depth), 1, None):
+        word = child[:-1]
         scale = rinv ** len(word)
-        for i in st.alphabet:
-            child = word + geometry.WORD_CHARS[i]
-            for j in range(1, st.atom_count + 1):
-                for j2 in range(1, st.atom_count + 1):
-                    total += scale * (f.atom(word, j) - f.atom(child, j2)) ** 2
-            rec(child, k + 1)
-
-    rec("", 0)
-    return total
-
-
-def _stage_cells(f):
-    """Corner-value triples of the level-1 cells of O_1 for the data f, and
-    (frame, data) of every sub-copy."""
-    return cylinder.stage(HalfFrame(f.level), f)
-
-
-def _stage_energy(fd, gd, rec):
-    """One stage of the resistance pairing: the level-1 cells of O_1 plus
-    rec over the sub-copies, all scaled by r^-1."""
-    rinv = 1 / fd.st.r
-    fc, fcopies = _stage_cells(fd)
-    gc, gcopies = _stage_cells(gd)
-    total = rinv * sum(
-        harmonic.triangle_energy(a, b) for a, b in zip(fc, gc)
-    )
-    for (_, fs), (_, gs) in zip(fcopies, gcopies):
-        total += rinv * rec(fs, gs)
+        for j in js:
+            for j2 in js:
+                total += scale * (f.atom(word, j) - f.atom(child, j2)) ** 2
     return total
 
 
 def gauss_green_pairing(f, g, m):
     """E_{O_m}(u_f, u_g): the resistance pairing over the first m stages of
     the cylinder exhaustion of the half domain."""
-
-    def rec(fd, gd, k):
-        if k >= m:
-            return 0
-        return _stage_energy(fd, gd, lambda fs, gs: rec(fs, gs, k + 1))
-
-    return rec(f, g, 0)
+    return cylinder.energy(f.st.frame, f, g, stages=m)
 
 
 def domain_energy(f, g=None):
     """Exact E_Omega(u_f, u_g) for piecewise-constant boundary data, summed
     over cylinder pieces with the constant-data remainder in closed form
     (the solution with data (a at q1, c on X) has energy 3 (a-c)^2)."""
-    if g is None:
-        g = f
-
-    def rec(fd, gd):
-        sf = fd.subtree("")
-        sg = gd.subtree("")
-        if sf is not None and sf[0] == "const" and sg is not None and sg[0] == "const":
-            return 3 * (fd.q1 - sf[1]) * (gd.q1 - sg[1])
-        if sf is not None and sf[0] == "const":
-            return (fd.q1 - sf[1]) * (3 * gd.q1 - 3 * integrate(gd).value)
-        if sg is not None and sg[0] == "const":
-            return (gd.q1 - sg[1]) * (3 * fd.q1 - 3 * integrate(fd).value)
-        return _stage_energy(fd, gd, rec)
-
-    return rec(f, g)
+    return cylinder.energy(f.st.frame, f, f if g is None else g)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +564,7 @@ def _check_q0_limit(f):
         limit = a if abs(rho) < 1 or b == 0 else None
     else:
         depth = max((len(w) for (w, _) in f.atoms), default=0) + 1
-        sub = f.subtree("0" * depth)
-        limit = sub[1] if sub is not None and sub[0] == "const" else None
+        limit = f.subtree("0" * depth)
     if limit is None or limit != f.q0:
         raise ContractViolation(
             f"f(q0) = {f.q0} does not match the atom-value limit {limit}"

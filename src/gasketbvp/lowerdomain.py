@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import cylinder, geometry, harmonic
-from .cylinder import DEFAULT_DEPTH, CylinderData, Integral
+from .cylinder import DEFAULT_DEPTH, CylinderData
 from .errors import AccuracyError, AddressError, ContractViolation, ResolutionError
 from .geometry import Q0, Q1, Q2, gasket
 
@@ -184,16 +184,20 @@ def etas(lam, tol=1e-13):
 # closed forms (all-zero and all-one digit prefixes)
 
 
+def _prefix_etas(lam, m, digit):
+    """etas(S^m lambda), once e_1 = ... = e_m = digit is checked."""
+    if any(lam.digit(k) != digit for k in range(1, m + 1)):
+        raise ResolutionError(
+            f"closed form needs an all-{('zero', 'one')[digit]} digit prefix")
+    for _ in range(m):
+        lam = lam.shift()
+    return etas(lam)
+
+
 def closed_form_zero_prefix(lam, m):
     """(eta1+eta2, eta1-eta2)(lambda) from (eta1, eta2)(S^m lambda) when
     e_1 = ... = e_m = 0."""
-    for k in range(1, m + 1):
-        if lam.digit(k) != 0:
-            raise ResolutionError("closed form needs an all-zero digit prefix")
-    cur = lam
-    for _ in range(m):
-        cur = cur.shift()
-    em = etas(cur)
+    em = _prefix_etas(lam, m, 0)
     s_m = em.eta1 + em.eta2
     d_m = em.eta1 - em.eta2
     p15 = 15 ** m
@@ -206,13 +210,7 @@ def closed_form_zero_prefix(lam, m):
 def closed_form_zero_matrix(lam, m):
     """M_{0^m}: symmetric with rows summing to 1; the antisymmetric
     eigenvalue in closed form."""
-    cur = lam
-    for k in range(1, m + 1):
-        if lam.digit(k) != 0:
-            raise ResolutionError("closed form needs an all-zero digit prefix")
-    for _ in range(m):
-        cur = cur.shift()
-    em = etas(cur)
+    em = _prefix_etas(lam, m, 0)
     s_m = em.eta1 + em.eta2
     p15, p5 = 15 ** m, 5 ** m
     amb = 14 * p5 * s_m / ((9 * p15 + 5) * s_m + 15 * (p15 - 1))
@@ -224,13 +222,7 @@ def closed_form_zero_matrix(lam, m):
 def closed_form_ones(lam, m):
     """(eta_1, eta_2)(lambda) via the Chebyshev-like variable x when
     e_1 = ... = e_m = 1: eta1(S^m)/eta2(S^m) = (x + 1/x)/2."""
-    for k in range(1, m + 1):
-        if lam.digit(k) != 1:
-            raise ResolutionError("closed form needs an all-one digit prefix")
-    cur = lam
-    for _ in range(m):
-        cur = cur.shift()
-    em = etas(cur)
+    em = _prefix_etas(lam, m, 1)
     rho = float(em.eta1) / float(em.eta2)
     x = rho - (rho * rho - 1) ** 0.5  # in (0,1)
     p = float(F(5, 3)) ** m
@@ -243,15 +235,9 @@ def closed_form_ones(lam, m):
 
 def closed_form_ones_matrix(lam, m, word):
     """M_w for an all-one prefix via powers of x; w over {1,2}^m."""
-    for k in range(1, m + 1):
-        if lam.digit(k) != 1:
-            raise ResolutionError("closed form needs an all-one digit prefix")
+    em = _prefix_etas(lam, m, 1)
     if len(word) != m or any(ch not in "12" for ch in word):
         raise AddressError("word must be over {1,2} with length m")
-    cur = lam
-    for _ in range(m):
-        cur = cur.shift()
-    em = etas(cur)
     rho = float(em.eta1) / float(em.eta2)
     x = rho - (rho * rho - 1) ** 0.5
     j = sum((int(ch) - 1) * 2 ** (m - k) for k, ch in enumerate(word, start=1))
@@ -312,18 +298,24 @@ def transfer_matrix(lam, word):
     return m
 
 
+def _columns(lam):
+    """The columns (eta1, -eta2) of mu_1 and (-eta2, eta1) of mu_2, and
+    their common denominator eta1 - eta2."""
+    em = etas(lam)
+    return ((em.eta1, -em.eta2), (-em.eta2, em.eta1)), em.eta1 - em.eta2
+
+
+def _mass(mw, col, den):
+    """[1 1] M_w col / den: the measure of X_w from its transfer matrix."""
+    return (mw[0][0] * col[0] + mw[0][1] * col[1]
+            + mw[1][0] * col[0] + mw[1][1] * col[1]) / den
+
+
 def lower_measures(lam, word):
     """(mu_1(X_w), mu_2(X_w)) via the transfer matrix pairing."""
-    em = etas(lam)
+    cols, den = _columns(lam)
     mw = transfer_matrix(lam, word)
-    den = em.eta1 - em.eta2
-    col1 = (em.eta1, -em.eta2)
-    col2 = (-em.eta2, em.eta1)
-    m1 = (mw[0][0] * col1[0] + mw[0][1] * col1[1]
-          + mw[1][0] * col1[0] + mw[1][1] * col1[1]) / den
-    m2 = (mw[0][0] * col2[0] + mw[0][1] * col2[1]
-          + mw[1][0] * col2[0] + mw[1][1] * col2[1]) / den
-    return m1, m2
+    return _mass(mw, cols[0], den), _mass(mw, cols[1], den)
 
 
 # ---------------------------------------------------------------------------
@@ -355,26 +347,8 @@ def constant_lower(lam, c):
 
 def integrate_lower(f, measure=1, max_depth=DEFAULT_DEPTH):
     """Integral of f over X against mu_1 or mu_2 of f's own lambda."""
-    lam = f.lam
-
-    def rec(data, word, depth):
-        sub = data.subtree("")
-        if sub is not None:
-            mass = lower_measures(lam, word)[measure - 1]
-            return sub * mass, 0
-        if depth == 0:
-            mass = lower_measures(lam, word)[measure - 1]
-            return 0, abs(mass) * float(f.sup())
-        k = len(word) + 1
-        total, bound = 0, 0
-        for d in word_alphabet(lam, k):
-            v, tb = rec(data.shifted(d, None, None), word + geometry.WORD_CHARS[d], depth - 1)
-            total += v
-            bound += tb
-        return total, bound
-
-    v, tb = rec(f, "", max_depth)
-    return Integral(v, tb)
+    cols, den = _columns(f.lam)
+    return cylinder.integrate(LowerFrame(f.lam, (cols[measure - 1], den)), f, "", max_depth)
 
 
 def normal_derivatives_lower(lam, f):
@@ -391,12 +365,6 @@ def normal_derivatives_lower(lam, f):
 # extension step and evaluation
 
 
-def _mean_over_copy(f, digit, measure):
-    """Normalised mean of f o F_digit against the shifted measure."""
-    shifted = f.shifted(digit, None, None)
-    return integrate_lower(shifted, measure).value
-
-
 def extend_step_lower(lam, f):
     """Values of the solution on V_1 inside the lower domain, keyed by
     exact global points (closed forms for both first-digit cases)."""
@@ -405,9 +373,11 @@ def extend_step_lower(lam, f):
     x, y = em.eta1, em.eta2
     corners = cylinder.cell_corners(2)
     p_f0q1, p_f0q2, p_f1q2 = corners[0][1], corners[0][2], corners[1][2]
+    # means of f o F_d against the measures of the copy's own lambda
     if e1 == 0:
-        i10 = _mean_over_copy(f, 0, 1)
-        i20 = _mean_over_copy(f, 0, 2)
+        copy = f.shifted(0, None, None)
+        i10 = integrate_lower(copy, 1).value
+        i20 = integrate_lower(copy, 2).value
         den = 4 * x * x + 14 * x - 2 * y - 4 * y * y + 12
         c_same = 9 + 5 * x + y
         c_opp = 3 + x + 5 * y
@@ -417,8 +387,8 @@ def extend_step_lower(lam, f):
         u02 = (c_same * f.q2 + c_opp * f.q1 + c_m1 * i20 + c_m2 * i10) / den
         u12 = (u01 + u02 + f.q1 + f.q2) / 4
         return {p_f0q1: u01, p_f0q2: u02, p_f1q2: u12}
-    i12 = _mean_over_copy(f, 1, 2)
-    i21 = _mean_over_copy(f, 2, 1)
+    i12 = integrate_lower(f.shifted(1, None, None), 2).value
+    i21 = integrate_lower(f.shifted(2, None, None), 1).value
     u12 = y / (2 * x) * (f.q1 + f.q2) + (x - y) / (2 * x) * (i12 + i21)
     return {p_f1q2: u12}
 
@@ -435,9 +405,13 @@ class LowerFrame(cylinder.Frame):
     level = 2
     slots = (1, 2)
 
-    def __init__(self, lam):
+    def __init__(self, lam, column=None, matrix=((1, 0), (0, 1))):
         self.lam = lam
         self.params = gasket(2)
+        # measure state: (column, denominator) of mu_i at the root lambda,
+        # and M_w of the word leading to this node
+        self.column = column
+        self.matrix = matrix
 
     def terminal(self, f, p):
         if p == Q1:
@@ -470,6 +444,21 @@ class LowerFrame(cylinder.Frame):
     def shift(self, d):
         return LowerFrame(self.lam.shift())
 
+    @property
+    def mass(self):
+        return _mass(self.matrix, *self.column)
+
+    def closed(self, f, word):
+        value = f.subtree(word)
+        return None if value is None else value * self.mass
+
+    def children(self):
+        lam, child = self.lam, self.lam.shift()
+        return [
+            (d, 1, LowerFrame(child, self.column, _matmul(single_matrix(lam, d), self.matrix)))
+            for d in word_alphabet(lam, 1)
+        ]
+
 
 def evaluate_lower(lam, f, v):
     """Value of the harmonic solution at a vertex of the closed domain."""
@@ -489,17 +478,11 @@ def gauss_green_telescope(lam, hq1, hq2, m):
     em = etas(lam)
     base = (em.eta1 * hq1 - em.eta2 * hq2, em.eta1 * hq2 - em.eta2 * hq1)
 
-    def words(k):
-        if k == 0:
-            yield ""
-            return
-        for w in words(k - 1):
-            for d in word_alphabet(lam, k):
-                yield w + geometry.WORD_CHARS[d]
-
     total = 0
     per_word = []
-    for w in words(m):
+    for w in cylinder.words(lambda k: word_alphabet(lam, k), m):
+        if len(w) < m:
+            continue
         mw = transfer_matrix(lam, w)
         d1 = mw[0][0] * base[0] + mw[0][1] * base[1]
         d2 = mw[1][0] * base[0] + mw[1][1] * base[1]

@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from . import cylinder, geometry, harmonic
-from .cylinder import DEFAULT_DEPTH, CylinderData, Integral
+from . import cylinder, geometry
+from .cylinder import DEFAULT_DEPTH, CylinderData
 from .errors import AccuracyError, AddressError, ResolutionError
 from .geometry import Q0, gasket
 
@@ -46,6 +46,7 @@ class TriadicLambda:
         self.value = value
         self.pair_fn = pair_fn
         self._pairs = []
+        self._shifted = None
 
     @classmethod
     def parse(cls, text):
@@ -99,13 +100,16 @@ class TriadicLambda:
         return self.pair(k + 1)[0] - prev
 
     def shift(self):
-        """R lambda: drop the first nonzero digit and rescale."""
-        if self.value is not None:
+        """R lambda: drop the first nonzero digit and rescale (made once,
+        since every recursion over words shifts the same chain)."""
+        if self._shifted is None:
             m1, i1 = self.pair(1)
-            return TriadicLambda(value=self.value * 3 ** m1 - i1)
-        fn = self.pair_fn
-        m1, _ = self.pair(1)
-        return TriadicLambda(pair_fn=lambda k: _shift_pair(fn, m1, k))
+            if self.value is not None:
+                self._shifted = TriadicLambda(value=self.value * 3 ** m1 - i1)
+            else:
+                fn = self.pair_fn
+                self._shifted = TriadicLambda(pair_fn=lambda k: _shift_pair(fn, m1, k))
+        return self._shifted
 
     def dilate(self):
         """3 lambda, defined when m_1 > 1 (strips one leading zero digit)."""
@@ -307,31 +311,10 @@ def constant_upper(lam, c):
 def integrate_upper(f, prefix="", max_depth=DEFAULT_DEPTH):
     """Mean of f over the cylinder X_prefix against mu^lambda (an Integral
     with certified truncation bound; exact modulo eta for cylinder data)."""
-    sup = None
-
-    def rec(data, word, depth):
-        nonlocal sup
-        sub = data.subtree("")
-        if sub is not None:
-            return sub, 0.0
-        if depth == 0:
-            if sup is None:
-                sup = float(f.sup())
-            return 0.0, sup
-        weights = measure_weights(data.lam)
-        total = 0.0
-        bound = 0.0
-        for d, w in weights.items():
-            v, tb = rec(data.shifted(d, None), word + geometry.WORD_CHARS[d], depth - 1)
-            total += w * v
-            bound += w * tb
-        return total, bound
-
-    data = f
-    for ch in prefix:
-        data = data.shifted(geometry.WORD_CHARS.index(ch), None)
-    v, tb = rec(data, prefix, max_depth)
-    return Integral(v, tb)
+    lam = f.lam
+    for _ in prefix:
+        lam = lam.shift()
+    return cylinder.integrate(UpperFrame(lam), f, prefix, max_depth)
 
 
 def normal_derivative_q0(lam, f):
@@ -420,17 +403,18 @@ class UpperFrame(cylinder.Frame):
     level = 3
     slots = (0,)
 
+    ratio = float(RATIO)
+
     def __init__(self, lam):
         self.lam = lam
         self.params = gasket(3)
 
-    def normalize(self, p):
-        # while m_1 > 1 the whole domain sits in the top cell: dilate
-        lam = self.lam
+    def dilate(self):
+        # while m_1 > 1 the whole domain sits in the top cell
+        lam, n = self.lam, 0
         while lam.m1 > 1:
-            p = self.params.unapply_map(0, p)
-            lam = lam.dilate()
-        return UpperFrame(lam), p
+            lam, n = lam.dilate(), n + 1
+        return UpperFrame(lam), n
 
     def terminal(self, f, p):
         if p == Q0:
@@ -454,6 +438,16 @@ class UpperFrame(cylinder.Frame):
 
     def shift(self, d):
         return UpperFrame(self.lam.shift())
+
+    def children(self):
+        child = UpperFrame(self.lam.shift())
+        return [(d, w, child) for d, w in measure_weights(self.lam).items()]
+
+    def coefficient(self):
+        return eta_of(self.lam)
+
+    def corner(self, f):
+        return f.q0
 
 
 def evaluate_upper(lam, f, v):
@@ -508,24 +502,17 @@ def haar_expand(lam, f, depth):
     combinations of cylinder means."""
     b = integrate_upper(f).value
     coeffs = {}
-
-    def rec(cur, data, word, k):
-        if k >= depth:
-            return
+    for word in cylinder.words(lambda k: word_alphabet(lam, k), depth - 1):
+        k = len(word) + 1
         means = {
-            d: integrate_upper(data, geometry.WORD_CHARS[d]).value
-            for d in level_alphabet(cur)
+            d: integrate_upper(f, word + geometry.WORD_CHARS[d]).value
+            for d in word_alphabet(lam, k)
         }
-        if cur.iota1 == 1:
+        if lam.pair(k)[1] == 1:
             coeffs[(word, 1)] = 0.5 * (means[5] - means[4])
         else:
             coeffs[(word, 1)] = 0.5 * (means[1] - means[2])
             coeffs[(word, 2)] = 0.5 * (means[1] + means[2]) - means[3]
-        for d in level_alphabet(cur):
-            rec(cur.shift(), data.shifted(d, None),
-                word + geometry.WORD_CHARS[d], k + 1)
-
-    rec(lam, f, "", 0)
     return b, coeffs
 
 
@@ -556,35 +543,7 @@ def domain_energy_upper(lam, a, f, a2=None, g=None):
     """
     if g is None:
         a2, g = a, f
-    f = f.with_q0(float(a))
-    g = g.with_q0(float(a2))
-    ratio = float(RATIO)
-
-    def rec(lam, fd, gd):
-        scale = 1.0
-        while lam.m1 > 1:
-            scale *= ratio  # one r^-1 per stripped zero digit
-            lam = lam.dilate()
-        fa, ga = fd.q0, gd.q0
-        sf = fd.subtree("")
-        sg = gd.subtree("")
-        if sf is not None and sg is not None:
-            return scale * eta_of(lam) * (fa - sf) * (ga - sg)
-        if sf is not None:
-            return scale * (fa - sf) * eta_of(lam) * (ga - integrate_upper(gd).value)
-        if sg is not None:
-            return scale * (ga - sg) * eta_of(lam) * (fa - integrate_upper(fd).value)
-        frame = UpperFrame(lam)
-        fcells, fcopies = cylinder.stage(frame, fd)
-        gcells, gcopies = cylinder.stage(frame, gd)
-        total = 0.0
-        for fa3, ga3 in zip(fcells, gcells):
-            total += ratio * harmonic.triangle_energy(fa3, ga3)
-        for (sub, fs), (_, gs) in zip(fcopies, gcopies):
-            total += ratio * rec(sub.lam, fs, gs)
-        return scale * total
-
-    return rec(lam, f, g)
+    return cylinder.energy(UpperFrame(lam), f.with_q0(float(a)), g.with_q0(float(a2)))
 
 
 def gauss_green_h0_energy(lam, depth):

@@ -1,6 +1,7 @@
 """The shared cylinder boundary-data type, checked on all three families:
-callback data on upper and lower domains, and property tests of
-restriction, integration and sup over random valid cylinder sets."""
+callback data on upper and lower domains, property tests of restriction,
+integration and sup over random valid cylinder sets, and of the measures
+splitting over the children of random words."""
 
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasketbvp import geometry
 from gasketbvp import halfdomain as HD
 from gasketbvp import lowerdomain as LD
 from gasketbvp import upperdomain as UP
@@ -54,6 +56,7 @@ def test_constant_callback_integral_within_tail_bound(family, lam):
         results = [LD.integrate_lower(f, measure, max_depth=3) for measure in (1, 2)]
     for value, tail_bound in results:
         assert abs(value - c) <= tail_bound <= sup_bound * (1 + 1e-12)
+        assert abs(value - c) <= 1e-12  # the leaves enter with fn(word)
 
 
 @pytest.mark.parametrize("family,lam", CALLBACK_CASES)
@@ -134,11 +137,6 @@ def family_data(draw, name, constant=False):
     return make(cyl, default)
 
 
-def plain(v):
-    """The value of a subtree result: half-domain results are tagged."""
-    return v[1] if isinstance(v, tuple) else v
-
-
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 @PROPERTY_SETTINGS
 @given(data=st.data())
@@ -182,7 +180,7 @@ def test_sup_bounds_every_cylinder_value(name, data):
         assert abs(v) <= sup
     sub = f.subtree(data.draw(words(alphabet, max_len=4)))
     if sub is not None:
-        assert abs(plain(sub)) <= sup
+        assert abs(sub) <= sup
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -194,4 +192,52 @@ def test_constant_subtree_agrees_with_cylinders_below(name, data):
     word = data.draw(words(alphabet, max_len=3))
     sub = f.subtree(word)
     if sub is not None:
-        assert all(v == plain(sub) for c, v in f.cylinders.items() if c.startswith(word))
+        assert all(v == sub for c, v in f.cylinders.items() if c.startswith(word))
+
+
+# ---------------------------------------------------------------------------
+# the measures split over the children of random words
+
+
+@pytest.mark.parametrize("level", [3, 4])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_half_measure_splits_into_children_and_atoms(level, data):
+    s = HD.structure(level)
+    digits = "".join(geometry.WORD_CHARS[i] for i in s.alphabet)
+    word = data.draw(words(cycle(digits), max_len=4))
+    children = sum(s.word_weight(word + d) for d in digits)
+    atoms = sum(HD.atom_mass(level, word, j) for j in range(1, s.atom_count + 1))
+    assert children + atoms == s.word_weight(word)
+
+
+@pytest.mark.parametrize("name", ["upper-1", "upper-2/3"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_upper_measure_splits_and_integrates_indicators(name, data):
+    make, alphabet = FAMILIES[name][:2]
+    word = data.draw(words(alphabet, max_len=4))
+    indicator = make({word: 1.0}, 0.0)
+    mass = UP.cylinder_mass(indicator.lam, word)
+    children = sum(UP.cylinder_mass(indicator.lam, word + d) for d in alphabet(len(word) + 1))
+    assert abs(children - mass) <= 1e-12
+    assert abs(UP.integrate_upper(indicator).value - mass) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["lower-1/2", "lower-1/3"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_lower_measures_split_and_integrate_indicators(name, data):
+    make, alphabet, _, exact = FAMILIES[name]
+    tol = 0 if exact else 1e-12
+    word = data.draw(words(alphabet, max_len=4))
+    indicator = make({word: F(1)}, F(0)) if exact else make({word: 1.0}, 0.0)
+    masses = LD.lower_measures(indicator.lam, word)
+    children = [LD.lower_measures(indicator.lam, word + d) for d in alphabet(len(word) + 1)]
+    for i in (0, 1):
+        assert abs(sum(c[i] for c in children) - masses[i]) <= tol
+        assert abs(LD.integrate_lower(indicator, i + 1).value - masses[i]) <= tol
+
+
+def test_lower_measures_have_mass_one():
+    assert LD.lower_measures(LD.BinaryLambda(F(1, 2)), "") == (1, 1)

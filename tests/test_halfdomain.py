@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gasketbvp import cylinder
 from gasketbvp import geometry as G
 from gasketbvp import halfdomain as HD
 from gasketbvp import oracle as O
@@ -275,7 +276,7 @@ def test_first_term_lower_bound():
     rng = random.Random(29)
     for _ in range(10):
         f = random_cylinder_data(rng, 1)
-        cells, _ = HD._stage_cells(f)
+        cells, _ = cylinder.stage(HD.structure(3).frame, f)
         e1 = sum(
             (1 / HD.structure(3).r) * __import__("gasketbvp.harmonic", fromlist=["x"]).triangle_energy(c)
             for c in cells
@@ -286,6 +287,15 @@ def test_first_term_lower_bound():
 def test_energy_of_ha_is_three():
     assert HD.domain_energy(ha_data()) == 3
     assert HD.domain_energy(HD.constant_data(3, F(2))) == 0
+
+
+def test_domain_energy_rejects_data_never_constant():
+    # a geometric tail with B != 0 and callback data are constant on no
+    # cylinder, so the energy recursion would not end
+    with pytest.raises(ContractViolation):
+        HD.domain_energy(HD.neumann_inverse_sg([1, 2, 3]))
+    with pytest.raises(ContractViolation):
+        HD.domain_energy(HD.HalfBoundaryData(3, q1=0, fn=lambda w, j: 0.5, sup_bound=1.0))
 
 
 def test_dtn_forward():

@@ -9,7 +9,7 @@ from gasketbvp import geometry as G
 from gasketbvp import harmonic as H
 from gasketbvp import oracle as O
 from gasketbvp import upperdomain as UP
-from gasketbvp.errors import AddressError, ResolutionError
+from gasketbvp.errors import AddressError, ContractViolation, ResolutionError
 
 F = Fraction
 
@@ -361,6 +361,15 @@ def test_energy_estimate_consistency():
         assert est.bracket[0] <= est.energy * (1 + 1e-12)
         assert est.energy <= est.bracket[1] * (1 + 1e-12)
         assert est.weighted_sum > 0
+
+
+def test_domain_energy_upper_rejects_callback_data():
+    # callback data is never constant on a cylinder, so the energy
+    # recursion would not end
+    lam = UP.TriadicLambda(1)
+    f = UP.UpperBoundaryData(lam, q0=0.0, fn=lambda w: 0.5, sup_bound=1.0)
+    with pytest.raises(ContractViolation):
+        UP.domain_energy_upper(lam, 0.0, f)
 
 
 def test_empirical_generator_ratios():
