@@ -137,6 +137,28 @@ def _emit(lines, out):
 # commands
 
 
+def _evaluate(cfg, lam, f, points):
+    """Values of the explicit solution with data f at the exact points."""
+    if cfg.domain == "half":
+        return halfdomain.evaluate_many(f, points)
+    if cfg.domain == "upper":
+        return upperdomain.evaluate_upper_many(lam, f, points)
+    return lowerdomain.evaluate_lower_many(lam, f, points)
+
+
+def _solution_rows(cfg, lam, f, g):
+    """(word, corner, x, y, value) at every vertex of g, ordered by (x, y);
+    a function of its own so that the order and the points are freed
+    before the output is formatted."""
+    order = sorted(range(g.n_vertices()), key=lambda i: (int(g.verts[i][0]), int(g.verts[i][1])))
+    points = [g.point(i) for i in order]
+    rows = []
+    for i, (x, y), v in zip(order, points, _evaluate(cfg, lam, f, points)):
+        a = g.address(i)
+        rows.append((geometry.word_to_str(a.word), a.corner, x, y, v))
+    return rows
+
+
 def cmd_solve(cfg):
     lam = _lam(cfg)
     dom = _domain_descriptor(cfg, lam)
@@ -146,19 +168,7 @@ def cmd_solve(cfg):
     if cfg.domain == "lower" and mode == "rational" and not lam.dyadic:
         raise UsageError("rational mode needs dyadic lambda (eta limits are irrational)")
     f = load_boundary_data(cfg.data_path, cfg.domain, mode, lam=lam, level=cfg.level)
-    sk = oracle.domain_restricted_graph(dom, cfg.depth)
-    g = sk.graph
-    rows = []
-    for i in sorted(range(g.n_vertices()), key=lambda i: (int(g.verts[i][0]), int(g.verts[i][1]))):
-        p = g.point(i)
-        if cfg.domain == "half":
-            v = halfdomain.evaluate(f, p)
-        elif cfg.domain == "upper":
-            v = upperdomain.evaluate_upper(lam, f, p)
-        else:
-            v = lowerdomain.evaluate_lower(lam, f, p)
-        a = g.address(i)
-        rows.append((geometry.word_to_str(a.word), a.corner, p[0], p[1], v))
+    rows = _solution_rows(cfg, lam, f, oracle.domain_restricted_graph(dom, cfg.depth).graph)
     if cfg.fmt == "json":
         payload = {
             "schema": SCHEMA,
@@ -272,15 +282,13 @@ def _compare_levels(cfg):
     f = load_boundary_data(cfg.data_path, cfg.domain, mode, lam=lam, level=cfg.level)
     base = oracle.domain_restricted_graph(dom, cfg.depth)
     targets = [base.graph.point(i) for i in range(base.graph.n_vertices())]
+    exact = dict(zip(targets, _evaluate(cfg, lam, f, targets)))
     if cfg.domain == "half":
-        exact = {p: halfdomain.evaluate(f, p) for p in targets}
         bval = lambda p: halfdomain.boundary_value_at(f, p)
     elif cfg.domain == "upper":
-        exact = {p: upperdomain.evaluate_upper(lam, f, p) for p in targets}
         bval = lambda p: (f.q0 if p == geometry.Q0
                           else upperdomain.boundary_value_at_upper(lam, f, p))
     else:
-        exact = {p: lowerdomain.evaluate_lower(lam, f, p) for p in targets}
         bval = lambda p: (f.q1 if p == geometry.Q1 else f.q2 if p == geometry.CORNERS[2]
                           else lowerdomain.boundary_value_at_lower(lam, f, p))
 
@@ -334,6 +342,8 @@ def _write_svg(path, xs, ys, width=480, height=320):
 
 
 def cmd_haar(cfg):
+    if cfg.domain not in (None, "upper"):
+        raise UsageError("haar is for upper domains")
     lam = _lam(cfg, "upper")
     f = load_boundary_data(cfg.data_path, "upper", "float", lam=lam)
     b, coeffs = upperdomain.haar_expand(lam, f, cfg.depth)

@@ -40,6 +40,7 @@ and for `energy`
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 
 from . import geometry, harmonic
@@ -187,34 +188,60 @@ def _copy_data(frame, f, values, d):
     return f.shifted(d, *(values[corners[s]] for s in frame.slots))
 
 
-def route(frame, f, p):
-    """Value at the exact point p of the solution with data f: resolve p in
-    a full cell or at a V_1 point, or enter the sub-copy containing it."""
+def route(frame, f, points):
+    """Values at the exact points of the solution with data f, in order.
+
+    At each recursion node a point is a boundary value (`terminal`), a V_1
+    value, or lies in the first full cell containing it, resolved there by
+    the harmonic extension, or else goes on into the first sub-copy
+    containing it.  All points of one node share its extend step, its
+    sub-copies' data and one cell descent per full cell.  Points are held
+    as integers over their common denominator (`geometry.scaled`), and
+    nodes wait on a stack, so each point is held at one node only."""
     params = frame.params
+    l = params.level
     corners = cell_corners(frame.level)
-    for _ in range(MAX_RECURSION):
-        frame, p = frame.normalize(p)
-        value = frame.terminal(f, p)
-        if value is not None:
-            return value
-        values = frame.values(f)
-        if p in values:
-            return values[p]
-        for i in frame.full_cells():
-            local = params.unapply_map(i, p)
-            if geometry.cells_containing(params, local):
-                return harmonic.harmonic_value_in_cell(
-                    frame.level, tuple(values[q] for q in corners[i]), local
-                )
-        for d in frame.copies():
-            local = params.unapply_map(d, p)
-            if geometry.cells_containing(params, local):
-                f = _copy_data(frame, f, values, d)
-                frame, p = frame.shift(d), local
-                break
-        else:
-            raise AddressError(f"{p} could not be routed inside the {frame.name}")
-    raise AddressError("vertex is deeper than the recursion cap")
+    s, batch = geometry.scaled(points)
+    shifts = geometry.unapply_shifts(params, s)
+    out = [None] * len(points)
+    stack = [(frame, f, batch, MAX_RECURSION)]
+    while stack:
+        frame, f, batch, depth = stack.pop()
+        if depth == 0:
+            raise AddressError("vertex is deeper than the recursion cap")
+        frame, n = frame.dilate()
+        sx, sy = shifts[0]
+        for _ in range(n):
+            batch = [(k, l * x - sx, l * y - sy) for k, x, y in batch]
+        values = None
+        cells, copies = {}, {}
+        for k, x, y in batch:
+            p = (Fraction(x, s), Fraction(y, s))
+            value = frame.terminal(f, p)
+            if value is None:
+                if values is None:
+                    values = frame.values(f)
+                    targets = [(i, cells) for i in frame.full_cells()]
+                    targets += [(d, copies) for d in frame.copies()]
+                value = values.get(p)
+            if value is not None:
+                out[k] = value
+                continue
+            for i, bucket in targets:
+                sx, sy = shifts[i]
+                lx, ly = l * x - sx, l * y - sy
+                if geometry.cells_at(params, lx, ly, s):
+                    bucket.setdefault(i, []).append((k, lx, ly))
+                    break
+            else:
+                raise AddressError(f"{p} could not be routed inside the {frame.name}")
+        batch = None
+        for i, group in cells.items():
+            vals = tuple(values[q] for q in corners[i])
+            harmonic.descend(frame.level, vals, group, s, out, points)
+        for d, group in copies.items():
+            stack.append((frame.shift(d), _copy_data(frame, f, values, d), group, depth - 1))
+    return out
 
 
 def cut_value(frame, f, p, max_depth=DEFAULT_DEPTH):

@@ -13,6 +13,7 @@ the conventional order is 3 = bottom middle, 4 = right, 5 = left).
 
 from __future__ import annotations
 
+import math
 import string
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -211,27 +212,58 @@ def resolve(params, addr):
     return apply_word(params, addr.word, CORNERS[addr.corner])
 
 
-def _barycentric(p):
-    # relative to (q0, q1, q2): y = 2*b0, x = b0 + 2*b2
-    b0 = p[1] / 2
-    b2 = (p[0] - b0) / 2
-    return (b0, 1 - b0 - b2, b2)
+def exact_point(params, v):
+    """The exact point of a VertexAddress, or of a point given by coordinates
+    (a tuple of Fractions is returned as it is, not copied)."""
+    if isinstance(v, VertexAddress):
+        return resolve(params, v)
+    x, y = v
+    if type(v) is tuple and type(x) is Fraction and type(y) is Fraction:
+        return v
+    return (Fraction(x), Fraction(y))
 
 
 def cells_containing(params, p):
-    """Indices of the 1-cells whose closed triangle contains p (1-3 of them)."""
-    b = _barycentric(p)
-    if min(b) < 0 or max(b) > 1:
+    """Indices of the 1-cells whose closed triangle contains p (1-3 of them),
+    decided exactly."""
+    x, y = Fraction(p[0]), Fraction(p[1])
+    xd, yd = x.denominator, y.denominator
+    return cells_at(params, x.numerator * yd, y.numerator * xd, xd * yd)
+
+
+def scaled(points):
+    """(s, [(k, x, y), ...]): the k-th point is (x/s, y/s), with integers x, y
+    over the common denominator s of all the coordinates."""
+    s = math.lcm(*{Fraction(c).denominator for p in points for c in p})
+
+    def scale(c):
+        c = Fraction(c)
+        return c.numerator * (s // c.denominator)
+
+    return s, [(k, scale(x), scale(y)) for k, (x, y) in enumerate(points)]
+
+
+def unapply_shifts(params, s):
+    """s l t_i for every map i: F_i^-1 takes the point (x/s, y/s) to
+    ((l x - sx_i)/s, (l y - sy_i)/s), over the same denominator s."""
+    return [(s * int(t[0]), s * int(t[1])) for t in params.int_translations]
+
+
+def cells_at(params, x, y, s):
+    """`cells_containing` of the point (x/s, y/s), for integers x, y, s > 0.
+
+    The barycentric coordinates relative to (q0, q1, q2), b0 = y/2 and
+    b2 = (2x - y)/4, are compared as the integers B_k = 4s b_k: the point
+    lies in cell (a0, a1, a2) iff l b_k >= a_k, that is a_k <= floor(l B_k / 4s),
+    for each k."""
+    b0, b2 = 2 * y, 2 * x - y
+    den = 4 * s
+    b1 = den - b0 - b2
+    if b0 < 0 or b1 < 0 or b2 < 0:
         return []
-    out = []
-    for i, (a, bb, c) in enumerate(params.cells):
-        if (
-            b[0] * params.level >= a
-            and b[1] * params.level >= bb
-            and b[2] * params.level >= c
-        ):
-            out.append(i)
-    return out
+    l = params.level
+    f0, f1, f2 = l * b0 // den, l * b1 // den, l * b2 // den
+    return [i for i, (a, b, c) in enumerate(params.cells) if a <= f0 and b <= f1 and c <= f2]
 
 
 def aliases(params, addr):

@@ -225,6 +225,9 @@ class HalfBoundaryData(CylinderData):
         super().__init__(cylinders, default, fn, sup_bound)
         if geometric_tail is not None and level != 2:
             raise ContractViolation("geometric tails are specific to the SG half domain")
+        if geometric_tail is not None and self.cylinders:
+            # atoms would read the tail and integrals the cylinders
+            raise ContractViolation("a geometric tail must not be mixed with cylinders")
 
     def alphabet(self, k):
         return self.st.alphabet
@@ -505,14 +508,18 @@ def evaluate(f, v):
 
     v is a VertexAddress or an exact point in the closed half domain.
     """
-    if isinstance(v, geometry.VertexAddress):
-        p = geometry.resolve(f.st.params, v)
-    else:
-        p = (F(v[0]), F(v[1]))
+    return evaluate_many(f, [v])[0]
+
+
+def evaluate_many(f, vertices):
+    """Values at the vertices (as for `evaluate`) of the solution with data
+    f, in order, all routed through the recursion at once."""
     half = geometry.HalfDomain(f.level)
-    if geometry.classify_boundary(half, p) == geometry.OUTSIDE:
-        raise ResolutionError(f"{p} is outside the closed half domain")
-    return cylinder.route(f.st.frame, f, p)
+    points = [geometry.exact_point(f.st.params, v) for v in vertices]
+    for p in points:
+        if geometry.classify_boundary(half, p) == geometry.OUTSIDE:
+            raise ResolutionError(f"{p} is outside the closed half domain")
+    return cylinder.route(f.st.frame, f, points)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,29 +150,61 @@ def harmonic_normal_derivative(level, corner_values, corner, depth=0):
     return normal_derivative(level, ext, corner, depth, check=False)
 
 
+@lru_cache(maxsize=None)
+def _subcell_corners(level):
+    """Integer points (scale l) of the corners F_i q_c of every 1-cell i."""
+    tr = gasket(level).int_translations
+    return tuple(
+        tuple((x + int(t[0]), y + int(t[1])) for x, y in CORNERS_INT) for t in tr
+    )
+
+
 def harmonic_value_in_cell(level, corner_values, p):
     """Value at an exact point p (a vertex of some V_m) of the harmonic
     function on the unit cell with the given corner values."""
+    s, batch = geometry.scaled([p])
+    out = [None]
+    descend(level, corner_values, batch, s, out, [p])
+    return out[0]
+
+
+def descend(level, corner_values, batch, s, out, points):
+    """Set out[k] for every (k, x, y) in batch to the value at the point
+    (x/s, y/s) of the harmonic function on the unit cell with the given
+    corner values; points[k] names the point in errors.
+
+    The points descend together: at each subcell every point is a corner of
+    it, or goes on into the first 1-cell containing it, and the subcell's
+    values are extended once for all the points going on.  Subcells wait on
+    a stack, so each point is held at one subcell only."""
     params = gasket(level)
-    vals = tuple(corner_values)
-    point = (Fraction(p[0]), Fraction(p[1]))
-    for _ in range(geometry.MAX_GRAPH_LEVEL + 2):
-        for c in range(3):
-            if point == geometry.CORNERS[c]:
-                return vals[c]
-        cells = geometry.cells_containing(params, point)
-        if not cells:
-            raise ContractViolation(f"{p} is outside the cell")
-        i = cells[0]
-        ext = cell_extension(level, vals)
-        s = params.level
-        tr = params.int_translations[i]
-        vals = tuple(
-            ext[(CORNERS_INT[c][0] + int(tr[0]), CORNERS_INT[c][1] + int(tr[1]))]
-            for c in range(3)
-        )
-        point = params.unapply_map(i, point)
-    raise ContractViolation(f"{p} is not a vertex address within the descent cap")
+    corners = _subcell_corners(level)
+    shifts = geometry.unapply_shifts(params, s)
+    vertices = {(s * x, s * y): c for c, (x, y) in enumerate(CORNERS_INT)}
+    stack = [(tuple(corner_values), batch, geometry.MAX_GRAPH_LEVEL + 2)]
+    while stack:
+        vals, batch, depth = stack.pop()
+        if depth == 0:
+            raise ContractViolation(
+                f"{points[batch[0][0]]} is not a vertex address within the descent cap"
+            )
+        groups = {}
+        for k, x, y in batch:
+            c = vertices.get((x, y))
+            if c is not None:
+                out[k] = vals[c]
+                continue
+            cells = geometry.cells_at(params, x, y, s)
+            if not cells:
+                raise ContractViolation(f"{points[k]} is outside the cell")
+            i = cells[0]
+            sx, sy = shifts[i]
+            groups.setdefault(i, []).append((k, level * x - sx, level * y - sy))
+        batch = None
+        if groups:
+            ext = cell_extension(level, vals)
+            for i, group in groups.items():
+                stack.append((tuple(ext[q] for q in corners[i]), group, depth - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -452,13 +452,18 @@ class UpperFrame(cylinder.Frame):
 
 def evaluate_upper(lam, f, v):
     """Value of the harmonic solution at a vertex of the closed domain."""
-    if isinstance(v, geometry.VertexAddress):
-        p = geometry.resolve(gasket(3), v)
-    else:
-        p = (F(v[0]), F(v[1]))
-    if p[1] < lam.cut_height():
-        raise ResolutionError(f"{p} lies below the cut line")
-    return cylinder.route(UpperFrame(lam), f, p)
+    return evaluate_upper_many(lam, f, [v])[0]
+
+
+def evaluate_upper_many(lam, f, vertices):
+    """Values at the vertices (as for `evaluate_upper`), in order, all routed
+    through the recursion at once."""
+    points = [geometry.exact_point(gasket(3), v) for v in vertices]
+    cut = lam.cut_height()
+    for p in points:
+        if p[1] < cut:
+            raise ResolutionError(f"{p} lies below the cut line")
+    return cylinder.route(UpperFrame(lam), f, points)
 
 
 def boundary_value_at_upper(lam, f, p, max_depth=DEFAULT_DEPTH):

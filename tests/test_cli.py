@@ -171,6 +171,19 @@ def test_haar(tmp_path, capsys):
     assert coeffs[("", "1")] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("domain", ["half", "lower"])
+def test_haar_needs_upper_domain(tmp_path, capsys, domain):
+    data = write_json(tmp_path / "u.json", {
+        "schema": 1, "q0": 0.0,
+        "cylinders": [{"w": "1", "v": 1.0}], "default_tail": 0.0,
+    })
+    code, out, err = run(
+        ["haar", "--domain", domain, "--lambda", "1", "--data", data, "--depth", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "haar is for upper domains" in err
+
+
 def test_dtn(tmp_path, capsys):
     data = write_json(tmp_path / "d.json", {
         "schema": 1, "q1": "0", "q0": "0",

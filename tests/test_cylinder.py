@@ -1,15 +1,16 @@
 """The shared cylinder boundary-data type, checked on all three families:
 callback data on upper and lower domains, property tests of restriction,
-integration and sup over random valid cylinder sets, and of the measures
-splitting over the children of random words."""
+integration and sup over random valid cylinder sets, of the measures
+splitting over the children of random words, and of batched routing."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketbvp import geometry
+from gasketbvp import cylinder, geometry, harmonic, oracle
 from gasketbvp import halfdomain as HD
 from gasketbvp import lowerdomain as LD
 from gasketbvp import upperdomain as UP
@@ -241,3 +242,107 @@ def test_lower_measures_split_and_integrate_indicators(name, data):
 
 def test_lower_measures_have_mass_one():
     assert LD.lower_measures(LD.BinaryLambda(F(1, 2)), "") == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# batched routing: one route over many points equals one route per point,
+# and the per-point route of the reference below
+
+
+def reference_value_in_cell(level, vals, p):
+    """Descent of one point through the subcells: the first 1-cell
+    containing it, extended from its parent's corner values."""
+    params = geometry.gasket(level)
+    point = (F(p[0]), F(p[1]))
+    while point not in geometry.CORNERS:
+        i = geometry.cells_containing(params, point)[0]
+        ext = harmonic.cell_extension(level, vals)
+        tr = params.int_translations[i]
+        vals = tuple(ext[(x + int(tr[0]), y + int(tr[1]))] for x, y in geometry.CORNERS_INT)
+        point = params.unapply_map(i, point)
+    return vals[geometry.CORNERS.index(point)]
+
+
+def reference_route(frame, f, p):
+    """One point's walk: a boundary value, a V_1 value, the first full cell
+    containing it, or else the first sub-copy containing it."""
+    params = frame.params
+    corners = cylinder.cell_corners(frame.level)
+    contains = lambda i, p: geometry.cells_containing(params, params.unapply_map(i, p))
+    while True:
+        frame, p = frame.normalize(p)
+        value = frame.terminal(f, p)
+        if value is not None:
+            return value
+        values = frame.values(f)
+        if p in values:
+            return values[p]
+        for i in frame.full_cells():
+            if contains(i, p):
+                vals = tuple(values[q] for q in corners[i])
+                return reference_value_in_cell(frame.level, vals, params.unapply_map(i, p))
+        d = next(d for d in frame.copies() if contains(d, p))
+        f = f.shifted(d, *(values[corners[d][s]] for s in frame.slots))
+        frame, p = frame.shift(d), params.unapply_map(d, p)
+
+
+def _route_case(name):
+    """(data constructor (cylinders, default, corner), alphabet at position
+    k, domain descriptor and skeleton level, exact data allowed, root frame,
+    evaluator of one point, evaluator of a batch)."""
+    family, arg = name.split(":")
+    chars = lambda ds: "".join(geometry.WORD_CHARS[d] for d in ds)
+    if family == "half":
+        level = int(arg)
+        return (
+            lambda cyl, d, c: HD.HalfBoundaryData(level, q1=c, cylinders=cyl, default=d, q0=d),
+            cycle(chars(HD.structure(level).alphabet)), geometry.HalfDomain(level),
+            {2: 4, 3: 3, 4: 2}[level], True, HD.structure(level).frame,
+            HD.evaluate, HD.evaluate_many)
+    if family == "upper":
+        lam = UP.TriadicLambda(F(arg))
+        return (
+            lambda cyl, d, c: UP.UpperBoundaryData(lam, q0=c, cylinders=cyl, default=d),
+            lambda k: chars(UP.word_alphabet(lam, k)), geometry.UpperDomain(cut_y=lam.cut_height()),
+            3, False, UP.UpperFrame(lam),
+            lambda f, p: UP.evaluate_upper(lam, f, p),
+            lambda f, ps: UP.evaluate_upper_many(lam, f, ps))
+    lam = LD.BinaryLambda(F(arg))
+    return (
+        lambda cyl, d, c: LD.LowerBoundaryData(lam, q1=c, q2=-c, cylinders=cyl, default=d),
+        lambda k: chars(LD.word_alphabet(lam, k)), geometry.LowerDomain(cut_y=lam.cut_height()),
+        4, lam.dyadic, LD.LowerFrame(lam),
+        lambda f, p: LD.evaluate_lower(lam, f, p),
+        lambda f, ps: LD.evaluate_lower_many(lam, f, ps))
+
+
+ROUTE_CASES = (
+    ["half:2", "half:3", "half:4"]
+    + [f"upper:{lam}" for lam in ("1", "2/3", "5/9", "1/4", "1/9")]
+    + [f"lower:{lam}" for lam in ("1/2", "1/3", "5/8")]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def skeleton_points(name):
+    _, _, domain, m, *_ = _route_case(name)
+    g = oracle.domain_restricted_graph(domain, m).graph
+    return tuple(g.point(i) for i in range(g.n_vertices()))
+
+
+@pytest.mark.parametrize("name", ROUTE_CASES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_batched_route_matches_one_point_route(name, data):
+    make, alphabet, _, _, exact_ok, frame, one, many = _route_case(name)
+    exact = exact_ok and data.draw(st.booleans())
+    f = make(
+        data.draw(st.dictionaries(words(alphabet), values(exact), max_size=4)),
+        data.draw(values(exact)), data.draw(values(exact)))
+    points = skeleton_points(name)
+    picked = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=12, unique=True))
+    batch = many(f, picked)
+    for p, v in zip(picked, batch):
+        for single in (one(f, p), reference_route(frame, f, p)):
+            assert type(v) is type(single)
+            assert v == single and repr(v) == repr(single)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketbvp import geometry as G
 from gasketbvp.errors import AddressError, CapabilityError
@@ -236,3 +238,51 @@ def test_first_levels_match_coarser_graphs():
                 and (x // l ** (m - k), y // l ** (m - k)) in coarse[k]
             )
             assert level == first
+
+
+# ---------------------------------------------------------------------------
+# integer point location against a Fraction-barycentric reference
+
+
+def reference_cells(params, p):
+    """cells_containing computed with Fraction barycentric coordinates
+    relative to (q0, q1, q2): y = 2 b0, x = b0 + 2 b2."""
+    x, y = Fraction(p[0]), Fraction(p[1])
+    b0 = y / 2
+    b2 = (x - b0) / 2
+    b = (b0, 1 - b0 - b2, b2)
+    if min(b) < 0 or max(b) > 1:
+        return []
+    l = params.level
+    return [i for i, t in enumerate(params.cells) if all(b[k] * l >= t[k] for k in range(3))]
+
+
+@st.composite
+def located_points(draw):
+    """(level, point): random rationals in and around the triangle, points
+    on the edges of level-k cells and their junctions (corners), as int or
+    Fraction coordinates."""
+    level = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["rational", "edge", "junction", "int"]))
+    if kind == "int":
+        return level, (draw(st.integers(-2, 4)), draw(st.integers(-2, 4)))
+    den = level ** draw(st.integers(0, 3))
+    if kind == "rational":
+        den *= draw(st.integers(1, 12))
+        coord = st.integers(-den, 3 * den).map(lambda n: Fraction(n, den))
+        return level, (draw(coord), draw(coord))
+    word = draw(st.lists(st.integers(0, level * (level + 1) // 2 - 1), max_size=3))
+    params = G.gasket(level)
+    a, b = draw(st.permutations(G.CORNERS))[:2]
+    if kind == "junction":
+        return level, G.apply_word(params, word, a)
+    t = Fraction(draw(st.integers(0, den)), den)
+    return level, G.apply_word(params, word, tuple(a[k] + t * (b[k] - a[k]) for k in range(2)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=located_points())
+def test_cells_containing_matches_fraction_reference(case):
+    level, p = case
+    params = G.gasket(level)
+    assert G.cells_containing(params, p) == reference_cells(params, p)

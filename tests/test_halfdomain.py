@@ -298,6 +298,16 @@ def test_domain_energy_rejects_data_never_constant():
         HD.domain_energy(HD.HalfBoundaryData(3, q1=0, fn=lambda w, j: 0.5, sup_bound=1.0))
 
 
+def test_geometric_tail_not_mixed_with_cylinders():
+    # every atom of this data would read the tail value 1, but its integral
+    # would read the cylinder value 5
+    with pytest.raises(ContractViolation):
+        HD.HalfBoundaryData(2, q1=0, cylinders={"": 5}, geometric_tail=(1, 0, F(3, 5), 0), q0=1)
+    f = HD.HalfBoundaryData(2, q1=0, geometric_tail=(1, 0, F(3, 5), 0), q0=1)
+    assert f.atom("00", 1) == 1
+    assert HD.integrate(f) == (1, 0)
+
+
 def test_dtn_forward():
     const = HD.constant_data(2, F(3))
     res = HD.dirichlet_to_neumann_sg(const, 10)
