@@ -24,7 +24,7 @@ from . import cylinder, geometry, harmonic
 from ._exact import solve
 from .cylinder import DEFAULT_DEPTH, MAX_RECURSION, CylinderData
 from .errors import AddressError, ContractViolation, ResolutionError
-from .geometry import CORNERS_INT, Q0, Q1, gasket
+from .geometry import Q0, Q1, gasket
 
 F = Fraction
 
@@ -89,8 +89,7 @@ class HalfStructure:
         self.frame = HalfFrame(self)  # the domain as a recursion frame
 
     def _map_point(self, cell, corner):
-        tr = self.params.int_translations[cell]
-        return (CORNERS_INT[corner][0] + int(tr[0]), CORNERS_INT[corner][1] + int(tr[1]))
+        return harmonic.subcell_corners(self.level)[cell][corner]
 
     def _embed_chain(self, p):
         chain = []
@@ -381,9 +380,8 @@ def extend_step(f):
 
 def _extend_step_system(f):
     st = f.st
-    cells = [
-        tuple(st._map_point(i, c) for c in range(3)) for i in _contained_cells_level1(f.level)
-    ]
+    corners = harmonic.subcell_corners(f.level)
+    cells = [corners[i] for i in _contained_cells_level1(f.level)]
     boundary = {(0, 0): f.q1}
     for j, p in enumerate(st.atom_points):
         boundary[st.int_points[p]] = f.atom("", j + 1)

@@ -151,7 +151,7 @@ def harmonic_normal_derivative(level, corner_values, corner, depth=0):
 
 
 @lru_cache(maxsize=None)
-def _subcell_corners(level):
+def subcell_corners(level):
     """Integer points (scale l) of the corners F_i q_c of every 1-cell i."""
     tr = gasket(level).int_translations
     return tuple(
@@ -178,7 +178,7 @@ def descend(level, corner_values, batch, s, out, points):
     values are extended once for all the points going on.  Subcells wait on
     a stack, so each point is held at one subcell only."""
     params = gasket(level)
-    corners = _subcell_corners(level)
+    corners = subcell_corners(level)
     shifts = geometry.unapply_shifts(params, s)
     vertices = {(s * x, s * y): c for c, (x, y) in enumerate(CORNERS_INT)}
     stack = [(tuple(corner_values), batch, geometry.MAX_GRAPH_LEVEL + 2)]

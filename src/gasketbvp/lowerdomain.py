@@ -413,8 +413,6 @@ class LowerFrame(cylinder.Frame):
         self.column = column
         self.matrix = matrix
 
-    # lambda = 0: the domain is the whole gasket, one harmonic cell whose
-    # boundary is V_0 (X reduces to {q0})
     def terminal(self, f, p):
         if p == Q1:
             return f.q1
@@ -422,27 +420,22 @@ class LowerFrame(cylinder.Frame):
             return f.q2
         lam = self.lam
         if lam.value == 0:
-            return self._q0(f) if p == Q0 else None
+            # whole-gasket cell: boundary is V_0, X reduces to {q0}
+            c0 = f.subtree("")
+            if c0 is None:
+                c0 = boundary_value_at_lower(lam, f, Q0)
+            return harmonic.harmonic_value_in_cell(2, (c0, f.q1, f.q2), p)
         if p[1] == lam.cut_height():
             return boundary_value_at_lower(lam, f, p)
         return None
 
-    def _q0(self, f):
-        c0 = f.subtree("")
-        return boundary_value_at_lower(self.lam, f, Q0) if c0 is None else c0
-
     def values(self, f):
-        if self.lam.value == 0:
-            ext = harmonic.cell_extension(2, (self._q0(f), f.q1, f.q2))
-            return {(F(x, 2), F(y, 2)): v for (x, y), v in ext.items()}
         values = dict(extend_step_lower(self.lam, f))
         values[Q1] = f.q1
         values[Q2] = f.q2
         return values
 
     def full_cells(self):
-        if self.lam.value == 0:
-            return (0, 1, 2)
         return (1, 2) if self.lam.digit(1) == 0 else ()
 
     def copies(self):

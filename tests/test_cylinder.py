@@ -346,3 +346,31 @@ def test_batched_route_matches_one_point_route(name, data):
         for single in (one(f, p), reference_route(frame, f, p)):
             assert type(v) is type(single)
             assert v == single and repr(v) == repr(single)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_lower_lambda_zero_is_one_harmonic_cell(data):
+    """At lambda = 0 the lower domain is the whole gasket and X is the point
+    q0, where f is the value of its deepest cylinder: the batch equals the
+    harmonic function with corner values (f(q0), q1, q2), cell by cell and,
+    on exact data, the full-gasket oracle."""
+    lam = LD.BinaryLambda(0)
+    exact = data.draw(st.booleans())
+    cyl = data.draw(st.dictionaries(st.integers(0, 3).map(lambda n: "0" * n), values(exact),
+                                    max_size=3))
+    default, q1, q2 = (data.draw(values(exact)) for _ in range(3))
+    f = LD.LowerBoundaryData(lam, q1=q1, q2=q2, cylinders=cyl, default=default)
+    corners = (cyl[max(cyl, key=len)] if cyl else default, q1, q2)
+    graph, solution = oracle.solve_full_gasket(
+        geometry.gasket(2), 3, corners, mode="rational" if exact else "float")
+    ids = data.draw(st.permutations(range(graph.n_vertices())))
+    points = [graph.point(i) for i in ids]
+    for i, p, v in zip(ids, points, LD.evaluate_lower_many(lam, f, points)):
+        cell = harmonic.harmonic_value_in_cell(2, corners, p)
+        assert type(v) is type(cell)
+        assert v == cell and repr(v) == repr(cell)
+        if exact:
+            assert v == solution[i]
+        else:
+            assert v == pytest.approx(float(solution[i]), abs=1e-12)
