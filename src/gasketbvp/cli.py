@@ -1,7 +1,9 @@
 """Command-line front end: parse domain descriptors and boundary data, run the
 explicit evaluators and the finite-graph oracle, emit tables and plots.
 
-Commands: solve, eta, measure, energy, compare, haar, dtn.
+Commands: solve and compare serve every domain family; eta, measure,
+energy, haar and dtn are each a family's own (see `FAMILIES`).  Without
+--domain, haar means upper and dtn means half-sg.
 Exit codes: 0 success, 1 internal error, 2 usage/data error, 3 accuracy
 failure.  Outputs are byte-deterministic for a fixed configuration.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -59,6 +62,7 @@ def load_boundary_data(path, domain, mode, lam=None, level=3):
     """Boundary-data JSON: {"schema": 1, "q1": v, "q0": v,
     "atoms": [{"w": "03", "j": 1, "v": x}, ...],
     "cylinders": [{"w": "0", "v": x}, ...], "default_tail": v}."""
+    fam = FAMILIES[domain]
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -68,54 +72,41 @@ def load_boundary_data(path, domain, mode, lam=None, level=3):
         raise UsageError(f"boundary data {path} is empty or malformed")
     if raw.get("schema", SCHEMA) != SCHEMA:
         raise UsageError(f"unsupported schema {raw.get('schema')!r}")
-    val = lambda k: _parse_value(raw[k], mode) if k in raw and raw[k] is not None else None
-    atoms = {
-        (e["w"], int(e.get("j", 1))): _parse_value(e["v"], mode)
-        for e in raw.get("atoms", [])
-    }
-    cylinders = {e["w"]: _parse_value(e["v"], mode) for e in raw.get("cylinders", [])}
-    default = val("default_tail")
+
+    def value(v, field, parse=lambda v: _parse_value(v, mode), what="a number"):
+        try:
+            return None if v is None else parse(v)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"{field}: {v!r} is not {what}") from exc
+
+    def entries(key):
+        items = raw.get(key, [])
+        if not isinstance(items, list):
+            raise UsageError(f"{key} must be a list, not {items!r}")
+        for n, e in enumerate(items):
+            if not isinstance(e, dict) or not isinstance(e.get("w"), str) or "v" not in e:
+                raise UsageError(f'{key}[{n}] needs a word "w" and a value "v"')
+            yield e, value(e["v"], f"{key}[{n}].v"), f"{key}[{n}]"
+
+    atoms = {(e["w"], value(e.get("j", 1), f"{at}.j", int, "an integer")): v
+             for e, v, at in entries("atoms")}
+    if atoms and not fam.atoms:
+        raise UsageError(f"{domain}-domain data has no atoms, use cylinders")
+    kwargs = {k: value(raw[k] if raw.get(k) is not None else d, k) for k, d in fam.corners.items()}
+    kwargs["cylinders"] = {e["w"]: v for e, v, _ in entries("cylinders")}
+    kwargs["default"] = value(raw.get("default_tail"), "default_tail")
+    if fam.atoms:
+        kwargs["atoms"] = atoms
     try:
-        if domain == "half":
-            return halfdomain.HalfBoundaryData(
-                level, q1=val("q1") or 0, atoms=atoms, cylinders=cylinders,
-                default=default, q0=val("q0"),
-            )
-        if domain == "upper":
-            if atoms:
-                raise UsageError("upper-domain data has no atoms, use cylinders")
-            return upperdomain.UpperBoundaryData(
-                lam, q0=val("q0") or 0, cylinders=cylinders, default=default,
-            )
-        if domain == "lower":
-            if atoms:
-                raise UsageError("lower-domain data has no atoms, use cylinders")
-            return lowerdomain.LowerBoundaryData(
-                lam, q1=val("q1") or 0, q2=val("q2") or 0,
-                cylinders=cylinders, default=default,
-            )
+        return fam.data(lam if fam.lam else level, **kwargs)
     except GasketError as exc:
         raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown domain {domain!r}")
 
 
-LAMBDA_TYPES = {"upper": upperdomain.TriadicLambda, "lower": lowerdomain.BinaryLambda}
-
-
-def _lam(cfg, domain=None):
-    """The parsed --lambda of an upper or lower domain (cfg.domain's by default)."""
-    kind = LAMBDA_TYPES.get(domain or cfg.domain)
-    return None if kind is None else kind.parse(cfg.lam)
-
-
-def _domain_descriptor(cfg, lam):
-    if cfg.domain == "half":
-        return geometry.HalfDomain(cfg.level)
-    if cfg.domain == "upper":
-        return geometry.UpperDomain(cut_y=lam.cut_height())
-    if cfg.domain == "lower":
-        return geometry.LowerDomain(cut_y=lam.cut_height())
-    raise UsageError(f"unknown domain {cfg.domain!r}")
+def _data(cfg, fam, lam):
+    """The command's boundary data, read as floats where the family says so."""
+    mode = "float" if fam.float_data else cfg.mode
+    return load_boundary_data(cfg.data_path, cfg.domain, mode, lam=lam, level=cfg.level)
 
 
 def _fmt(v):
@@ -134,41 +125,30 @@ def _emit(lines, out):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands of every family; each returns its output lines
 
 
-def _evaluate(cfg, lam, f, points):
-    """Values of the explicit solution with data f at the exact points."""
-    if cfg.domain == "half":
-        return halfdomain.evaluate_many(f, points)
-    if cfg.domain == "upper":
-        return upperdomain.evaluate_upper_many(lam, f, points)
-    return lowerdomain.evaluate_lower_many(lam, f, points)
-
-
-def _solution_rows(cfg, lam, f, g):
+def _solution_rows(fam, lam, f, g):
     """(word, corner, x, y, value) at every vertex of g, ordered by (x, y);
     a function of its own so that the order and the points are freed
     before the output is formatted."""
     order = sorted(range(g.n_vertices()), key=lambda i: (int(g.verts[i][0]), int(g.verts[i][1])))
     points = [g.point(i) for i in order]
     rows = []
-    for i, (x, y), v in zip(order, points, _evaluate(cfg, lam, f, points)):
+    for i, (x, y), v in zip(order, points, fam.evaluate(lam, f, points)):
         a = g.address(i)
         rows.append((geometry.word_to_str(a.word), a.corner, x, y, v))
     return rows
 
 
-def cmd_solve(cfg):
-    lam = _lam(cfg)
-    dom = _domain_descriptor(cfg, lam)
-    mode = cfg.mode
-    if cfg.domain == "upper" and mode == "rational":
-        raise UsageError("upper-domain evaluation needs eta limits: use float mode")
-    if cfg.domain == "lower" and mode == "rational" and not lam.dyadic:
-        raise UsageError("rational mode needs dyadic lambda (eta limits are irrational)")
-    f = load_boundary_data(cfg.data_path, cfg.domain, mode, lam=lam, level=cfg.level)
-    rows = _solution_rows(cfg, lam, f, oracle.domain_restricted_graph(dom, cfg.depth).graph)
+def cmd_solve(cfg, fam, lam):
+    dom = fam.domain(cfg.level, lam)
+    refused = cfg.mode == "rational" and fam.no_rational(lam)
+    if refused:
+        raise UsageError(refused)
+    # upper data stays exact here: its cut-line values print as fractions
+    f = load_boundary_data(cfg.data_path, cfg.domain, cfg.mode, lam=lam, level=cfg.level)
+    rows = _solution_rows(fam, lam, f, oracle.domain_restricted_graph(dom, cfg.depth).graph)
     if cfg.fmt == "json":
         payload = {
             "schema": SCHEMA,
@@ -177,142 +157,33 @@ def cmd_solve(cfg):
                 for (w, c, x, y, v) in rows
             ],
         }
-        _emit([json.dumps(payload, sort_keys=True)], cfg.out)
-    else:
-        lines = ["word,corner,x,y,value"]
-        lines += [f"{w},{c},{_fmt(x)},{_fmt(y)},{_fmt(v)}" for (w, c, x, y, v) in rows]
-        _emit(lines, cfg.out)
+        return [json.dumps(payload, sort_keys=True)]
+    lines = ["word,corner,x,y,value"]
+    lines += [f"{w},{c},{_fmt(x)},{_fmt(y)},{_fmt(v)}" for (w, c, x, y, v) in rows]
+    return lines
 
 
-def cmd_eta(cfg):
-    lam = _lam(cfg)
-    lines = []
-    if cfg.domain == "upper":
-        ea = upperdomain.eta_alpha(lam, tol=1e-12)
-        lines.append(f"alpha,{ea.alpha!r}")
-        lines.append(f"eta,{ea.eta!r}")
-        lines.append(f"iterations,{ea.depth}")
-        lines.append(f"certified_bound,{ea.err!r}")
-        if cfg.check_closed_form:
-            if lam.value == 1:
-                exact = (75 - 2353 ** 0.5) / 60
-                ok = abs(ea.alpha - exact) <= 1e-9
-                lines.append(f"closed_form,alpha(1)=(75-sqrt(2353))/60,{'match' if ok else 'MISMATCH'}")
-            else:
-                lines.append("closed_form,none_available,skipped")
-    elif cfg.domain == "lower":
-        ep = lowerdomain.eta_pair(lam, tol=1e-12)
-        lines.append(f"eta1,{_fmt(ep.eta1)}")
-        lines.append(f"eta2,{_fmt(ep.eta2)}")
-        lines.append(f"iterations,{ep.depth}")
-        lines.append(f"certified_bound,{_fmt(ep.err)}")
-        lines.append(f"exact,{ep.exact}")
-        if cfg.check_closed_form:
-            ones = 0
-            while lam.digit(ones + 1) == 1:
-                ones += 1
-            zeros = 0
-            while lam.digit(zeros + 1) == 0 and zeros < 60:
-                zeros += 1
-            if ones:
-                c1, c2 = lowerdomain.closed_form_ones(lam, ones)
-                ok = abs(c1 - float(ep.eta1)) < 1e-9 and abs(c2 - float(ep.eta2)) < 1e-9
-                lines.append(f"closed_form,ones_prefix_{ones},{'match' if ok else 'MISMATCH'}")
-            elif zeros and lam.value != 0:
-                s, d = lowerdomain.closed_form_zero_prefix(lam, zeros)
-                ok = (abs(float(s) - float(ep.eta1 + ep.eta2)) < 1e-9
-                      and abs(float(d) - float(ep.eta1 - ep.eta2)) < 1e-9)
-                lines.append(f"closed_form,zeros_prefix_{zeros},{'match' if ok else 'MISMATCH'}")
-            else:
-                ok = (ep.eta1, ep.eta2) == (2, 1)
-                lines.append(f"closed_form,lambda_zero,{'match' if ok else 'MISMATCH'}")
-    else:
-        raise UsageError("eta needs --domain upper or lower")
-    _emit(lines, cfg.out)
-
-
-def cmd_measure(cfg):
-    lam, word = _lam(cfg), cfg.word or ""
-    lines = []
-    if cfg.domain == "half":
-        mass = halfdomain.atom_mass(cfg.level, word, cfg.j)
-        lines.append(f"atom_mass,{word},{cfg.j},{_fmt(mass)}")
-        lines.append(f"residual_mass_depth_{cfg.depth},{_fmt(halfdomain.residual_mass(cfg.level, cfg.depth))}")
-    elif cfg.domain == "upper":
-        lines.append(f"cylinder_mass,{word},{upperdomain.cylinder_mass(lam, word)!r}")
-    elif cfg.domain == "lower":
-        m1, m2 = lowerdomain.lower_measures(lam, word)
-        lines.append(f"mu1_mass,{word},{_fmt(m1)}")
-        lines.append(f"mu2_mass,{word},{_fmt(m2)}")
-    else:
-        raise UsageError("measure needs --domain half, upper or lower")
-    _emit(lines, cfg.out)
-
-
-def cmd_energy(cfg):
-    lines = []
-    if cfg.domain == "half":
-        f = load_boundary_data(cfg.data_path, "half", cfg.mode, level=cfg.level)
-        q = halfdomain.energy_form_Q(f, cfg.depth)
-        e = halfdomain.domain_energy(f)
-        lines.append(f"Q,{_fmt(q)}")
-        lines.append(f"energy,{_fmt(e)}")
-        if q:
-            lines.append(f"ratio,{float(e) / float(q)!r}")
-            lines.append(f"upper_bound_225_28,{float(F(225, 28) * q)!r}")
-    elif cfg.domain == "upper":
-        lam = _lam(cfg)
-        f = load_boundary_data(cfg.data_path, "upper", "float", lam=lam)
-        est = upperdomain.energy_estimate_upper(lam, f.q0 or 0.0, f, cfg.depth)
-        lines.append(f"weighted_sum,{est.weighted_sum!r}")
-        lines.append(f"energy,{est.energy!r}")
-        lines.append(f"orthogonal_energy,{est.orthogonal_energy!r}")
-        lines.append(f"bracket,{est.bracket[0]!r},{est.bracket[1]!r}")
-        lines.append(f"h0_band,{est.band[0]!r},{est.band[1]!r}")
-    else:
-        raise UsageError("energy is available for half and upper domains")
-    _emit(lines, cfg.out)
-
-
-def _compare_levels(cfg):
-    lo, hi = cfg.levels
-    lam = _lam(cfg)
-    dom = _domain_descriptor(cfg, lam)
-    mode = cfg.mode if cfg.domain != "upper" else "float"
-    f = load_boundary_data(cfg.data_path, cfg.domain, mode, lam=lam, level=cfg.level)
+def cmd_compare(cfg, fam, lam):
+    dom = fam.domain(cfg.level, lam)
+    f = _data(cfg, fam, lam)
+    frame = fam.frame(lam, f)
     base = oracle.domain_restricted_graph(dom, cfg.depth)
     targets = [base.graph.point(i) for i in range(base.graph.n_vertices())]
-    exact = dict(zip(targets, _evaluate(cfg, lam, f, targets)))
-    if cfg.domain == "half":
-        bval = lambda p: halfdomain.boundary_value_at(f, p)
-    elif cfg.domain == "upper":
-        bval = lambda p: (f.q0 if p == geometry.Q0
-                          else upperdomain.boundary_value_at_upper(lam, f, p))
-    else:
-        bval = lambda p: (f.q1 if p == geometry.Q1 else f.q2 if p == geometry.CORNERS[2]
-                          else lowerdomain.boundary_value_at_lower(lam, f, p))
-
-    def one_level(m):
+    exact = dict(zip(targets, fam.evaluate(lam, f, targets)))
+    lines, maxes = ["level,max_abs,mean_abs"], []
+    levels = list(range(cfg.levels[0], cfg.levels[1] + 1))
+    for m in levels:
         sk = oracle.domain_restricted_graph(dom, m)
-        vals = oracle.solve(sk.problem(bval), mode=cfg.mode if cfg.mode != "auto" else "float")
+        vals = oracle.solve(sk.problem(lambda p: frame.terminal(f, p)),
+                            mode=cfg.mode if cfg.mode != "auto" else "float")
         diffs = [abs(float(exact[p]) - float(vals[sk.graph.vertex_id(p)])) for p in targets]
-        return max(diffs), sum(diffs) / len(diffs)
-
-    levels = list(range(lo, hi + 1))
-    return levels, [one_level(m) for m in levels]
-
-
-def cmd_compare(cfg):
-    levels, results = _compare_levels(cfg)
-    lines = ["level,max_abs,mean_abs"]
-    for m, (mx, mean) in zip(levels, results):
-        lines.append(f"{m},{mx!r},{mean!r}")
-    maxes = [mx for mx, _ in results]
+        maxes.append(max(diffs))
+        lines.append(f"{m},{maxes[-1]!r},{sum(diffs) / len(diffs)!r}")
     monotone = all(a >= b - 1e-15 for a, b in zip(maxes, maxes[1:]))
     lines.append(f"monotone_decreasing,{str(monotone).lower()}")
-    _emit(lines, cfg.out)
     if cfg.svg:
         _write_svg(cfg.svg, levels, maxes)
+    return lines
 
 
 def _write_svg(path, xs, ys, width=480, height=320):
@@ -341,29 +212,150 @@ def _write_svg(path, xs, ys, width=480, height=320):
         fh.write("\n".join(body) + "\n")
 
 
-def cmd_haar(cfg):
-    if cfg.domain not in (None, "upper"):
-        raise UsageError("haar is for upper domains")
-    lam = _lam(cfg, "upper")
-    f = load_boundary_data(cfg.data_path, "upper", "float", lam=lam)
-    b, coeffs = upperdomain.haar_expand(lam, f, cfg.depth)
-    lines = ["word,j,coefficient", f",mean,{b!r}"]
-    for (w, j), c in sorted(coeffs.items()):
-        lines.append(f"{w},{j},{c!r}")
-    _emit(lines, cfg.out)
+# ---------------------------------------------------------------------------
+# commands of one family
 
 
-def cmd_dtn(cfg):
-    f = load_boundary_data(cfg.data_path, "half", cfg.mode, level=2)
+def _measure_half(cfg, fam, lam):
+    mass = halfdomain.atom_mass(cfg.level, cfg.word, cfg.j)
+    return [f"atom_mass,{cfg.word},{cfg.j},{_fmt(mass)}",
+            f"residual_mass_depth_{cfg.depth},{_fmt(halfdomain.residual_mass(cfg.level, cfg.depth))}"]
+
+
+def _energy_half(cfg, fam, lam):
+    f = _data(cfg, fam, lam)
+    q = halfdomain.energy_form_Q(f, cfg.depth)
+    e = halfdomain.domain_energy(f)
+    lines = [f"Q,{_fmt(q)}", f"energy,{_fmt(e)}"]
+    if q:
+        lines += [f"ratio,{float(e) / float(q)!r}", f"upper_bound_225_28,{float(F(225, 28) * q)!r}"]
+    return lines
+
+
+def _dtn(cfg, fam, lam):
+    if cfg.level != 2:
+        raise UsageError("dtn is for the SG half domain: half-sg, or half with --l 2")
+    f = _data(cfg, fam, lam)
     if f.q0 is None:
         raise UsageError("dtn needs the boundary value at q0 (the atom limit)")
     res = halfdomain.dirichlet_to_neumann_sg(f, cfg.kmax)
     lines = ["k,term,partial_sum"]
-    for k, (t, s) in enumerate(zip(res.terms, res.partial_sums)):
-        lines.append(f"{k},{_fmt(t)},{_fmt(s)}")
-    lines.append(f"limit,{_fmt(res.limit)}")
-    lines.append(f"residual,{_fmt(abs(res.partial_sums[-1] - res.limit))}")
-    _emit(lines, cfg.out)
+    lines += [f"{k},{_fmt(t)},{_fmt(s)}" for k, (t, s) in enumerate(zip(res.terms, res.partial_sums))]
+    return lines + [f"limit,{_fmt(res.limit)}", f"residual,{_fmt(abs(res.partial_sums[-1] - res.limit))}"]
+
+
+def _eta_upper(cfg, fam, lam):
+    ea = upperdomain.eta_alpha(lam, tol=1e-12)
+    lines = [f"alpha,{ea.alpha!r}", f"eta,{ea.eta!r}", f"iterations,{ea.depth}",
+             f"certified_bound,{ea.err!r}"]
+    if cfg.check_closed_form:
+        if lam.value == 1:
+            exact = (75 - 2353 ** 0.5) / 60
+            ok = abs(ea.alpha - exact) <= 1e-9
+            lines.append(f"closed_form,alpha(1)=(75-sqrt(2353))/60,{'match' if ok else 'MISMATCH'}")
+        else:
+            lines.append("closed_form,none_available,skipped")
+    return lines
+
+
+def _measure_upper(cfg, fam, lam):
+    return [f"cylinder_mass,{cfg.word},{upperdomain.cylinder_mass(lam, cfg.word)!r}"]
+
+
+def _energy_upper(cfg, fam, lam):
+    f = _data(cfg, fam, lam)
+    est = upperdomain.energy_estimate_upper(lam, f.q0, f, cfg.depth)
+    return [f"weighted_sum,{est.weighted_sum!r}", f"energy,{est.energy!r}",
+            f"orthogonal_energy,{est.orthogonal_energy!r}",
+            f"bracket,{est.bracket[0]!r},{est.bracket[1]!r}",
+            f"h0_band,{est.band[0]!r},{est.band[1]!r}"]
+
+
+def _haar(cfg, fam, lam):
+    b, coeffs = upperdomain.haar_expand(lam, _data(cfg, fam, lam), cfg.depth)
+    return ["word,j,coefficient", f",mean,{b!r}"] + [f"{w},{j},{c!r}" for (w, j), c in sorted(coeffs.items())]
+
+
+def _eta_lower(cfg, fam, lam):
+    ep = lowerdomain.eta_pair(lam, tol=1e-12)
+    lines = [f"eta1,{_fmt(ep.eta1)}", f"eta2,{_fmt(ep.eta2)}", f"iterations,{ep.depth}",
+             f"certified_bound,{_fmt(ep.err)}", f"exact,{ep.exact}"]
+    if cfg.check_closed_form:
+        ones = 0
+        while lam.digit(ones + 1) == 1:
+            ones += 1
+        zeros = 0
+        while lam.digit(zeros + 1) == 0 and zeros < 60:
+            zeros += 1
+        if ones:
+            c1, c2 = lowerdomain.closed_form_ones(lam, ones)
+            ok = abs(c1 - float(ep.eta1)) < 1e-9 and abs(c2 - float(ep.eta2)) < 1e-9
+            lines.append(f"closed_form,ones_prefix_{ones},{'match' if ok else 'MISMATCH'}")
+        elif zeros and lam.value != 0:
+            s, d = lowerdomain.closed_form_zero_prefix(lam, zeros)
+            ok = (abs(float(s) - float(ep.eta1 + ep.eta2)) < 1e-9
+                  and abs(float(d) - float(ep.eta1 - ep.eta2)) < 1e-9)
+            lines.append(f"closed_form,zeros_prefix_{zeros},{'match' if ok else 'MISMATCH'}")
+        else:
+            ok = (ep.eta1, ep.eta2) == (2, 1)
+            lines.append(f"closed_form,lambda_zero,{'match' if ok else 'MISMATCH'}")
+    return lines
+
+
+def _measure_lower(cfg, fam, lam):
+    m1, m2 = lowerdomain.lower_measures(lam, cfg.word)
+    return [f"mu1_mass,{cfg.word},{_fmt(m1)}", f"mu2_mass,{cfg.word},{_fmt(m2)}"]
+
+
+# ---------------------------------------------------------------------------
+# the domain families
+
+
+class Family(namedtuple("Family", ["data", "corners", "atoms", "lam", "domain", "evaluate",
+                                   "frame", "no_rational", "float_data", "commands"])):
+    """What the command line knows of one domain family:
+    data         boundary-data class: (lambda, or the level without one, **kwargs)
+    corners      its JSON corner keys and their defaults
+    atoms        whether the data may list atoms
+    lam          --lambda parser, None when the family has no lambda
+    domain       (level, lam) -> geometry descriptor
+    evaluate     (lam, f, points) -> solution values, batched
+    frame        (lam, f) -> root recursion frame
+    no_rational  lam -> why solve refuses rational mode, or None
+    float_data   every command but solve reads the data as floats
+    commands     the family's own commands: name -> (cfg, fam, lam) -> lines
+    """
+
+
+FAMILIES = {
+    "half": Family(
+        halfdomain.HalfBoundaryData, {"q1": 0, "q0": None}, True, None,
+        lambda level, lam: geometry.HalfDomain(level),
+        lambda lam, f, points: halfdomain.evaluate_many(f, points),
+        lambda lam, f: f.st.frame,
+        lambda lam: None, False,
+        {"measure": _measure_half, "energy": _energy_half, "dtn": _dtn},
+    ),
+    "upper": Family(
+        upperdomain.UpperBoundaryData, {"q0": 0}, False, upperdomain.TriadicLambda.parse,
+        lambda level, lam: geometry.UpperDomain(cut_y=lam.cut_height()),
+        upperdomain.evaluate_upper_many,
+        lambda lam, f: upperdomain.UpperFrame(lam),
+        lambda lam: "upper-domain evaluation needs eta limits: use float mode", True,
+        {"eta": _eta_upper, "measure": _measure_upper, "energy": _energy_upper, "haar": _haar},
+    ),
+    "lower": Family(
+        lowerdomain.LowerBoundaryData, {"q1": 0, "q2": 0}, False, lowerdomain.BinaryLambda.parse,
+        lambda level, lam: geometry.LowerDomain(cut_y=lam.cut_height()),
+        lowerdomain.evaluate_lower_many,
+        lambda lam, f: lowerdomain.LowerFrame(lam),
+        lambda lam: None if lam.dyadic else "rational mode needs dyadic lambda (eta limits are irrational)",
+        False,
+        {"eta": _eta_lower, "measure": _measure_lower},
+    ),
+}
+
+SHARED = {"solve": cmd_solve, "compare": cmd_compare}
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +414,13 @@ def build_parser():
 
 
 DOMAIN_ALIASES = {"half-sg": ("half", 2), "half-sg2": ("half", 2), "half-sg3": ("half", 3)}
+DEFAULT_DOMAINS = {"haar": "upper", "dtn": "half-sg"}
 
 
 def _config_from_args(args):
     taken = {f.name for f in fields(RunConfig)} - {"levels"}
     cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in taken})
+    cfg.domain = cfg.domain or DEFAULT_DOMAINS.get(cfg.command)
     if cfg.domain in DOMAIN_ALIASES:
         cfg.domain, cfg.level = DOMAIN_ALIASES[cfg.domain]
     if hasattr(args, "levels"):
@@ -440,27 +434,24 @@ def _config_from_args(args):
     return cfg
 
 
-COMMANDS = {
-    "solve": cmd_solve,
-    "eta": cmd_eta,
-    "measure": cmd_measure,
-    "energy": cmd_energy,
-    "compare": cmd_compare,
-    "haar": cmd_haar,
-    "dtn": cmd_dtn,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command in ("eta",) and not cfg.domain:
-            raise UsageError("eta needs --domain")
-        if cfg.domain in ("upper", "lower") and cfg.lam is None and args.command != "dtn":
+        cmd = cfg.command
+        homes = [name for name, fam in FAMILIES.items() if cmd in SHARED or cmd in fam.commands]
+        if cfg.domain not in homes:
+            raise UsageError(f"{cmd} is for {' or '.join(', '.join(homes).rsplit(', ', 1))} domains")
+        fam = FAMILIES[cfg.domain]
+        if fam.lam and cfg.lam is None:
             raise UsageError(f"--lambda is required for {cfg.domain} domains")
-        COMMANDS[args.command](cfg)
+        try:
+            lam = fam.lam and fam.lam(cfg.lam)
+        except GasketError:
+            raise
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"--lambda {cfg.lam!r} is not a fraction or a digit/bit program") from exc
+        _emit((SHARED.get(cmd) or fam.commands[cmd])(cfg, fam, lam), cfg.out)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,6 +113,12 @@ class HalfStructure:
                 raise AddressError(f"digit {d} not in half-domain alphabet of l={self.level}")
         return digits
 
+    def atom_index(self, j):
+        """Position of the atom p_j in the atom tables (j runs over 1..atom_count)."""
+        if not (1 <= j <= self.atom_count):
+            raise AddressError(f"atom index {j} out of range 1..{self.atom_count}")
+        return j - 1
+
     def word_weight(self, word):
         w = F(1)
         for d in self.word_digits(word):
@@ -172,19 +178,20 @@ def crucial_points(level):
 
 def atom_point(level, word, j=1):
     st = structure(level)
-    return geometry.apply_word(st.params, st.word_digits(word), st.atom_points[j - 1])
+    return geometry.apply_word(st.params, st.word_digits(word), st.atom_points[st.atom_index(j)])
 
 
 def atom_mass(level, word, j=1):
     """mu({p_{j,w}}): the base atom mass scaled by the digit weights."""
     st = structure(level)
-    return st.atom_base[j - 1] * st.word_weight(word)
+    return st.atom_base[st.atom_index(j)] * st.word_weight(word)
 
 
 def residual_mass(level, depth):
     """Exact measure of all atoms with |w| >= depth ((5/7)^d for SG_3)."""
-    st = structure(level)
-    return sum(st.weights.values()) ** depth
+    if depth < 0:
+        raise ContractViolation(f"depth must be >= 0, not {depth}")
+    return sum(structure(level).weights.values()) ** depth
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +223,7 @@ class HalfBoundaryData(CylinderData):
             else:
                 word, j = key, 1
             self.st.word_digits(word)
-            if not (1 <= j <= self.st.atom_count):
-                raise AddressError(f"atom index {j} out of range")
+            self.st.atom_index(j)
             self.atoms[(word, j)] = v
         if fn is not None and self.atoms:
             raise ContractViolation("callback data must not be mixed with structured data")
@@ -589,6 +595,8 @@ def dirichlet_to_neumann_sg(f, kmax):
         raise ContractViolation("f must carry its value at the accumulation corner q0")
     if f.fn is not None:
         raise ContractViolation("callback data: continuity at q0 cannot be certified")
+    if kmax < 0:
+        raise ContractViolation(f"kmax must be >= 0, not {kmax}")
     _check_q0_limit(f)
     ints = [integrate(f, "0" * k).value for k in range(kmax + 2)]
     a = [f.q1]

@@ -203,3 +203,33 @@ def test_upper_digit_outside_alphabet_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["solve", "--domain", "half-sg3", "--level", "1"],
+     {"schema": 1, "q1": "0", "q0": "1", "default_tail": "1"}),
+    (["solve", "--domain", "half-sg3", "--level", "1"],
+     {"schema": 1, "q0": "1", "default_tail": "1"}),
+    (["solve", "--domain", "lower", "--lambda", "1/2", "--level", "2"],
+     {"schema": 1, "q1": "0", "q2": "0", "cylinders": [{"w": "1", "v": "3"}, {"w": "2", "v": "1"}]}),
+    (["solve", "--domain", "lower", "--lambda", "1/2", "--level", "2"],
+     {"schema": 1, "cylinders": [{"w": "1", "v": "3"}, {"w": "2", "v": "1"}]}),
+])
+def test_rational_zero_corner_is_exact(tmp_path, capsys, argv, payload):
+    # a zero corner, given or left out, stays the Fraction 0 and prints as "0"
+    data = write_json(tmp_path / "z.json", payload)
+    code, out, _ = run(argv + ["--mode", "rational", "--data", data], capsys)
+    assert code == 0
+    values = [ln.rsplit(",", 1)[1] for ln in out.strip().splitlines()[1:]]
+    assert "0" in values
+    assert not [v for v in values if "." in v or "e" in v]
+
+
+def test_measure_half_labels_its_atom(capsys):
+    code, out, _ = run(["measure", "--domain", "half", "--l", "4", "--j", "2"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "atom_mass,,2,18/41"
+    for j in ("0", "-1", "3"):
+        code, out, err = run(["measure", "--domain", "half", "--l", "4", "--j", j], capsys)
+        assert (code, out) == (2, "")
+        assert f"atom index {j} out of range" in err

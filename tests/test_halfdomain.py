@@ -7,7 +7,7 @@ from gasketbvp import cylinder
 from gasketbvp import geometry as G
 from gasketbvp import halfdomain as HD
 from gasketbvp import oracle as O
-from gasketbvp.errors import ContractViolation
+from gasketbvp.errors import AddressError, ContractViolation
 
 F = Fraction
 
@@ -79,6 +79,31 @@ def test_atom_masses():
     # SG: mass(p_k) = 2 * 3^-(k+1)
     for k in range(4):
         assert HD.atom_mass(2, "0" * k) == 2 * F(1, 3) ** (k + 1)
+
+
+@pytest.mark.parametrize("level,j", [(4, 0), (4, -1), (4, 3), (3, 2), (3, 5)])
+def test_atom_index_out_of_range(level, j):
+    # j = 0 and j = -1 used to read the last atoms' masses from the end of the table
+    with pytest.raises(AddressError):
+        HD.atom_mass(level, "", j)
+    with pytest.raises(AddressError):
+        HD.atom_point(level, "", j)
+
+
+def test_atom_index_in_range():
+    assert HD.structure(4).atom_count == 2
+    assert HD.atom_mass(4, "", 2) == F(18, 41)
+    assert HD.atom_point(4, "", 2) != HD.atom_point(4, "", 1)
+
+
+def test_negative_depths_rejected():
+    # (5/7)^-1 = 7/5 would be a residual mass above 1
+    with pytest.raises(ContractViolation):
+        HD.residual_mass(3, -1)
+    f = HD.HalfBoundaryData(2, q1=0, atoms={"": F(1)}, default=F(0), q0=F(0))
+    with pytest.raises(ContractViolation):
+        HD.dirichlet_to_neumann_sg(f, -1)
+    assert HD.dirichlet_to_neumann_sg(f, 0).terms
 
 
 def test_residual_mass():
