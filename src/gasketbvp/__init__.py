@@ -6,9 +6,13 @@ graphs), `harmonic` (cell extension, energies, normal derivatives),
 domain family (`halfdomain`, `upperdomain`, `lowerdomain`) and the boundary
 data and recursion engine they share (`cylinder`).  `cli` is the
 command-line front end.
+
+`oracle` loads scipy, so it is imported on first use of `gasketbvp.oracle`.
 """
 
-from . import geometry, harmonic, oracle, cylinder, halfdomain, upperdomain, lowerdomain
+import importlib
+
+from . import geometry, harmonic, cylinder, halfdomain, upperdomain, lowerdomain
 
 __all__ = [
     "geometry",
@@ -21,3 +25,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name == "oracle":
+        return importlib.import_module(".oracle", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

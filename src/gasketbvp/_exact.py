@@ -1,7 +1,8 @@
 """The package's one exact linear solver: sparse elimination over Fraction,
 for the Gamma_1 harmonic extension, the SG_l (l >= 4) half-domain extend
 step and the rational-mode oracle.  Gasket graphs have tiny treewidth, so
-minimum-degree fill-in stays small; float mode goes through scipy instead.
+minimum-degree fill-in stays small; the float-mode oracle condenses over the
+cell hierarchy instead.
 """
 
 import heapq

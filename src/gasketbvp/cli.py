@@ -17,7 +17,7 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from . import geometry, halfdomain, lowerdomain, oracle, upperdomain
+from . import geometry, halfdomain, lowerdomain, upperdomain
 from .errors import AccuracyError, GasketError
 
 F = Fraction
@@ -141,11 +141,17 @@ def _solution_rows(fam, lam, f, g):
     return rows
 
 
-def cmd_solve(cfg, fam, lam):
-    dom = fam.domain(cfg.level, lam)
+def _refuse_rational(cfg, fam, lam):
     refused = cfg.mode == "rational" and fam.no_rational(lam)
     if refused:
         raise UsageError(refused)
+
+
+def cmd_solve(cfg, fam, lam):
+    from . import oracle  # scipy loads only for solve and compare
+
+    dom = fam.domain(cfg.level, lam)
+    _refuse_rational(cfg, fam, lam)
     # upper data stays exact here: its cut-line values print as fractions
     f = load_boundary_data(cfg.data_path, cfg.domain, cfg.mode, lam=lam, level=cfg.level)
     rows = _solution_rows(fam, lam, f, oracle.domain_restricted_graph(dom, cfg.depth).graph)
@@ -164,7 +170,10 @@ def cmd_solve(cfg, fam, lam):
 
 
 def cmd_compare(cfg, fam, lam):
+    from . import oracle  # scipy loads only for solve and compare
+
     dom = fam.domain(cfg.level, lam)
+    _refuse_rational(cfg, fam, lam)
     f = _data(cfg, fam, lam)
     frame = fam.frame(lam, f)
     base = oracle.domain_restricted_graph(dom, cfg.depth)
@@ -321,7 +330,7 @@ class Family(namedtuple("Family", ["data", "corners", "atoms", "lam", "domain", 
     domain       (level, lam) -> geometry descriptor
     evaluate     (lam, f, points) -> solution values, batched
     frame        (lam, f) -> root recursion frame
-    no_rational  lam -> why solve refuses rational mode, or None
+    no_rational  lam -> why solve and compare refuse rational mode, or None
     float_data   every command but solve reads the data as floats
     commands     the family's own commands: name -> (cfg, fam, lam) -> lines
     """
@@ -373,7 +382,7 @@ def build_parser():
         sp.add_argument("--domain",
                         choices=["half", "half-sg", "half-sg2", "half-sg3",
                                  "upper", "lower"])
-        sp.add_argument("--l", dest="level", type=int, default=3,
+        sp.add_argument("--l", dest="level", type=int,
                         help="gasket level for half domains (default 3)")
         sp.add_argument("--lambda", dest="lam",
                         help='cut parameter: "1/2" or a digit/bit program')
@@ -422,7 +431,12 @@ def _config_from_args(args):
     cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in taken})
     cfg.domain = cfg.domain or DEFAULT_DOMAINS.get(cfg.command)
     if cfg.domain in DOMAIN_ALIASES:
-        cfg.domain, cfg.level = DOMAIN_ALIASES[cfg.domain]
+        alias, (cfg.domain, level) = cfg.domain, DOMAIN_ALIASES[cfg.domain]
+        if cfg.level not in (None, level):
+            raise UsageError(f"--l {cfg.level} conflicts with the {alias} domain (l = {level})")
+        cfg.level = level
+    if cfg.level is None:
+        cfg.level = RunConfig.level
     if hasattr(args, "levels"):
         try:
             lo, hi = args.levels.split(":")

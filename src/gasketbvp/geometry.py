@@ -301,7 +301,9 @@ class Graph:
     """Level-m approximating graph (possibly restricted to a domain).
 
     Vertices carry exact coordinates verts[i] / l**m; rep_cell/rep_corner
-    give one (word, corner) address per vertex.
+    give one (word, corner) address per vertex.  Graphs from build_graph
+    also keep their level-m cells: the corner vertex ids of each (cells,
+    corner j at column j) and its word code (cell_codes, ascending).
     """
 
     params: GasketParams
@@ -310,6 +312,8 @@ class Graph:
     edges: np.ndarray          # (E, 2) int64 vertex ids
     rep_cell: np.ndarray       # (N,) int64 word encoded base map_count
     rep_corner: np.ndarray     # (N,) int8
+    cells: np.ndarray = None       # (C, 3) int64 vertex ids
+    cell_codes: np.ndarray = None  # (C,) int64 word encoded base map_count
     _index: VertexIndex = field(default=None, repr=False)
     _adj: object = field(default=None, repr=False)
 
@@ -347,22 +351,6 @@ class Graph:
             word.append(code % self.params.map_count)
             code //= self.params.map_count
         return VertexAddress(tuple(reversed(word)), int(self.rep_corner[i]))
-
-    def first_levels(self):
-        """Level at which each vertex first appears in V_*.
-
-        F_c fixes q_c, so F_w(q_c) = F_u(q_c) where u is w without its
-        trailing digits equal to c; that level is len(u).
-        """
-        code = self.rep_cell.copy()
-        corner = self.rep_corner.astype(np.int64)
-        trailing = np.zeros(len(code), dtype=np.int64)
-        run = np.ones(len(code), dtype=bool)
-        for _ in range(self.m):
-            code, digit = np.divmod(code, self.params.map_count)
-            run &= digit == corner
-            trailing += run
-        return self.m - trailing
 
     def neighbors(self, i):
         if self._adj is None:
@@ -465,7 +453,7 @@ def build_graph(params, m, cell_filter=None):
         [inverse[:, (0, 1)], inverse[:, (0, 2)], inverse[:, (1, 2)]], axis=0
     )
     e.sort(axis=1)
-    return Graph(params, m, verts, e, rep_cell, rep_corner)
+    return Graph(params, m, verts, e, rep_cell, rep_corner, inverse, cell_ids)
 
 
 # ---------------------------------------------------------------------------

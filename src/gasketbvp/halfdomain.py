@@ -533,6 +533,8 @@ def evaluate_many(f, vertices):
 def energy_form_Q(f, depth):
     """Partial sum of the boundary energy form Q(f), including squared
     increments from levels |w| < depth to their children."""
+    if depth < 0:
+        raise ContractViolation(f"depth must be >= 0, not {depth}")
     st = f.st
     js = range(1, st.atom_count + 1)
     total = 0

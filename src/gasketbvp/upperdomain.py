@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import cylinder, geometry
 from .cylinder import DEFAULT_DEPTH, CylinderData
-from .errors import AccuracyError, AddressError, ResolutionError
+from .errors import AccuracyError, AddressError, ContractViolation, ResolutionError
 from .geometry import Q0, gasket
 
 F = Fraction
@@ -505,6 +505,8 @@ def haar_expand(lam, f, depth):
 
     c_w^(j) = <f, psi_w^(j)> / <psi_w^(j), psi_w^(j)> reduces to simple
     combinations of cylinder means."""
+    if depth < 0:
+        raise ContractViolation(f"depth must be >= 0, not {depth}")
     b = integrate_upper(f).value
     coeffs = {}
     for word in cylinder.words(lambda k: word_alphabet(lam, k), depth - 1):

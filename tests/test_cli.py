@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import gasketbvp
 from gasketbvp import cli
 
 F = Fraction
@@ -233,3 +237,16 @@ def test_measure_half_labels_its_atom(capsys):
         code, out, err = run(["measure", "--domain", "half", "--l", "4", "--j", j], capsys)
         assert (code, out) == (2, "")
         assert f"atom index {j} out of range" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only solve and compare need the oracle, and so scipy
+    script = (
+        "import sys, gasketbvp, gasketbvp.cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "assert gasketbvp.oracle.solve and 'scipy' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(gasketbvp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

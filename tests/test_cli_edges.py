@@ -70,6 +70,24 @@ EDGES = [
      "rational mode needs dyadic lambda"),
     (["solve", *LOWER, "--mode", "rational", "--level", "1", "--data", "{lower}"], 0,
      "word,corner,x,y,value"),
+    (["compare", *UPPER, "--mode", "rational", "--levels", "2:3", "--data", "{upper}"], 2,
+     "upper-domain evaluation needs eta limits"),
+    (["compare", "--domain", "lower", "--lambda", "1/3", "--mode", "rational", "--levels", "2:3",
+      "--data", "{lower}"], 2, "rational mode needs dyadic lambda"),
+    (["compare", *LOWER, "--mode", "rational", "--levels", "2:3", "--targets-level", "1",
+      "--data", "{lower}"], 0, "level,max_abs,mean_abs"),
+    # a domain alias fixes l: an explicit --l must agree with it
+    (["solve", "--domain", "half-sg3", "--l", "4", "--data", "{half}"], 2,
+     "--l 4 conflicts with the half-sg3 domain (l = 3)"),
+    (["solve", "--domain", "half-sg3", "--l", "3", "--level", "1", "--data", "{half}"], 0,
+     "word,corner,x,y,value"),
+    (["measure", "--domain", "half-sg", "--l", "3"], 2, "--l 3 conflicts with the half-sg domain (l = 2)"),
+    (["dtn", "--l", "3", "--data", "{half}"], 2, "--l 3 conflicts with the half-sg domain (l = 2)"),
+    (["dtn", "--l", "2", "--data", "{half}", "--kmax", "3"], 0, "k,term,partial_sum"),
+    # negative depths
+    (["energy", "--domain", "half-sg3", "--depth", "-1", "--data", "{half}"], 2, "depth must be >= 0"),
+    (["energy", *UPPER, "--depth", "-1", "--data", "{upper}"], 2, "depth must be >= 0"),
+    (["haar", "--lambda", "1", "--depth", "-1", "--data", "{upper}"], 2, "depth must be >= 0"),
     # commands without a domain
     (["eta"], 2, "eta is for upper or lower domains"),
     (["measure"], 2, "measure is for half, upper or lower domains"),

@@ -225,21 +225,6 @@ def test_vertex_lookup_misses():
         g.vertex_id((F(3), F(0)))
 
 
-def test_first_levels_match_coarser_graphs():
-    for l, m in ((2, 4), (3, 3)):
-        p = G.gasket(l)
-        g = G.build_graph(p, m)
-        coarse = [G.build_graph(p, k).index() for k in range(m + 1)]
-        for i, level in enumerate(g.first_levels().tolist()):
-            x, y = (int(c) for c in g.verts[i])
-            first = next(
-                k for k in range(m + 1)
-                if x % l ** (m - k) == 0 and y % l ** (m - k) == 0
-                and (x // l ** (m - k), y // l ** (m - k)) in coarse[k]
-            )
-            assert level == first
-
-
 # ---------------------------------------------------------------------------
 # integer point location against a Fraction-barycentric reference
 

@@ -268,6 +268,11 @@ def test_energy_form_q():
     assert qs[2] == qs[3] == qs[4]  # cylinder-constant at depth 2
 
 
+def test_energy_form_q_rejects_negative_depth():
+    with pytest.raises(ContractViolation, match="depth must be >= 0"):
+        HD.energy_form_Q(ha_data(), -1)
+
+
 def test_domain_energy_against_gauss_green():
     # E_{O_m}(h_a, u) converges to 3 f(q1) - 3 int f inside the
     # geometric envelope (30/7)(5/7)^(m-1) ||f||

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketbvp import geometry as G
 from gasketbvp import harmonic as H
@@ -150,3 +152,57 @@ def test_float_matches_rational_on_domain_skeletons(domain, m):
     bmask = np.zeros(sk.graph.n_vertices(), dtype=bool)
     bmask[sk.boundary_ids] = True
     assert O.matching_residuals(sk.graph, vals, bmask) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# float condensation against exact elimination on random cell sets
+
+# a fault in how siblings share a slot shows only on m >= 2 graphs whose
+# cells leave some corner untouched, so more examples than test_cylinder's
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def random_problems(draw):
+    """A level-m graph of SG_l restricted to a random set of cells, with a
+    random nonempty boundary set and Fraction values on it."""
+    level = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(1, 3))
+    density = draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cell_filter(corners):
+        keep = rng.random(len(corners)) < density
+        keep[rng.integers(len(corners))] = True
+        return keep
+
+    graph = G.build_graph(G.gasket(level), m, cell_filter)
+    n = graph.n_vertices()
+    ids = rng.choice(n, size=rng.integers(1, n // 3 + 2), replace=False)
+    values = [F(int(k), 7) for k in rng.integers(-50, 51, len(ids))]
+    return O.DirichletProblem(graph, ids, values)
+
+
+@PROPERTY_SETTINGS
+@given(problem=random_problems())
+def test_float_condensation_matches_rational_on_random_cells(problem):
+    try:
+        exact = O.solve(problem, mode="rational")
+    except SolvabilityError:
+        with pytest.raises(SolvabilityError):
+            O.solve(problem, mode="float")
+        return
+    vals = O.solve(problem, mode="float")
+    assert max(abs(v - float(e)) for v, e in zip(vals, exact)) <= 1e-10
+    bmask = np.zeros(problem.graph.n_vertices(), dtype=bool)
+    bmask[problem.boundary_ids] = True
+    assert O.matching_residuals(problem.graph, vals, bmask) <= 1e-10
+
+
+def test_float_mode_needs_the_cells():
+    g = G.build_graph(G.gasket(2), 2)
+    bare = G.Graph(g.params, g.m, g.verts, g.edges, g.rep_cell, g.rep_corner)
+    problem = O.DirichletProblem(bare, np.array([0]), [1.0])
+    with pytest.raises(ContractViolation, match="cells"):
+        O.solve(problem, mode="float")
+    assert O.solve(problem, mode="rational") == [F(1)] * g.n_vertices()

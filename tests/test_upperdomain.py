@@ -276,6 +276,15 @@ def test_haar_zero_mean_and_expand():
     assert coeffs[("", 2)] == pytest.approx(0.5)
 
 
+def test_haar_and_energy_reject_negative_depth():
+    lam1 = UP.TriadicLambda(1)
+    f = UP.UpperBoundaryData(lam1, q0=0.0, cylinders={"1": 1.0}, default=0.0)
+    with pytest.raises(ContractViolation, match="depth must be >= 0"):
+        UP.haar_expand(lam1, f, -1)
+    with pytest.raises(ContractViolation, match="depth must be >= 0"):
+        UP.energy_estimate_upper(lam1, f.q0, f, -1)
+
+
 def test_haar_reconstruction_random():
     rng = random.Random(6)
     for lam in (UP.TriadicLambda(1), lam_mixed_program()):
