@@ -4,6 +4,8 @@ Everything lives on exact rational coordinates (q0=(1,2), q1=(0,0),
 q2=(2,0)), so vertex identity and domain membership never touch floats.
 """
 
+import os
+import tempfile
 from fractions import Fraction
 
 from gasketbvp import geometry as G
@@ -42,8 +44,10 @@ for name, addr in (
 print()
 print("Exporting the level-2 graph of the half domain as CSV:")
 g = G.domain_graph(half, 2)
-G.export_graph_csv(g, "/tmp/half_edges.csv", "/tmp/half_vertices.csv")
-with open("/tmp/half_vertices.csv") as fh:
-    for line in fh.readlines()[:5]:
-        print("  " + line.rstrip())
+with tempfile.TemporaryDirectory() as tmp:
+    vertices = os.path.join(tmp, "half_vertices.csv")
+    G.export_graph_csv(g, os.path.join(tmp, "half_edges.csv"), vertices)
+    with open(vertices) as fh:
+        for line in fh.readlines()[:5]:
+            print("  " + line.rstrip())
 print("  ...")

@@ -17,7 +17,7 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from . import geometry, halfdomain, lowerdomain, upperdomain
+from . import cylinder, geometry, halfdomain, lowerdomain, upperdomain
 from .errors import AccuracyError, GasketError
 
 F = Fraction
@@ -128,14 +128,14 @@ def _emit(lines, out):
 # commands of every family; each returns its output lines
 
 
-def _solution_rows(fam, lam, f, g):
+def _solution_rows(frame, f, g):
     """(word, corner, x, y, value) at every vertex of g, ordered by (x, y);
     a function of its own so that the order and the points are freed
     before the output is formatted."""
     order = sorted(range(g.n_vertices()), key=lambda i: (int(g.verts[i][0]), int(g.verts[i][1])))
     points = [g.point(i) for i in order]
     rows = []
-    for i, (x, y), v in zip(order, points, fam.evaluate(lam, f, points)):
+    for i, (x, y), v in zip(order, points, cylinder.evaluate(frame, f, points)):
         a = g.address(i)
         rows.append((geometry.word_to_str(a.word), a.corner, x, y, v))
     return rows
@@ -148,13 +148,12 @@ def _refuse_rational(cfg, fam, lam):
 
 
 def cmd_solve(cfg, fam, lam):
-    from . import oracle  # scipy loads only for solve and compare
-
-    dom = fam.domain(cfg.level, lam)
+    frame = fam.frame(cfg.level, lam)
+    dom = frame.domain
     _refuse_rational(cfg, fam, lam)
     # upper data stays exact here: its cut-line values print as fractions
     f = load_boundary_data(cfg.data_path, cfg.domain, cfg.mode, lam=lam, level=cfg.level)
-    rows = _solution_rows(fam, lam, f, oracle.domain_restricted_graph(dom, cfg.depth).graph)
+    rows = _solution_rows(frame, f, geometry.domain_graph(dom, cfg.depth))
     if cfg.fmt == "json":
         payload = {
             "schema": SCHEMA,
@@ -170,15 +169,15 @@ def cmd_solve(cfg, fam, lam):
 
 
 def cmd_compare(cfg, fam, lam):
-    from . import oracle  # scipy loads only for solve and compare
+    from . import oracle  # scipy loads only for compare
 
-    dom = fam.domain(cfg.level, lam)
+    frame = fam.frame(cfg.level, lam)
+    dom = frame.domain
     _refuse_rational(cfg, fam, lam)
     f = _data(cfg, fam, lam)
-    frame = fam.frame(lam, f)
-    base = oracle.domain_restricted_graph(dom, cfg.depth)
-    targets = [base.graph.point(i) for i in range(base.graph.n_vertices())]
-    exact = dict(zip(targets, fam.evaluate(lam, f, targets)))
+    base = geometry.domain_graph(dom, cfg.depth)
+    targets = [base.point(i) for i in range(base.n_vertices())]
+    exact = dict(zip(targets, cylinder.evaluate(frame, f, targets)))
     lines, maxes = ["level,max_abs,mean_abs"], []
     levels = list(range(cfg.levels[0], cfg.levels[1] + 1))
     for m in levels:
@@ -320,16 +319,15 @@ def _measure_lower(cfg, fam, lam):
 # the domain families
 
 
-class Family(namedtuple("Family", ["data", "corners", "atoms", "lam", "domain", "evaluate",
-                                   "frame", "no_rational", "float_data", "commands"])):
+class Family(namedtuple("Family", ["data", "corners", "atoms", "lam", "frame", "no_rational",
+                                   "float_data", "commands"])):
     """What the command line knows of one domain family:
     data         boundary-data class: (lambda, or the level without one, **kwargs)
     corners      its JSON corner keys and their defaults
     atoms        whether the data may list atoms
     lam          --lambda parser, None when the family has no lambda
-    domain       (level, lam) -> geometry descriptor
-    evaluate     (lam, f, points) -> solution values, batched
-    frame        (lam, f) -> root recursion frame
+    frame        (level, lam) -> root recursion frame; its `domain` is the
+                 geometry descriptor
     no_rational  lam -> why solve and compare refuse rational mode, or None
     float_data   every command but solve reads the data as floats
     commands     the family's own commands: name -> (cfg, fam, lam) -> lines
@@ -339,25 +337,19 @@ class Family(namedtuple("Family", ["data", "corners", "atoms", "lam", "domain", 
 FAMILIES = {
     "half": Family(
         halfdomain.HalfBoundaryData, {"q1": 0, "q0": None}, True, None,
-        lambda level, lam: geometry.HalfDomain(level),
-        lambda lam, f, points: halfdomain.evaluate_many(f, points),
-        lambda lam, f: f.st.frame,
+        lambda level, lam: halfdomain.structure(level).frame,
         lambda lam: None, False,
         {"measure": _measure_half, "energy": _energy_half, "dtn": _dtn},
     ),
     "upper": Family(
         upperdomain.UpperBoundaryData, {"q0": 0}, False, upperdomain.TriadicLambda.parse,
-        lambda level, lam: geometry.UpperDomain(cut_y=lam.cut_height()),
-        upperdomain.evaluate_upper_many,
-        lambda lam, f: upperdomain.UpperFrame(lam),
+        lambda level, lam: upperdomain.UpperFrame(lam),
         lambda lam: "upper-domain evaluation needs eta limits: use float mode", True,
         {"eta": _eta_upper, "measure": _measure_upper, "energy": _energy_upper, "haar": _haar},
     ),
     "lower": Family(
         lowerdomain.LowerBoundaryData, {"q1": 0, "q2": 0}, False, lowerdomain.BinaryLambda.parse,
-        lambda level, lam: geometry.LowerDomain(cut_y=lam.cut_height()),
-        lowerdomain.evaluate_lower_many,
-        lambda lam, f: lowerdomain.LowerFrame(lam),
+        lambda level, lam: lowerdomain.LowerFrame(lam),
         lambda lam: None if lam.dyadic else "rational mode needs dyadic lambda (eta limits are irrational)",
         False,
         {"eta": _eta_lower, "measure": _measure_lower},
@@ -445,6 +437,9 @@ def _config_from_args(args):
             raise UsageError(f"bad --levels {args.levels!r}, expected lo:hi") from exc
         if cfg.levels[0] > cfg.levels[1]:
             raise UsageError(f"empty --levels {args.levels!r}: lo must not exceed hi")
+        if cfg.levels[0] < cfg.depth:
+            raise UsageError(f"--levels {args.levels!r} starts below --targets-level {cfg.depth}:"
+                             " every target must be a vertex of each oracle level")
     return cfg
 
 

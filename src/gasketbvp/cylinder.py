@@ -8,10 +8,12 @@ sub-copy F_d(domain) that carries shifted data, where the same step
 recurses.  `CylinderData` is the data on X; a family's *frame* is its domain
 at one recursion node.  `route`, `cut_value`, `integrate`, `energy` and
 `words` are the only recursions over cylinder words; the formulas stay in
-the families' extend steps and in `harmonic`.
+the families' extend steps and in `harmonic`.  `evaluate` is `route` behind
+the check that every point lies in the root frame's domain.
 
 A frame provides
     level, params     the gasket SG_level the domain lives in
+    domain            its geometry.Domain (read at the root frame only)
     name, slots       for error messages; the corners q_s whose values
                       F_d(q_s) the data of a sub-copy carries
     dilate()          (frame, n) when the domain lies in F_0^n of the
@@ -44,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import geometry, harmonic
-from .errors import AddressError, ContractViolation
+from .errors import AddressError, ContractViolation, ResolutionError
 
 Integral = namedtuple("Integral", ["value", "tail_bound"])
 
@@ -242,6 +244,18 @@ def route(frame, f, points):
         for d, group in copies.items():
             stack.append((frame.shift(d), _copy_data(frame, f, values, d), group, depth - 1))
     return out
+
+
+def evaluate(frame, f, vertices):
+    """Values at the vertices (VertexAddresses or exact points) of the
+    solution with data f on the frame's domain, in order; a vertex outside
+    the closed domain raises ResolutionError."""
+    domain = frame.domain
+    points = [geometry.exact_point(frame.params, v) for v in vertices]
+    for p in points:
+        if geometry.classify_boundary(domain, p) == geometry.OUTSIDE:
+            raise ResolutionError(f"{p} lies outside the closed {frame.name}")
+    return route(frame, f, points)
 
 
 def cut_value(frame, f, p, max_depth=DEFAULT_DEPTH):

@@ -42,7 +42,11 @@ def word_to_str(word):
 
 
 def word_from_str(s):
-    return tuple(WORD_CHARS.index(ch) for ch in s)
+    """The digits of a word written in WORD_CHARS."""
+    digits = tuple(WORD_CHARS.find(ch) for ch in s)
+    if -1 in digits:
+        raise AddressError(f"word {s!r}: {s[digits.index(-1)]!r} is not a digit (0-9, a-z)")
+    return digits
 
 
 @dataclass(frozen=True)
@@ -461,38 +465,36 @@ def build_graph(params, m, cell_filter=None):
 
 
 @dataclass(frozen=True)
-class HalfDomain:
-    """Left half of SG_l cut along the vertical symmetry line x = 1."""
+class Domain:
+    """SG_level on one side of a straight cut: the points whose coordinate
+    number `axis` (0 for x, 1 for y) is at most `cut` (side -1) or at least
+    `cut` (side +1).  Its boundary is the V_0 corners q_c for c in
+    `corners` plus the Cantor set on the cut line."""
 
     level: int
+    axis: int
+    cut: Fraction
+    side: int
+    corners: tuple
 
     @property
     def params(self):
         return gasket(self.level)
 
 
-@dataclass(frozen=True)
-class UpperDomain:
-    """Part of SG_3 strictly above the horizontal line y = cut_y."""
-
-    cut_y: Fraction
-    level: int = 3
-
-    @property
-    def params(self):
-        return gasket(self.level)
+def HalfDomain(level):
+    """Left half of SG_l cut along the vertical symmetry line x = 1."""
+    return Domain(level, 0, Fraction(1), -1, (1,))
 
 
-@dataclass(frozen=True)
-class LowerDomain:
-    """Part of SG strictly below the horizontal line y = cut_y."""
+def UpperDomain(cut_y, level=3):
+    """Part of SG_3 above the horizontal line y = cut_y."""
+    return Domain(level, 1, Fraction(cut_y), 1, (0,))
 
-    cut_y: Fraction
-    level: int = 2
 
-    @property
-    def params(self):
-        return gasket(self.level)
+def LowerDomain(cut_y, level=2):
+    """Part of SG below the horizontal line y = cut_y."""
+    return Domain(level, 1, Fraction(cut_y), -1, (1, 2))
 
 
 INTERIOR = "interior"
@@ -510,48 +512,44 @@ def classify_boundary(domain, vertex):
         p = (Fraction(vertex[0]), Fraction(vertex[1]))
         if not cells_containing(params, p):
             raise AddressError(f"{p} lies outside the gasket")
-    if isinstance(domain, HalfDomain):
-        if p == Q1:
-            return CORNER
-        if p[0] == 1:
-            return CANTOR
-        return INTERIOR if p[0] < 1 else OUTSIDE
-    if isinstance(domain, UpperDomain):
-        if p == Q0:
-            return CORNER
-        if p[1] == domain.cut_y:
-            return CANTOR
-        return INTERIOR if p[1] > domain.cut_y else OUTSIDE
-    if isinstance(domain, LowerDomain):
-        if p == Q1 or p == Q2:
-            return CORNER
-        if p[1] == domain.cut_y:
-            return CANTOR
-        return INTERIOR if p[1] < domain.cut_y else OUTSIDE
-    raise ResolutionError(f"unknown domain descriptor {domain!r}")
+    if any(p == CORNERS[c] for c in domain.corners):
+        return CORNER
+    offset = (p[domain.axis] - domain.cut) * domain.side
+    if offset == 0:
+        return CANTOR
+    return INTERIOR if offset > 0 else OUTSIDE
 
 
 def contained_cell_filter(domain, m):
-    """Mask of level-m cells contained in the domain closure (corner test)."""
-    params = domain.params
-    s = params.level ** m
+    """Mask of level-m cells contained in the domain closure (corner test).
+    Corner coordinates are integers, so the scaled cut rounds inwards."""
+    cut = domain.cut * domain.params.level ** m
 
     def filt(corners):
-        if isinstance(domain, HalfDomain):
-            return (corners[:, :, 0] <= s).all(axis=1)
-        num, den = domain.cut_y.numerator, domain.cut_y.denominator
-        ys = corners[:, :, 1] * np.int64(den)
-        bound = np.int64(num) * s
-        if isinstance(domain, UpperDomain):
-            return (ys >= bound).all(axis=1)
-        return (ys <= bound).all(axis=1)
+        coord = corners[:, :, domain.axis]
+        inside = coord <= math.floor(cut) if domain.side < 0 else coord >= math.ceil(cut)
+        return inside.all(axis=1)
 
     return filt
 
 
 def domain_graph(domain, m):
     """Level-m graph of the cells contained in the domain closure."""
+    if m < 1:
+        raise ResolutionError("domain restriction needs m >= 1")
     return build_graph(domain.params, m, contained_cell_filter(domain, m))
+
+
+def boundary_masks(domain, graph):
+    """(cantor, corner): masks of the vertices of a domain graph that lie on
+    the cut line, and of those at the domain's boundary corners."""
+    s = graph.scale
+    corner = np.zeros(graph.n_vertices(), dtype=bool)
+    for c in domain.corners:
+        corner |= (graph.verts == np.array(CORNERS_INT[c]) * s).all(axis=1)
+    cut = domain.cut
+    cantor = graph.verts[:, domain.axis] * cut.denominator == cut.numerator * s
+    return cantor & ~corner, corner
 
 
 # ---------------------------------------------------------------------------

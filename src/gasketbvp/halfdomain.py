@@ -455,6 +455,7 @@ class HalfFrame(cylinder.Frame):
         self.st = st
         self.level = st.level
         self.params = st.params
+        self.domain = geometry.HalfDomain(st.level)
         self.ratio = 1 / st.r
         self._children = [(i, st.weights[i], self) for i in st.alphabet]
 
@@ -518,12 +519,7 @@ def evaluate(f, v):
 def evaluate_many(f, vertices):
     """Values at the vertices (as for `evaluate`) of the solution with data
     f, in order, all routed through the recursion at once."""
-    half = geometry.HalfDomain(f.level)
-    points = [geometry.exact_point(f.st.params, v) for v in vertices]
-    for p in points:
-        if geometry.classify_boundary(half, p) == geometry.OUTSIDE:
-            raise ResolutionError(f"{p} is outside the closed half domain")
-    return cylinder.route(f.st.frame, f, points)
+    return cylinder.evaluate(f.st.frame, f, vertices)
 
 
 # ---------------------------------------------------------------------------

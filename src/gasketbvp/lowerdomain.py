@@ -289,8 +289,7 @@ def transfer_matrix(lam, word):
     matrix sits leftmost, so each appended digit multiplies on the left."""
     m = ((1, 0), (0, 1))
     cur = lam
-    for k, ch in enumerate(word, start=1):
-        d = int(ch)
+    for k, d in enumerate(geometry.word_from_str(word), start=1):
         if d not in word_alphabet(lam, k):
             raise AddressError(f"digit {d} at position {k} conflicts with lambda")
         m = _matmul(single_matrix(cur, d), m)
@@ -413,6 +412,10 @@ class LowerFrame(cylinder.Frame):
         self.column = column
         self.matrix = matrix
 
+    @property
+    def domain(self):
+        return geometry.LowerDomain(cut_y=self.lam.cut_height())
+
     def terminal(self, f, p):
         if p == Q1:
             return f.q1
@@ -468,12 +471,7 @@ def evaluate_lower(lam, f, v):
 def evaluate_lower_many(lam, f, vertices):
     """Values at the vertices (as for `evaluate_lower`), in order, all routed
     through the recursion at once."""
-    points = [geometry.exact_point(gasket(2), v) for v in vertices]
-    cut = lam.cut_height()
-    for p in points:
-        if p[1] > cut:
-            raise ResolutionError(f"{p} lies above the cut line")
-    return cylinder.route(LowerFrame(lam), f, points)
+    return cylinder.evaluate(LowerFrame(lam), f, vertices)
 
 
 def gauss_green_telescope(lam, hq1, hq2, m):

@@ -236,7 +236,7 @@ class DomainSkeleton:
     """Vertex set of the level-m cells contained in a domain closure, with
     the classified boundary subset (the discrete counterpart of O_m/A_m)."""
 
-    domain: object
+    domain: geometry.Domain
     graph: geometry.Graph
     boundary_ids: np.ndarray
     boundary_kinds: tuple  # CANTOR / CORNER per boundary id
@@ -248,27 +248,10 @@ class DomainSkeleton:
 
 def domain_restricted_graph(domain, m):
     """Assemble the truncated Dirichlet skeleton of a domain at level m."""
-    if m < 1:
-        raise geometry.ResolutionError("domain restriction needs m >= 1")
     graph = geometry.domain_graph(domain, m)
-    s = graph.scale
-    xs, ys = graph.verts[:, 0], graph.verts[:, 1]
-    if isinstance(domain, geometry.HalfDomain):
-        cantor = xs == s
-        corner = (xs == 0) & (ys == 0)
-    else:
-        num, den = domain.cut_y.numerator, domain.cut_y.denominator
-        cantor = ys * den == num * s
-        if isinstance(domain, geometry.UpperDomain):
-            corner = (xs == s) & (ys == 2 * s)
-            cantor &= ~corner
-        else:
-            corner = ((xs == 0) | (xs == 2 * s)) & (ys == 0)
-            cantor &= ~corner
+    cantor, corner = geometry.boundary_masks(domain, graph)
     bids = np.flatnonzero(cantor | corner)
-    kinds = tuple(
-        geometry.CORNER if corner[i] else geometry.CANTOR for i in bids
-    )
+    kinds = tuple(geometry.CORNER if corner[i] else geometry.CANTOR for i in bids)
     return DomainSkeleton(domain, graph, bids, kinds)
 
 

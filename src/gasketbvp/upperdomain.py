@@ -271,8 +271,7 @@ def cylinder_mass(lam, word):
     """mu^lambda(X_w) as the product of per-level weights along w."""
     mass = 1.0
     cur = lam
-    for ch in word:
-        d = geometry.WORD_CHARS.index(ch)
+    for d in geometry.word_from_str(word):
         weights = measure_weights(cur)
         if d not in weights:
             raise AddressError(f"digit {d} invalid at this level (iota={cur.iota1})")
@@ -416,6 +415,10 @@ class UpperFrame(cylinder.Frame):
             lam, n = lam.dilate(), n + 1
         return UpperFrame(lam), n
 
+    @property
+    def domain(self):
+        return geometry.UpperDomain(cut_y=self.lam.cut_height())
+
     def terminal(self, f, p):
         if p == Q0:
             return float(f.q0)
@@ -458,12 +461,7 @@ def evaluate_upper(lam, f, v):
 def evaluate_upper_many(lam, f, vertices):
     """Values at the vertices (as for `evaluate_upper`), in order, all routed
     through the recursion at once."""
-    points = [geometry.exact_point(gasket(3), v) for v in vertices]
-    cut = lam.cut_height()
-    for p in points:
-        if p[1] < cut:
-            raise ResolutionError(f"{p} lies below the cut line")
-    return cylinder.route(UpperFrame(lam), f, points)
+    return cylinder.evaluate(UpperFrame(lam), f, vertices)
 
 
 def boundary_value_at_upper(lam, f, p, max_depth=DEFAULT_DEPTH):
@@ -527,9 +525,8 @@ def haar_reconstruct(lam, b, coeffs, word):
     """Value on the cylinder X_word of b + sum c_w psi_w (partial series)."""
     total = b
     cur = lam
-    for n in range(len(word)):
-        prefix, ch = word[:n], word[n]
-        d = geometry.WORD_CHARS.index(ch)
+    for n, d in enumerate(geometry.word_from_str(word)):
+        prefix = word[:n]
         if (prefix, 1) in coeffs:
             total += coeffs[(prefix, 1)] * haar_psi(cur, 1)[d]
         if (prefix, 2) in coeffs:

@@ -239,14 +239,35 @@ def test_measure_half_labels_its_atom(capsys):
         assert f"atom index {j} out of range" in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only solve and compare need the oracle, and so scipy
-    script = (
-        "import sys, gasketbvp, gasketbvp.cli\n"
-        "assert 'scipy' not in sys.modules\n"
-        "assert gasketbvp.oracle.solve and 'scipy' in sys.modules\n"
-    )
+def run_python(script):
     src = os.path.dirname(os.path.dirname(gasketbvp.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only compare needs the oracle, and so scipy
+    run_python(
+        "import sys, gasketbvp, gasketbvp.cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "assert gasketbvp.oracle.solve and 'scipy' in sys.modules\n"
+    )
+
+
+def test_solve_leaves_scipy_unloaded(tmp_path, half_data):
+    # solve takes its vertices from geometry, not from the oracle
+    upper = write_json(tmp_path / "u.json", {"schema": 1, "q0": "1", "default_tail": "0"})
+    lower = write_json(tmp_path / "l.json", {"schema": 1, "q1": "1", "q2": "0", "default_tail": "0"})
+    out = str(tmp_path / "out.csv")
+    runs = [
+        ["--domain", "half-sg3", "--data", half_data],
+        ["--domain", "upper", "--lambda", "1", "--data", upper],
+        ["--domain", "lower", "--lambda", "1/2", "--data", lower],
+    ]
+    run_python(
+        "import sys\nfrom gasketbvp import cli\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert cli.main(['solve', '--level', '2', '--out', {out!r}, *argv]) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )

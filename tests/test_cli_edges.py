@@ -55,6 +55,10 @@ EDGES = [
     # half-domain measure inputs (--l 4 --j 0, -1 and 2 are in test_cli.py)
     (["measure", "--domain", "half", "--l", "3", "--j", "5"], 2, "atom index 5 out of range"),
     (["measure", "--domain", "half", "--depth", "-1"], 2, "depth must be >= 0"),
+    # measure words go through one parser
+    (["measure", "--domain", "half-sg3", "--word", "!"], 2, "word '!': '!' is not a digit"),
+    (["measure", *UPPER, "--word", "A"], 2, "word 'A': 'A' is not a digit"),
+    (["measure", *LOWER, "--word", "a"], 2, "digit 10 at position 1 conflicts with lambda"),
     # lambda missing or out of range
     (["eta", "--domain", "upper"], 2, "--lambda is required for upper domains"),
     (["solve", "--domain", "lower", "--data", "{lower}"], 2, "--lambda is required for lower domains"),
@@ -100,6 +104,8 @@ EDGES = [
     # level ranges
     (["compare", "--domain", "half-sg", "--levels", "5:3", "--data", "{half}"], 2, "empty --levels '5:3'"),
     (["compare", "--domain", "half-sg", "--levels", "3", "--data", "{half}"], 2, "bad --levels '3'"),
+    (["compare", "--domain", "half-sg3", "--levels", "1:3", "--data", "{half}"], 2,
+     "--levels '1:3' starts below --targets-level 2"),
 ]
 
 

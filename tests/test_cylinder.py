@@ -14,7 +14,7 @@ from gasketbvp import cylinder, geometry, harmonic, oracle
 from gasketbvp import halfdomain as HD
 from gasketbvp import lowerdomain as LD
 from gasketbvp import upperdomain as UP
-from gasketbvp.errors import ContractViolation
+from gasketbvp.errors import ContractViolation, ResolutionError
 
 F = Fraction
 
@@ -328,6 +328,32 @@ def skeleton_points(name):
     _, _, domain, m, *_ = _route_case(name)
     g = oracle.domain_restricted_graph(domain, m).graph
     return tuple(g.point(i) for i in range(g.n_vertices()))
+
+
+@pytest.mark.parametrize("name", ROUTE_CASES)
+def test_domain_readers_agree(name):
+    """The frame's domain, classify_boundary, the skeleton's boundary and
+    the evaluators' domain check read one descriptor: no skeleton vertex is
+    outside, the boundary ids are exactly its cut-line and corner vertices,
+    and the batched evaluator rejects every gasket vertex outside."""
+    make, _, domain, m, _, frame, _, many = _route_case(name)
+    assert frame.domain == domain
+    sk = oracle.domain_restricted_graph(domain, m)
+    kinds = [geometry.classify_boundary(domain, sk.graph.point(i))
+             for i in range(sk.graph.n_vertices())]
+    assert geometry.OUTSIDE not in kinds
+    assert dict(zip(sk.boundary_ids.tolist(), sk.boundary_kinds)) == {
+        i: k for i, k in enumerate(kinds) if k != geometry.INTERIOR}
+    assert len(sk.boundary_kinds) == len(set(sk.boundary_ids.tolist()))
+    full = geometry.build_graph(domain.params, m)
+    outside = [p for p in map(full.point, range(full.n_vertices()))
+               if geometry.classify_boundary(domain, p) == geometry.OUTSIDE]
+    # lambda = 1 cuts the upper domain at y = 0, so it is the whole gasket
+    assert bool(outside) == (name != "upper:1")
+    f = make({}, 0, 0)
+    for p in outside:
+        with pytest.raises(ResolutionError, match="lies outside the closed"):
+            many(f, [p])
 
 
 @pytest.mark.parametrize("name", ROUTE_CASES)

@@ -141,6 +141,7 @@ def test_values_csv_bad_header(tmp_path):
 @pytest.mark.parametrize("domain,m", [
     (G.HalfDomain(3), 4),
     (G.LowerDomain(cut_y=F(1)), 6),  # lambda = 1/2
+    (G.UpperDomain(cut_y=F(2, 3)), 4),  # lambda = 2/3
 ])
 def test_float_matches_rational_on_domain_skeletons(domain, m):
     sk = O.domain_restricted_graph(domain, m)
