@@ -7,7 +7,8 @@ domain family (`halfdomain`, `upperdomain`, `lowerdomain`) and the boundary
 data and recursion engine they share (`cylinder`).  `cli` is the
 command-line front end.
 
-`oracle` loads scipy, so it is imported on first use of `gasketbvp.oracle`.
+`oracle` is imported on first use of `gasketbvp.oracle`: only `compare`
+pays for its import.
 """
 
 import importlib

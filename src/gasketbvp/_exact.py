@@ -1,8 +1,7 @@
-"""The package's one exact linear solver: sparse elimination over Fraction,
-for the Gamma_1 harmonic extension, the SG_l (l >= 4) half-domain extend
-step and the rational-mode oracle.  Gasket graphs have tiny treewidth, so
-minimum-degree fill-in stays small; the float-mode oracle condenses over the
-cell hierarchy instead.
+"""The package's one exact sparse solver: elimination over Fraction, for the
+Gamma_1 harmonic extension and the SG_l (l >= 4) half-domain extend step.
+Gasket graphs have tiny treewidth, so minimum-degree fill-in stays small.
+The oracle condenses over the cell hierarchy instead, in both modes.
 """
 
 import heapq
@@ -10,7 +9,7 @@ from fractions import Fraction
 
 from .errors import SolvabilityError
 
-# checked by the oracle against the unknown count, before it builds any row
+# rational-mode oracle: checked against the unknown count before any work
 EXACT_UNKNOWN_CAP = 5000
 
 

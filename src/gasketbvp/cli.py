@@ -169,7 +169,7 @@ def cmd_solve(cfg, fam, lam):
 
 
 def cmd_compare(cfg, fam, lam):
-    from . import oracle  # scipy loads only for compare
+    from . import oracle  # only compare imports the oracle
 
     frame = fam.frame(cfg.level, lam)
     dom = frame.domain

@@ -190,7 +190,7 @@ def _copy_data(frame, f, values, d):
     return f.shifted(d, *(values[corners[s]] for s in frame.slots))
 
 
-def route(frame, f, points):
+def route(frame, f, points, s, batch):
     """Values at the exact points of the solution with data f, in order.
 
     At each recursion node a point is a boundary value (`terminal`), a V_1
@@ -198,12 +198,12 @@ def route(frame, f, points):
     the harmonic extension, or else goes on into the first sub-copy
     containing it.  All points of one node share its extend step, its
     sub-copies' data and one cell descent per full cell.  Points are held
-    as integers over their common denominator (`geometry.scaled`), and
-    nodes wait on a stack, so each point is held at one node only."""
+    as integers over their common denominator: `batch` is
+    `geometry.scaled(points)` with denominator s.  Nodes wait on a stack,
+    so each point is held at one node only."""
     params = frame.params
     l = params.level
     corners = cell_corners(frame.level)
-    s, batch = geometry.scaled(points)
     shifts = geometry.unapply_shifts(params, s)
     out = [None] * len(points)
     stack = [(frame, f, batch, MAX_RECURSION)]
@@ -248,14 +248,18 @@ def route(frame, f, points):
 
 def evaluate(frame, f, vertices):
     """Values at the vertices (VertexAddresses or exact points) of the
-    solution with data f on the frame's domain, in order; a vertex outside
-    the closed domain raises ResolutionError."""
-    domain = frame.domain
-    points = [geometry.exact_point(frame.params, v) for v in vertices]
-    for p in points:
-        if geometry.classify_boundary(domain, p) == geometry.OUTSIDE:
-            raise ResolutionError(f"{p} lies outside the closed {frame.name}")
-    return route(frame, f, points)
+    solution with data f on the frame's domain, in order; a point off the
+    gasket raises AddressError, and one outside the closed domain
+    ResolutionError."""
+    params = frame.params
+    points = [geometry.exact_point(params, v) for v in vertices]
+    s, batch = geometry.scaled(points)
+    for k, x, y in batch:
+        if not geometry.cells_at(params, x, y, s):
+            raise AddressError(f"{points[k]} lies outside the gasket")
+        if geometry.outside(frame.domain, x, y, s):
+            raise ResolutionError(f"{points[k]} lies outside the closed {frame.name}")
+    return route(frame, f, points, s, batch)
 
 
 def cut_value(frame, f, p, max_depth=DEFAULT_DEPTH):

@@ -520,6 +520,16 @@ def classify_boundary(domain, vertex):
     return INTERIOR if offset > 0 else OUTSIDE
 
 
+def outside(domain, x, y, s):
+    """True when the point (x/s, y/s), for integers x, y, s > 0, lies
+    strictly on the far side of the domain's cut and is none of its boundary
+    corners: `classify_boundary` would call it OUTSIDE."""
+    if any((x, y) == (s * CORNERS_INT[c][0], s * CORNERS_INT[c][1]) for c in domain.corners):
+        return False
+    cut = domain.cut
+    return ((x, y)[domain.axis] * cut.denominator - cut.numerator * s) * domain.side < 0
+
+
 def contained_cell_filter(domain, m):
     """Mask of level-m cells contained in the domain closure (corner test).
     Corner coordinates are integers, so the scaled cut rounds inwards."""

@@ -39,3 +39,9 @@ def test_traced_name_resolves(module, path):
 @pytest.mark.parametrize("module,attr,metric", bench_list("CACHES"))
 def test_cache_is_sized(module, attr, metric):
     len(getattr(importlib.import_module(f"gasketbvp.{module}"), attr))
+
+
+def test_oracle_spla_resolves():
+    # install() wraps oracle.spla.splu; the oracle itself no longer uses scipy
+    oracle = importlib.import_module("gasketbvp.oracle")
+    assert callable(oracle.spla.splu)

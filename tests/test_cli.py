@@ -246,12 +246,15 @@ def run_python(script):
     assert result.returncode == 0, result.stderr
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only compare needs the oracle, and so scipy
+def test_cli_import_leaves_scipy_unloaded(half_data):
+    # the oracle condenses without scipy, so not even compare loads it
     run_python(
         "import sys, gasketbvp, gasketbvp.cli\n"
         "assert 'scipy' not in sys.modules\n"
-        "assert gasketbvp.oracle.solve and 'scipy' in sys.modules\n"
+        "for mode in ('rational', 'float'):\n"
+        "    assert gasketbvp.cli.main(['compare', '--domain', 'half-sg3', '--levels', '2:3',\n"
+        f"                               '--mode', mode, '--data', {half_data!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
     )
 
 

@@ -14,7 +14,7 @@ from gasketbvp import cylinder, geometry, harmonic, oracle
 from gasketbvp import halfdomain as HD
 from gasketbvp import lowerdomain as LD
 from gasketbvp import upperdomain as UP
-from gasketbvp.errors import ContractViolation, ResolutionError
+from gasketbvp.errors import AddressError, ContractViolation, ResolutionError
 
 F = Fraction
 
@@ -354,6 +354,18 @@ def test_domain_readers_agree(name):
     for p in outside:
         with pytest.raises(ResolutionError, match="lies outside the closed"):
             many(f, [p])
+
+
+@pytest.mark.parametrize("name", ROUTE_CASES)
+def test_evaluators_reject_points_off_the_gasket(name):
+    make, _, domain, *_, many = _route_case(name)
+    l = domain.level
+    # the centroid of a removed triangle, at barycentric coordinates
+    # (2/3, 2/3, l - 4/3) / l, and a point left of the outer triangle
+    for p in ((F(2 * (l - 1), l), F(4, 3 * l)), (F(-1), F(0))):
+        assert not geometry.cells_containing(domain.params, p)
+        with pytest.raises(AddressError, match="lies outside the gasket"):
+            many(make({}, 0, 0), [p])
 
 
 @pytest.mark.parametrize("name", ROUTE_CASES)

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasketbvp import _exact
 from gasketbvp import geometry as G
 from gasketbvp import harmonic as H
 from gasketbvp import oracle as O
@@ -71,12 +73,13 @@ def test_empty_boundary_rejected():
 
 
 def test_disconnected_interior_rejected():
-    g = G.build_graph(G.gasket(2), 1)
-    verts = np.array([[0, 0], [1, 1], [5, 5], [6, 6]], dtype=np.int64)
-    edges = np.array([[0, 1], [2, 3]], dtype=np.int64)
-    fake = G.Graph(g.params, 1, verts, edges, np.zeros(4, np.int64), np.zeros(4, np.int8))
-    with pytest.raises(SolvabilityError):
-        O.solve(O.DirichletProblem(fake, np.array([0]), [F(1)]))
+    # the cells 00 and 22 of SG at level 2 share no vertex; the boundary is
+    # a vertex of 00, so the interior of 22 is a component on its own
+    g = G.build_graph(G.gasket(2), 2, lambda corners: np.isin(np.arange(len(corners)), [0, 8]))
+    assert g.n_vertices() == 6
+    for mode in ("rational", "float"):
+        with pytest.raises(SolvabilityError):
+            O.solve(O.DirichletProblem(g, np.array([0]), [F(1)]), mode=mode)
 
 
 def test_half_sg3_skeleton_level1():
@@ -156,7 +159,7 @@ def test_float_matches_rational_on_domain_skeletons(domain, m):
 
 
 # ---------------------------------------------------------------------------
-# float condensation against exact elimination on random cell sets
+# the condensation against a general elimination on random cell sets
 
 # a fault in how siblings share a slot shows only on m >= 2 graphs whose
 # cells leave some corner untouched, so more examples than test_cylinder's
@@ -200,10 +203,72 @@ def test_float_condensation_matches_rational_on_random_cells(problem):
     assert O.matching_residuals(problem.graph, vals, bmask) <= 1e-10
 
 
+def reference_solve(problem):
+    """The oracle by the general route: a breadth-first search for a
+    component that does not touch the boundary, then `_exact.solve` over
+    the Laplacian rows read from graph.neighbors."""
+    graph = problem.graph
+    bmask = np.zeros(graph.n_vertices(), dtype=bool)
+    bmask[problem.boundary_ids] = True
+    seen = bmask.copy()
+    queue = deque(np.flatnonzero(bmask).tolist())
+    while queue:
+        for j in graph.neighbors(queue.popleft()).tolist():
+            if not seen[j]:
+                seen[j] = True
+                queue.append(j)
+    if not seen.all():
+        raise SolvabilityError("a component does not touch the boundary")
+    values = [None] * graph.n_vertices()
+    for i, v in zip(problem.boundary_ids.tolist(), problem.boundary_values):
+        values[i] = F(v)
+    rows, rhs = {}, {}
+    for i in np.flatnonzero(~bmask).tolist():
+        nbrs = graph.neighbors(i).tolist()
+        rows[i], rhs[i] = {i: len(nbrs)}, F(0)
+        for j in nbrs:
+            if bmask[j]:
+                rhs[i] += values[j]
+            else:
+                rows[i][j] = rows[i].get(j, 0) - 1
+    for i, v in _exact.solve(rows, rhs).items():
+        values[i] = v
+    return values
+
+
+@PROPERTY_SETTINGS
+@given(problem=random_problems())
+def test_condensation_matches_reference_on_random_cells(problem):
+    try:
+        want = reference_solve(problem)
+    except SolvabilityError:
+        for mode in ("rational", "float"):
+            with pytest.raises(SolvabilityError):
+                O.solve(problem, mode=mode)
+        return
+    exact = O.solve(problem, mode="rational")
+    assert exact == want and all(type(v) is F for v in exact)
+    vals = O.solve(problem, mode="float")
+    assert max(abs(v - float(w)) for v, w in zip(vals, want)) <= 1e-12
+
+
+def test_float_mode_is_accurate_to_rounding(monkeypatch):
+    # 32,691 vertices, over the rational cap; each cell type is condensed
+    # exactly and only the loads are rounded, so the error does not grow
+    # with the level as a float elimination's does (1e-11 here)
+    monkeypatch.setattr(_exact, "EXACT_UNKNOWN_CAP", 10**5)
+    sk = O.domain_restricted_graph(G.HalfDomain(3), 6)
+    data = lambda p: F(1) if p == G.Q1 else p[0] - p[1] / 3
+    exact = O.solve(sk.problem(data), mode="rational")
+    vals = O.solve(sk.problem(lambda p: float(data(p))), mode="float")
+    assert max(abs(v - float(e)) for v, e in zip(vals, exact)) <= 1e-14
+
+
 def test_float_mode_needs_the_cells():
+    # both modes condense over the cells, so a graph without them is refused
     g = G.build_graph(G.gasket(2), 2)
     bare = G.Graph(g.params, g.m, g.verts, g.edges, g.rep_cell, g.rep_corner)
     problem = O.DirichletProblem(bare, np.array([0]), [1.0])
-    with pytest.raises(ContractViolation, match="cells"):
-        O.solve(problem, mode="float")
-    assert O.solve(problem, mode="rational") == [F(1)] * g.n_vertices()
+    for mode in ("float", "rational"):
+        with pytest.raises(ContractViolation, match="cells"):
+            O.solve(problem, mode=mode)
