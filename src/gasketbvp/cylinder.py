@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from . import geometry, harmonic
 from .errors import AddressError, ContractViolation, ResolutionError
@@ -52,16 +51,6 @@ Integral = namedtuple("Integral", ["value", "tail_bound"])
 
 DEFAULT_DEPTH = 24
 MAX_RECURSION = 64
-
-
-@lru_cache(maxsize=None)
-def cell_corners(level):
-    """(F_i q0, F_i q1, F_i q2) in exact coordinates for every map i of SG_level."""
-    params = geometry.gasket(level)
-    return tuple(
-        tuple(geometry.apply_word(params, (i,), q) for q in geometry.CORNERS)
-        for i in range(params.map_count)
-    )
 
 
 class CylinderData:
@@ -186,7 +175,7 @@ class Frame:
 
 
 def _copy_data(frame, f, values, d):
-    corners = cell_corners(frame.level)[d]
+    corners = frame.params.cell_corners[d]
     return f.shifted(d, *(values[corners[s]] for s in frame.slots))
 
 
@@ -203,7 +192,7 @@ def route(frame, f, points, s, batch):
     so each point is held at one node only."""
     params = frame.params
     l = params.level
-    corners = cell_corners(frame.level)
+    corners = params.cell_corners
     shifts = geometry.unapply_shifts(params, s)
     out = [None] * len(points)
     stack = [(frame, f, batch, MAX_RECURSION)]
@@ -294,7 +283,7 @@ def stage(frame, f):
     """Corner-value triples of the frame's full cells, and (frame, data)
     of every sub-copy."""
     values = frame.values(f)
-    corners = cell_corners(frame.level)
+    corners = frame.params.cell_corners
     cells = [tuple(values[q] for q in corners[i]) for i in frame.full_cells()]
     copies = [(frame.shift(d), _copy_data(frame, f, values, d)) for d in frame.copies()]
     return cells, copies

@@ -27,6 +27,7 @@ from .errors import AddressError, CapabilityError, ContractViolation, Resolution
 
 MAX_LEVEL = 8
 MAX_GRAPH_LEVEL = 14
+MAX_GRAPH_CELLS = 3 ** MAX_GRAPH_LEVEL
 
 Q0 = (Fraction(1), Fraction(2))
 Q1 = (Fraction(0), Fraction(0))
@@ -63,7 +64,8 @@ class VertexAddress:
 
 
 class GasketParams:
-    """Contraction system of SG_l: cell triples, translations and corners."""
+    """Contraction system of SG_l: cell triples, translations, corners, and
+    the level-1 table of the 1-cells' corners F_i q_c."""
 
     def __init__(self, level):
         if not (2 <= level <= MAX_LEVEL):
@@ -73,21 +75,26 @@ class GasketParams:
         self.map_count = len(self.cells)
         self.cell_index = {t: i for i, t in enumerate(self.cells)}
         self.corners = CORNERS
-        # F_i(z) = z/l + t_i with t_i = (a*q0 + b*q1 + c*q2)/l
+        # F_i(z) = z/l + t_i with t_i = (a*q0 + b*q1 + c*q2)/l; l t_i is an
+        # integer vector
+        self.int_translations = tuple((a + 2 * c, 2 * a) for (a, b, c) in self.cells)
         self.translations = tuple(
-            (
-                Fraction(a * Q0[0] + b * Q1[0] + c * Q2[0], level),
-                Fraction(a * Q0[1] + b * Q1[1] + c * Q2[1], level),
-            )
-            for (a, b, c) in self.cells
+            (Fraction(tx, level), Fraction(ty, level)) for tx, ty in self.int_translations
         )
-        # l * t_i is an integer vector; used by the vectorised graph builder.
-        self.int_translations = np.array(
-            [
-                (a * 1 + c * 2, a * 2)
-                for (a, b, c) in self.cells
-            ],
-            dtype=np.int64,
+        # the level-1 table: corner c of 1-cell i is F_i q_c, at integer
+        # coordinates l F_i q_c = q_c + l t_i and as an exact point, and its
+        # slot among the points of V_1, q0, q1 and q2 at slots 0-2 (corner
+        # cell c fixes q_c)
+        self.cell_points = tuple(
+            tuple((x + tx, y + ty) for x, y in CORNERS_INT) for tx, ty in self.int_translations
+        )
+        self.cell_corners = tuple(
+            tuple((Fraction(x, level), Fraction(y, level)) for x, y in cell)
+            for cell in self.cell_points
+        )
+        slot = {cell[c]: c for c, cell in enumerate(self.cell_points[:3])}
+        self.cell_slots = tuple(
+            tuple(slot.setdefault(p, len(slot)) for p in cell) for cell in self.cell_points
         )
         # cells meeting the vertical symmetry line in a Cantor piece (b == c),
         # top to bottom: the digit alphabet of the half-domain boundary.
@@ -145,16 +152,10 @@ def gasket(level):
 
 @lru_cache(maxsize=None)
 def renormalization_factor(level):
-    """Energy renormalization factor r of SG_l (3/5 for SG, 7/15 for SG_3).
-
-    For l >= 4 it is derived at runtime: extend (1,0,0) harmonically to
-    Gamma_1 by the exact Dirichlet solve and take the level-1/level-0
-    unweighted energy ratio.
+    """Energy renormalization factor r of SG_l (3/5 for SG, 7/15 for SG_3):
+    extend (1,0,0) harmonically to Gamma_1 by the exact Dirichlet solve and
+    take the level-1/level-0 unweighted energy ratio.
     """
-    if level == 2:
-        return Fraction(3, 5)
-    if level == 3:
-        return Fraction(7, 15)
     vals = _gamma1_harmonic_values(gasket(level), (Fraction(1), Fraction(0), Fraction(0)))
     nbrs = gamma1_neighbors(level)
     # every edge is seen from both ends, and E_0 of (1,0,0) is 2
@@ -167,23 +168,24 @@ def renormalization_factor(level):
 @lru_cache(maxsize=None)
 def gamma1_neighbors(level):
     """Neighbour lists of Gamma_1 of SG_l, keyed by integer vertex
-    coordinates at scale l in vertex order.  Shared; do not mutate."""
-    g = build_graph(gasket(level), 1)
-    pts = [tuple(map(int, v)) for v in g.verts]
-    nbrs = {p: [] for p in pts}
-    for i, j in g.edges:
-        nbrs[pts[i]].append(pts[j])
-        nbrs[pts[j]].append(pts[i])
+    coordinates at scale l in (x, y) order: each 1-cell joins its three
+    corners.  Shared; do not mutate."""
+    cells = gasket(level).cell_points
+    nbrs = {p: [] for p in sorted({p for cell in cells for p in cell})}
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        for cell in cells:
+            p, q = sorted((cell[a], cell[b]))
+            nbrs[p].append(q)
+            nbrs[q].append(p)
     return nbrs
 
 
 def _gamma1_harmonic_values(params, corner_values):
     """Exact graph-harmonic extension of V_0 data to Gamma_1, as a dict
     keyed by integer vertex coordinates at scale l."""
-    l = params.level
-    corner_pts = {(l, 2 * l): 0, (0, 0): 1, (2 * l, 0): 2}
+    corner_pts = {cell[c]: c for c, cell in enumerate(params.cell_points[:3])}
     rows, rhs = {}, {}
-    for k, nb in gamma1_neighbors(l).items():
+    for k, nb in gamma1_neighbors(params.level).items():
         if k in corner_pts:
             continue
         row = rows[k] = {k: len(nb)}
@@ -250,7 +252,7 @@ def scaled(points):
 def unapply_shifts(params, s):
     """s l t_i for every map i: F_i^-1 takes the point (x/s, y/s) to
     ((l x - sx_i)/s, (l y - sy_i)/s), over the same denominator s."""
-    return [(s * int(t[0]), s * int(t[1])) for t in params.int_translations]
+    return [(s * tx, s * ty) for tx, ty in params.int_translations]
 
 
 def cells_at(params, x, y, s):
@@ -415,14 +417,20 @@ class VertexIndex(Mapping):
 def _cell_corner_coords(params, m, cell_mask=None):
     """Integer corner coordinates of every level-m cell: shape (ncells, 3, 2).
 
-    l**m * F_w(q_j) = q_j + sum_k l**(m-k) * (l * t_{w_k}).
+    l**m * F_w(q_j) = q_j + sum_k l**(m-k) * (l * t_{w_k}).  At most
+    MAX_GRAPH_CELLS cells, the count of SG at level MAX_GRAPH_LEVEL, checked
+    before any array is allocated.
     """
     l = params.level
-    if m > MAX_GRAPH_LEVEL:
-        raise ResolutionError(f"graph level capped at {MAX_GRAPH_LEVEL}")
+    if params.map_count ** m > MAX_GRAPH_CELLS:
+        raise ResolutionError(
+            f"level {m} of SG_{l} has {params.map_count ** m} cells; graphs are capped at "
+            f"{MAX_GRAPH_CELLS} cells (SG at level {MAX_GRAPH_LEVEL})"
+        )
+    tr = np.array(params.int_translations, dtype=np.int64)
     offs = np.zeros((1, 2), dtype=np.int64)
     for _ in range(m):
-        offs = (l * offs)[:, None, :] + params.int_translations[None, :, :]
+        offs = (l * offs)[:, None, :] + tr[None, :, :]
         offs = offs.reshape(-1, 2)
     qs = np.array(CORNERS_INT, dtype=np.int64)
     corners = offs[:, None, :] + qs[None, :, :]

@@ -45,24 +45,17 @@ class HalfStructure:
         self.r = params.renorm_factor
         ha = geometry._gamma1_harmonic_values(params, (F(0), F(1), F(-1)))
         self.ha_gamma1 = ha
-        # V_1 points: integer coordinates at scale l <-> exact coordinates
-        self.exact_points = {
-            (int(x), int(y)): (F(int(x), level), F(int(y), level)) for x, y in ha
-        }
-        self.int_points = {p: ip for ip, p in self.exact_points.items()}
+        points = params.cell_points
         # digit weights mu_i = r^{-1} h_a(F_i q_1)
-        self.weights = {}
-        for i in self.alphabet:
-            pt = self._map_point(i, 1)
-            self.weights[i] = ha[pt] / self.r
+        self.weights = {i: ha[points[i][1]] / self.r for i in self.alphabet}
         # atom base masses -(1/3) * right normal derivative of h_a at p_{j,<>}
         self.atom_points = []
         self.atom_base = []
         for j, cell in enumerate(params.atom_cells):
-            vals = tuple(ha[self._map_point(cell, c)] for c in range(3))
+            vals = tuple(ha[p] for p in points[cell])
             nd = harmonic.harmonic_normal_derivative(level, vals, 2, depth=1)
             self.atom_base.append(-nd / 3)
-            self.atom_points.append(geometry.apply_word(params, (cell,), geometry.CORNERS[2]))
+            self.atom_points.append(params.cell_corners[cell][2])
         total_weight = sum(self.weights.values())
         self.mass_consistent = sum(self.atom_base) == 1 - total_weight
         if not self.mass_consistent:
@@ -80,16 +73,13 @@ class HalfStructure:
         # q0-corner of each cylinder cell: f(F_i q_0) for the data shift
         self.cylinder_top = {}
         for i in self.alphabet:
-            top = geometry.apply_word(params, (i,), Q0)
+            top = params.cell_corners[i][0]
             if top == Q0:
                 self.cylinder_top[i] = None  # the copy inherits f(q0)
             else:
                 self.cylinder_top[i] = self.atom_points.index(top)
         self.digit_chars = {i: geometry.WORD_CHARS[i] for i in self.alphabet}
         self.frame = HalfFrame(self)  # the domain as a recursion frame
-
-    def _map_point(self, cell, corner):
-        return harmonic.subcell_corners(self.level)[cell][corner]
 
     def _embed_chain(self, p):
         chain = []
@@ -158,22 +148,20 @@ def antisymmetric_values(level):
     return out
 
 
+# the named V_1 points of the half domain as F_i q_c, given by (i, c): the
+# points x, y, z of the closed-form extend step and the first atom p
+_CRUCIAL = {
+    3: {"x": (1, 2), "y": (1, 0), "z": (0, 1), "p": (3, 0)},
+    2: {"z": (0, 1), "p": (1, 2)},
+}
+
+
 def crucial_points(level):
     """Named V_1 points of the half domain (x, y, z and the first atom p)."""
-    params = gasket(level)
-    if level == 3:
-        return {
-            "x": geometry.apply_word(params, (1,), geometry.CORNERS[2]),
-            "y": geometry.apply_word(params, (1,), Q0),
-            "z": geometry.apply_word(params, (0,), Q1),
-            "p": geometry.apply_word(params, (3,), Q0),
-        }
-    if level == 2:
-        return {
-            "z": geometry.apply_word(params, (0,), Q1),
-            "p": geometry.apply_word(params, (1,), geometry.CORNERS[2]),
-        }
-    raise ResolutionError("named crucial points are defined for l in {2,3}")
+    if level not in _CRUCIAL:
+        raise ResolutionError("named crucial points are defined for l in {2,3}")
+    corners = gasket(level).cell_corners
+    return {name: corners[i][c] for name, (i, c) in _CRUCIAL[level].items()}
 
 
 def atom_point(level, word, j=1):
@@ -360,16 +348,14 @@ def extend_step_sg(f):
 @lru_cache(maxsize=None)
 def _contained_cells_level1(level):
     """Level-1 cells inside the closed left half: F_i q2 has x <= 1."""
-    translations = gasket(level).int_translations
-    return tuple(i for i, tr in enumerate(translations) if int(tr[0]) + 2 <= level)
+    return tuple(i for i, cell in enumerate(gasket(level).cell_points) if cell[2][0] <= level)
 
 
-@lru_cache(maxsize=None)
 def _crucial_keys(level):
     """Integer points (scale l) of the closed-form values: x, y, z on SG_3,
     z on SG."""
-    cp = crucial_points(level)
-    return tuple(structure(level).int_points[cp[k]] for k in ("xyz" if level == 3 else "z"))
+    points = gasket(level).cell_points
+    return tuple(points[i][c] for name, (i, c) in _CRUCIAL[level].items() if name != "p")
 
 
 def extend_step(f):
@@ -386,11 +372,11 @@ def extend_step(f):
 
 def _extend_step_system(f):
     st = f.st
-    corners = harmonic.subcell_corners(f.level)
-    cells = [corners[i] for i in _contained_cells_level1(f.level)]
+    points = st.params.cell_points
+    cells = [points[i] for i in _contained_cells_level1(f.level)]
     boundary = {(0, 0): f.q1}
-    for j, p in enumerate(st.atom_points):
-        boundary[st.int_points[p]] = f.atom("", j + 1)
+    for j, cell in enumerate(st.params.atom_cells):
+        boundary[points[cell][2]] = f.atom("", j + 1)
     rows, rhs = defaultdict(dict), defaultdict(F)
     for cs in cells:
         for x, y in permutations(cs, 2):
@@ -403,7 +389,7 @@ def _extend_step_system(f):
             else:
                 row[y] = row.get(y, 0) - 1
     for i in st.alphabet:
-        p = st._map_point(i, 1)
+        p = points[i][1]
         rows[p][p] += 3
         rhs[p] += 3 * integrate(f, geometry.WORD_CHARS[i]).value
     return dict(sorted(solve(rows, rhs).items()))
@@ -467,8 +453,8 @@ class HalfFrame(cylinder.Frame):
         return None
 
     def values(self, f):
-        exact = self.st.exact_points
-        values = {exact[ip]: v for ip, v in extend_step(f).items()}
+        l = self.level
+        values = {(F(x, l), F(y, l)): v for (x, y), v in extend_step(f).items()}
         values[Q1] = f.q1
         for j, ap in enumerate(self.st.atom_points):
             values[ap] = f.atom("", j + 1)

@@ -1,16 +1,16 @@
 """Single-cell harmonic extension, graph energies and normal derivatives.
 
-Closed-form extension rules exist for SG (the 2/5-1/5 rule) and SG_3
-(the 8-4-3 / 15 rule with mean value at the centre); higher levels are
-served internally by an exact level-1 Dirichlet solve but are not part
-of the public extension API.
+The extension weights of every level come from one exact Dirichlet solve
+on Gamma_1 (geometry's level-1 table): for SG they are the 2/5-1/5 rule,
+for SG_3 the 8-4-3 / 15 rule with mean value at the centre, derived, not
+typed in.  The public `harmonic_extend_cell` still serves only l in {2, 3};
+higher levels are used internally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,47 +25,11 @@ def _is_exact(*vals):
     return all(isinstance(v, (Fraction, int)) for v in vals)
 
 
-def _corner_point_int(level, corner):
-    x, y = CORNERS_INT[corner]
-    return (x * level, y * level)
-
-
 def _extension_basis(level):
     """Weights of the energy-minimising extension: maps each level-1 point
-    (integer coords at scale l) to the coefficient triple on (v0, v1, v2)."""
+    (integer coords at scale l) to the coefficient triple on (v0, v1, v2),
+    from the exact Gamma_1 Dirichlet solve of each unit corner triple."""
     params = gasket(level)
-    if level in (2, 3):
-        basis = {}
-        for c in range(3):
-            basis[_corner_point_int(level, c)] = tuple(
-                Fraction(1) if j == c else Fraction(0) for j in range(3)
-            )
-        if level == 2:
-            # midpoint of (q_i, q_j): (2 v_i + 2 v_j + v_k) / 5
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    k = 3 - i - j
-                    pt = tuple(CORNERS_INT[i][t] + CORNERS_INT[j][t] for t in range(2))
-                    w = [Fraction(0)] * 3
-                    w[i] = w[j] = Fraction(2, 5)
-                    w[k] = Fraction(1, 5)
-                    basis[pt] = tuple(w)
-        else:
-            # third-point towards q_j from q_i: (8 v_i + 4 v_j + 3 v_k) / 15
-            for i in range(3):
-                for j in range(3):
-                    if i == j:
-                        continue
-                    k = 3 - i - j
-                    pt = tuple(2 * CORNERS_INT[i][t] + CORNERS_INT[j][t] for t in range(2))
-                    w = [Fraction(0)] * 3
-                    w[i] = Fraction(8, 15)
-                    w[j] = Fraction(4, 15)
-                    w[k] = Fraction(3, 15)
-                    basis[pt] = tuple(w)
-            centre = tuple(sum(CORNERS_INT[c][t] for c in range(3)) for t in range(2))
-            basis[centre] = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-        return basis
     basis = {}
     for c in range(3):
         unit = tuple(Fraction(1) if j == c else Fraction(0) for j in range(3))
@@ -107,7 +71,8 @@ def harmonic_extend_cell(level, values):
 def check_cell_harmonic(level, v1_values):
     """Verify the matching (mean value) equations at the interior V_1 points
     of a cell; exact in rational mode, MATCHING_RTOL-tolerant in float mode."""
-    corners = {_corner_point_int(level, c) for c in range(3)}
+    # the V_0 corners: corner cell c fixes q_c
+    corners = {cell[c] for c, cell in enumerate(gasket(level).cell_points[:3])}
     exact = _is_exact(*v1_values.values())
     scale = max((abs(v) for v in v1_values.values()), default=1)
     tol = 0 if exact else MATCHING_RTOL * max(1.0, float(scale))
@@ -134,12 +99,10 @@ def normal_derivative(level, v1_values, corner, depth=0, check=True):
     r = gasket(level).renorm_factor
     if not _is_exact(*v1_values.values()):
         r = float(r)
-    qi = _corner_point_int(level, corner)
-    others = [j for j in range(3) if j != corner]
-    t = gasket(level).int_translations[corner]
-    n1 = (CORNERS_INT[others[0]][0] + int(t[0]), CORNERS_INT[others[0]][1] + int(t[1]))
-    n2 = (CORNERS_INT[others[1]][0] + int(t[0]), CORNERS_INT[others[1]][1] + int(t[1]))
-    base = 2 * v1_values[qi] - v1_values[n1] - v1_values[n2]
+    # the corner cell fixes q_corner; its other two corners are q's neighbours
+    cell = gasket(level).cell_points[corner]
+    n1, n2 = (cell[j] for j in range(3) if j != corner)
+    base = 2 * v1_values[cell[corner]] - v1_values[n1] - v1_values[n2]
     return base / r ** (depth + 1)
 
 
@@ -148,15 +111,6 @@ def harmonic_normal_derivative(level, corner_values, corner, depth=0):
     values; extension is done internally so no harmonicity check is needed."""
     ext = cell_extension(level, corner_values)
     return normal_derivative(level, ext, corner, depth, check=False)
-
-
-@lru_cache(maxsize=None)
-def subcell_corners(level):
-    """Integer points (scale l) of the corners F_i q_c of every 1-cell i."""
-    tr = gasket(level).int_translations
-    return tuple(
-        tuple((x + int(t[0]), y + int(t[1])) for x, y in CORNERS_INT) for t in tr
-    )
 
 
 def harmonic_value_in_cell(level, corner_values, p):
@@ -178,7 +132,7 @@ def descend(level, corner_values, batch, s, out, points):
     values are extended once for all the points going on.  Subcells wait on
     a stack, so each point is held at one subcell only."""
     params = gasket(level)
-    corners = subcell_corners(level)
+    corners = params.cell_points
     shifts = geometry.unapply_shifts(params, s)
     vertices = {(s * x, s * y): c for c, (x, y) in enumerate(CORNERS_INT)}
     stack = [(tuple(corner_values), batch, geometry.MAX_GRAPH_LEVEL + 2)]

@@ -21,7 +21,7 @@ from .geometry import Q0, Q1, Q2, gasket
 
 F = Fraction
 
-RATIO = F(5, 3)  # r^-1 of SG
+RATIO = 1 / geometry.renormalization_factor(2)  # r^-1 of SG
 
 EtaPair = namedtuple("EtaPair", ["eta1", "eta2", "depth", "err", "exact"])
 
@@ -370,7 +370,7 @@ def extend_step_lower(lam, f):
     e1 = lam.digit(1)
     em = etas(lam.shift())
     x, y = em.eta1, em.eta2
-    corners = cylinder.cell_corners(2)
+    corners = gasket(2).cell_corners
     p_f0q1, p_f0q2, p_f1q2 = corners[0][1], corners[0][2], corners[1][2]
     # means of f o F_d against the measures of the copy's own lambda
     if e1 == 0:

@@ -98,19 +98,6 @@ _ABSENT, _BOUNDARY, _FREE = 0, 1, 2
 _TRIANGLE = np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
 
-@lru_cache(maxsize=None)
-def _slots(level):
-    """(map_count, 3) table: slot of corner j of 1-cell i among the points
-    of V_1, with the V_0 corners q_0, q_1, q_2 as slots 0-2."""
-    params = geometry.gasket(level)
-    slot = {(level * x, level * y): c for c, (x, y) in enumerate(geometry.CORNERS_INT)}
-    table = np.empty((params.map_count, 3), dtype=np.int64)
-    for i, (tx, ty) in enumerate(params.int_translations.tolist()):
-        for j, (x, y) in enumerate(geometry.CORNERS_INT):
-            table[i, j] = slot.setdefault((x + tx, y + ty), len(slot))
-    return table
-
-
 @dataclass(eq=False)
 class _CellType:
     """The exact condensation of every cell of one type: its corners'
@@ -176,7 +163,7 @@ def _condense_type(level, children):
     """Condense one parent type of SG_level, given its children's types per
     digit (None where the child is absent).  Cached: the solves of one
     domain at successive levels share their finer types."""
-    slot = _slots(level)
+    slot = np.array(geometry.gasket(level).cell_slots)
     size = int(slot.max()) + 1
     status = np.full(size, _ABSENT)
     a = _exact_array(np.zeros((size, size), dtype=np.int64))
@@ -216,7 +203,7 @@ def _condense(graph, bmask, u):
     """
     exact = u.dtype == object
     params = graph.params
-    slot = _slots(params.level)
+    slot = np.array(params.cell_slots)
     size = int(slot.max()) + 1
     ids, codes = graph.cells, graph.cell_codes
     bnd = bmask[ids]

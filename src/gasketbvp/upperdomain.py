@@ -21,7 +21,7 @@ from .geometry import Q0, gasket
 
 F = Fraction
 
-RATIO = F(15, 7)                    # r^-1 of SG_3
+RATIO = 1 / geometry.renormalization_factor(3)  # r^-1 of SG_3
 ALPHA_MAX = 0.4415378110            # just above alpha(1) = (75 - sqrt(2353))/60
 
 EtaAlpha = namedtuple("EtaAlpha", ["alpha", "eta", "depth", "err"])
@@ -389,7 +389,7 @@ def extend_step_upper(lam, f):
 
 # crucial point coordinates (m_1 = 1 frame): p_i = F_i q_0
 def _crucial_points(params):
-    return {i: geometry.apply_word(params, (i,), Q0) for i in range(1, 6)}
+    return {i: params.cell_corners[i][0] for i in range(1, 6)}
 
 
 _FULL_CELLS = {1: (0,), 2: (0, 4, 5)}
@@ -427,7 +427,7 @@ class UpperFrame(cylinder.Frame):
         return None
 
     def values(self, f):
-        corners = cylinder.cell_corners(3)
+        corners = self.params.cell_corners
         values = {Q0: float(f.q0)}
         for d, v in extend_step_upper(self.lam, f).items():
             values[corners[d][0]] = v

@@ -26,6 +26,7 @@ DATA = {
     "bad-atom-index": {"schema": 1, "q1": "1", "q0": "0", "atoms": [{"w": "", "j": "x", "v": "1"}]},
     "atoms-not-list": {"schema": 1, "q1": "1", "q0": "0", "atoms": 5},
     "upper-atoms": {"schema": 1, "q0": "0", "atoms": [{"w": "1", "v": "1"}]},
+    "upper-flat": {"schema": 1, "q0": "1", "default_tail": "0"},
 }
 
 UPPER = ["--domain", "upper", "--lambda", "1"]
@@ -106,6 +107,11 @@ EDGES = [
     (["compare", "--domain", "half-sg", "--levels", "3", "--data", "{half}"], 2, "bad --levels '3'"),
     (["compare", "--domain", "half-sg3", "--levels", "1:3", "--data", "{half}"], 2,
      "--levels '1:3' starts below --targets-level 2"),
+    # graphs are capped by their cell count, 3**14, before any array exists
+    (["solve", "--domain", "half", "--l", "8", "--level", "6", "--data", "{half}"], 2,
+     "level 6 of SG_8 has 2176782336 cells"),
+    (["compare", "--domain", "half-sg3", "--levels", "9:9", "--data", "{half}"], 2,
+     "level 9 of SG_3 has 10077696 cells"),
 ]
 
 
@@ -135,6 +141,30 @@ def test_edge(row, data_paths, capsys):
         assert text in err
     else:
         assert out.splitlines()[0] == text
+
+
+# compare's last line: two or more levels whose maxima do not fall are not
+# decreasing, unless every maximum is 0
+MONOTONE = [
+    # the cut y = 1 meets no vertex, so q0 is the oracle's only boundary
+    # vertex and the maxima stay at 0.94555...
+    ([*UPPER[:2], "--lambda", "1/2", "--levels", "3:5", "--data", "{upper-flat}"], "false"),
+    ([*UPPER[:2], "--lambda", "1/2", "--levels", "3:3", "--data", "{upper-flat}"], "true"),
+    ([*LOWER, "--mode", "rational", "--levels", "2:3", "--targets-level", "1",
+      "--data", "{lower}"], "true"),
+]
+
+
+@pytest.mark.parametrize("args,want", MONOTONE, ids=["flat", "one-level", "all-zero"])
+def test_compare_monotone_decreasing(args, want, data_paths, capsys):
+    code, out, err = run(["compare", *args], data_paths, capsys)
+    assert code == 0, err
+    lines = out.splitlines()
+    if "{upper-flat}" in args:
+        assert {ln.split(",")[1][:8] for ln in lines[1:-1]} == {"0.945555"}
+    else:
+        assert {ln.split(",")[1] for ln in lines[1:-1]} == {"0.0"}
+    assert lines[-1] == f"monotone_decreasing,{want}"
 
 
 # command -> (small arguments, first line of stdout)

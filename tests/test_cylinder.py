@@ -267,7 +267,7 @@ def reference_route(frame, f, p):
     """One point's walk: a boundary value, a V_1 value, the first full cell
     containing it, or else the first sub-copy containing it."""
     params = frame.params
-    corners = cylinder.cell_corners(frame.level)
+    corners = frame.params.cell_corners
     contains = lambda i, p: geometry.cells_containing(params, params.unapply_map(i, p))
     while True:
         frame, p = frame.normalize(p)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketbvp import geometry as G
-from gasketbvp.errors import AddressError, CapabilityError
+from gasketbvp.errors import AddressError, CapabilityError, ResolutionError
 
 
 def F(a, b=1):
@@ -146,6 +146,39 @@ def test_renormalization_factors():
         assert e1 / 2 == G.renormalization_factor(l)
     r4 = G.renormalization_factor(4)
     assert 0 < r4 < 1 and r4.denominator < 10**6
+
+
+@pytest.mark.parametrize("l", range(2, G.MAX_LEVEL + 1))
+def test_level1_table_matches_build_graph(l):
+    """The level-1 table against the vectorised graph builder at m = 1."""
+    p = G.gasket(l)
+    assert not any(isinstance(v, np.ndarray) for v in vars(p).values())
+    g = G.build_graph(p, 1)
+    pts = [tuple(v) for v in g.verts.tolist()]
+    nbrs = G.gamma1_neighbors(l)
+    assert list(nbrs) == pts
+    for i, q in enumerate(pts):
+        assert sorted(nbrs[q]) == sorted(pts[j] for j in g.neighbors(i).tolist())
+    coords = G._cell_corner_coords(p, 1).tolist()
+    assert p.cell_points == tuple(tuple(map(tuple, cell)) for cell in coords)
+    assert p.cell_corners == tuple(
+        tuple(G.apply_word(p, (i,), q) for q in G.CORNERS) for i in range(p.map_count)
+    )
+    # q0, q1, q2 at slots 0-2, and V_1 numbered densely: one slot per point
+    assert [p.cell_slots[c][c] for c in range(3)] == [0, 1, 2]
+    slot_of = {}
+    for cell, slots in zip(p.cell_points, p.cell_slots):
+        for q, s in zip(cell, slots):
+            assert slot_of.setdefault(q, s) == s
+    assert sorted(slot_of.values()) == list(range(len(pts)))
+
+
+@pytest.mark.parametrize("l,m", [(3, 9), (8, 6)])
+def test_graph_cap_counts_cells(l, m):
+    # 6**9 and 36**6 cells exceed 3**14, the count of SG at the level cap;
+    # refused before any array is allocated
+    with pytest.raises(ResolutionError, match=f"has {G.gasket(l).map_count ** m} cells"):
+        G.domain_graph(G.HalfDomain(l), m)
 
 
 def test_classify_half_sg3():
