@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import cylinder, geometry, halfdomain, lowerdomain, upperdomain
@@ -27,25 +26,6 @@ SCHEMA = 1
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    domain: str = None
-    level: int = 3
-    lam: str = None
-    data_path: str = None
-    depth: int = 2
-    mode: str = "auto"
-    out: str = None
-    fmt: str = "csv"
-    check_closed_form: bool = False
-    word: str = ""
-    j: int = 1
-    kmax: int = 40
-    svg: str = None
-    levels: tuple = None
 
 
 def _parse_value(v, mode):
@@ -129,13 +109,12 @@ def _emit(lines, out):
 
 
 def _solution_rows(frame, f, g):
-    """(word, corner, x, y, value) at every vertex of g, ordered by (x, y);
-    a function of its own so that the order and the points are freed
-    before the output is formatted."""
-    order = sorted(range(g.n_vertices()), key=lambda i: (int(g.verts[i][0]), int(g.verts[i][1])))
-    points = [g.point(i) for i in order]
+    """(word, corner, x, y, value) at every vertex of g, in g's (x, y)
+    order; a function of its own so that the points are freed before the
+    output is formatted."""
+    points = [g.point(i) for i in range(g.n_vertices())]
     rows = []
-    for i, (x, y), v in zip(order, points, cylinder.evaluate(frame, f, points)):
+    for i, ((x, y), v) in enumerate(zip(points, cylinder.evaluate(frame, f, points))):
         a = g.address(i)
         rows.append((geometry.word_to_str(a.word), a.corner, x, y, v))
     return rows
@@ -174,6 +153,7 @@ def cmd_compare(cfg, fam, lam):
     frame = fam.frame(cfg.level, lam)
     dom = frame.domain
     _refuse_rational(cfg, fam, lam)
+    geometry.check_graph_level(dom.params, cfg.levels[1])
     f = _data(cfg, fam, lam)
     base = geometry.domain_graph(dom, cfg.depth)
     targets = [base.point(i) for i in range(base.n_vertices())]
@@ -340,7 +320,7 @@ class Family(namedtuple("Family", ["data", "corners", "atoms", "lam", "frame", "
 FAMILIES = {
     "half": Family(
         halfdomain.HalfBoundaryData, {"q1": 0, "q0": None}, True, None,
-        lambda level, lam: halfdomain.structure(level).frame,
+        lambda level, lam: halfdomain.structure(level),
         lambda lam: None, False,
         {"measure": _measure_half, "energy": _energy_half, "dtn": _dtn},
     ),
@@ -421,9 +401,9 @@ DOMAIN_ALIASES = {"half-sg": ("half", 2), "half-sg2": ("half", 2), "half-sg3": (
 DEFAULT_DOMAINS = {"haar": "upper", "dtn": "half-sg"}
 
 
-def _config_from_args(args):
-    taken = {f.name for f in fields(RunConfig)} - {"levels"}
-    cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in taken})
+def _config_from_args(cfg):
+    """The parsed arguments with the domain alias and default resolved to a
+    family and a level, and --levels read as (lo, hi)."""
     cfg.domain = cfg.domain or DEFAULT_DOMAINS.get(cfg.command)
     if cfg.domain in DOMAIN_ALIASES:
         alias, (cfg.domain, level) = cfg.domain, DOMAIN_ALIASES[cfg.domain]
@@ -431,17 +411,18 @@ def _config_from_args(args):
             raise UsageError(f"--l {cfg.level} conflicts with the {alias} domain (l = {level})")
         cfg.level = level
     if cfg.level is None:
-        cfg.level = RunConfig.level
-    if hasattr(args, "levels"):
+        cfg.level = 3
+    if hasattr(cfg, "levels"):
+        text = cfg.levels
         try:
-            lo, hi = args.levels.split(":")
+            lo, hi = text.split(":")
             cfg.levels = (int(lo), int(hi))
         except ValueError as exc:
-            raise UsageError(f"bad --levels {args.levels!r}, expected lo:hi") from exc
+            raise UsageError(f"bad --levels {text!r}, expected lo:hi") from exc
         if cfg.levels[0] > cfg.levels[1]:
-            raise UsageError(f"empty --levels {args.levels!r}: lo must not exceed hi")
+            raise UsageError(f"empty --levels {text!r}: lo must not exceed hi")
         if cfg.levels[0] < cfg.depth:
-            raise UsageError(f"--levels {args.levels!r} starts below --targets-level {cfg.depth}:"
+            raise UsageError(f"--levels {text!r} starts below --targets-level {cfg.depth}:"
                              " every target must be a vertex of each oracle level")
     return cfg
 

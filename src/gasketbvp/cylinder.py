@@ -152,6 +152,13 @@ class CylinderData:
         return type(self)(self.lam.shift(), *corners, **self.restrict(digit))
 
 
+def check_lam(lam, *data):
+    """Refuse boundary data built for a cut parameter other than lam."""
+    for f in data:
+        if f.lam.value != lam.value:
+            raise ContractViolation(f"data built for lambda = {f.lam.value} used at {lam.value}")
+
+
 class Frame:
     """Defaults of the frame protocol (see the module docstring)."""
 
@@ -251,7 +258,7 @@ def evaluate(frame, f, vertices):
     return route(frame, f, points, s, batch)
 
 
-def cut_value(frame, f, p, max_depth=DEFAULT_DEPTH):
+def cut_value(frame, f, p):
     """Data value at an exact point p of the cut line; at a junction of two
     cylinders of piecewise-constant data the cylinder values are averaged."""
     params = frame.params
@@ -275,7 +282,7 @@ def cut_value(frame, f, p, max_depth=DEFAULT_DEPTH):
         if hits == 0:
             raise AddressError(f"{p} is not on the cut-line boundary of the {frame.name}")
 
-    rec(frame, f, p, max_depth)
+    rec(frame, f, p, DEFAULT_DEPTH)
     return sum(vals) / len(vals)
 
 

@@ -73,8 +73,6 @@ class GasketParams:
         self.level = level
         self.cells = _cell_triples(level)
         self.map_count = len(self.cells)
-        self.cell_index = {t: i for i, t in enumerate(self.cells)}
-        self.corners = CORNERS
         # F_i(z) = z/l + t_i with t_i = (a*q0 + b*q1 + c*q2)/l; l t_i is an
         # integer vector
         self.int_translations = tuple((a + 2 * c, 2 * a) for (a, b, c) in self.cells)
@@ -414,19 +412,24 @@ class VertexIndex(Mapping):
         return len(self._verts)
 
 
-def _cell_corner_coords(params, m, cell_mask=None):
-    """Integer corner coordinates of every level-m cell: shape (ncells, 3, 2).
-
-    l**m * F_w(q_j) = q_j + sum_k l**(m-k) * (l * t_{w_k}).  At most
-    MAX_GRAPH_CELLS cells, the count of SG at level MAX_GRAPH_LEVEL, checked
-    before any array is allocated.
-    """
-    l = params.level
+def check_graph_level(params, m):
+    """Refuse a level-m graph of more than MAX_GRAPH_CELLS cells, the count
+    of SG at level MAX_GRAPH_LEVEL."""
     if params.map_count ** m > MAX_GRAPH_CELLS:
         raise ResolutionError(
-            f"level {m} of SG_{l} has {params.map_count ** m} cells; graphs are capped at "
-            f"{MAX_GRAPH_CELLS} cells (SG at level {MAX_GRAPH_LEVEL})"
+            f"level {m} of SG_{params.level} has {params.map_count ** m} cells; graphs are "
+            f"capped at {MAX_GRAPH_CELLS} cells (SG at level {MAX_GRAPH_LEVEL})"
         )
+
+
+def _cell_corner_coords(params, m):
+    """Integer corner coordinates of every level-m cell: shape (ncells, 3, 2).
+
+    l**m * F_w(q_j) = q_j + sum_k l**(m-k) * (l * t_{w_k}).  The cell count
+    is checked (`check_graph_level`) before any array is allocated.
+    """
+    check_graph_level(params, m)
+    l = params.level
     tr = np.array(params.int_translations, dtype=np.int64)
     offs = np.zeros((1, 2), dtype=np.int64)
     for _ in range(m):

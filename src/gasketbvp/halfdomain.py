@@ -33,16 +33,23 @@ F = Fraction
 # per-level structure
 
 
-class HalfStructure:
-    """Digit alphabet, measure weights and atom layout of one half domain."""
+class HalfStructure(cylinder.Frame):
+    """Digit alphabet, measure weights and atom layout of the half domain of
+    SG_l, which is also its recursion frame: every sub-copy F_d of it is
+    again a half domain, so shifting returns the same structure."""
+
+    name = "half domain"
+    slots = (1,)
 
     def __init__(self, level):
         params = gasket(level)
         self.level = level
         self.params = params
+        self.domain = geometry.HalfDomain(level)
         self.alphabet = params.half_alphabet          # map indices, top to bottom
         self.atom_count = len(params.atom_cells)      # floor(l/2)
         self.r = params.renorm_factor
+        self.ratio = 1 / self.r
         ha = geometry._gamma1_harmonic_values(params, (F(0), F(1), F(-1)))
         self.ha_gamma1 = ha
         points = params.cell_points
@@ -78,8 +85,55 @@ class HalfStructure:
                 self.cylinder_top[i] = None  # the copy inherits f(q0)
             else:
                 self.cylinder_top[i] = self.atom_points.index(top)
-        self.digit_chars = {i: geometry.WORD_CHARS[i] for i in self.alphabet}
-        self.frame = HalfFrame(self)  # the domain as a recursion frame
+        self._children = [(i, self.weights[i], self) for i in self.alphabet]
+
+    def terminal(self, f, p):
+        if p == Q1:
+            return f.q1
+        if p[0] == 1:
+            return boundary_value_at(f, p)
+        return None
+
+    def values(self, f):
+        l = self.level
+        values = {(F(x, l), F(y, l)): v for (x, y), v in extend_step(f).items()}
+        values[Q1] = f.q1
+        for j, ap in enumerate(self.atom_points):
+            values[ap] = f.atom("", j + 1)
+        return values
+
+    def full_cells(self):
+        return _contained_cells_level1(self.level)
+
+    def copies(self):
+        return self.alphabet
+
+    def shift(self, d):
+        return self
+
+    # the measure: fixed digit weights, atom base masses at every node
+    def children(self):
+        return self._children
+
+    def own(self, f, word):
+        return sum(base * f.atom(word, j) for j, base in enumerate(self.atom_base, start=1))
+
+    def closed(self, f, word):
+        """Constant data, or the SG geometric tail A + B rho^k summed in
+        closed form over the atoms below word."""
+        tail = f.geometric_tail
+        if tail is None or tail[1] == 0 or len(word) < tail[3] or f.refined(word):
+            return f.subtree(word)
+        a, b, rho, _ = tail
+        mu = self.weights[self.alphabet[0]]
+        return a + b * rho ** len(word) * self.atom_base[0] / (1 - rho * mu)
+
+    # the energy: constant data c gives 3 (f(q1) - c)^2
+    def coefficient(self):
+        return 3
+
+    def corner(self, f):
+        return f.q1
 
     def _embed_chain(self, p):
         chain = []
@@ -310,7 +364,7 @@ def integrate(f, scale_word="", max_depth=DEFAULT_DEPTH):
     bound (sum of weights)^depth * sup|f|.
     """
     f.st.word_digits(scale_word)
-    return cylinder.integrate(f.st.frame, f, scale_word, max_depth)
+    return cylinder.integrate(f.st, f, scale_word, max_depth)
 
 
 def normal_derivative_q1(f):
@@ -430,70 +484,6 @@ def boundary_value_at(f, p):
     return f.atom(word, j)
 
 
-class HalfFrame(cylinder.Frame):
-    """The half domain of SG_l as a recursion frame; every sub-copy F_d of
-    it is again a half domain, so shifting returns the same frame."""
-
-    name = "half domain"
-    slots = (1,)
-
-    def __init__(self, st):
-        self.st = st
-        self.level = st.level
-        self.params = st.params
-        self.domain = geometry.HalfDomain(st.level)
-        self.ratio = 1 / st.r
-        self._children = [(i, st.weights[i], self) for i in st.alphabet]
-
-    def terminal(self, f, p):
-        if p == Q1:
-            return f.q1
-        if p[0] == 1:
-            return boundary_value_at(f, p)
-        return None
-
-    def values(self, f):
-        l = self.level
-        values = {(F(x, l), F(y, l)): v for (x, y), v in extend_step(f).items()}
-        values[Q1] = f.q1
-        for j, ap in enumerate(self.st.atom_points):
-            values[ap] = f.atom("", j + 1)
-        return values
-
-    def full_cells(self):
-        return _contained_cells_level1(self.level)
-
-    def copies(self):
-        return self.st.alphabet
-
-    def shift(self, d):
-        return self
-
-    # the measure: fixed digit weights, atom base masses at every node
-    def children(self):
-        return self._children
-
-    def own(self, f, word):
-        return sum(base * f.atom(word, j) for j, base in enumerate(self.st.atom_base, start=1))
-
-    def closed(self, f, word):
-        """Constant data, or the SG geometric tail A + B rho^k summed in
-        closed form over the atoms below word."""
-        tail = f.geometric_tail
-        if tail is None or tail[1] == 0 or len(word) < tail[3] or f.refined(word):
-            return f.subtree(word)
-        a, b, rho, _ = tail
-        mu = self.st.weights[self.st.alphabet[0]]
-        return a + b * rho ** len(word) * self.st.atom_base[0] / (1 - rho * mu)
-
-    # the energy: constant data c gives 3 (f(q1) - c)^2
-    def coefficient(self):
-        return 3
-
-    def corner(self, f):
-        return f.q1
-
-
 def evaluate(f, v):
     """Value at a vertex of the unique harmonic solution with data f.
 
@@ -505,7 +495,7 @@ def evaluate(f, v):
 def evaluate_many(f, vertices):
     """Values at the vertices (as for `evaluate`) of the solution with data
     f, in order, all routed through the recursion at once."""
-    return cylinder.evaluate(f.st.frame, f, vertices)
+    return cylinder.evaluate(f.st, f, vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +525,14 @@ def energy_form_Q(f, depth):
 def gauss_green_pairing(f, g, m):
     """E_{O_m}(u_f, u_g): the resistance pairing over the first m stages of
     the cylinder exhaustion of the half domain."""
-    return cylinder.energy(f.st.frame, f, g, stages=m)
+    return cylinder.energy(f.st, f, g, stages=m)
 
 
 def domain_energy(f, g=None):
     """Exact E_Omega(u_f, u_g) for piecewise-constant boundary data, summed
     over cylinder pieces with the constant-data remainder in closed form
     (the solution with data (a at q1, c on X) has energy 3 (a-c)^2)."""
-    return cylinder.energy(f.st.frame, f, f if g is None else g)
+    return cylinder.energy(f.st, f, f if g is None else g)
 
 
 # ---------------------------------------------------------------------------

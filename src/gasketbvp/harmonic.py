@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import geometry
 from .errors import CapabilityError, ContractViolation, LevelMismatchError
 from .geometry import CORNERS_INT, gasket
@@ -190,17 +188,9 @@ def graph_energy(f, g=None):
         raise LevelMismatchError("graph energy requires functions on the same level")
     graph = f.graph
     fv, gv = f.values, g.values
-    exact = _is_exact(fv[0], gv[0])
-    if isinstance(fv, np.ndarray) and fv.dtype != object and isinstance(gv, np.ndarray):
-        d1 = fv[graph.edges[:, 0]] - fv[graph.edges[:, 1]]
-        d2 = gv[graph.edges[:, 0]] - gv[graph.edges[:, 1]]
-        total = float(np.dot(d1, d2))
-    else:
-        total = sum(
-            (fv[i] - fv[j]) * (gv[i] - gv[j]) for i, j in graph.edges
-        )
+    total = sum((fv[i] - fv[j]) * (gv[i] - gv[j]) for i, j in graph.edges)
     r = graph.params.renorm_factor
-    if not exact:
+    if not _is_exact(fv[0], gv[0]):
         r = float(r)
     return total / r ** graph.m
 

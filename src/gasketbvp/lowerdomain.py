@@ -135,8 +135,9 @@ def error_bound(lam, depth, seed=(2, 1)):
 EXACT_DYADIC_CAP = 48
 
 
-def eta_pair(lam, depth=None, seed=(2, 1), tol=1e-12, max_depth=400):
-    """(eta_1, eta_2)(lambda) by composing the one-digit maps.
+def eta_pair(lam, tol=1e-12, max_depth=400):
+    """(eta_1, eta_2)(lambda) by composing the one-digit maps from the seed
+    (2, 1).
 
     Dyadic lambda short-circuits at d(lambda) with exact rational output
     (desk-scale depths only; the exact numerators grow fast); otherwise
@@ -144,19 +145,16 @@ def eta_pair(lam, depth=None, seed=(2, 1), tol=1e-12, max_depth=400):
     """
     if lam.dyadic and lam.dyadic_depth <= EXACT_DYADIC_CAP:
         d = lam.dyadic_depth
-        x, y = composite_eta(lam, d, (F(seed[0]), F(seed[1])))
+        x, y = composite_eta(lam, d, (F(2), F(1)))
         pair = EtaPair(x, y, d, F(0), True)
     else:
-        if depth is None:
-            depth = 1
-            while depth <= max_depth and error_bound(lam, depth, seed) > tol:
-                depth += 1
-            if depth > max_depth:
-                raise AccuracyError(
-                    f"certified depth for tol {tol:g} exceeds {max_depth}"
-                )
-        x, y = composite_eta(lam, depth, (float(seed[0]), float(seed[1])))
-        pair = EtaPair(x, y, depth, error_bound(lam, depth, seed), False)
+        depth = 1
+        while depth <= max_depth and error_bound(lam, depth) > tol:
+            depth += 1
+        if depth > max_depth:
+            raise AccuracyError(f"certified depth for tol {tol:g} exceeds {max_depth}")
+        x, y = composite_eta(lam, depth, (2.0, 1.0))
+        pair = EtaPair(x, y, depth, error_bound(lam, depth), False)
     _check_eta_invariants(pair)
     return pair
 
@@ -352,6 +350,7 @@ def integrate_lower(f, measure=1, max_depth=DEFAULT_DEPTH):
 
 def normal_derivatives_lower(lam, f):
     """(d_n u(q1), d_n u(q2)) from the boundary data via the measure pair."""
+    cylinder.check_lam(lam, f)
     em = etas(lam)
     i1 = integrate_lower(f, 1).value
     i2 = integrate_lower(f, 2).value
@@ -392,9 +391,10 @@ def extend_step_lower(lam, f):
     return {p_f1q2: u12}
 
 
-def boundary_value_at_lower(lam, f, p, max_depth=DEFAULT_DEPTH):
+def boundary_value_at_lower(lam, f, p):
     """Data value at an exact point of the cut-line boundary set."""
-    return cylinder.cut_value(LowerFrame(lam), f, p, max_depth)
+    cylinder.check_lam(lam, f)
+    return cylinder.cut_value(LowerFrame(lam), f, p)
 
 
 class LowerFrame(cylinder.Frame):
@@ -471,6 +471,7 @@ def evaluate_lower(lam, f, v):
 def evaluate_lower_many(lam, f, vertices):
     """Values at the vertices (as for `evaluate_lower`), in order, all routed
     through the recursion at once."""
+    cylinder.check_lam(lam, f)
     return cylinder.evaluate(LowerFrame(lam), f, vertices)
 
 

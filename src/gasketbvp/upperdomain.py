@@ -28,23 +28,15 @@ EtaAlpha = namedtuple("EtaAlpha", ["alpha", "eta", "depth", "err"])
 
 
 class TriadicLambda:
-    """Triadic expansion of lambda in (0,1] with shift R and dilation.
+    """Triadic expansion of an exact lambda in (0,1] with shift R and
+    dilation: a Fraction, or a digit program with a periodic tail (whose
+    value is rational too)."""
 
-    Backed by an exact Fraction whenever possible (plain rationals and
-    digit programs with periodic tails); a raw digit callback pair_fn(k)
-    -> (m_k, iota_k) is accepted for eta/measure work but cannot support
-    geometric routing.
-    """
-
-    def __init__(self, value=None, pair_fn=None):
-        if value is not None:
-            value = F(value)
-            if not (0 < value <= 1):
-                raise ResolutionError("lambda must lie in (0, 1]")
-        elif pair_fn is None:
-            raise ResolutionError("need a value or a digit callback")
+    def __init__(self, value):
+        value = F(value)
+        if not (0 < value <= 1):
+            raise ResolutionError("lambda must lie in (0, 1]")
         self.value = value
-        self.pair_fn = pair_fn
         self._pairs = []
         self._shifted = None
 
@@ -61,8 +53,8 @@ class TriadicLambda:
                 body, tail = body.split("periodic:")
                 periodic = _parse_pairs(tail)
             prefix = _parse_pairs(body)
-            return cls(value=_program_value(prefix, periodic))
-        return cls(value=F(text))
+            return cls(_program_value(prefix, periodic))
+        return cls(F(text))
 
     def pair(self, k):
         """(m_k, iota_k), 1-indexed."""
@@ -74,17 +66,15 @@ class TriadicLambda:
 
     def _next_pair(self):
         n = len(self._pairs)
-        if self.value is not None:
-            m = self._pairs[n - 1][0] if n else 0
-            x = self._rest if n else self.value
-            while True:
-                m += 1
-                d = -((-3 * x.numerator) // x.denominator) - 1  # ceil(3x) - 1
-                x = 3 * x - d
-                if d:
-                    self._rest = x
-                    return (m, int(d))
-        return self.pair_fn(n + 1)
+        m = self._pairs[n - 1][0] if n else 0
+        x = self._rest if n else self.value
+        while True:
+            m += 1
+            d = -((-3 * x.numerator) // x.denominator) - 1  # ceil(3x) - 1
+            x = 3 * x - d
+            if d:
+                self._rest = x
+                return (m, int(d))
 
     @property
     def m1(self):
@@ -104,45 +94,21 @@ class TriadicLambda:
         since every recursion over words shifts the same chain)."""
         if self._shifted is None:
             m1, i1 = self.pair(1)
-            if self.value is not None:
-                self._shifted = TriadicLambda(value=self.value * 3 ** m1 - i1)
-            else:
-                fn = self.pair_fn
-                self._shifted = TriadicLambda(pair_fn=lambda k: _shift_pair(fn, m1, k))
+            self._shifted = TriadicLambda(self.value * 3 ** m1 - i1)
         return self._shifted
 
     def dilate(self):
         """3 lambda, defined when m_1 > 1 (strips one leading zero digit)."""
         if self.m1 <= 1:
             raise ResolutionError("dilate needs m_1 > 1")
-        if self.value is not None:
-            return TriadicLambda(value=3 * self.value)
-        fn = self.pair_fn
-        return TriadicLambda(pair_fn=lambda k: _dilate_pair(fn, k))
+        return TriadicLambda(3 * self.value)
 
     def cut_height(self):
         """Global y coordinate of the cut line (the triangle has height 2)."""
-        if self.value is None:
-            raise ResolutionError("geometric routing needs an exact lambda value")
         return 2 - 2 * self.value
 
-    def key(self):
-        return self.value if self.value is not None else id(self)
-
     def __repr__(self):
-        if self.value is not None:
-            return f"TriadicLambda({self.value})"
-        return "TriadicLambda(<callback>)"
-
-
-def _shift_pair(fn, m1, k):
-    m, i = fn(k + 1)
-    return (m - m1, i)
-
-
-def _dilate_pair(fn, k):
-    m, i = fn(k)
-    return (m - 1, i)
+        return f"TriadicLambda({self.value})"
 
 
 def _parse_pairs(text):
@@ -211,8 +177,7 @@ def eta_alpha(lam, tol=1e-12, max_depth=400):
     composing from seed 0 and from seed alpha(1)+ brackets the limit; the
     reported err is the bracket width at the final depth.
     """
-    key = lam.key()
-    cached = _ETA_CACHE.get(key)
+    cached = _ETA_CACHE.get(lam.value)
     if cached is not None and cached.err <= tol:
         return cached
     depth = 8
@@ -234,8 +199,7 @@ def eta_alpha(lam, tol=1e-12, max_depth=400):
         raise AccuracyError(
             f"alpha bracket {result.err:g} did not reach {tol:g} within depth {max_depth}"
         )
-    if isinstance(key, F):
-        _ETA_CACHE[key] = result
+    _ETA_CACHE[lam.value] = result
     return result
 
 
@@ -318,6 +282,7 @@ def integrate_upper(f, prefix="", max_depth=DEFAULT_DEPTH):
 
 def normal_derivative_q0(lam, f):
     """eta(lambda) * (f(q0) - int f dmu^lambda)."""
+    cylinder.check_lam(lam, f)
     return eta_of(lam) * (float(f.q0) - integrate_upper(f).value)
 
 
@@ -461,13 +426,14 @@ def evaluate_upper(lam, f, v):
 def evaluate_upper_many(lam, f, vertices):
     """Values at the vertices (as for `evaluate_upper`), in order, all routed
     through the recursion at once."""
+    cylinder.check_lam(lam, f)
     return cylinder.evaluate(UpperFrame(lam), f, vertices)
 
 
-def boundary_value_at_upper(lam, f, p, max_depth=DEFAULT_DEPTH):
+def boundary_value_at_upper(lam, f, p):
     """Data value at an exact point of the cut line; at a junction of two
     cylinders of piecewise-constant data the cylinder values are averaged."""
-    return cylinder.cut_value(UpperFrame(lam), f, p, max_depth)
+    return cylinder.cut_value(UpperFrame(lam), f, p)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +471,7 @@ def haar_expand(lam, f, depth):
     combinations of cylinder means."""
     if depth < 0:
         raise ContractViolation(f"depth must be >= 0, not {depth}")
+    cylinder.check_lam(lam, f)
     b = integrate_upper(f).value
     coeffs = {}
     for word in cylinder.words(lambda k: word_alphabet(lam, k), depth - 1):
@@ -547,6 +514,7 @@ def domain_energy_upper(lam, a, f, a2=None, g=None):
     """
     if g is None:
         a2, g = a, f
+    cylinder.check_lam(lam, f, g)
     return cylinder.energy(UpperFrame(lam), f.with_q0(float(a)), g.with_q0(float(a2)))
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import gasketbvp
-from gasketbvp import cli
+from gasketbvp import cli, geometry
 
 F = Fraction
 
@@ -274,3 +274,14 @@ def test_solve_leaves_scipy_unloaded(tmp_path, half_data):
         f"    assert cli.main(['solve', '--level', '2', '--out', {out!r}, *argv]) == 0\n"
         "assert 'scipy' not in sys.modules\n"
     )
+
+
+def test_compare_checks_the_graph_cap_before_any_graph(half_data, capsys, monkeypatch):
+    # level 9 of SG_3 is over the cap: refused before levels 3-8 are built
+    built = []
+    build = geometry.build_graph
+    monkeypatch.setattr(geometry, "build_graph", lambda *a, **k: built.append(a[1]) or build(*a, **k))
+    code, out, err = run(["compare", "--domain", "half-sg3", "--levels", "3:9", "--data", half_data],
+                         capsys)
+    assert (code, out, built) == (2, "", [])
+    assert "level 9 of SG_3 has 10077696 cells" in err

@@ -297,7 +297,7 @@ def _route_case(name):
         return (
             lambda cyl, d, c: HD.HalfBoundaryData(level, q1=c, cylinders=cyl, default=d, q0=d),
             cycle(chars(HD.structure(level).alphabet)), geometry.HalfDomain(level),
-            {2: 4, 3: 3, 4: 2}[level], True, HD.structure(level).frame,
+            {2: 4, 3: 3, 4: 2}[level], True, HD.structure(level),
             HD.evaluate, HD.evaluate_many)
     if family == "upper":
         lam = UP.TriadicLambda(F(arg))

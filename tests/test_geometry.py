@@ -218,6 +218,16 @@ def test_domain_graph_half_sg3():
     assert g.n_vertices() == 5 and len(g.edges) == 6
 
 
+@pytest.mark.parametrize("domain,m", [
+    (G.HalfDomain(2), 5), (G.HalfDomain(3), 3), (G.HalfDomain(4), 2),
+    (G.UpperDomain(cut_y=F(2, 3)), 3), (G.LowerDomain(cut_y=F(1, 2)), 4),
+], ids=["half-sg", "half-sg3", "half-l4", "upper-2_3", "lower-3_4"])
+def test_domain_graph_vertices_in_xy_order(domain, m):
+    # solve prints its rows in this order
+    pts = [(int(x), int(y)) for x, y in G.domain_graph(domain, m).verts]
+    assert all(a < b for a, b in zip(pts, pts[1:]))
+
+
 def test_export_csv(tmp_path):
     g = G.build_graph(G.gasket(2), 1)
     e, v = tmp_path / "edges.csv", tmp_path / "verts.csv"

@@ -306,7 +306,7 @@ def test_first_term_lower_bound():
     rng = random.Random(29)
     for _ in range(10):
         f = random_cylinder_data(rng, 1)
-        cells, _ = cylinder.stage(HD.structure(3).frame, f)
+        cells, _ = cylinder.stage(HD.structure(3), f)
         e1 = sum(
             (1 / HD.structure(3).r) * __import__("gasketbvp.harmonic", fromlist=["x"]).triangle_energy(c)
             for c in cells

@@ -6,6 +6,7 @@ import pytest
 
 from gasketbvp import geometry as G
 from gasketbvp import harmonic as H
+from gasketbvp import oracle as O
 from gasketbvp.errors import CapabilityError, ContractViolation
 
 F = Fraction
@@ -176,3 +177,16 @@ def test_verify_matching():
     with pytest.raises(ContractViolation):
         corner = g.vertex_id(G.Q1)
         H.verify_matching(const, corner)
+
+
+def test_graph_energy_of_a_float_oracle_solution():
+    # the oracle's float solution is a float ndarray; its energy is the
+    # exact one, E_0 of the corner data, to rounding
+    params = G.gasket(3)
+    graph, exact = O.solve_full_gasket(params, 3, (F(1), F(0), F(-2)), mode="rational")
+    _, floats = O.solve_full_gasket(params, 3, (1.0, 0.0, -2.0), mode="float")
+    assert isinstance(floats, np.ndarray) and floats.dtype == np.float64
+    want = H.graph_energy(H.GraphFunction(graph, exact))
+    assert want == 14
+    got = H.graph_energy(H.GraphFunction(graph, floats))
+    assert abs(got - 14) <= 1e-12 * 14

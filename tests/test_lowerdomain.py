@@ -284,3 +284,20 @@ def test_evaluate_below_cut_only():
 def test_division_safety():
     with pytest.raises(ContractViolation):
         LD.t1(F(0), F(0))
+
+
+def test_data_for_another_lambda_is_refused():
+    # f is built for lambda = 1/4; read at 1/2 its words would be taken for
+    # the other lambda's cylinders (7/10 at (1/2, 0) instead of 7/4)
+    lam2, lam4 = LD.BinaryLambda(F(1, 2)), LD.BinaryLambda(F(1, 4))
+    f = LD.LowerBoundaryData(lam4, q1=F(1), q2=F(2), cylinders={"01": F(3), "02": F(4)},
+                             default=F(0))
+    for call in (
+        lambda: LD.evaluate_lower(lam2, f, (F(1, 2), F(0))),
+        lambda: LD.evaluate_lower_many(lam2, f, [(F(1, 2), F(0))]),
+        lambda: LD.normal_derivatives_lower(lam2, f),
+        lambda: LD.boundary_value_at_lower(lam2, f, (F(1, 2), F(1))),
+    ):
+        with pytest.raises(ContractViolation, match="built for lambda = 1/4 used at 1/2"):
+            call()
+    assert LD.evaluate_lower(lam4, f, (F(1, 2), F(0))) == F(7, 4)

@@ -404,3 +404,21 @@ def test_cylinder_words_checked_against_level_alphabet():
         UP.UpperBoundaryData(UP.TriadicLambda(F(2, 3)), cylinders={"1": 1.0}, default=0.0)
     ok = UP.UpperBoundaryData(UP.TriadicLambda(F(2, 3)), cylinders={"53": 1.0}, default=0.0)
     assert ok.shifted(5, 0.0).cylinders == {"3": 1.0}
+
+
+def test_data_for_another_lambda_is_refused():
+    # g is built for lambda = 2/3; read at 1 it would give energy 0.0
+    # instead of 8.73
+    lam1, lam23 = UP.TriadicLambda(1), UP.TriadicLambda(F(2, 3))
+    g = UP.UpperBoundaryData(lam23, q0=1.0, cylinders={"4": 0.0, "5": 2.0}, default=0.0)
+    f1 = UP.constant_upper(lam1, 1.0)
+    for call in (
+        lambda: UP.domain_energy_upper(lam1, 0.0, g),
+        lambda: UP.domain_energy_upper(lam1, 0.0, f1, 0.0, g),
+        lambda: UP.evaluate_upper_many(lam1, g, [G.Q0]),
+        lambda: UP.normal_derivative_q0(lam1, g),
+        lambda: UP.haar_expand(lam1, g, 2),
+    ):
+        with pytest.raises(ContractViolation, match="built for lambda = 2/3 used at 1"):
+            call()
+    assert UP.domain_energy_upper(lam23, 0.0, g) == pytest.approx(8.728319267757461)
