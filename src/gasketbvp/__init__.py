@@ -7,8 +7,9 @@ domain family (`halfdomain`, `upperdomain`, `lowerdomain`) and the boundary
 data and recursion engine they share (`cylinder`).  `cli` is the
 command-line front end.
 
-`oracle` is imported on first use of `gasketbvp.oracle`: only `compare`
-pays for its import.
+`oracle` is imported on first use of `gasketbvp.oracle`, and numpy only by
+the graph code of `geometry` and by the oracle: only `compare` pays for
+their import.
 """
 
 import importlib

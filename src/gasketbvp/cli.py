@@ -95,11 +95,27 @@ def _fmt(v):
     return repr(float(v))
 
 
+def _fmt_exact(v, flag):
+    """_fmt(v), refused as a usage error naming the flag when v is an exact
+    value with more digits than the interpreter converts to text."""
+    try:
+        return _fmt(v)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: the exact value is too long to print") from exc
+
+
+def _write(path, text, what):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {what} {path}: {exc.strerror}") from exc
+
+
 def _emit(lines, out):
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text, "output")
     else:
         sys.stdout.write(text)
 
@@ -108,16 +124,21 @@ def _emit(lines, out):
 # commands of every family; each returns its output lines
 
 
-def _solution_rows(frame, f, g):
-    """(word, corner, x, y, value) at every vertex of g, in g's (x, y)
-    order; a function of its own so that the points are freed before the
-    output is formatted."""
-    points = [g.point(i) for i in range(g.n_vertices())]
-    rows = []
-    for i, ((x, y), v) in enumerate(zip(points, cylinder.evaluate(frame, f, points))):
-        a = g.address(i)
-        rows.append((geometry.word_to_str(a.word), a.corner, x, y, v))
-    return rows
+def _vertices(dom, m):
+    """(exact point, address) of every level-m vertex of the domain, in
+    (x, y) order."""
+    s = dom.params.level ** m
+    return [((F(x, s), F(y, s)), a) for x, y, a in geometry.domain_vertices(dom, m)]
+
+
+def _solution_rows(frame, f, dom, m):
+    """(word, corner, x, y, value) at every level-m vertex of the domain, in
+    (x, y) order; a function of its own so that the points are freed before
+    the output is formatted."""
+    verts = _vertices(dom, m)
+    values = cylinder.evaluate(frame, f, [p for p, _ in verts])
+    return [(geometry.word_to_str(a.word), a.corner, x, y, v)
+            for ((x, y), a), v in zip(verts, values)]
 
 
 def _refuse_rational(cfg, fam, lam):
@@ -132,7 +153,7 @@ def cmd_solve(cfg, fam, lam):
     _refuse_rational(cfg, fam, lam)
     # upper data stays exact here: its cut-line values print as fractions
     f = load_boundary_data(cfg.data_path, cfg.domain, cfg.mode, lam=lam, level=cfg.level)
-    rows = _solution_rows(frame, f, geometry.domain_graph(dom, cfg.depth))
+    rows = _solution_rows(frame, f, dom, cfg.depth)
     if cfg.fmt == "json":
         payload = {
             "schema": SCHEMA,
@@ -155,8 +176,7 @@ def cmd_compare(cfg, fam, lam):
     _refuse_rational(cfg, fam, lam)
     geometry.check_graph_level(dom.params, cfg.levels[1])
     f = _data(cfg, fam, lam)
-    base = geometry.domain_graph(dom, cfg.depth)
-    targets = [base.point(i) for i in range(base.n_vertices())]
+    targets = [p for p, _ in _vertices(dom, cfg.depth)]
     exact = dict(zip(targets, cylinder.evaluate(frame, f, targets)))
     lines, maxes = ["level,max_abs,mean_abs"], []
     levels = list(range(cfg.levels[0], cfg.levels[1] + 1))
@@ -199,8 +219,7 @@ def _write_svg(path, xs, ys, width=480, height=320):
         f'<text x="12" y="{height // 2}" font-size="12" transform="rotate(-90 12 {height // 2})" text-anchor="middle">log10 max abs discrepancy</text>',
         "</svg>",
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(body) + "\n")
+    _write(path, "\n".join(body) + "\n", "plot")
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +228,9 @@ def _write_svg(path, xs, ys, width=480, height=320):
 
 def _measure_half(cfg, fam, lam):
     mass = halfdomain.atom_mass(cfg.level, cfg.word, cfg.j)
-    return [f"atom_mass,{cfg.word},{cfg.j},{_fmt(mass)}",
-            f"residual_mass_depth_{cfg.depth},{_fmt(halfdomain.residual_mass(cfg.level, cfg.depth))}"]
+    residual = halfdomain.residual_mass(cfg.level, cfg.depth)
+    return [f"atom_mass,{cfg.word},{cfg.j},{_fmt_exact(mass, '--word')}",
+            f"residual_mass_depth_{cfg.depth},{_fmt_exact(residual, '--depth')}"]
 
 
 def _energy_half(cfg, fam, lam):

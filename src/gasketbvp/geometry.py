@@ -9,6 +9,11 @@ Cells at one subdivision level are indexed by barycentric offset triples
 (a, b, c) with a+b+c = l-1; index 0/1/2 are the corner cells fixing
 q0/q1/q2, the rest are numbered top-to-bottom, left-to-right (for l = 3
 the conventional order is 3 = bottom middle, 4 = right, 5 = left).
+
+Graphs are numpy arrays, and numpy is imported inside the functions that
+build or read them, so that only `compare` (through the oracle) and graph
+export pay for it; `domain_vertices` lists a domain graph's vertices in
+plain Python for `solve`.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from ._exact import solve
 from .errors import AddressError, CapabilityError, ContractViolation, ResolutionError
@@ -358,6 +361,8 @@ class Graph:
 
     def neighbors(self, i):
         if self._adj is None:
+            import numpy as np
+
             n = self.n_vertices()
             both = np.concatenate([self.edges, self.edges[:, ::-1]])
             order = np.argsort(both[:, 0], kind="stable")
@@ -368,6 +373,8 @@ class Graph:
         return tgt[starts[i]:starts[i + 1]]
 
     def degrees(self):
+        import numpy as np
+
         return np.bincount(self.edges.ravel(), minlength=self.n_vertices())
 
 
@@ -380,6 +387,8 @@ class VertexIndex(Mapping):
     """
 
     def __init__(self, verts, scale):
+        import numpy as np
+
         self._verts = verts
         ys = verts[:, 1]
         self._ylo = int(ys.min(initial=0))
@@ -400,7 +409,7 @@ class VertexIndex(Mapping):
         k = x * self._stride + (y - self._ylo)
         if not (self._klo <= k <= self._khi):
             raise KeyError(point)
-        pos = int(np.searchsorted(self._keys, k))
+        pos = int(self._keys.searchsorted(k))
         if self._keys[pos] != k:
             raise KeyError(point)
         return pos if self._order is None else int(self._order[pos])
@@ -415,9 +424,12 @@ class VertexIndex(Mapping):
 def check_graph_level(params, m):
     """Refuse a level-m graph of more than MAX_GRAPH_CELLS cells, the count
     of SG at level MAX_GRAPH_LEVEL."""
-    if params.map_count ** m > MAX_GRAPH_CELLS:
+    count = params.map_count ** m
+    if count > MAX_GRAPH_CELLS:
+        # past 1000 levels the count has more digits than str() converts
+        shown = count if m <= 1000 else f"{params.map_count}**{m}"
         raise ResolutionError(
-            f"level {m} of SG_{params.level} has {params.map_count ** m} cells; graphs are "
+            f"level {m} of SG_{params.level} has {shown} cells; graphs are "
             f"capped at {MAX_GRAPH_CELLS} cells (SG at level {MAX_GRAPH_LEVEL})"
         )
 
@@ -428,6 +440,8 @@ def _cell_corner_coords(params, m):
     l**m * F_w(q_j) = q_j + sum_k l**(m-k) * (l * t_{w_k}).  The cell count
     is checked (`check_graph_level`) before any array is allocated.
     """
+    import numpy as np
+
     check_graph_level(params, m)
     l = params.level
     tr = np.array(params.int_translations, dtype=np.int64)
@@ -446,6 +460,8 @@ def build_graph(params, m, cell_filter=None):
     cell_filter(corners) takes the (ncells, 3, 2) integer corner array and
     returns a boolean mask of cells to keep (used for domain restriction).
     """
+    import numpy as np
+
     if m < 0:
         raise ResolutionError("graph level must be >= 0")
     corners = _cell_corner_coords(params, m)
@@ -541,17 +557,22 @@ def outside(domain, x, y, s):
     return ((x, y)[domain.axis] * cut.denominator - cut.numerator * s) * domain.side < 0
 
 
-def contained_cell_filter(domain, m):
-    """Mask of level-m cells contained in the domain closure (corner test).
-    Corner coordinates are integers, so the scaled cut rounds inwards."""
+def _closed_side(domain, m):
+    """The test whether an integer coordinate c along the domain's axis, at
+    scale l**m, lies on the closed side of its cut (elementwise on arrays).
+    The coordinates are integers, so the scaled cut rounds inwards."""
     cut = domain.cut * domain.params.level ** m
+    if domain.side < 0:
+        bound = math.floor(cut)
+        return lambda c: c <= bound
+    bound = math.ceil(cut)
+    return lambda c: c >= bound
 
-    def filt(corners):
-        coord = corners[:, :, domain.axis]
-        inside = coord <= math.floor(cut) if domain.side < 0 else coord >= math.ceil(cut)
-        return inside.all(axis=1)
 
-    return filt
+def contained_cell_filter(domain, m):
+    """Mask of level-m cells contained in the domain closure (corner test)."""
+    closed = _closed_side(domain, m)
+    return lambda corners: closed(corners[:, :, domain.axis]).all(axis=1)
 
 
 def domain_graph(domain, m):
@@ -561,9 +582,43 @@ def domain_graph(domain, m):
     return build_graph(domain.params, m, contained_cell_filter(domain, m))
 
 
+def domain_vertices(domain, m):
+    """(x, y, address) of every vertex of `domain_graph(domain, m)`, with
+    integer coordinates at scale l**m, in the graph's (x, y) order and with
+    its addresses: each vertex keeps the first (cell word, corner) that
+    reaches it.  Found without numpy, by walking the cells top down: a cell
+    with no corner on the closed side of the cut is dropped with all its
+    subcells, and a level-m cell is kept when every corner is on it."""
+    if m < 1:
+        raise ResolutionError("domain restriction needs m >= 1")
+    params = domain.params
+    check_graph_level(params, m)
+    l, axis = params.level, domain.axis
+    closed = _closed_side(domain, m)
+    # a level-k cell with offset (x, y) has its corners at l**(m-k) q_j + (x, y)
+    cells = [((), 0, 0)]
+    for k in range(1, m + 1):
+        step = l ** (m - k)
+        reach = [step * q[axis] for q in CORNERS_INT]
+        shifts = [(d, step * tx, step * ty) for d, (tx, ty) in enumerate(params.int_translations)]
+        cells = [(word + (d,), x + dx, y + dy) for word, x, y in cells for d, dx, dy in shifts
+                 if any(closed((x + dx, y + dy)[axis] + r) for r in reach)]
+    first = {}
+    for word, x, y in cells:
+        corners = [(x + qx, y + qy) for qx, qy in CORNERS_INT]
+        if all(closed(p[axis]) for p in corners):
+            for c, p in enumerate(corners):
+                first.setdefault(p, (word, c))
+    if not first:
+        raise ResolutionError("no cells of this level are contained in the domain")
+    return [(x, y, VertexAddress(*first[x, y])) for x, y in sorted(first)]
+
+
 def boundary_masks(domain, graph):
     """(cantor, corner): masks of the vertices of a domain graph that lie on
     the cut line, and of those at the domain's boundary corners."""
+    import numpy as np
+
     s = graph.scale
     corner = np.zeros(graph.n_vertices(), dtype=bool)
     for c in domain.corners:
@@ -580,6 +635,8 @@ def boundary_masks(domain, graph):
 def export_graph_csv(graph, edge_path, vertex_path):
     """Edge list `vertex_id,vertex_id` plus a sidecar
     `vertex_id,word,corner,x,y` with exact rational coordinates."""
+    import numpy as np
+
     order = np.lexsort((graph.edges[:, 1], graph.edges[:, 0]))
     with open(edge_path, "w") as fh:
         fh.write("vertex_id,vertex_id\n")

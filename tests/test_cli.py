@@ -276,6 +276,40 @@ def test_solve_leaves_scipy_unloaded(tmp_path, half_data):
     )
 
 
+def test_explicit_path_leaves_numpy_unloaded(tmp_path, half_data):
+    # solve lists its vertices by a pure-Python cell walk and the short
+    # commands use no arrays: only compare (the oracle) loads numpy
+    upper = write_json(tmp_path / "u.json", {"schema": 1, "q0": "1/2", "default_tail": "0",
+                                             "cylinders": [{"w": "1", "v": "1"}]})
+    lower = write_json(tmp_path / "l.json", {"schema": 1, "q1": "1", "q2": "0", "default_tail": "0"})
+    half_sg3 = ["--domain", "half-sg3"]
+    up = ["--domain", "upper", "--lambda", "1"]
+    low = ["--domain", "lower", "--lambda", "1/2"]
+    runs = [
+        ["solve", *half_sg3, "--data", half_data],
+        ["solve", *up, "--data", upper],
+        ["solve", *low, "--mode", "rational", "--data", lower],
+        ["solve", "--domain", "lower", "--lambda", "1/3", "--mode", "float", "--data", lower],
+        ["eta", *up], ["eta", *low],
+        ["measure", *half_sg3], ["measure", *up], ["measure", *low],
+        ["energy", *half_sg3, "--data", half_data], ["energy", *up, "--data", upper],
+        ["haar", *up, "--data", upper],
+        ["dtn", "--domain", "half-sg", "--kmax", "5", "--data", half_data],
+    ]
+    out = str(tmp_path / "out.csv")
+    run_python(
+        "import sys\nimport gasketbvp.cli as cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert cli.main([*argv, '--out', {out!r}]) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "for mode in ('rational', 'float'):\n"
+        f"    assert cli.main(['compare', *{half_sg3!r}, '--levels', '2:3', '--mode', mode,\n"
+        f"                     '--data', {half_data!r}, '--out', {out!r}]) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+
+
 def test_compare_checks_the_graph_cap_before_any_graph(half_data, capsys, monkeypatch):
     # level 9 of SG_3 is over the cap: refused before levels 3-8 are built
     built = []

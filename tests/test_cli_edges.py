@@ -2,7 +2,8 @@
 
 A row is (argv, exit code, text): the text must occur in stderr when the
 exit code is nonzero and must be the first line of stdout when it is 0.
-`{half}`, `{upper}`, ... in argv stand for the paths of the DATA files.
+`{half}`, `{upper}`, ... in argv stand for the paths of the DATA files,
+and `{unwritable}` for a path in a directory that does not exist.
 The grid at the end runs every command on every domain family: the pairs
 in SUPPORTED succeed on small data, every other pair is a usage error.
 """
@@ -112,6 +113,18 @@ EDGES = [
      "level 6 of SG_8 has 2176782336 cells"),
     (["compare", "--domain", "half-sg3", "--levels", "9:9", "--data", "{half}"], 2,
      "level 9 of SG_3 has 10077696 cells"),
+    (["solve", "--domain", "half-sg3", "--level", "6000", "--data", "{half}"], 2,
+     "level 6000 of SG_3 has 6**6000 cells"),
+    # an output that cannot be written is a usage error naming it
+    (["eta", *UPPER, "--out", "{unwritable}"], 2, "cannot write output "),
+    (["compare", "--domain", "half-sg", "--levels", "2:3", "--data", "{half}", "--svg", "{unwritable}"], 2,
+     "cannot write plot "),
+    # exact values with more digits than str() converts name their flag
+    (["measure", "--domain", "half-sg3", "--depth", "5000"], 0, "atom_mass,,1,2/7"),
+    (["measure", "--domain", "half-sg3", "--depth", "6000"], 2,
+     "--depth: the exact value is too long to print"),
+    (["measure", "--domain", "half-sg3", "--word", "0" * 6000], 2,
+     "--word: the exact value is too long to print"),
 ]
 
 
@@ -122,6 +135,7 @@ def data_paths(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
         paths[name] = str(path)
+    paths["unwritable"] = str(tmp_path / "missing" / "out")
     return paths
 
 
@@ -131,7 +145,11 @@ def run(argv, data_paths, capsys):
     return code, out.out, out.err
 
 
-@pytest.mark.parametrize("row", EDGES, ids=lambda row: " ".join(row[0]))
+def _edge_id(row):
+    return " ".join(a if len(a) <= 40 else f"{a[:3]}...({len(a)} chars)" for a in row[0])
+
+
+@pytest.mark.parametrize("row", EDGES, ids=_edge_id)
 def test_edge(row, data_paths, capsys):
     argv, want_code, text = row
     code, out, err = run(argv, data_paths, capsys)

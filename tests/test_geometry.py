@@ -228,6 +228,60 @@ def test_domain_graph_vertices_in_xy_order(domain, m):
     assert all(a < b for a, b in zip(pts, pts[1:]))
 
 
+# levels kept to a few thousand cells, so that each example stays fast
+VERTEX_LEVELS = {2: 6, 3: 4, 4: 3, 5: 3}
+
+
+@st.composite
+def cut_domains(draw):
+    kind = draw(st.sampled_from(["half", "upper", "lower"]))
+    if kind == "half":
+        domain = G.HalfDomain(draw(st.integers(2, 5)))
+    elif kind == "upper":
+        j = draw(st.integers(0, 4))
+        lam = F(draw(st.integers(1, 3 ** j)), 3 ** j)
+        domain = G.UpperDomain(cut_y=2 - 2 * lam)
+    else:
+        j = draw(st.integers(0, 5))
+        lam = draw(st.just(F(1, 3)) | st.integers(0, 2 ** j - 1).map(lambda k: F(k, 2 ** j)))
+        domain = G.LowerDomain(cut_y=2 - 2 * lam)
+    return domain, draw(st.integers(1, VERTEX_LEVELS[domain.level]))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=cut_domains())
+def test_domain_vertices_match_domain_graph(case):
+    domain, m = case
+    try:
+        g = G.domain_graph(domain, m)
+    except ResolutionError as exc:
+        with pytest.raises(ResolutionError, match=str(exc)):
+            G.domain_vertices(domain, m)
+        return
+    want = [(int(x), int(y), g.address(i)) for i, (x, y) in enumerate(g.verts)]
+    assert G.domain_vertices(domain, m) == want
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_domain_vertices_need_level_one(m):
+    with pytest.raises(ResolutionError, match="domain restriction needs m >= 1"):
+        G.domain_vertices(G.HalfDomain(3), m)
+
+
+@pytest.mark.parametrize("domain", [G.LowerDomain(cut_y=F(1, 2)), G.UpperDomain(cut_y=F(16, 9))],
+                         ids=["lower-3_4", "upper-1_9"])
+def test_domain_vertices_without_contained_cells(domain):
+    # no 1-cell lies wholly below y = 1/2 in SG, or above y = 16/9 in SG_3
+    with pytest.raises(ResolutionError, match="no cells of this level are contained"):
+        G.domain_vertices(domain, 1)
+
+
+def test_domain_vertices_check_the_cap_before_walking(monkeypatch):
+    monkeypatch.setattr(G, "_closed_side", lambda *a: pytest.fail("walked past the cap"))
+    with pytest.raises(ResolutionError, match=f"level 9 of SG_3 has {6 ** 9} cells"):
+        G.domain_vertices(G.HalfDomain(3), 9)
+
+
 def test_export_csv(tmp_path):
     g = G.build_graph(G.gasket(2), 1)
     e, v = tmp_path / "edges.csv", tmp_path / "verts.csv"
