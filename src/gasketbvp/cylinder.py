@@ -7,8 +7,8 @@ extend step gives the solution on V_1, and a vertex is routed into a
 sub-copy F_d(domain) that carries shifted data, where the same step
 recurses.  `CylinderData` is the data on X; a family's *frame* is its domain
 at one recursion node.  `route`, `cut_value`, `integrate`, `energy` and
-`words` are the only recursions over cylinder words; the formulas stay in
-the families' extend steps and in `harmonic`.  `evaluate` is `route` behind
+`words` are the recursions over cylinder words that the families share;
+the formulas stay in the families' extend steps and in `harmonic`.  `evaluate` is `route` behind
 the check that every point lies in the root frame's domain.
 
 A frame provides
@@ -28,8 +28,6 @@ A frame provides
 as the measure state at the node X_word that `integrate` walks
     children()        (digit, weight, node) of the sub-cylinders: a child's
                       integral enters its parent's times weight
-    mass              the mass of a truncated leaf (1 where the weights
-                      carry it)
     own(f, word)      the node's own mass term (the half domain's atoms)
     closed(f, word)   the integral over X_word in closed form, or None
                       (by default the value of constant data)
@@ -41,37 +39,37 @@ and for `energy`
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
 from . import geometry, harmonic
 from .errors import AddressError, ContractViolation, ResolutionError
 
-Integral = namedtuple("Integral", ["value", "tail_bound"])
-
-DEFAULT_DEPTH = 24
 MAX_RECURSION = 64
+
+
+def check_depth(what, n):
+    """Refuse data that varies below MAX_RECURSION digits: every recursion
+    over the data ends within that depth."""
+    if n > MAX_RECURSION:
+        raise ContractViolation(
+            f"{what} {n} exceeds the {MAX_RECURSION}-digit limit of data words")
 
 
 class CylinderData:
     """Boundary data on a Cantor set X addressed by cylinder words.
 
-    `cylinders` maps words to the constant value of f on the cylinder X_w
-    (the longest matching word wins) and `default` covers the rest.  A
-    callback `fn(word, ...)` may be given instead, never mixed with the
-    structured data, together with `sup_bound` >= sup |f| for certified
-    truncation.  Subclasses add their corner values and the per-position
-    digit alphabet, against which every cylinder word is checked.
+    `cylinders` maps words of at most MAX_RECURSION digits to the constant
+    value of f on the cylinder X_w (the longest matching word wins) and
+    `default` covers the rest, so every integral of f is a finite sum.
+    Subclasses add their corner values and the per-position digit
+    alphabet, against which every cylinder word is checked.
     """
 
-    def __init__(self, cylinders=None, default=None, fn=None, sup_bound=None):
+    def __init__(self, cylinders=None, default=None):
         self.cylinders = dict(cylinders or {})
         self.default = default
-        self.fn = fn
-        self.sup_bound = sup_bound
-        if fn is not None and (self.cylinders or default is not None):
-            raise ContractViolation("callback data must not be mixed with structured data")
         for w in self.cylinders:
+            check_depth("cylinder word length", len(w))
             for k, ch in enumerate(w, start=1):
                 if geometry.WORD_CHARS.find(ch) not in self.alphabet(k):
                     raise AddressError(
@@ -83,10 +81,8 @@ class CylinderData:
         raise NotImplementedError
 
     def refined(self, word):
-        """True when f may vary on X_word: callback data, or a longer
-        cylinder below word."""
-        if self.fn is not None:
-            return True
+        """True when f may vary on X_word: a longer cylinder lies below
+        word."""
         for cyl in self.cylinders:
             if len(cyl) > len(word) and cyl.startswith(word):
                 return True
@@ -110,15 +106,6 @@ class CylinderData:
             return None
         return self.constant(word, self.default)
 
-    def finite(self):
-        """True when f is constant on every cylinder of some finite depth."""
-        return self.fn is None
-
-    def truncated(self, word):
-        """f on a leaf X_word where `integrate` stops: the callback's mean
-        fn(word), else 0 (the tail bound covers it)."""
-        return 0 if self.fn is None else self.fn(word)
-
     def data_values(self):
         vals = list(self.cylinders.values())
         if self.default is not None:
@@ -126,23 +113,15 @@ class CylinderData:
         return vals
 
     def sup(self):
-        if self.sup_bound is not None:
-            return self.sup_bound
-        if self.fn is not None:
-            raise ContractViolation("callback data needs an explicit sup_bound")
         vals = [abs(v) for v in self.data_values()]
         return max(vals) if vals else 0
 
     def restrict(self, digit):
         """Constructor keywords of the data on the child cylinder X_digit."""
         ch = geometry.WORD_CHARS[digit]
-        if self.fn is not None:
-            fn = self.fn
-            return {"fn": lambda w, *rest: fn(ch + w, *rest), "sup_bound": self.sup_bound}
         return {
             "cylinders": {c[1:]: v for c, v in self.cylinders.items() if c.startswith(ch)},
             "default": self.cylinders.get("", self.default),
-            "sup_bound": self.sup_bound,
         }
 
     def shifted(self, digit, *corners):
@@ -161,8 +140,6 @@ def check_lam(lam, *data):
 
 class Frame:
     """Defaults of the frame protocol (see the module docstring)."""
-
-    mass = 1
 
     def dilate(self):
         return self, 0
@@ -265,24 +242,22 @@ def cut_value(frame, f, p):
     blank = (None,) * len(frame.slots)  # a copy's corner values are not needed
     vals = []
 
-    def rec(frame, data, p, depth):
+    def rec(frame, data, p):
         sub = data.subtree("")
         if sub is not None:
             vals.append(sub)
             return
-        if depth == 0:
-            raise ContractViolation("cut-line value did not resolve within the depth cap")
         frame, p = frame.normalize(p)
         hits = 0
         for d in frame.copies():
             local = params.unapply_map(d, p)
             if geometry.cells_containing(params, local):
-                rec(frame.shift(d), data.shifted(d, *blank), local, depth - 1)
+                rec(frame.shift(d), data.shifted(d, *blank), local)
                 hits += 1
         if hits == 0:
             raise AddressError(f"{p} is not on the cut-line boundary of the {frame.name}")
 
-    rec(frame, f, p, DEFAULT_DEPTH)
+    rec(frame, f, p)
     return sum(vals) / len(vals)
 
 
@@ -296,42 +271,29 @@ def stage(frame, f):
     return cells, copies
 
 
-def integrate(node, f, word="", max_depth=DEFAULT_DEPTH):
-    """Integral of f over X_word against the measure whose state at X_word
-    is `node`, as an Integral.  Exact (zero tail bound) once f is constant
-    or in closed form on every branch; otherwise the leaves max_depth below
-    word enter with f.truncated and the bound sup|f| times their mass."""
-    sup = None
+def integrate(node, f, word=""):
+    """The integral of f over X_word against the measure whose state at
+    X_word is `node`, exactly: each branch ends where f is constant or in
+    closed form, at most MAX_RECURSION digits deep."""
 
-    def rec(node, word, depth):
-        nonlocal sup
+    def rec(node, word):
         value = node.closed(f, word)
         if value is not None:
-            return value, 0
-        if depth == 0:
-            if sup is None:
-                sup = f.sup()
-            mass = node.mass
-            return mass * f.truncated(word), abs(mass) * sup
-        total, bound = node.own(f, word), 0
+            return value
+        total = node.own(f, word)
         for d, weight, child in node.children():
-            v, tb = rec(child, word + geometry.WORD_CHARS[d], depth - 1)
-            total += weight * v
-            bound += weight * tb
-        return total, bound
+            total += weight * rec(child, word + geometry.WORD_CHARS[d])
+        return total
 
-    return Integral(*rec(node, word, max_depth))
+    return rec(node, word)
 
 
 def energy(frame, f, g, stages=None):
     """E(u_f, u_g) on the frame's domain, summed stage by stage: a stage
     pairs the energies of the full cells and recurses into the sub-copies,
     both scaled by r^-1.  Without `stages` a branch ends in closed form once
-    f or g is constant on it, and data that is never constant (see
-    `finite`) raises ContractViolation; with `stages` only the first
-    `stages` stages are summed (the pairing over O_stages)."""
-    if stages is None and not (f.finite() and g.finite()):
-        raise ContractViolation("energy needs data that is constant below some cylinder depth")
+    f or g is constant on it; with `stages` only the first `stages` stages
+    are summed (the pairing over O_stages)."""
 
     def rec(frame, f, g, k):
         frame, n = frame.dilate()
@@ -344,9 +306,9 @@ def energy(frame, f, g, stages=None):
                 c = frame.coefficient()
                 fa, ga = frame.corner(f), frame.corner(g)
                 if sg is None:
-                    return scale * (fa - sf) * c * (ga - integrate(frame, g).value)
+                    return scale * (fa - sf) * c * (ga - integrate(frame, g))
                 if sf is None:
-                    return scale * (ga - sg) * c * (fa - integrate(frame, f).value)
+                    return scale * (ga - sg) * c * (fa - integrate(frame, f))
                 return scale * c * (fa - sf) * (ga - sg)
         elif k >= stages:
             return 0

@@ -18,11 +18,11 @@ import warnings
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import permutations
 
 from . import cylinder, geometry, harmonic
 from ._exact import solve
-from .cylinder import DEFAULT_DEPTH, MAX_RECURSION, CylinderData
+from .cylinder import MAX_RECURSION, CylinderData, check_depth
 from .errors import AddressError, ContractViolation, ResolutionError
 from .geometry import Q0, Q1, gasket
 
@@ -244,15 +244,15 @@ class HalfBoundaryData(CylinderData):
     """Boundary data for the half domain: value at q1 plus values at the
     countable atom set {p_{j,w}} of X.
 
-    Structured mode combines explicit `atoms` {(word, j): v}, piecewise
-    constants `cylinders` {word: v} (constant on F_w X), an optional
+    It combines explicit `atoms` {(word, j): v}, piecewise constants
+    `cylinders` {word: v} (constant on F_w X), an optional
     `geometric_tail` (A, B, rho, start) for SG meaning f(p_k) = A + B rho^k
-    for k >= start, and a `default` fallback.  Alternatively a total
-    callback `fn(word, j)` may be given (exclusively).
+    for k >= start, and a `default` fallback.  Atom words and the tail's
+    start, like cylinder words, hold at most MAX_RECURSION digits.
     """
 
     def __init__(self, level=3, q1=0, atoms=None, cylinders=None, default=None,
-                 q0=None, fn=None, sup_bound=None, geometric_tail=None):
+                 q0=None, geometric_tail=None):
         self.level = level
         self.st = structure(level)
         self.q1 = q1
@@ -264,17 +264,18 @@ class HalfBoundaryData(CylinderData):
                 word, j = key
             else:
                 word, j = key, 1
+            check_depth("atom word length", len(word))
             self.st.word_digits(word)
             self.st.atom_index(j)
             self.atoms[(word, j)] = v
-        if fn is not None and self.atoms:
-            raise ContractViolation("callback data must not be mixed with structured data")
-        super().__init__(cylinders, default, fn, sup_bound)
-        if geometric_tail is not None and level != 2:
-            raise ContractViolation("geometric tails are specific to the SG half domain")
-        if geometric_tail is not None and self.cylinders:
-            # atoms would read the tail and integrals the cylinders
-            raise ContractViolation("a geometric tail must not be mixed with cylinders")
+        super().__init__(cylinders, default)
+        if geometric_tail is not None:
+            if level != 2:
+                raise ContractViolation("geometric tails are specific to the SG half domain")
+            if self.cylinders:
+                # atoms would read the tail and integrals the cylinders
+                raise ContractViolation("a geometric tail must not be mixed with cylinders")
+            check_depth("geometric tail start", geometric_tail[3])
 
     def alphabet(self, k):
         return self.st.alphabet
@@ -290,8 +291,6 @@ class HalfBoundaryData(CylinderData):
             k = len(word)
             if k >= start:
                 return a + b * rho ** k
-        if self.fn is not None:
-            return self.fn(word, j)
         best = None
         for cyl in self.cylinders:
             if self.st.covers(cyl, word, j) and (best is None or len(cyl) > len(best)):
@@ -318,12 +317,10 @@ class HalfBoundaryData(CylinderData):
         return self.constant(word, self.default if tail is None else tail[0])
 
     def finite(self):
+        """False for an SG geometric tail with B != 0, which is constant on
+        no cylinder."""
         tail = self.geometric_tail
-        return super().finite() and (tail is None or tail[1] == 0)
-
-    def truncated(self, word):
-        # a callback gives atom values, not cylinder means
-        return 0
+        return tail is None or tail[1] == 0
 
     def data_values(self):
         vals = list(self.atoms.values()) + super().data_values()
@@ -337,14 +334,13 @@ class HalfBoundaryData(CylinderData):
         top = self.st.cylinder_top[digit]
         new_q0 = self.q0 if top is None else self.atom("", top + 1)
         kwargs = self.restrict(digit)
-        if self.fn is None:
-            ch = geometry.WORD_CHARS[digit]
-            kwargs["atoms"] = {
-                (w[1:], j): v for (w, j), v in self.atoms.items() if w.startswith(ch)
-            }
-            if self.geometric_tail is not None:
-                a, b, rho, start = self.geometric_tail
-                kwargs["geometric_tail"] = (a, b * rho, rho, max(start - 1, 0))
+        ch = geometry.WORD_CHARS[digit]
+        kwargs["atoms"] = {
+            (w[1:], j): v for (w, j), v in self.atoms.items() if w.startswith(ch)
+        }
+        if self.geometric_tail is not None:
+            a, b, rho, start = self.geometric_tail
+            kwargs["geometric_tail"] = (a, b * rho, rho, max(start - 1, 0))
         return HalfBoundaryData(self.level, q1=new_q1, q0=new_q0, **kwargs)
 
 
@@ -356,20 +352,17 @@ def constant_data(level, c):
 # integration against the boundary measure
 
 
-def integrate(f, scale_word="", max_depth=DEFAULT_DEPTH):
-    """Integral of f o F_tau against the atomic boundary measure.
-
-    Exact (zero tail bound) whenever the data resolves to piecewise
-    constants; otherwise the truncated atom sum with the geometric tail
-    bound (sum of weights)^depth * sup|f|.
-    """
+def integrate(f, scale_word=""):
+    """The integral of f o F_tau against the atomic boundary measure,
+    exactly: the atom sum ends where f is constant, or sums an SG geometric
+    tail in closed form."""
     f.st.word_digits(scale_word)
-    return cylinder.integrate(f.st, f, scale_word, max_depth)
+    return cylinder.integrate(f.st, f, scale_word)
 
 
 def normal_derivative_q1(f):
     """Normal derivative of the solution at q1: 3 f(q1) - 3 * integral."""
-    return 3 * f.q1 - 3 * integrate(f).value
+    return 3 * f.q1 - 3 * integrate(f)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +374,8 @@ def extend_step_sg3(f):
     SG_3 half domain in terms of the boundary data."""
     if f.level != 3:
         raise ResolutionError("extend_step_sg3 needs SG_3 data")
-    i0 = integrate(f, "0").value
-    i3 = integrate(f, "3").value
+    i0 = integrate(f, "0")
+    i3 = integrate(f, "3")
     q1 = f.q1
     p = f.atom("", 1)
     x = F(4, 15) * q1 + F(1, 15) * p + F(1, 30) * i0 + F(19, 30) * i3
@@ -395,7 +388,7 @@ def extend_step_sg(f):
     """u(F_0 q_1) for the SG half domain."""
     if f.level != 2:
         raise ResolutionError("extend_step_sg needs SG data")
-    i0 = integrate(f, "0").value
+    i0 = integrate(f, "0")
     return F(1, 5) * f.q1 + F(1, 5) * f.atom("", 1) + F(3, 5) * i0
 
 
@@ -445,7 +438,7 @@ def _extend_step_system(f):
     for i in st.alphabet:
         p = points[i][1]
         rows[p][p] += 3
-        rhs[p] += 3 * integrate(f, geometry.WORD_CHARS[i]).value
+        rhs[p] += 3 * integrate(f, geometry.WORD_CHARS[i])
     return dict(sorted(solve(rows, rhs).items()))
 
 
@@ -504,7 +497,9 @@ def evaluate_many(f, vertices):
 
 def energy_form_Q(f, depth):
     """Partial sum of the boundary energy form Q(f), including squared
-    increments from levels |w| < depth to their children."""
+    increments from levels |w| < depth to their children.  Words are
+    visited in preorder; below a word where f is constant every increment
+    is 0, so none is visited."""
     if depth < 0:
         raise ContractViolation(f"depth must be >= 0, not {depth}")
     st = f.st
@@ -513,12 +508,18 @@ def energy_form_Q(f, depth):
     for j in js:
         total += (f.q1 - f.atom("", j)) ** 2
     rinv = 1 / st.r
-    for child in islice(cylinder.words(lambda k: st.alphabet, depth), 1, None):
-        word = child[:-1]
-        scale = rinv ** len(word)
-        for j in js:
-            for j2 in js:
-                total += scale * (f.atom(word, j) - f.atom(child, j2)) ** 2
+    children = [geometry.WORD_CHARS[d] for d in reversed(st.alphabet)]
+    stack = [""]
+    while stack:
+        child = stack.pop()
+        if child:
+            word = child[:-1]
+            scale = rinv ** len(word)
+            for j in js:
+                for j2 in js:
+                    total += scale * (f.atom(word, j) - f.atom(child, j2)) ** 2
+        if len(child) < depth and f.subtree(child) is None:
+            stack += [child + ch for ch in children]
     return total
 
 
@@ -532,7 +533,10 @@ def domain_energy(f, g=None):
     """Exact E_Omega(u_f, u_g) for piecewise-constant boundary data, summed
     over cylinder pieces with the constant-data remainder in closed form
     (the solution with data (a at q1, c on X) has energy 3 (a-c)^2)."""
-    return cylinder.energy(f.st, f, f if g is None else g)
+    g = f if g is None else g
+    if not (f.finite() and g.finite()):
+        raise ContractViolation("energy needs data that is constant below some cylinder depth")
+    return cylinder.energy(f.st, f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +571,10 @@ def dirichlet_to_neumann_sg(f, kmax):
         raise ResolutionError("the Dirichlet-to-Neumann map is for the SG half domain")
     if f.q0 is None:
         raise ContractViolation("f must carry its value at the accumulation corner q0")
-    if f.fn is not None:
-        raise ContractViolation("callback data: continuity at q0 cannot be certified")
     if kmax < 0:
         raise ContractViolation(f"kmax must be >= 0, not {kmax}")
     _check_q0_limit(f)
-    ints = [integrate(f, "0" * k).value for k in range(kmax + 2)]
+    ints = [integrate(f, "0" * k) for k in range(kmax + 2)]
     a = [f.q1]
     data = f
     for _ in range(kmax + 1):

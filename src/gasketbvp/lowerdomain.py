@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import cylinder, geometry, harmonic
-from .cylinder import DEFAULT_DEPTH, CylinderData
+from .cylinder import CylinderData
 from .errors import AccuracyError, AddressError, ContractViolation, ResolutionError
 from .geometry import Q0, Q1, Q2, gasket
 
@@ -325,14 +325,13 @@ class LowerBoundaryData(CylinderData):
     cylinders maps words over the per-position alphabets ({0} at positions
     where e_k = 0, {1,2} where e_k = 1) to constant values on X_w; for
     dyadic lambda the depth-d(lambda) cylinders are single points (the
-    finite boundary atoms).  A callback fn(word) may be used instead."""
+    finite boundary atoms)."""
 
-    def __init__(self, lam, q1=0, q2=0, cylinders=None, default=None, fn=None,
-                 sup_bound=None):
+    def __init__(self, lam, q1=0, q2=0, cylinders=None, default=None):
         self.lam = lam
         self.q1 = q1
         self.q2 = q2
-        super().__init__(cylinders, default, fn, sup_bound)
+        super().__init__(cylinders, default)
 
     def alphabet(self, k):
         return word_alphabet(self.lam, k)
@@ -342,18 +341,18 @@ def constant_lower(lam, c):
     return LowerBoundaryData(lam, q1=c, q2=c, default=c)
 
 
-def integrate_lower(f, measure=1, max_depth=DEFAULT_DEPTH):
-    """Integral of f over X against mu_1 or mu_2 of f's own lambda."""
+def integrate_lower(f, measure=1):
+    """The integral of f over X against mu_1 or mu_2 of f's own lambda."""
     cols, den = _columns(f.lam)
-    return cylinder.integrate(LowerFrame(f.lam, (cols[measure - 1], den)), f, "", max_depth)
+    return cylinder.integrate(LowerFrame(f.lam, (cols[measure - 1], den)), f)
 
 
 def normal_derivatives_lower(lam, f):
     """(d_n u(q1), d_n u(q2)) from the boundary data via the measure pair."""
     cylinder.check_lam(lam, f)
     em = etas(lam)
-    i1 = integrate_lower(f, 1).value
-    i2 = integrate_lower(f, 2).value
+    i1 = integrate_lower(f, 1)
+    i2 = integrate_lower(f, 2)
     d1 = em.eta1 * f.q1 - em.eta2 * f.q2 - (em.eta1 - em.eta2) * i1
     d2 = em.eta1 * f.q2 - em.eta2 * f.q1 - (em.eta1 - em.eta2) * i2
     return d1, d2
@@ -374,8 +373,8 @@ def extend_step_lower(lam, f):
     # means of f o F_d against the measures of the copy's own lambda
     if e1 == 0:
         copy = f.shifted(0, None, None)
-        i10 = integrate_lower(copy, 1).value
-        i20 = integrate_lower(copy, 2).value
+        i10 = integrate_lower(copy, 1)
+        i20 = integrate_lower(copy, 2)
         den = 4 * x * x + 14 * x - 2 * y - 4 * y * y + 12
         c_same = 9 + 5 * x + y
         c_opp = 3 + x + 5 * y
@@ -385,8 +384,8 @@ def extend_step_lower(lam, f):
         u02 = (c_same * f.q2 + c_opp * f.q1 + c_m1 * i20 + c_m2 * i10) / den
         u12 = (u01 + u02 + f.q1 + f.q2) / 4
         return {p_f0q1: u01, p_f0q2: u02, p_f1q2: u12}
-    i12 = integrate_lower(f.shifted(1, None, None), 2).value
-    i21 = integrate_lower(f.shifted(2, None, None), 1).value
+    i12 = integrate_lower(f.shifted(1, None, None), 2)
+    i21 = integrate_lower(f.shifted(2, None, None), 1)
     u12 = y / (2 * x) * (f.q1 + f.q2) + (x - y) / (2 * x) * (i12 + i21)
     return {p_f1q2: u12}
 

@@ -300,7 +300,7 @@ class DomainSkeleton:
 
 
 def domain_restricted_graph(domain, m):
-    """Assemble the truncated Dirichlet skeleton of a domain at level m."""
+    """Assemble the Dirichlet skeleton of a domain from its level-m cells."""
     graph = geometry.domain_graph(domain, m)
     cantor, corner = geometry.boundary_masks(domain, graph)
     bids = np.flatnonzero(cantor | corner)

@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import cylinder, geometry
-from .cylinder import DEFAULT_DEPTH, CylinderData
+from .cylinder import MAX_RECURSION, CylinderData
 from .errors import AccuracyError, AddressError, ContractViolation, ResolutionError
 from .geometry import Q0, gasket
 
@@ -249,41 +249,37 @@ class UpperBoundaryData(CylinderData):
     piecewise view of f on the Cantor cross-section X.
 
     cylinders maps words over the per-level alphabets ({4,5} / {1,2,3})
-    to constant values on X_w; `fn(word)` may instead give cylinder means
-    of a general f (with sup_bound for certified truncation)."""
+    to constant values on X_w."""
 
-    def __init__(self, lam, q0=0.0, cylinders=None, default=None, fn=None, sup_bound=None):
+    def __init__(self, lam, q0=0.0, cylinders=None, default=None):
         self.lam = lam
         self.q0 = q0
-        super().__init__(cylinders, default, fn, sup_bound)
+        super().__init__(cylinders, default)
 
     def alphabet(self, k):
         return word_alphabet(self.lam, k)
 
     def with_q0(self, q0):
-        return UpperBoundaryData(
-            self.lam, q0=q0, cylinders=self.cylinders, default=self.default,
-            fn=self.fn, sup_bound=self.sup_bound,
-        )
+        return UpperBoundaryData(self.lam, q0=q0, cylinders=self.cylinders, default=self.default)
 
 
 def constant_upper(lam, c):
     return UpperBoundaryData(lam, q0=c, default=c)
 
 
-def integrate_upper(f, prefix="", max_depth=DEFAULT_DEPTH):
-    """Mean of f over the cylinder X_prefix against mu^lambda (an Integral
-    with certified truncation bound; exact modulo eta for cylinder data)."""
+def integrate_upper(f, prefix=""):
+    """Mean of f over the cylinder X_prefix against mu^lambda (exact
+    modulo eta)."""
     lam = f.lam
     for _ in prefix:
         lam = lam.shift()
-    return cylinder.integrate(UpperFrame(lam), f, prefix, max_depth)
+    return cylinder.integrate(UpperFrame(lam), f, prefix)
 
 
 def normal_derivative_q0(lam, f):
     """eta(lambda) * (f(q0) - int f dmu^lambda)."""
     cylinder.check_lam(lam, f)
-    return eta_of(lam) * (float(f.q0) - integrate_upper(f).value)
+    return eta_of(lam) * (float(f.q0) - integrate_upper(f))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +305,7 @@ def extend_step_upper(lam, f):
     eta = eta_of(lam.shift())
     q0 = float(f.q0)
     ints = {
-        d: integrate_upper(f, geometry.WORD_CHARS[d]).value
+        d: integrate_upper(f, geometry.WORD_CHARS[d])
         for d in level_alphabet(lam)
     }
     if lam.iota1 == 1:
@@ -468,16 +464,18 @@ def haar_expand(lam, f, depth):
     """Mean b plus Haar coefficients {(word, j): c} for |word| < depth.
 
     c_w^(j) = <f, psi_w^(j)> / <psi_w^(j), psi_w^(j)> reduces to simple
-    combinations of cylinder means."""
-    if depth < 0:
-        raise ContractViolation(f"depth must be >= 0, not {depth}")
+    combinations of cylinder means.  Data words hold at most MAX_RECURSION
+    digits, so every coefficient below that depth is 0 and depth stops
+    there."""
+    if not 0 <= depth <= MAX_RECURSION:
+        raise ContractViolation(f"depth must be >= 0 and <= {MAX_RECURSION}, not {depth}")
     cylinder.check_lam(lam, f)
-    b = integrate_upper(f).value
+    b = integrate_upper(f)
     coeffs = {}
     for word in cylinder.words(lambda k: word_alphabet(lam, k), depth - 1):
         k = len(word) + 1
         means = {
-            d: integrate_upper(f, word + geometry.WORD_CHARS[d]).value
+            d: integrate_upper(f, word + geometry.WORD_CHARS[d])
             for d in word_alphabet(lam, k)
         }
         if lam.pair(k)[1] == 1:

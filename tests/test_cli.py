@@ -128,6 +128,21 @@ def test_energy_half(half_data, capsys):
     assert F(rows["energy"]) <= F(225, 28) * F(rows["Q"])
 
 
+def test_energy_half_depth_past_the_data(tmp_path, capsys):
+    # below depth 1 the data is constant, so every deeper increment of Q is 0
+    data = write_json(tmp_path / "d1.json", {
+        "schema": 1, "q1": "1", "q0": "0", "atoms": [{"w": "", "v": "1/2"}],
+        "cylinders": [{"w": "3", "v": "2"}], "default_tail": "0",
+    })
+    outs = []
+    for depth in ("4", "6000"):
+        code, out, err = run(["energy", "--domain", "half-sg3", "--depth", depth, "--data", data], capsys)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[0] != "Q,0"
+
+
 def test_compare_half(half_data, tmp_path, capsys):
     svg = tmp_path / "plot.svg"
     code, out, _ = run(
@@ -227,6 +242,20 @@ def test_rational_zero_corner_is_exact(tmp_path, capsys, argv, payload):
     values = [ln.rsplit(",", 1)[1] for ln in out.strip().splitlines()[1:]]
     assert "0" in values
     assert not [v for v in values if "." in v or "e" in v]
+
+
+def test_solve_deep_cylinder_is_exact(tmp_path, capsys):
+    # a 26-digit cylinder has mass 7**-26 on half-SG3; an integral that
+    # stops short of it reads 0 and so does every value
+    data = write_json(tmp_path / "deep.json", {
+        "schema": 1, "q1": "0", "q0": "0",
+        "cylinders": [{"w": "0" * 26, "v": "1"}], "default_tail": "0",
+    })
+    code, out, err = run(["solve", "--domain", "half-sg3", "--level", "1", "--mode", "rational",
+                          "--data", data], capsys)
+    assert code == 0, err
+    values = {tuple(ln.split(",")[2:4]): ln.split(",")[4] for ln in out.splitlines()[1:]}
+    assert values["1/3", "2/3"] == "1/8046411717983789404842"
 
 
 def test_measure_half_labels_its_atom(capsys):

@@ -28,6 +28,11 @@ DATA = {
     "atoms-not-list": {"schema": 1, "q1": "1", "q0": "0", "atoms": 5},
     "upper-atoms": {"schema": 1, "q0": "0", "atoms": [{"w": "1", "v": "1"}]},
     "upper-flat": {"schema": 1, "q0": "1", "default_tail": "0"},
+    # data words hold at most 64 digits
+    "half-65": {"schema": 1, "q1": "0", "q0": "0", "cylinders": [{"w": "0" * 65, "v": "1"}],
+                "default_tail": "0"},
+    "half-2000": {"schema": 1, "q1": "0", "q0": "0", "cylinders": [{"w": "3" * 2000, "v": "1"}],
+                  "default_tail": "0"},
 }
 
 UPPER = ["--domain", "upper", "--lambda", "1"]
@@ -125,6 +130,16 @@ EDGES = [
      "--depth: the exact value is too long to print"),
     (["measure", "--domain", "half-sg3", "--word", "0" * 6000], 2,
      "--word: the exact value is too long to print"),
+    # data words hold at most 64 digits, and no depth reaches past them
+    (["solve", "--domain", "half-sg3", "--level", "1", "--data", "{half-65}"], 2,
+     "cylinder word length 65 exceeds the 64-digit limit of data words"),
+    (["energy", "--domain", "half-sg3", "--data", "{half-2000}"], 2,
+     "cylinder word length 2000 exceeds the 64-digit limit of data words"),
+    (["energy", "--domain", "half-sg3", "--depth", "6000", "--data", "{half}"], 0, "Q,3/4"),
+    (["haar", "--lambda", "1", "--depth", "2000", "--data", "{upper}"], 2,
+     "depth must be >= 0 and <= 64, not 2000"),
+    (["energy", *UPPER, "--depth", "2000", "--data", "{upper}"], 2,
+     "depth must be >= 0 and <= 64, not 2000"),
 ]
 
 

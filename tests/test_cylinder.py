@@ -1,7 +1,7 @@
 """The shared cylinder boundary-data type, checked on all three families:
-callback data on upper and lower domains, property tests of restriction,
-integration and sup over random valid cylinder sets, of the measures
-splitting over the children of random words, and of batched routing."""
+property tests of restriction, integration and sup over random valid
+cylinder sets, of the measures splitting over the children of random
+words, and of batched routing."""
 
 import functools
 from fractions import Fraction
@@ -17,62 +17,6 @@ from gasketbvp import upperdomain as UP
 from gasketbvp.errors import AddressError, ContractViolation, ResolutionError
 
 F = Fraction
-
-
-# ---------------------------------------------------------------------------
-# callback data on upper and lower domains
-
-
-def callback_data(family, lam, fn, **kw):
-    if family == "upper":
-        return UP.UpperBoundaryData(lam, q0=0.0, fn=fn, **kw)
-    return LD.LowerBoundaryData(lam, q1=0.0, q2=0.0, fn=fn, **kw)
-
-
-CALLBACK_CASES = [
-    ("upper", UP.TriadicLambda(1)),
-    ("upper", UP.TriadicLambda(F(2, 3))),
-    ("lower", LD.BinaryLambda(F(1, 2))),
-    ("lower", LD.BinaryLambda(F(1, 3))),
-]
-
-
-def test_shifted_callback_prefixes_digit():
-    up = callback_data("upper", UP.TriadicLambda(F(2, 3)), lambda w: w, sup_bound=1.0)
-    assert up.shifted(5, 0.25).shifted(3, None).fn("12") == "5312"
-    low = callback_data("lower", LD.BinaryLambda(F(1, 2)), lambda w: w, sup_bound=1.0)
-    child = low.shifted(2, 0.5, None)
-    assert child.fn("0") == "20"
-    assert child.shifted(0, None, None).fn("") == "20"
-    assert (child.q1, child.q2) == (0.5, None)
-
-
-@pytest.mark.parametrize("family,lam", CALLBACK_CASES)
-def test_constant_callback_integral_within_tail_bound(family, lam):
-    c, sup_bound = 0.75, 1.0
-    f = callback_data(family, lam, lambda w: c, sup_bound=sup_bound)
-    if family == "upper":
-        results = [UP.integrate_upper(f, max_depth=3)]
-    else:
-        results = [LD.integrate_lower(f, measure, max_depth=3) for measure in (1, 2)]
-    for value, tail_bound in results:
-        assert abs(value - c) <= tail_bound <= sup_bound * (1 + 1e-12)
-        assert abs(value - c) <= 1e-12  # the leaves enter with fn(word)
-
-
-@pytest.mark.parametrize("family,lam", CALLBACK_CASES)
-def test_callback_sup_needs_explicit_bound(family, lam):
-    with pytest.raises(ContractViolation):
-        callback_data(family, lam, lambda w: 0.5).sup()
-    assert callback_data(family, lam, lambda w: 0.5, sup_bound=2.0).sup() == 2.0
-
-
-@pytest.mark.parametrize("family,lam", CALLBACK_CASES)
-def test_callback_not_mixed_with_structured_data(family, lam):
-    with pytest.raises(ContractViolation):
-        callback_data(family, lam, lambda w: 0.5, cylinders={"": 1.0})
-    with pytest.raises(ContractViolation):
-        callback_data(family, lam, lambda w: 0.5, default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +106,7 @@ def test_integral_of_constant_data_is_the_constant(name, data):
         results = [UP.integrate_upper(f)]
     else:
         results = [LD.integrate_lower(f, measure) for measure in (1, 2)]
-    for value, tail_bound in results:
-        assert tail_bound == 0
+    for value in results:
         if exact:
             assert value == c
         else:
@@ -197,6 +140,56 @@ def test_constant_subtree_agrees_with_cylinders_below(name, data):
 
 
 # ---------------------------------------------------------------------------
+# data words hold at most MAX_RECURSION digits, and integrals reach them
+
+
+def first_digits(alphabet, n):
+    return "".join(alphabet(k)[0] for k in range(1, n + 1))
+
+
+def integral_and_mass(name, f, word):
+    if name.startswith("half"):
+        return HD.integrate(f), f.st.word_weight(word)
+    if name.startswith("upper"):
+        return UP.integrate_upper(f), UP.cylinder_mass(f.lam, word)
+    return LD.integrate_lower(f, 1), LD.lower_measures(f.lam, word)[0]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_cylinder_words_hold_at_most_max_recursion_digits(name):
+    make, alphabet, _, exact = FAMILIES[name]
+    one, zero = (F(1), F(0)) if exact else (1.0, 0.0)
+    n = cylinder.MAX_RECURSION
+    word = first_digits(alphabet, n)
+    integral, mass = integral_and_mass(name, make({word: one}, zero), word)
+    assert mass > 0
+    assert integral == (mass if exact else pytest.approx(mass, rel=1e-12))
+    with pytest.raises(ContractViolation, match="length 65 exceeds the 64-digit limit"):
+        make({first_digits(alphabet, n + 1): one}, zero)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_half_atom_words_hold_at_most_max_recursion_digits(level):
+    n = cylinder.MAX_RECURSION
+    digit = geometry.WORD_CHARS[HD.structure(level).alphabet[-1]]
+    f = HD.HalfBoundaryData(level, atoms={digit * n: F(1)}, default=F(0))
+    assert HD.integrate(f) == HD.atom_mass(level, digit * n)
+    with pytest.raises(ContractViolation, match="atom word length 65 exceeds"):
+        HD.HalfBoundaryData(level, atoms={digit * (n + 1): F(1)}, default=F(0))
+
+
+def test_geometric_tail_starts_within_max_recursion_digits():
+    # f(p_k) = 1 for k < n and 1 + (3/5)^k from n on: the atoms from depth
+    # n on add sum_k mu(p_k) (3/5)^k = mu(p) (3 mu/5)^n / (1 - 3 mu/5)
+    n = cylinder.MAX_RECURSION
+    f = HD.HalfBoundaryData(2, q0=F(1), default=F(1), geometric_tail=(F(1), F(1), F(3, 5), n))
+    mu = HD.residual_mass(2, 1)
+    assert HD.integrate(f) == 1 + HD.atom_mass(2, "") * (F(3, 5) * mu) ** n / (1 - F(3, 5) * mu)
+    with pytest.raises(ContractViolation, match="geometric tail start 65 exceeds"):
+        HD.HalfBoundaryData(2, q0=F(1), geometric_tail=(F(1), F(1), F(3, 5), n + 1))
+
+
+# ---------------------------------------------------------------------------
 # the measures split over the children of random words
 
 
@@ -222,7 +215,7 @@ def test_upper_measure_splits_and_integrates_indicators(name, data):
     mass = UP.cylinder_mass(indicator.lam, word)
     children = sum(UP.cylinder_mass(indicator.lam, word + d) for d in alphabet(len(word) + 1))
     assert abs(children - mass) <= 1e-12
-    assert abs(UP.integrate_upper(indicator).value - mass) <= 1e-12
+    assert abs(UP.integrate_upper(indicator) - mass) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["lower-1/2", "lower-1/3"])
@@ -237,7 +230,7 @@ def test_lower_measures_split_and_integrate_indicators(name, data):
     children = [LD.lower_measures(indicator.lam, word + d) for d in alphabet(len(word) + 1)]
     for i in (0, 1):
         assert abs(sum(c[i] for c in children) - masses[i]) <= tol
-        assert abs(LD.integrate_lower(indicator, i + 1).value - masses[i]) <= tol
+        assert abs(LD.integrate_lower(indicator, i + 1) - masses[i]) <= tol
 
 
 def test_lower_measures_have_mass_one():

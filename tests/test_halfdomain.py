@@ -120,33 +120,32 @@ def test_residual_mass():
 
 def test_integrate_examples():
     c = HD.constant_data(3, F(5, 2))
-    assert HD.integrate(c) == (F(5, 2), 0)
+    assert HD.integrate(c) == F(5, 2)
     ind = HD.HalfBoundaryData(3, q1=0, atoms={"": F(1)}, default=F(0), q0=F(0))
-    assert HD.integrate(ind) == (F(2, 7), 0)
+    assert HD.integrate(ind) == F(2, 7)
     # SG with f(p_k) = 3^k for k <= 2 else 0: sum = 2
     f = HD.HalfBoundaryData(
         2, q1=0, atoms={"": F(1), "0": F(3), "00": F(9)}, default=F(0), q0=F(0)
     )
-    assert HD.integrate(f).value == 2
+    assert HD.integrate(f) == 2
+
+
+def test_integrate_deep_cylinder_exactly():
+    f = HD.HalfBoundaryData(3, q1=0, cylinders={"0" * 26: F(1)}, default=F(0), q0=F(0))
+    assert HD.integrate(f) == F(1, 7 ** 26)
 
 
 def test_integrate_self_similarity():
     rng = random.Random(2)
     f = random_cylinder_data(rng, 2)
-    total = HD.integrate(f).value
+    total = HD.integrate(f)
     parts = (
-        F(1, 7) * HD.integrate(f, "0").value
-        + F(4, 7) * HD.integrate(f, "3").value
+        F(1, 7) * HD.integrate(f, "0")
+        + F(4, 7) * HD.integrate(f, "3")
         + F(2, 7) * f.atom("", 1)
     )
     assert total == parts
 
-
-def test_integrate_callback_tail_bound():
-    f = HD.HalfBoundaryData(3, q1=0, fn=lambda w, j: 0.25, sup_bound=1.0)
-    val, tail = HD.integrate(f, max_depth=10)
-    assert tail == pytest.approx(float(F(5, 7) ** 10), rel=1e-9)
-    assert abs(val - 0.25) <= tail
 
 
 def test_normal_derivative_q1():
@@ -320,12 +319,10 @@ def test_energy_of_ha_is_three():
 
 
 def test_domain_energy_rejects_data_never_constant():
-    # a geometric tail with B != 0 and callback data are constant on no
-    # cylinder, so the energy recursion would not end
+    # a geometric tail with B != 0 is constant on no cylinder, so the
+    # energy recursion would not end
     with pytest.raises(ContractViolation):
         HD.domain_energy(HD.neumann_inverse_sg([1, 2, 3]))
-    with pytest.raises(ContractViolation):
-        HD.domain_energy(HD.HalfBoundaryData(3, q1=0, fn=lambda w, j: 0.5, sup_bound=1.0))
 
 
 def test_geometric_tail_not_mixed_with_cylinders():
@@ -335,7 +332,7 @@ def test_geometric_tail_not_mixed_with_cylinders():
         HD.HalfBoundaryData(2, q1=0, cylinders={"": 5}, geometric_tail=(1, 0, F(3, 5), 0), q0=1)
     f = HD.HalfBoundaryData(2, q1=0, geometric_tail=(1, 0, F(3, 5), 0), q0=1)
     assert f.atom("00", 1) == 1
-    assert HD.integrate(f) == (1, 0)
+    assert HD.integrate(f) == 1
 
 
 def test_dtn_forward():

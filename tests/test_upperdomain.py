@@ -255,11 +255,18 @@ def _f_lambda_point(lam, word):
     return G.apply_word(params, tuple(digits), G.Q0)
 
 
+def test_integrate_deep_cylinder_indicator():
+    lam = UP.TriadicLambda(1)
+    word = "1" * 30
+    f = UP.UpperBoundaryData(lam, q0=0.0, cylinders={word: 1.0}, default=0.0)
+    assert UP.integrate_upper(f) == pytest.approx(UP.cylinder_mass(lam, word), rel=1e-12)
+
+
 def test_haar_zero_mean_and_expand():
     lam1 = UP.TriadicLambda(1)
     for j in (1, 2):
         psi = UP.haar_data(lam1, "", j)
-        assert UP.integrate_upper(psi).value == pytest.approx(0.0, abs=1e-14)
+        assert UP.integrate_upper(psi) == pytest.approx(0.0, abs=1e-14)
     const = UP.constant_upper(lam1, 4.0)
     b, coeffs = UP.haar_expand(lam1, const, 2)
     assert b == pytest.approx(4.0)
@@ -370,15 +377,6 @@ def test_energy_estimate_consistency():
         assert est.bracket[0] <= est.energy * (1 + 1e-12)
         assert est.energy <= est.bracket[1] * (1 + 1e-12)
         assert est.weighted_sum > 0
-
-
-def test_domain_energy_upper_rejects_callback_data():
-    # callback data is never constant on a cylinder, so the energy
-    # recursion would not end
-    lam = UP.TriadicLambda(1)
-    f = UP.UpperBoundaryData(lam, q0=0.0, fn=lambda w: 0.5, sup_bound=1.0)
-    with pytest.raises(ContractViolation):
-        UP.domain_energy_upper(lam, 0.0, f)
 
 
 def test_empirical_generator_ratios():
