@@ -11,9 +11,10 @@ q0/q1/q2, the rest are numbered top-to-bottom, left-to-right (for l = 3
 the conventional order is 3 = bottom middle, 4 = right, 5 = left).
 
 Graphs are numpy arrays, and numpy is imported inside the functions that
-build or read them, so that only `compare` (through the oracle) and graph
-export pay for it; `domain_vertices` lists a domain graph's vertices in
-plain Python for `solve`.
+build or read them, so that only graph export and the oracle's graph entry
+point pay for it.  `domain_vertices` (for `solve`) and `domain_cell_tree`
+(for `compare`, through the oracle) walk a domain's cells top down in
+plain Python.
 """
 
 from __future__ import annotations
@@ -612,6 +613,64 @@ def domain_vertices(domain, m):
     if not first:
         raise ResolutionError("no cells of this level are contained in the domain")
     return [(x, y, VertexAddress(*first[x, y])) for x, y in sorted(first)]
+
+
+# a child in `domain_cell_tree` that is not visited: it and every cell below
+# it are in the domain graph, and none holds a boundary vertex
+PLAIN = -1
+
+
+def domain_cell_tree(domain, m):
+    """The cells of `domain_graph(domain, m)` as a tree walked top down,
+    listing only the root and the cells that cross the cut or hold a
+    boundary vertex (on the cut line, or a boundary corner of the domain).
+
+    Returns one list per level k = 0..m of the listed level-k cells, each
+    (x, y, kids): corner j of the cell is at l**(m-k) q_j + (x, y) in
+    integer coordinates at scale l**m.  Above level m, kids[d] is child d's
+    index in the next level's list, PLAIN for a child inside the domain
+    with no boundary vertex, or None for a child with no corner on the
+    closed side of the cut, or a level-m child that crosses it: the graph
+    drops both.  At level m, kids is the bit mask of the corners that are
+    boundary vertices."""
+    if m < 1:
+        raise ResolutionError("domain restriction needs m >= 1")
+    params = domain.params
+    l, axis = params.level, domain.axis
+    s = l ** m
+    closed = _closed_side(domain, m)
+    cut = domain.cut * s
+    line = cut.numerator if cut.denominator == 1 else None
+    levels, row = [], [(0, 0)]
+    for k in range(1, m + 1):
+        step = l ** (m - k)
+        shifts = [(step * tx, step * ty) for tx, ty in params.int_translations]
+        reach = [step * q[axis] for q in CORNERS_INT]
+        # a boundary corner q_c of the domain is corner c of the cell c...c
+        ends = {((s - step) * CORNERS_INT[c][0], (s - step) * CORNERS_INT[c][1]): 1 << c
+                for c in domain.corners}
+        listed, below = [], []
+        for x, y in row:
+            kids = []
+            for dx, dy in shifts:
+                cx, cy = x + dx, y + dy
+                base = (cx, cy)[axis]
+                inside = [closed(base + r) for r in reach]
+                if not any(inside) or (k == m and not all(inside)):
+                    kids.append(None)
+                    continue
+                bits = ends.get((cx, cy), 0)
+                bits |= sum(1 << j for j, r in enumerate(reach) if base + r == line)
+                if all(inside) and not bits:
+                    kids.append(PLAIN)
+                else:
+                    kids.append(len(below))
+                    below.append((cx, cy) if k < m else (cx, cy, bits))
+            listed.append((x, y, tuple(kids)))
+        levels.append(listed)
+        row = below
+    levels.append(row)
+    return levels
 
 
 def boundary_masks(domain, graph):

@@ -552,16 +552,21 @@ def energy_estimate_upper(lam, a, f, depth):
     s_total = ratio ** lam.m1 * (a - b) ** 2
     ortho = eta_of(lam) * (a - b) ** 2
     term_ratios = []
+    # the generator psi_w^(j) lives on lam shifted |w| times, so its energy
+    # depends on (|w|, j) only
+    generators = {}
     for (word, j), c in sorted(coeffs.items()):
         n = len(word)
         m_next = lam.pair(n + 1)[0]
         s_term = ratio ** m_next * c * c
         s_total += s_term
-        cur = lam
-        for ch in word:
-            cur = cur.shift()
+        if (n, j) not in generators:
+            cur = lam
+            for _ in range(n):
+                cur = cur.shift()
+            generators[n, j] = cur, domain_energy_upper(cur, 0.0, haar_data(cur, "", j))
+        cur, e_gen = generators[n, j]
         m_prev = lam.pair(n)[0] if n else 0
-        e_gen = domain_energy_upper(cur, 0.0, haar_data(cur, "", j))
         e_term = ratio ** m_prev * e_gen
         ortho += c * c * e_term
         term_ratios.append(e_gen / ratio ** cur.m1)

@@ -306,8 +306,9 @@ def test_solve_leaves_scipy_unloaded(tmp_path, half_data):
 
 
 def test_explicit_path_leaves_numpy_unloaded(tmp_path, half_data):
-    # solve lists its vertices by a pure-Python cell walk and the short
-    # commands use no arrays: only compare (the oracle) loads numpy
+    # solve lists its vertices by a pure-Python cell walk, the short
+    # commands use no arrays, and compare condenses on the domain's cell
+    # tree: only the graph functions load numpy
     upper = write_json(tmp_path / "u.json", {"schema": 1, "q0": "1/2", "default_tail": "0",
                                              "cylinders": [{"w": "1", "v": "1"}]})
     lower = write_json(tmp_path / "l.json", {"schema": 1, "q1": "1", "q2": "0", "default_tail": "0"})
@@ -335,16 +336,42 @@ def test_explicit_path_leaves_numpy_unloaded(tmp_path, half_data):
         "for mode in ('rational', 'float'):\n"
         f"    assert cli.main(['compare', *{half_sg3!r}, '--levels', '2:3', '--mode', mode,\n"
         f"                     '--data', {half_data!r}, '--out', {out!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "cli.geometry.domain_graph(cli.geometry.HalfDomain(3), 2)\n"
         "assert 'numpy' in sys.modules\n"
     )
 
 
+def count_solves(monkeypatch):
+    """The levels `compare` solves, from here on."""
+    from gasketbvp import oracle
+
+    solved = []
+    solve = oracle.solve_domain
+    monkeypatch.setattr(oracle, "solve_domain", lambda *a: solved.append(a[1]) or solve(*a))
+    return solved
+
+
 def test_compare_checks_the_graph_cap_before_any_graph(half_data, capsys, monkeypatch):
-    # level 9 of SG_3 is over the cap: refused before levels 3-8 are built
-    built = []
-    build = geometry.build_graph
-    monkeypatch.setattr(geometry, "build_graph", lambda *a, **k: built.append(a[1]) or build(*a, **k))
+    # level 9 of SG_3 is over the cap: refused before levels 3-8 are solved
+    solved = count_solves(monkeypatch)
+    code, out, _ = run(["compare", "--domain", "half-sg3", "--levels", "2:3", "--data", half_data],
+                       capsys)
+    assert (code, solved) == (0, [2, 3])
+    solved.clear()
     code, out, err = run(["compare", "--domain", "half-sg3", "--levels", "3:9", "--data", half_data],
                          capsys)
-    assert (code, out, built) == (2, "", [])
+    assert (code, out, solved) == (2, "", [])
     assert "level 9 of SG_3 has 10077696 cells" in err
+
+
+def test_compare_checks_the_rational_cap_before_any_level(half_data, capsys, monkeypatch):
+    # level 9 of half-SG has 14757 unknowns: refused before levels 3-8 are
+    # solved, counted on the domain's cell tree
+    solved = count_solves(monkeypatch)
+    argv = ["compare", "--domain", "half-sg", "--mode", "rational", "--data", half_data]
+    code, out, err = run([*argv, "--levels", "3:9"], capsys)
+    assert (code, out, solved) == (2, "", [])
+    assert err == "error: rational mode capped at 5000 unknowns, got 14757\n"
+    code, out, err = run([*argv, "--levels", "3:8"], capsys)
+    assert (code, solved) == (0, [3, 4, 5, 6, 7, 8]), err

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from gasketbvp import _exact
 from gasketbvp import geometry as G
+from gasketbvp import halfdomain as HD
 from gasketbvp import harmonic as H
 from gasketbvp import oracle as O
-from gasketbvp.errors import ContractViolation, SolvabilityError
+from gasketbvp.errors import AddressError, ContractViolation, SolvabilityError
 
 F = Fraction
 
@@ -272,3 +274,86 @@ def test_float_mode_needs_the_cells():
     for mode in ("float", "rational"):
         with pytest.raises(ContractViolation, match="cells"):
             O.solve(problem, mode=mode)
+
+
+# ---------------------------------------------------------------------------
+# the domain entry point against the graph one
+
+
+def corner_data(domain):
+    """Boundary values: 3/7 at the boundary corners, a quadratic on the cut."""
+    ends = {G.CORNERS[c] for c in domain.corners}
+    return lambda p: F(3, 7) if p in ends else (p[0] - p[1] / 3) ** 2 - F(1, 5)
+
+
+# half l = 2, 3, 4; upper lambda = 1, 2/3, 1/2, 1/4 and lower lambda = 1/2,
+# 1/3 (cut y = 2 - 2 lambda): the cuts y = 1, 3/2 (upper) and 4/3 (lower)
+# meet no vertex
+TREE_CASES = [(G.HalfDomain(2), 6), (G.HalfDomain(3), 4), (G.HalfDomain(4), 3)]
+TREE_CASES += [(G.UpperDomain(cut_y=2 - 2 * F(lam)), 4) for lam in (1, F(2, 3), F(1, 2), F(1, 4))]
+TREE_CASES += [(G.LowerDomain(cut_y=2 - 2 * F(lam)), 6) for lam in (F(1, 2), F(1, 3))]
+
+
+@pytest.mark.parametrize("domain,m", TREE_CASES,
+                         ids=["half2", "half3", "half4", "upper1", "upper2_3", "upper1_2",
+                              "upper1_4", "lower1_2", "lower1_3"])
+def test_domain_tree_matches_the_graph_oracle(domain, m):
+    sk = O.domain_restricted_graph(domain, m)
+    data = corner_data(domain)
+    points = [sk.graph.point(i) for i in range(sk.graph.n_vertices())]
+    random.Random(m).shuffle(points)
+    ids = [sk.graph.vertex_id(p) for p in points]
+    assert O.domain_unknowns(domain, m) == sk.graph.n_vertices() - len(sk.boundary_ids)
+    want = O.solve(sk.problem(data), mode="rational")
+    got = O.solve_domain(domain, m, data, points, "rational")
+    assert got == [want[i] for i in ids] and all(type(v) is F for v in got)
+    want = O.solve(sk.problem(lambda p: float(data(p))), mode="float")
+    got = O.solve_domain(domain, m, lambda p: float(data(p)), points, "float")
+    assert all(type(v) is float for v in got)
+    assert max(abs(v - want[i]) for v, i in zip(got, ids)) <= 1e-14
+
+
+def test_domain_tree_refuses_what_the_graph_oracle_refuses():
+    # SG below y = 2/3 with no boundary corner: the cut meets no vertex, so
+    # the graph has no boundary vertex and its one component touches none
+    domain = G.Domain(2, 1, F(2, 3), -1, ())
+    sk = O.domain_restricted_graph(domain, 4)
+    with pytest.raises(SolvabilityError) as graph_error:
+        sk.problem(lambda p: F(1))
+    for mode in ("rational", "float"):
+        with pytest.raises(SolvabilityError) as tree_error:
+            O.solve_domain(domain, 4, lambda p: F(1), [G.Q1], mode)
+        assert str(tree_error.value) == str(graph_error.value)
+    with pytest.raises(ContractViolation, match="mode"):
+        O.solve_domain(G.HalfDomain(3), 2, lambda p: F(1), [G.Q1], "auto")
+    with pytest.raises(AddressError, match="not a vertex"):
+        O.solve_domain(G.HalfDomain(3), 2, lambda p: F(1), [(F(2), F(0))], "float")
+
+
+def test_domain_tree_counts_the_rational_cap():
+    # level 9 of half-SG has 14757 unknowns: refused before any condensation
+    assert O.domain_unknowns(G.HalfDomain(2), 9) == 14757
+    with pytest.raises(SolvabilityError, match="capped at 5000 unknowns, got 14757"):
+        O.solve_domain(G.HalfDomain(2), 9, lambda p: F(1), [G.Q1], "rational")
+
+
+def test_domain_tree_goes_beyond_the_graph():
+    # half-SG_3 at m = 10 has 6**10 cells, over the graph cap; the tree lists
+    # only the cells at the cut and at q1, and the discrepancy at the level-2
+    # targets keeps falling
+    params = G.gasket(3)
+    assert params.map_count ** 10 > G.MAX_GRAPH_CELLS
+    f = HD.HalfBoundaryData(3, q1=1.0, atoms={("", 1): 0.5, ("0", 1): -0.25},
+                            cylinders={"03": 2.0, "30": -1.0}, default=0.0, q0=0.0)
+    domain = G.HalfDomain(3)
+    targets = [(F(x, 9), F(y, 9)) for x, y, _ in G.domain_vertices(domain, 2)]
+    exact = HD.evaluate_many(f, targets)
+    errors = {}
+    for m in (8, 10):
+        tracemalloc.start()
+        vals = O.solve_domain(domain, m, lambda p: f.st.terminal(f, p), targets, "float")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 8 * 2**20
+        errors[m] = max(abs(v - e) for v, e in zip(vals, exact))
+    assert errors[10] <= errors[8] / 10

@@ -420,3 +420,34 @@ def test_data_for_another_lambda_is_refused():
         with pytest.raises(ContractViolation, match="built for lambda = 2/3 used at 1"):
             call()
     assert UP.domain_energy_upper(lam23, 0.0, g) == pytest.approx(8.728319267757461)
+
+
+@pytest.mark.parametrize("lam,cylinders", [
+    (1, {"1": 1.0, "32": -2 / 7, "213": 0.25, "3312": 0.5}),
+    (F(2, 3), {"4": 1.0, "52": -2 / 7, "513": 0.25, "4231": 0.5}),
+], ids=["1", "2/3"])
+def test_energy_estimate_computes_one_generator_energy_per_length(lam, cylinders, monkeypatch):
+    # psi_w^(j) lives on lam shifted |w| times, so its energy depends on
+    # (|w|, j) only: at depth 5 the estimate needs one energy per (|w|, j)
+    # plus the solution's, and equals the sum over every word
+    lam = UP.TriadicLambda(lam)
+    f = UP.UpperBoundaryData(lam, q0=0.5, cylinders=cylinders, default=0.0)
+    energy = UP.domain_energy_upper
+    calls = []
+    monkeypatch.setattr(UP, "domain_energy_upper", lambda *a: calls.append(a) or energy(*a))
+    est = UP.energy_estimate_upper(lam, 0.5, f, 5)
+    assert len(est.coeffs) > 60
+    assert len(calls) == len({(len(w), j) for w, j in est.coeffs}) + 1
+    ratio = float(UP.RATIO)
+    ortho = UP.eta_of(lam) * (0.5 - est.b) ** 2
+    ratios = []
+    for (word, j), c in sorted(est.coeffs.items()):
+        cur = lam
+        for _ in word:
+            cur = cur.shift()
+        e_gen = energy(cur, 0.0, UP.haar_data(cur, "", j))
+        ortho += c * c * (ratio ** lam.pair(len(word))[0] if word else 1) * e_gen
+        ratios.append(e_gen / ratio ** cur.m1)
+    ratios.append(UP.eta_of(lam) / ratio ** lam.m1)
+    assert est.orthogonal_energy == ortho
+    assert est.bracket == (min(ratios) * est.weighted_sum, max(ratios) * est.weighted_sum)
