@@ -125,21 +125,15 @@ def _emit(lines, out):
 # commands of every family; each returns its output lines
 
 
-def _vertices(dom, m):
-    """(exact point, address) of every level-m vertex of the domain, in
-    (x, y) order."""
-    s = dom.params.level ** m
-    return [((F(x, s), F(y, s)), a) for x, y, a in geometry.domain_vertices(dom, m)]
-
-
 def _solution_rows(frame, f, dom, m):
     """(word, corner, x, y, value) at every level-m vertex of the domain, in
-    (x, y) order; a function of its own so that the points are freed before
-    the output is formatted."""
-    verts = _vertices(dom, m)
-    values = cylinder.evaluate(frame, f, [p for p, _ in verts])
-    return [(geometry.word_to_str(a.word), a.corner, x, y, v)
-            for ((x, y), a), v in zip(verts, values)]
+    (x, y) order, listed before the walk so that the graph cap refuses first;
+    a function of its own so that the walk is freed before the formatting."""
+    verts = geometry.domain_vertices(dom, m)
+    values = cylinder.walk(frame, f, m)
+    s = dom.params.level ** m
+    return [(geometry.word_to_str(a.word), a.corner, F(x, s), F(y, s), values[x, y])
+            for x, y, a in verts]
 
 
 def _refuse_rational(cfg, fam, lam):
@@ -181,7 +175,8 @@ def cmd_compare(cfg, fam, lam):
     if mode == "rational":
         # the top level's count, before any level is solved
         oracle.check_exact_cap(oracle.domain_unknowns(dom, cfg.levels[1]))
-    targets = [p for p, _ in _vertices(dom, cfg.depth)]
+    s = dom.params.level ** cfg.depth
+    targets = [(F(x, s), F(y, s)) for x, y, _ in geometry.domain_vertices(dom, cfg.depth)]
     exact = cylinder.evaluate(frame, f, targets)
     # every boundary vertex of a level is one of each finer level
     boundary = lru_cache(maxsize=None)(lambda p: frame.terminal(f, p))

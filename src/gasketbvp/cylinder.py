@@ -6,10 +6,11 @@ way: boundary data lives on a Cantor set X addressed by cylinder words, an
 extend step gives the solution on V_1, and a vertex is routed into a
 sub-copy F_d(domain) that carries shifted data, where the same step
 recurses.  `CylinderData` is the data on X; a family's *frame* is its domain
-at one recursion node.  `route`, `cut_value`, `integrate`, `energy` and
-`words` are the recursions over cylinder words that the families share;
-the formulas stay in the families' extend steps and in `harmonic`.  `evaluate` is `route` behind
-the check that every point lies in the root frame's domain.
+at one recursion node.  `walk` (every level-m vertex in one pass, for
+`solve`), `route` (given points), `cut_value`, `integrate`, `energy` and
+`words` are the recursions over cylinder words that the families share; the
+formulas stay in the families' extend steps and in `harmonic`.  `evaluate`
+is `route` behind the check that every point lies in the root frame's domain.
 
 A frame provides
     level, params     the gasket SG_level the domain lives in
@@ -23,6 +24,8 @@ A frame provides
     values(f)         the V_1 values of the solution from the family's
                       extend step, keyed by exact points, corners included
     full_cells()      the level-1 cells lying wholly inside the domain
+    cell(f)           the corner values when the whole domain is one cell,
+                      else None; the node then takes no other hook
     copies(), shift(d)  the digits of the sub-copies that meet X; the frame
                       of the sub-copy F_d
 as the measure state at the node X_word that `integrate` walks
@@ -151,6 +154,9 @@ class Frame:
             p = self.params.unapply_map(0, p)
         return frame, p
 
+    def cell(self, f):
+        return None
+
     def own(self, f, word):
         return 0
 
@@ -169,11 +175,12 @@ def route(frame, f, points, s, batch):
     At each recursion node a point is a boundary value (`terminal`), a V_1
     value, or lies in the first full cell containing it, resolved there by
     the harmonic extension, or else goes on into the first sub-copy
-    containing it.  All points of one node share its extend step, its
-    sub-copies' data and one cell descent per full cell.  Points are held
-    as integers over their common denominator: `batch` is
-    `geometry.scaled(points)` with denominator s.  Nodes wait on a stack,
-    so each point is held at one node only."""
+    containing it; at a node that is one cell (`cell`) every point descends
+    it.  All points of one node share its extend step, its sub-copies' data
+    and one cell descent per full cell.  Points are held as integers over
+    their common denominator: `batch` is `geometry.scaled(points)` with
+    denominator s.  Nodes wait on a stack, so each point is held at one node
+    only."""
     params = frame.params
     l = params.level
     corners = params.cell_corners
@@ -188,6 +195,10 @@ def route(frame, f, points, s, batch):
         sx, sy = shifts[0]
         for _ in range(n):
             batch = [(k, l * x - sx, l * y - sy) for k, x, y in batch]
+        whole = frame.cell(f)
+        if whole is not None:
+            harmonic.descend(frame.level, whole, batch, s, out, points)
+            continue
         values = None
         cells, copies = {}, {}
         for k, x, y in batch:
@@ -216,6 +227,61 @@ def route(frame, f, points, s, batch):
             harmonic.descend(frame.level, vals, group, s, out, points)
         for d, group in copies.items():
             stack.append((frame.shift(d), _copy_data(frame, f, values, d), group, depth - 1))
+    return out
+
+
+def walk(frame, f, m):
+    """{(x, y): value} of the solution with data f at the level-m vertices
+    of the frame's closed domain, (x, y) integers at scale l**m; corner j of
+    the level-k cell at (x, y) is at l**(m-k) q_j + (x, y).  The first step
+    to reach a vertex sets it, in `route`'s precedence: a node's V_1 points
+    (`terminal`, else `values`), its full cells, extended once per subcell
+    down to level m, then its sub-copies, depth first in digit order."""
+    params = frame.params
+    l, shifts = params.level, params.int_translations
+    v1 = {pt: p for cell, exact in zip(params.cell_points, params.cell_corners)
+          for pt, p in zip(cell, exact)}
+    out = {}
+
+    def fill(vals, x, y, k):
+        step = l ** (m - k - 1)
+        ext = harmonic.cell_extension(l, vals)
+        for (px, py), v in ext.items():
+            out.setdefault((x + step * px, y + step * py), v)
+        if k + 1 < m:
+            for cell, (tx, ty) in zip(params.cell_points, shifts):
+                fill(tuple(ext[q] for q in cell), x + step * tx, y + step * ty, k + 1)
+
+    def node(frame, f, x, y, k):
+        frame, n = frame.dilate()
+        if k + n >= m:
+            return
+        dx = l ** (m - k) - l ** (m - k - n)  # F_0 fixes q_0 = (1, 2)
+        x, y, k = x + dx, y + 2 * dx, k + n
+        step = l ** (m - k - 1)
+        whole = frame.cell(f)
+        if whole is not None:
+            for v, (qx, qy) in zip(whole, geometry.CORNERS_INT):
+                out.setdefault((x + l * step * qx, y + l * step * qy), v)
+            fill(whole, x, y, k)
+            return
+        values = frame.values(f)
+        for (px, py), p in v1.items():
+            if (x + step * px, y + step * py) not in out:
+                value = frame.terminal(f, p)
+                if value is None:
+                    value = values.get(p)
+                if value is not None:
+                    out[x + step * px, y + step * py] = value
+        if k + 1 < m:
+            for i in frame.full_cells():
+                fill(tuple(values[q] for q in params.cell_corners[i]),
+                     x + step * shifts[i][0], y + step * shifts[i][1], k + 1)
+            for d in frame.copies():
+                node(frame.shift(d), _copy_data(frame, f, values, d),
+                     x + step * shifts[d][0], y + step * shifts[d][1], k + 1)
+
+    node(frame, f, 0, 0, 0)
     return out
 
 

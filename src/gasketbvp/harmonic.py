@@ -9,6 +9,7 @@ higher levels are used internally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,12 +129,24 @@ def descend(level, corner_values, batch, s, out, points):
     The points descend together: at each subcell every point is a corner of
     it, or goes on into the first 1-cell containing it, and the subcell's
     values are extended once for all the points going on.  Subcells wait on
-    a stack, so each point is held at one subcell only."""
+    a stack, so each point is held at one subcell only.
+
+    A point over the reduced denominator d, for the least k with d | l**k,
+    is an integer point of its level-k cell: a corner, or (1, 0) or (1, 1),
+    which are vertices at most two levels further down or never.  The
+    descent stops there, and a d that divides no l**k is refused at once."""
     params = gasket(level)
     corners = params.cell_points
     shifts = geometry.unapply_shifts(params, s)
     vertices = {(s * x, s * y): c for c, (x, y) in enumerate(CORNERS_INT)}
-    stack = [(tuple(corner_values), batch, geometry.MAX_GRAPH_LEVEL + 2)]
+    cap = 0
+    for k, x, y in batch:
+        d = s // math.gcd(s, x, y)
+        n = next((n for n in range(d.bit_length()) if level ** n % d == 0), None)
+        if n is None:
+            raise ContractViolation(f"{points[k]} is not a vertex address within the descent cap")
+        cap = max(cap, n + 3)
+    stack = [(tuple(corner_values), batch, cap)]
     while stack:
         vals, batch, depth = stack.pop()
         if depth == 0:

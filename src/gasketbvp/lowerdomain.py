@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from . import cylinder, geometry, harmonic
+from . import cylinder, geometry
 from .cylinder import CylinderData
 from .errors import AccuracyError, AddressError, ContractViolation, ResolutionError
 from .geometry import Q0, Q1, Q2, gasket
@@ -420,15 +420,14 @@ class LowerFrame(cylinder.Frame):
             return f.q1
         if p == Q2:
             return f.q2
-        lam = self.lam
-        if lam.value == 0:
-            # whole-gasket cell: boundary is V_0, X reduces to {q0}
+        if p[1] == self.lam.cut_height():
+            return boundary_value_at_lower(self.lam, f, p)
+        return None
+
+    def cell(self, f):
+        if self.lam.value == 0:  # the whole gasket: boundary V_0, X reduces to {q0}
             c0 = f.subtree("")
-            if c0 is None:
-                c0 = boundary_value_at_lower(lam, f, Q0)
-            return harmonic.harmonic_value_in_cell(2, (c0, f.q1, f.q2), p)
-        if p[1] == lam.cut_height():
-            return boundary_value_at_lower(lam, f, p)
+            return (boundary_value_at_lower(self.lam, f, Q0) if c0 is None else c0, f.q1, f.q2)
         return None
 
     def values(self, f):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import gasketbvp
-from gasketbvp import cli, geometry
+from gasketbvp import cli, geometry, harmonic
 
 F = Fraction
 
@@ -242,6 +242,25 @@ def test_rational_zero_corner_is_exact(tmp_path, capsys, argv, payload):
     values = [ln.rsplit(",", 1)[1] for ln in out.strip().splitlines()[1:]]
     assert "0" in values
     assert not [v for v in values if "." in v or "e" in v]
+
+
+def test_solve_extends_once_per_cell(tmp_path, capsys, monkeypatch):
+    """solve's extensions follow the cells it walks, not its vertices: lower
+    lambda = 1/2 splits into two lambda = 0 copies, each one harmonic cell
+    of level 1 filled once per level-1..5 subcell, 2 * (1 + 3 + ... + 3**4)
+    extensions for 731 vertices."""
+    data = write_json(tmp_path / "f.json", {
+        "schema": 1, "q1": "1", "q2": "-2",
+        "cylinders": [{"w": "1", "v": "3/7"}, {"w": "2", "v": "-1/7"}],
+    })
+    calls = []
+    extend = harmonic.cell_extension
+    monkeypatch.setattr(harmonic, "cell_extension", lambda *a: calls.append(a) or extend(*a))
+    code, out, err = run(["solve", "--domain", "lower", "--lambda", "1/2", "--level", "6",
+                          "--mode", "rational", "--data", data], capsys)
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 + len(geometry.domain_vertices(geometry.LowerDomain(1), 6))
+    assert 0 < len(calls) <= 2 * sum(3 ** k for k in range(5))
 
 
 def test_solve_deep_cylinder_is_exact(tmp_path, capsys):

@@ -257,13 +257,17 @@ def reference_value_in_cell(level, vals, p):
 
 
 def reference_route(frame, f, p):
-    """One point's walk: a boundary value, a V_1 value, the first full cell
-    containing it, or else the first sub-copy containing it."""
+    """One point's walk: the node's one harmonic cell if it is one, else a
+    boundary value, a V_1 value, the first full cell containing it, or else
+    the first sub-copy containing it."""
     params = frame.params
     corners = frame.params.cell_corners
     contains = lambda i, p: geometry.cells_containing(params, params.unapply_map(i, p))
     while True:
         frame, p = frame.normalize(p)
+        whole = frame.cell(f)
+        if whole is not None:
+            return reference_value_in_cell(frame.level, whole, p)
         value = frame.terminal(f, p)
         if value is not None:
             return value
@@ -377,6 +381,28 @@ def test_batched_route_matches_one_point_route(name, data):
         for single in (one(f, p), reference_route(frame, f, p)):
             assert type(v) is type(single)
             assert v == single and repr(v) == repr(single)
+
+
+@pytest.mark.parametrize("name", ROUTE_CASES + ["lower:0"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_walk_matches_evaluate(name, data):
+    """The walk covers every vertex `domain_vertices` lists, and its value
+    there is the evaluator's: equal, of the same type and with the same repr
+    (bit-identical floats)."""
+    make, alphabet, domain, m, exact_ok, frame, _, many = _route_case(name)
+    exact = exact_ok and data.draw(st.booleans())
+    f = make(
+        data.draw(st.dictionaries(words(alphabet), values(exact), max_size=4)),
+        data.draw(values(exact)), data.draw(values(exact)))
+    walked = cylinder.walk(frame, f, m)
+    keys = [(x, y) for x, y, _ in geometry.domain_vertices(domain, m)]
+    assert set(keys) <= walked.keys()
+    s = domain.level ** m
+    for key, v in zip(keys, many(f, [(F(x, s), F(y, s)) for x, y in keys])):
+        w = walked[key]
+        assert type(w) is type(v)
+        assert w == v and repr(w) == repr(v)
 
 
 @PROPERTY_SETTINGS

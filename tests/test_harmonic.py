@@ -190,3 +190,44 @@ def test_graph_energy_of_a_float_oracle_solution():
     assert want == 14
     got = H.graph_energy(H.GraphFunction(graph, floats))
     assert abs(got - 14) <= 1e-12 * 14
+
+
+def count_extensions(monkeypatch):
+    calls = []
+    extend = H.cell_extension
+    monkeypatch.setattr(H, "cell_extension", lambda *a: calls.append(a) or extend(*a))
+    return calls
+
+
+def test_descent_refuses_a_non_vertex_by_its_denominator(monkeypatch):
+    """(2/3, 0) lies on the bottom edge of SG, but no power of 2 clears its
+    denominator: it is refused before any extension.  On SG_3 the edge's
+    midpoint (1, 0) is an integer point in a subcell at every level, so it
+    is refused two levels below the level its denominator gives."""
+    calls = count_extensions(monkeypatch)
+    corners = (F(1), F(-2), F(5))
+    with pytest.raises(ContractViolation, match="not a vertex address"):
+        H.harmonic_value_in_cell(2, corners, (F(2, 3), F(0)))
+    assert calls == []
+    with pytest.raises(ContractViolation, match="not a vertex address"):
+        H.harmonic_value_in_cell(3, corners, (F(1), F(0)))
+    assert len(calls) == 3
+
+
+def test_descent_depth_follows_the_denominator():
+    """A vertex 20 digits deep, beyond the graph cap, resolves to the value
+    of the cell_extension chain along its word; so do the SG points (1, 0)
+    and (1, 1), integer points that are vertices of levels 1 and 2."""
+    params = G.gasket(2)
+    word = tuple(int(c) for c in "12002110201221020011")
+    corners = (F(1), F(-2), F(5))
+    vals = corners
+    for d in word:
+        ext = H.cell_extension(2, vals)
+        vals = tuple(ext[q] for q in params.cell_points[d])
+    p = G.resolve(params, G.VertexAddress(word, 0))
+    assert H.harmonic_value_in_cell(2, corners, p) == vals[0]
+    ext = H.cell_extension(2, corners)
+    assert H.harmonic_value_in_cell(2, corners, (F(1), F(0))) == ext[2, 0]
+    top = tuple(ext[q] for q in params.cell_points[0])
+    assert H.harmonic_value_in_cell(2, corners, (F(1), F(1))) == H.cell_extension(2, top)[2, 0]
