@@ -128,7 +128,7 @@ def _emit(lines, out):
 def _solution_rows(frame, f, dom, m):
     """(word, corner, x, y, value) at every level-m vertex of the domain, in
     (x, y) order, listed before the walk so that the graph cap refuses first;
-    a function of its own so that the walk is freed before the formatting."""
+    a function of its own so that the walk is freed before the rows are used."""
     verts = geometry.domain_vertices(dom, m)
     values = cylinder.walk(frame, f, m)
     s = dom.params.level ** m
@@ -175,16 +175,15 @@ def cmd_compare(cfg, fam, lam):
     if mode == "rational":
         # the top level's count, before any level is solved
         oracle.check_exact_cap(oracle.domain_unknowns(dom, cfg.levels[1]))
-    s = dom.params.level ** cfg.depth
-    targets = [(F(x, s), F(y, s)) for x, y, _ in geometry.domain_vertices(dom, cfg.depth)]
-    exact = cylinder.evaluate(frame, f, targets)
+    rows = _solution_rows(frame, f, dom, cfg.depth)
+    targets = [(x, y) for _, _, x, y, _ in rows]
     # every boundary vertex of a level is one of each finer level
     boundary = lru_cache(maxsize=None)(lambda p: frame.terminal(f, p))
     lines, maxes = ["level,max_abs,mean_abs"], []
     levels = list(range(cfg.levels[0], cfg.levels[1] + 1))
     for m in levels:
         vals = oracle.solve_domain(dom, m, boundary, targets, mode)
-        diffs = [abs(float(e) - float(v)) for e, v in zip(exact, vals)]
+        diffs = [abs(float(row[4]) - float(v)) for row, v in zip(rows, vals)]
         maxes.append(max(diffs))
         lines.append(f"{m},{maxes[-1]!r},{sum(diffs) / len(diffs)!r}")
     # a step may rise by rounding only, and two or more levels must fall

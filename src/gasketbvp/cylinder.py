@@ -6,11 +6,10 @@ way: boundary data lives on a Cantor set X addressed by cylinder words, an
 extend step gives the solution on V_1, and a vertex is routed into a
 sub-copy F_d(domain) that carries shifted data, where the same step
 recurses.  `CylinderData` is the data on X; a family's *frame* is its domain
-at one recursion node.  `walk` (every level-m vertex in one pass, for
-`solve`), `route` (given points), `cut_value`, `integrate`, `energy` and
-`words` are the recursions over cylinder words that the families share; the
-formulas stay in the families' extend steps and in `harmonic`.  `evaluate`
-is `route` behind the check that every point lies in the root frame's domain.
+at one recursion node.  `walk` (every level-m vertex in one pass),
+`evaluate` (given points), `cut_value`, `integrate`, `energy` and `words` are
+the recursions over cylinder words that the families share; the formulas
+stay in the families' extend steps and in `harmonic`.
 
 A frame provides
     level, params     the gasket SG_level the domain lives in
@@ -157,6 +156,11 @@ class Frame:
     def cell(self, f):
         return None
 
+    def at(self, f, values, p):
+        """The value at a V_1 point p: `terminal`, else `values`, else None."""
+        value = self.terminal(f, p)
+        return values.get(p) if value is None else value
+
     def own(self, f, word):
         return 0
 
@@ -169,21 +173,81 @@ def _copy_data(frame, f, values, d):
     return f.shifted(d, *(values[corners[s]] for s in frame.slots))
 
 
-def route(frame, f, points, s, batch):
-    """Values at the exact points of the solution with data f, in order.
-
-    At each recursion node a point is a boundary value (`terminal`), a V_1
-    value, or lies in the first full cell containing it, resolved there by
-    the harmonic extension, or else goes on into the first sub-copy
-    containing it; at a node that is one cell (`cell`) every point descends
-    it.  All points of one node share its extend step, its sub-copies' data
-    and one cell descent per full cell.  Points are held as integers over
-    their common denominator: `batch` is `geometry.scaled(points)` with
-    denominator s.  Nodes wait on a stack, so each point is held at one node
-    only."""
+def walk(frame, f, m):
+    """{(x, y): value} of the solution with data f at the level-m vertices
+    of the frame's closed domain, (x, y) integers at scale l**m.  The first
+    step to reach a vertex sets it, in `evaluate`'s precedence: a node's
+    own points (`cell`, else `at`), its full cells, extended once per
+    subcell down to level m, then its sub-copies, depth first in digit
+    order."""
     params = frame.params
-    l = params.level
-    corners = params.cell_corners
+    l, shifts = params.level, params.int_translations
+    v1 = {pt: p for cell, exact in zip(params.cell_points, params.cell_corners)
+          for pt, p in zip(cell, exact)}
+    v0 = list(zip(geometry.CORNERS_INT, geometry.CORNERS))
+    out = {}
+
+    def fill(vals, x, y, k):
+        step = l ** (m - k - 1)
+        ext = harmonic.cell_extension(l, vals)
+        for (px, py), v in ext.items():
+            out.setdefault((x + step * px, y + step * py), v)
+        if k + 1 < m:
+            for cell, (tx, ty) in zip(params.cell_points, shifts):
+                fill(tuple(ext[q] for q in cell), x + step * tx, y + step * ty, k + 1)
+
+    def node(frame, f, x, y, k):
+        # corner j of the level-k cell at (x, y) is at l**(m-k) q_j + (x, y);
+        # the level-m grid meets its subcell F_0^n in the V_1 points, in the
+        # corners at level m, or in q_0 alone below level m
+        frame, n = frame.dilate()
+        below = k + n > m
+        n = min(n, m - k)
+        dx = l ** (m - k) - l ** (m - k - n)  # F_0 fixes q_0 = (1, 2)
+        x, y, k = x + dx, y + 2 * dx, k + n
+        whole = frame.cell(f)
+        values = frame.values(f) if whole is None else dict(zip(geometry.CORNERS, whole))
+        step = l ** (m - k - 1) if k < m else 1
+        for (px, py), p in v1.items() if k < m else v0[:1 if below else 3]:
+            if (x + step * px, y + step * py) not in out:
+                value = frame.at(f, values, p) if whole is None else values.get(p)
+                if value is not None:
+                    out[x + step * px, y + step * py] = value
+        if whole is not None and k < m:
+            fill(whole, x, y, k)
+        elif whole is None and k + 1 < m:
+            for i in frame.full_cells():
+                fill(tuple(values[q] for q in params.cell_corners[i]),
+                     x + step * shifts[i][0], y + step * shifts[i][1], k + 1)
+            for d in frame.copies():
+                node(frame.shift(d), _copy_data(frame, f, values, d),
+                     x + step * shifts[d][0], y + step * shifts[d][1], k + 1)
+
+    node(frame, f, 0, 0, 0)
+    return out
+
+
+def evaluate(frame, f, vertices):
+    """Values at the vertices (VertexAddresses or exact points) of the
+    solution with data f on the frame's domain, in order; a point off the
+    gasket raises AddressError, and one outside the closed domain
+    ResolutionError.
+
+    At each recursion node a point is a V_1 point (`at`), else it lies in
+    the first full cell containing it, resolved there by the harmonic
+    extension, or goes on into the first sub-copy containing it; a node that
+    is one cell (`cell`) descends every point.  The points of one node share
+    its extend step, its sub-copies' data and one descent per full cell, and
+    wait with it on a stack, as integers over their common denominator s."""
+    params = frame.params
+    points = [geometry.exact_point(params, v) for v in vertices]
+    s, batch = geometry.scaled(points)
+    for k, x, y in batch:
+        if not geometry.cells_at(params, x, y, s):
+            raise AddressError(f"{points[k]} lies outside the gasket")
+        if geometry.outside(frame.domain, x, y, s):
+            raise ResolutionError(f"{points[k]} lies outside the closed {frame.name}")
+    l, corners = params.level, params.cell_corners
     shifts = geometry.unapply_shifts(params, s)
     out = [None] * len(points)
     stack = [(frame, f, batch, MAX_RECURSION)]
@@ -199,17 +263,12 @@ def route(frame, f, points, s, batch):
         if whole is not None:
             harmonic.descend(frame.level, whole, batch, s, out, points)
             continue
-        values = None
+        values = frame.values(f)
         cells, copies = {}, {}
+        targets = [(i, cells) for i in frame.full_cells()] + [(d, copies) for d in frame.copies()]
         for k, x, y in batch:
             p = (Fraction(x, s), Fraction(y, s))
-            value = frame.terminal(f, p)
-            if value is None:
-                if values is None:
-                    values = frame.values(f)
-                    targets = [(i, cells) for i in frame.full_cells()]
-                    targets += [(d, copies) for d in frame.copies()]
-                value = values.get(p)
+            value = frame.at(f, values, p)
             if value is not None:
                 out[k] = value
                 continue
@@ -228,77 +287,6 @@ def route(frame, f, points, s, batch):
         for d, group in copies.items():
             stack.append((frame.shift(d), _copy_data(frame, f, values, d), group, depth - 1))
     return out
-
-
-def walk(frame, f, m):
-    """{(x, y): value} of the solution with data f at the level-m vertices
-    of the frame's closed domain, (x, y) integers at scale l**m; corner j of
-    the level-k cell at (x, y) is at l**(m-k) q_j + (x, y).  The first step
-    to reach a vertex sets it, in `route`'s precedence: a node's V_1 points
-    (`terminal`, else `values`), its full cells, extended once per subcell
-    down to level m, then its sub-copies, depth first in digit order."""
-    params = frame.params
-    l, shifts = params.level, params.int_translations
-    v1 = {pt: p for cell, exact in zip(params.cell_points, params.cell_corners)
-          for pt, p in zip(cell, exact)}
-    out = {}
-
-    def fill(vals, x, y, k):
-        step = l ** (m - k - 1)
-        ext = harmonic.cell_extension(l, vals)
-        for (px, py), v in ext.items():
-            out.setdefault((x + step * px, y + step * py), v)
-        if k + 1 < m:
-            for cell, (tx, ty) in zip(params.cell_points, shifts):
-                fill(tuple(ext[q] for q in cell), x + step * tx, y + step * ty, k + 1)
-
-    def node(frame, f, x, y, k):
-        frame, n = frame.dilate()
-        if k + n >= m:
-            return
-        dx = l ** (m - k) - l ** (m - k - n)  # F_0 fixes q_0 = (1, 2)
-        x, y, k = x + dx, y + 2 * dx, k + n
-        step = l ** (m - k - 1)
-        whole = frame.cell(f)
-        if whole is not None:
-            for v, (qx, qy) in zip(whole, geometry.CORNERS_INT):
-                out.setdefault((x + l * step * qx, y + l * step * qy), v)
-            fill(whole, x, y, k)
-            return
-        values = frame.values(f)
-        for (px, py), p in v1.items():
-            if (x + step * px, y + step * py) not in out:
-                value = frame.terminal(f, p)
-                if value is None:
-                    value = values.get(p)
-                if value is not None:
-                    out[x + step * px, y + step * py] = value
-        if k + 1 < m:
-            for i in frame.full_cells():
-                fill(tuple(values[q] for q in params.cell_corners[i]),
-                     x + step * shifts[i][0], y + step * shifts[i][1], k + 1)
-            for d in frame.copies():
-                node(frame.shift(d), _copy_data(frame, f, values, d),
-                     x + step * shifts[d][0], y + step * shifts[d][1], k + 1)
-
-    node(frame, f, 0, 0, 0)
-    return out
-
-
-def evaluate(frame, f, vertices):
-    """Values at the vertices (VertexAddresses or exact points) of the
-    solution with data f on the frame's domain, in order; a point off the
-    gasket raises AddressError, and one outside the closed domain
-    ResolutionError."""
-    params = frame.params
-    points = [geometry.exact_point(params, v) for v in vertices]
-    s, batch = geometry.scaled(points)
-    for k, x, y in batch:
-        if not geometry.cells_at(params, x, y, s):
-            raise AddressError(f"{points[k]} lies outside the gasket")
-        if geometry.outside(frame.domain, x, y, s):
-            raise ResolutionError(f"{points[k]} lies outside the closed {frame.name}")
-    return route(frame, f, points, s, batch)
 
 
 def cut_value(frame, f, p):

@@ -224,6 +224,26 @@ def test_upper_digit_outside_alphabet_usage_error(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("lam,level", [("1/9", None), ("4/9", "2"), ("1/3", "1")])
+def test_solve_upper_dilated_to_the_output_level(tmp_path, capsys, lam, level):
+    """An upper domain whose dilation into F_0^n reaches the output level, at
+    the root (1/9 at the default level 2, 1/3 at level 1) or in a sub-copy
+    (4/9 at level 2), prints every vertex with the evaluator's value."""
+    from gasketbvp import upperdomain as UP
+
+    data = write_json(tmp_path / "u.json", {"schema": 1, "q0": "1/3", "default_tail": "-1/5"})
+    argv = ["solve", "--domain", "upper", "--lambda", lam, "--data", data]
+    code, out, err = run(argv + (["--level", level] if level else []), capsys)
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    tlam = UP.TriadicLambda(F(lam))
+    dom = geometry.UpperDomain(cut_y=tlam.cut_height())
+    assert len(rows) == len(geometry.domain_vertices(dom, int(level or 2)))
+    f = cli.load_boundary_data(data, "upper", "auto", lam=tlam, level=3)
+    want = UP.evaluate_upper_many(tlam, f, [(F(x), F(y)) for _, _, x, y, _ in rows])
+    assert [v for *_, v in rows] == [cli._fmt(v) for v in want]
+
+
 @pytest.mark.parametrize("argv,payload", [
     (["solve", "--domain", "half-sg3", "--level", "1"],
      {"schema": 1, "q1": "0", "q0": "1", "default_tail": "1"}),

@@ -383,14 +383,24 @@ def test_batched_route_matches_one_point_route(name, data):
             assert v == single and repr(v) == repr(single)
 
 
-@pytest.mark.parametrize("name", ROUTE_CASES + ["lower:0"])
+# the skeleton levels, and levels at which an upper domain's dilation into
+# F_0^n reaches level m at the root (1/9, 1/27, 5/27, 1/4) or in a copy (4/9)
+WALK_CASES = [(name, None) for name in ROUTE_CASES + ["lower:0"]] + [
+    ("upper:1/9", 2), ("upper:1/27", 3), ("upper:5/27", 2), ("upper:1/4", 2),
+    ("upper:4/9", 1), ("upper:4/9", 2), ("upper:1/3", 1), ("upper:1", 1),
+    ("half:3", 1), ("lower:1/2", 1), ("lower:0", 1),
+]
+
+
+@pytest.mark.parametrize("name,level", WALK_CASES)
 @PROPERTY_SETTINGS
 @given(data=st.data())
-def test_walk_matches_evaluate(name, data):
+def test_walk_matches_evaluate(name, level, data):
     """The walk covers every vertex `domain_vertices` lists, and its value
     there is the evaluator's: equal, of the same type and with the same repr
     (bit-identical floats)."""
     make, alphabet, domain, m, exact_ok, frame, _, many = _route_case(name)
+    m = level or m
     exact = exact_ok and data.draw(st.booleans())
     f = make(
         data.draw(st.dictionaries(words(alphabet), values(exact), max_size=4)),
