@@ -15,7 +15,7 @@ import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 
 from . import cylinder, geometry, halfdomain, lowerdomain, upperdomain
 from .errors import AccuracyError, GasketError
@@ -177,12 +177,10 @@ def cmd_compare(cfg, fam, lam):
         oracle.check_exact_cap(oracle.domain_unknowns(dom, cfg.levels[1]))
     rows = _solution_rows(frame, f, dom, cfg.depth)
     targets = [(x, y) for _, _, x, y, _ in rows]
-    # every boundary vertex of a level is one of each finer level
-    boundary = lru_cache(maxsize=None)(lambda p: frame.terminal(f, p))
     lines, maxes = ["level,max_abs,mean_abs"], []
     levels = list(range(cfg.levels[0], cfg.levels[1] + 1))
     for m in levels:
-        vals = oracle.solve_domain(dom, m, boundary, targets, mode)
+        vals = oracle.solve_domain(dom, m, partial(frame.terminals, f), targets, mode)
         diffs = [abs(float(row[4]) - float(v)) for row, v in zip(rows, vals)]
         maxes.append(max(diffs))
         lines.append(f"{m},{maxes[-1]!r},{sum(diffs) / len(diffs)!r}")

@@ -7,9 +7,9 @@ extend step gives the solution on V_1, and a vertex is routed into a
 sub-copy F_d(domain) that carries shifted data, where the same step
 recurses.  `CylinderData` is the data on X; a family's *frame* is its domain
 at one recursion node.  `walk` (every level-m vertex in one pass),
-`evaluate` (given points), `cut_value`, `integrate`, `energy` and `words` are
-the recursions over cylinder words that the families share; the formulas
-stay in the families' extend steps and in `harmonic`.
+`evaluate` (given points), `cut_values`, `integrate`, `energy` and `words`
+are the recursions over cylinder words that the families share; the
+formulas stay in the families' extend steps and in `harmonic`.
 
 A frame provides
     level, params     the gasket SG_level the domain lives in
@@ -18,8 +18,12 @@ A frame provides
                       F_d(q_s) the data of a sub-copy carries
     dilate()          (frame, n) when the domain lies in F_0^n of the
                       returned frame's domain (upper domains with m_1 > 1)
-    terminal(f, p)    the value at a boundary corner or on the cut line,
-                      None elsewhere
+    corner_values(f)  the data's values at the domain's boundary corners
+    cut_values(f, points, s)  the data's values at points (x/s, y/s) of the
+                      cut line, integer pairs (x, y), in one batch (by
+                      default the cylinder lookup `cut_values`)
+    terminals(f, points, s), terminal(f, p)  (provided) the value at a
+                      boundary corner or on the cut line, None elsewhere
     values(f)         the V_1 values of the solution from the family's
                       extend step, keyed by exact points, corners included
     full_cells()      the level-1 cells lying wholly inside the domain
@@ -146,20 +150,27 @@ class Frame:
     def dilate(self):
         return self, 0
 
-    def normalize(self, p):
-        """(frame, p) with p seen through the dilations of `dilate`."""
-        frame, n = self.dilate()
-        for _ in range(n):
-            p = self.params.unapply_map(0, p)
-        return frame, p
+    def terminals(self, f, points, s):
+        """`terminal` at the points (x/s, y/s), for integer pairs (x, y), in
+        order: the boundary corners take `corner_values`, the points of the
+        cut line one batched `cut_values`, and every other point None."""
+        dom = self.domain
+        ends = {(s * geometry.CORNERS_INT[c][0], s * geometry.CORNERS_INT[c][1]): v
+                for c, v in zip(dom.corners, self.corner_values(f))}
+        line = dom.cut * s
+        cut = [p for p in points if p not in ends and p[dom.axis] == line]
+        vals = dict(zip(cut, self.cut_values(f, cut, s) if cut else ()))
+        return [ends.get(p, vals.get(p)) for p in points]
+
+    def terminal(self, f, p):
+        s, [(_, x, y)] = geometry.scaled([p])
+        return self.terminals(f, [(x, y)], s)[0]
+
+    def cut_values(self, f, points, s):
+        return cut_values(self, f, points, s)
 
     def cell(self, f):
         return None
-
-    def at(self, f, values, p):
-        """The value at a V_1 point p: `terminal`, else `values`, else None."""
-        value = self.terminal(f, p)
-        return values.get(p) if value is None else value
 
     def own(self, f, word):
         return 0
@@ -177,13 +188,13 @@ def walk(frame, f, m):
     """{(x, y): value} of the solution with data f at the level-m vertices
     of the frame's closed domain, (x, y) integers at scale l**m.  The first
     step to reach a vertex sets it, in `evaluate`'s precedence: a node's
-    own points (`cell`, else `at`), its full cells, extended once per
-    subcell down to level m, then its sub-copies, depth first in digit
-    order."""
+    own points (`cell`, else `terminals`, else `values`), its full cells,
+    extended once per subcell down to level m, then its sub-copies, depth
+    first in digit order."""
     params = frame.params
     l, shifts = params.level, params.int_translations
-    v1 = {pt: p for cell, exact in zip(params.cell_points, params.cell_corners)
-          for pt, p in zip(cell, exact)}
+    v1 = list({pt: p for cell, exact in zip(params.cell_points, params.cell_corners)
+               for pt, p in zip(cell, exact)}.items())
     v0 = list(zip(geometry.CORNERS_INT, geometry.CORNERS))
     out = {}
 
@@ -207,12 +218,16 @@ def walk(frame, f, m):
         x, y, k = x + dx, y + 2 * dx, k + n
         whole = frame.cell(f)
         values = frame.values(f) if whole is None else dict(zip(geometry.CORNERS, whole))
-        step = l ** (m - k - 1) if k < m else 1
-        for (px, py), p in v1.items() if k < m else v0[:1 if below else 3]:
-            if (x + step * px, y + step * py) not in out:
-                value = frame.at(f, values, p) if whole is None else values.get(p)
-                if value is not None:
-                    out[x + step * px, y + step * py] = value
+        # V_1 points at scale l, else V_0 points at scale 1
+        step, scale = (l ** (m - k - 1), l) if k < m else (1, 1)
+        todo = [(pt, p) for pt, p in (v1 if k < m else v0[:1 if below else 3])
+                if (x + step * pt[0], y + step * pt[1]) not in out]
+        pts = [pt for pt, _ in todo]
+        ends = frame.terminals(f, pts, scale) if whole is None else [None] * len(pts)
+        for ((px, py), p), value in zip(todo, ends):
+            value = values.get(p) if value is None else value
+            if value is not None:
+                out[x + step * px, y + step * py] = value
         if whole is not None and k < m:
             fill(whole, x, y, k)
         elif whole is None and k + 1 < m:
@@ -233,12 +248,13 @@ def evaluate(frame, f, vertices):
     gasket raises AddressError, and one outside the closed domain
     ResolutionError.
 
-    At each recursion node a point is a V_1 point (`at`), else it lies in
-    the first full cell containing it, resolved there by the harmonic
-    extension, or goes on into the first sub-copy containing it; a node that
-    is one cell (`cell`) descends every point.  The points of one node share
-    its extend step, its sub-copies' data and one descent per full cell, and
-    wait with it on a stack, as integers over their common denominator s."""
+    At each recursion node a point is a boundary point (`terminals`, one
+    batch per node) or a V_1 point (`values`), else it lies in the first
+    full cell containing it, resolved there by the harmonic extension, or
+    goes on into the first sub-copy containing it; a node that is one cell
+    (`cell`) descends every point.  The points of one node share its extend
+    step, its sub-copies' data and one descent per full cell, and wait with
+    it on a stack, as integers over their common denominator s."""
     params = frame.params
     points = [geometry.exact_point(params, v) for v in vertices]
     s, batch = geometry.scaled(points)
@@ -266,9 +282,10 @@ def evaluate(frame, f, vertices):
         values = frame.values(f)
         cells, copies = {}, {}
         targets = [(i, cells) for i in frame.full_cells()] + [(d, copies) for d in frame.copies()]
-        for k, x, y in batch:
+        ends = frame.terminals(f, [(x, y) for _, x, y in batch], s)
+        for (k, x, y), value in zip(batch, ends):
             p = (Fraction(x, s), Fraction(y, s))
-            value = frame.at(f, values, p)
+            value = values.get(p) if value is None else value
             if value is not None:
                 out[k] = value
                 continue
@@ -289,30 +306,51 @@ def evaluate(frame, f, vertices):
     return out
 
 
-def cut_value(frame, f, p):
-    """Data value at an exact point p of the cut line; at a junction of two
-    cylinders of piecewise-constant data the cylinder values are averaged."""
+def cut_values(frame, f, points, s):
+    """Data values at the points (x/s, y/s) of the cut line, for integer
+    pairs (x, y), in order; at a junction of two cylinders of
+    piecewise-constant data the cylinder values are averaged.  The points
+    descend together: a node reads its data once and sends each point into
+    every sub-copy whose cell holds it, depth first in digit order."""
     params = frame.params
+    l = params.level
+    shifts = geometry.unapply_shifts(params, s)
     blank = (None,) * len(frame.slots)  # a copy's corner values are not needed
-    vals = []
+    vals = [[] for _ in points]
 
-    def rec(frame, data, p):
+    def rec(frame, data, batch):
         sub = data.subtree("")
         if sub is not None:
-            vals.append(sub)
+            for k, _, _ in batch:
+                vals[k].append(sub)
             return
-        frame, p = frame.normalize(p)
-        hits = 0
-        for d in frame.copies():
-            local = params.unapply_map(d, p)
-            if geometry.cells_containing(params, local):
-                rec(frame.shift(d), data.shifted(d, *blank), local)
-                hits += 1
-        if hits == 0:
-            raise AddressError(f"{p} is not on the cut-line boundary of the {frame.name}")
+        frame, n = frame.dilate()
+        sx, sy = shifts[0]
+        for _ in range(n):
+            batch = [(k, l * x - sx, l * y - sy) for k, x, y in batch]
+        groups = {d: [] for d in frame.copies()}
+        for k, x, y in batch:
+            hits = 0
+            for d, group in groups.items():
+                lx, ly = l * x - shifts[d][0], l * y - shifts[d][1]
+                if geometry.cells_at(params, lx, ly, s):
+                    group.append((k, lx, ly))
+                    hits += 1
+            if hits == 0:
+                p = (Fraction(x, s), Fraction(y, s))
+                raise AddressError(f"{p} is not on the cut-line boundary of the {frame.name}")
+        for d, group in groups.items():
+            if group:
+                rec(frame.shift(d), data.shifted(d, *blank), group)
 
-    rec(frame, f, p)
-    return sum(vals) / len(vals)
+    rec(frame, f, [(k, x, y) for k, (x, y) in enumerate(points)])
+    return [sum(v) / len(v) for v in vals]
+
+
+def cut_value(frame, f, p):
+    """`cut_values` at one exact point p."""
+    s, [(_, x, y)] = geometry.scaled([p])
+    return cut_values(frame, f, [(x, y)], s)[0]
 
 
 def stage(frame, f):
@@ -378,11 +416,14 @@ def energy(frame, f, g, stages=None):
     return rec(frame, f, g, 0)
 
 
-def words(alphabet, depth, word=""):
+def words(alphabet, depth, word="", keep=None):
     """Every word of length <= depth below `word`, depth first in preorder;
-    alphabet(k) gives the digits admissible at position k."""
+    alphabet(k) gives the digits admissible at position k.  A word for which
+    keep(word) is false is left out with every word below it."""
+    if keep is not None and not keep(word):
+        return
     if len(word) <= depth:
         yield word
     if len(word) < depth:
         for d in alphabet(len(word) + 1):
-            yield from words(alphabet, depth, word + geometry.WORD_CHARS[d])
+            yield from words(alphabet, depth, word + geometry.WORD_CHARS[d], keep)

@@ -87,12 +87,42 @@ class HalfStructure(cylinder.Frame):
                 self.cylinder_top[i] = self.atom_points.index(top)
         self._children = [(i, self.weights[i], self) for i in self.alphabet]
 
-    def terminal(self, f, p):
-        if p == Q1:
-            return f.q1
-        if p[0] == 1:
-            return boundary_value_at(f, p)
-        return None
+    def corner_values(self, f):
+        return (f.q1,)
+
+    def cut_values(self, f, points, s):
+        """f.atom at the atoms among the points (x/s, y/s) of the cut line,
+        f.q0 at the corner q0.  The points descend together in integers, at
+        the atoms' scale s l: each goes on into the first cylinder cell
+        containing it, and each cell's points wait on a stack under one
+        word."""
+        params, l, scale = self.params, self.level, s * self.level
+        shifts, alphabet = geometry.unapply_shifts(params, scale), self.alphabet
+        ends = {(s * x, s * y): j for j, (x, y) in
+                enumerate((params.cell_points[c][2] for c in params.atom_cells), start=1)}
+        out = [None] * len(points)
+        stack = [("", [(k, l * x, l * y) for k, (x, y) in enumerate(points)])]
+        while stack:
+            word, batch = stack.pop()
+            if len(word) == MAX_RECURSION:
+                raise AddressError("cut-line point does not resolve to an atom")
+            groups = {}
+            for k, x, y in batch:
+                if (x, y) == (scale, 2 * scale):  # the accumulation corner q0
+                    if f.q0 is None:
+                        raise ContractViolation("data has no value at the accumulation corner q0")
+                    out[k] = f.q0
+                elif (x, y) in ends:
+                    out[k] = f.atom(word, ends[x, y])
+                else:
+                    cells = [i for i in geometry.cells_at(params, x, y, scale) if i in alphabet]
+                    if not cells:
+                        p = (F(x, scale), F(y, scale))
+                        raise AddressError(f"{p} is not a vertex on the Cantor boundary")
+                    sx, sy = shifts[cells[0]]
+                    groups.setdefault(cells[0], []).append((k, l * x - sx, l * y - sy))
+            stack += [(word + geometry.WORD_CHARS[i], group) for i, group in groups.items()]
+        return out
 
     def values(self, f):
         l = self.level
@@ -446,35 +476,12 @@ def _extend_step_system(f):
 # recursive evaluation
 
 
-def _atom_word_of_point(st, p):
-    """Word and index of the atom at an exact point on the cut line."""
-    word = []
-    for _ in range(MAX_RECURSION):
-        for j, ap in enumerate(st.atom_points):
-            if p == ap:
-                return "".join(geometry.WORD_CHARS[d] for d in word), j + 1
-        if p == Q0:
-            return None, None  # accumulation corner
-        cells = [
-            i for i in geometry.cells_containing(st.params, p) if i in st.alphabet
-        ]
-        if not cells:
-            raise AddressError(f"{p} is not a vertex on the Cantor boundary")
-        word.append(cells[0])
-        p = st.params.unapply_map(cells[0], p)
-    raise AddressError("cut-line point does not resolve to an atom")
-
-
 def boundary_value_at(f, p):
     """Value of the boundary data at an exact point of {q1} union X."""
     if p == Q1:
         return f.q1
-    word, j = _atom_word_of_point(f.st, p)
-    if word is None:
-        if f.q0 is None:
-            raise ContractViolation("data has no value at the accumulation corner q0")
-        return f.q0
-    return f.atom(word, j)
+    s, [(_, x, y)] = geometry.scaled([p])
+    return f.st.cut_values(f, [(x, y)], s)[0]
 
 
 def evaluate(f, v):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import geometry
 from .errors import CapabilityError, ContractViolation, LevelMismatchError
@@ -47,10 +48,18 @@ def extension_basis(level):
     return _BASIS_CACHE[level]
 
 
+@lru_cache(maxsize=None)
+def _float_basis(level):
+    return {pt: tuple(map(float, w)) for pt, w in extension_basis(level).items()}
+
+
 def cell_extension(level, values):
     """Extension of cell-corner values (v0, v1, v2) to the cell's V_1 points,
-    keyed by integer coordinates at scale l. Internal: accepts any level."""
-    basis = extension_basis(level)
+    keyed by integer coordinates at scale l. Internal: accepts any level.
+    Float values take float weights: a Fraction times a float is computed
+    as float(weight) * value anyway."""
+    floats = all(type(v) is float for v in values)
+    basis = _float_basis(level) if floats else extension_basis(level)
     v0, v1, v2 = values
     return {pt: w[0] * v0 + w[1] * v1 + w[2] * v2 for pt, w in basis.items()}
 

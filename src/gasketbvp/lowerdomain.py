@@ -415,19 +415,13 @@ class LowerFrame(cylinder.Frame):
     def domain(self):
         return geometry.LowerDomain(cut_y=self.lam.cut_height())
 
-    def terminal(self, f, p):
-        if p == Q1:
-            return f.q1
-        if p == Q2:
-            return f.q2
-        if p[1] == self.lam.cut_height():
-            return boundary_value_at_lower(self.lam, f, p)
-        return None
+    def corner_values(self, f):
+        return (f.q1, f.q2)
 
     def cell(self, f):
         if self.lam.value == 0:  # the whole gasket: boundary V_0, X reduces to {q0}
             c0 = f.subtree("")
-            return (boundary_value_at_lower(self.lam, f, Q0) if c0 is None else c0, f.q1, f.q2)
+            return (self.terminal(f, Q0) if c0 is None else c0, f.q1, f.q2)
         return None
 
     def values(self, f):

@@ -22,7 +22,10 @@ Two entry points share the types:
                  only the cells that cross the cut or hold a boundary vertex
                  are visited; every other cell inside is the one unloaded
                  type of its depth.  So the cost follows the boundary, not
-                 the cell count, and no numpy is loaded.  `compare` uses it.
+                 the cell count, and no numpy is loaded.  The boundary
+                 vertices are read off the tree's finest rows, and their
+                 values come from the caller in one batch of integer
+                 points, a data lookup only.  `compare` uses it.
   solve          a DirichletProblem on any graph of build_graph's cells,
                  with any boundary set, in numpy arrays over every cell.
 """
@@ -233,11 +236,14 @@ def _unknowns(root):
     return root.free + root.status.count(_FREE)
 
 
-def solve_domain(domain, m, boundary_value, targets, mode):
+def solve_domain(domain, m, boundary_values, targets, mode):
     """Values at the exact points `targets` of the oracle on
-    `geometry.domain_graph(domain, m)` with boundary_value(p) at every
-    boundary vertex p: the problem of `domain_restricted_graph`, solved on
-    the domain's cell tree (`geometry.domain_cell_tree`) without the graph.
+    `geometry.domain_graph(domain, m)`: the problem of
+    `domain_restricted_graph`, solved on the domain's cell tree
+    (`geometry.domain_cell_tree`) without the graph.  The boundary vertices
+    are the corners marked in the tree's level-m rows, and
+    boundary_values(points, s) gives their values in one call, for the
+    points (x/s, y/s) of integer pairs (x, y) at s = l**m, in order.
 
     Loads go up through the listed cells only; a PLAIN cell has the one
     type of its depth and no load.  Values come down, by (cell, slot), only
@@ -257,14 +263,10 @@ def solve_domain(domain, m, boundary_value, targets, mode):
     s = params.level ** m
     want = [_scaled_point(p, s, m) for p in targets]
     number = Fraction if exact else float
-    known = {}
-
-    def value(p):
-        """The boundary value at the integer point p at scale s."""
-        if p not in known:
-            known[p] = number(boundary_value((Fraction(p[0], s), Fraction(p[1], s))))
-        return known[p]
-
+    boundary = list(dict.fromkeys((x + qx, y + qy) for x, y, bits in cells[m]
+                                  for j, (qx, qy) in enumerate(geometry.CORNERS_INT)
+                                  if bits >> j & 1))
+    value = dict(zip(boundary, map(number, boundary_values(boundary, s)))).__getitem__
     load, inner = _loads_up(params, cells, types, value, exact)
     # the root's free corners from its Schur block, with a unit diagonal on
     # its absent and boundary corners

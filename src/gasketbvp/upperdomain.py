@@ -380,12 +380,8 @@ class UpperFrame(cylinder.Frame):
     def domain(self):
         return geometry.UpperDomain(cut_y=self.lam.cut_height())
 
-    def terminal(self, f, p):
-        if p == Q0:
-            return float(f.q0)
-        if p[1] == self.lam.cut_height():
-            return boundary_value_at_upper(self.lam, f, p)
-        return None
+    def corner_values(self, f):
+        return (float(f.q0),)
 
     def values(self, f):
         corners = self.params.cell_corners
@@ -460,19 +456,21 @@ def haar_data(lam, word, j):
     return UpperBoundaryData(lam, q0=0.0, cylinders=cylinders, default=0.0)
 
 
-def haar_expand(lam, f, depth):
+def haar_expand(lam, f, depth, every=True):
     """Mean b plus Haar coefficients {(word, j): c} for |word| < depth.
 
     c_w^(j) = <f, psi_w^(j)> / <psi_w^(j), psi_w^(j)> reduces to simple
     combinations of cylinder means.  Data words hold at most MAX_RECURSION
     digits, so every coefficient below that depth is 0 and depth stops
-    there."""
+    there.  Below a word where f is constant every coefficient is an exact
+    0; with every=False those words are left out."""
     if not 0 <= depth <= MAX_RECURSION:
         raise ContractViolation(f"depth must be >= 0 and <= {MAX_RECURSION}, not {depth}")
     cylinder.check_lam(lam, f)
     b = integrate_upper(f)
     coeffs = {}
-    for word in cylinder.words(lambda k: word_alphabet(lam, k), depth - 1):
+    keep = None if every else f.refined
+    for word in cylinder.words(lambda k: word_alphabet(lam, k), depth - 1, keep=keep):
         k = len(word) + 1
         means = {
             d: integrate_upper(f, word + geometry.WORD_CHARS[d])
@@ -546,33 +544,34 @@ def energy_estimate_upper(lam, a, f, depth):
     """Haar-coefficient energy estimate: the weighted coefficient sum S,
     the exact recursion energy, and the orthogonal-decomposition energy
     sum (a-b)^2 eta + sum c^2 E(h_w), with an empirical bracket c*S."""
-    b, coeffs = haar_expand(lam, f, depth)
+    # only the words where f is refined carry a nonzero coefficient, and
+    # adding the exact zeros of the others would leave every sum unchanged
+    b, coeffs = haar_expand(lam, f, depth, every=False)
     a = float(a)
     ratio = float(RATIO)
     s_total = ratio ** lam.m1 * (a - b) ** 2
     ortho = eta_of(lam) * (a - b) ** 2
-    term_ratios = []
     # the generator psi_w^(j) lives on lam shifted |w| times, so its energy
-    # depends on (|w|, j) only
+    # depends on (|w|, j) only; the bracket takes every |w| < depth
     generators = {}
+    cur = lam
+    for n in range(depth):
+        for j in (1,) if lam.pair(n + 1)[1] == 1 else (1, 2):
+            generators[n, j] = cur, domain_energy_upper(cur, 0.0, haar_data(cur, "", j))
+        cur = cur.shift()
     for (word, j), c in sorted(coeffs.items()):
         n = len(word)
         m_next = lam.pair(n + 1)[0]
         s_term = ratio ** m_next * c * c
         s_total += s_term
-        if (n, j) not in generators:
-            cur = lam
-            for _ in range(n):
-                cur = cur.shift()
-            generators[n, j] = cur, domain_energy_upper(cur, 0.0, haar_data(cur, "", j))
         cur, e_gen = generators[n, j]
         m_prev = lam.pair(n)[0] if n else 0
         e_term = ratio ** m_prev * e_gen
         ortho += c * c * e_term
-        term_ratios.append(e_gen / ratio ** cur.m1)
     energy = domain_energy_upper(lam, a, f)
     lo_band, hi_band = h0_band(lam)
-    ratios = term_ratios + [eta_of(lam) / ratio ** lam.m1]
+    ratios = [e_gen / ratio ** cur.m1 for cur, e_gen in generators.values()]
+    ratios.append(eta_of(lam) / ratio ** lam.m1)
     bracket = (min(ratios) * s_total, max(ratios) * s_total)
     return UpperEnergyEstimate(s_total, energy, ortho, b, coeffs, bracket, (lo_band, hi_band))
 

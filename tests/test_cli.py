@@ -391,6 +391,44 @@ def count_solves(monkeypatch):
     return solved
 
 
+@pytest.mark.parametrize("domain,data", [
+    (["--domain", "half-sg3"], {"q1": "1", "q0": "0", "atoms": [{"w": "", "j": 1, "v": "1/2"}],
+                                "cylinders": [{"w": "03", "v": "2"}], "default_tail": "0"}),
+    (["--domain", "upper", "--lambda", "1"], {"q0": "1", "default_tail": "0",
+                                              "cylinders": [{"w": "1", "v": "2"}, {"w": "31", "v": "-1"}]}),
+    (["--domain", "lower", "--lambda", "1/3"], {"q1": "1", "q2": "-1", "default_tail": "0",
+                                                "cylinders": [{"w": "01", "v": "2"}]}),
+], ids=["half", "upper", "lower"])
+def test_compare_reads_the_boundary_in_one_batch_per_level(domain, data, tmp_path, capsys,
+                                                           monkeypatch):
+    # each level's boundary values come from one batched lookup; no vertex
+    # is looked up on its own from the root
+    from gasketbvp import cylinder, halfdomain, lowerdomain, oracle, upperdomain
+
+    def refuse(*args):
+        raise AssertionError("one-point boundary lookup")
+
+    for module, attr in ((cylinder, "cut_value"), (halfdomain, "boundary_value_at"),
+                         (upperdomain, "boundary_value_at_upper"),
+                         (lowerdomain, "boundary_value_at_lower"), (cylinder.Frame, "terminal")):
+        monkeypatch.setattr(module, attr, refuse)
+    batches = []
+    solve = oracle.solve_domain
+
+    def counted(dom, m, values, *rest):
+        def batch(points, s):
+            batches.append((m, len(points)))
+            return values(points, s)
+        return solve(dom, m, batch, *rest)
+
+    monkeypatch.setattr(oracle, "solve_domain", counted)
+    path = write_json(tmp_path / "f.json", {"schema": 1, **data})
+    code, out, err = run(["compare", *domain, "--levels", "2:5", "--data", path], capsys)
+    assert code == 0, err
+    assert [m for m, _ in batches] == [2, 3, 4, 5]
+    assert all(n > 0 for _, n in batches)
+
+
 def test_compare_checks_the_graph_cap_before_any_graph(half_data, capsys, monkeypatch):
     # level 9 of SG_3 is over the cap: refused before levels 3-8 are solved
     solved = count_solves(monkeypatch)

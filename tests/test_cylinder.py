@@ -256,6 +256,14 @@ def reference_value_in_cell(level, vals, p):
     return vals[geometry.CORNERS.index(point)]
 
 
+def normalize(frame, p):
+    """(frame, p) with p seen through the frame's dilations."""
+    frame, n = frame.dilate()
+    for _ in range(n):
+        p = frame.params.unapply_map(0, p)
+    return frame, p
+
+
 def reference_route(frame, f, p):
     """One point's walk: the node's one harmonic cell if it is one, else a
     boundary value, a V_1 value, the first full cell containing it, or else
@@ -264,7 +272,7 @@ def reference_route(frame, f, p):
     corners = frame.params.cell_corners
     contains = lambda i, p: geometry.cells_containing(params, params.unapply_map(i, p))
     while True:
-        frame, p = frame.normalize(p)
+        frame, p = normalize(frame, p)
         whole = frame.cell(f)
         if whole is not None:
             return reference_value_in_cell(frame.level, whole, p)
@@ -441,3 +449,82 @@ def test_lower_lambda_zero_is_one_harmonic_cell(data):
             assert v == solution[i]
         else:
             assert v == pytest.approx(float(solution[i]), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the boundary values of the oracle: one batched integer descent equals the
+# one-point lookup, and the per-point Fraction lookup of the reference below
+
+
+def reference_cut_value(frame, f, p):
+    """One cut-line point located from the root in Fractions: every copy
+    whose cell holds it, depth first, averaged at a junction."""
+    params = frame.params
+    vals = []
+
+    def rec(frame, data, p):
+        sub = data.subtree("")
+        if sub is not None:
+            vals.append(sub)
+            return
+        frame, p = normalize(frame, p)
+        for d in frame.copies():
+            local = params.unapply_map(d, p)
+            if geometry.cells_containing(params, local):
+                rec(frame.shift(d), data.shifted(d, *(None,) * len(frame.slots)), local)
+
+    rec(frame, f, p)
+    return sum(vals) / len(vals)
+
+
+def reference_atom_value(f, p):
+    """One half-domain cut-line point: the atom found by following the first
+    cylinder cell containing it, in Fractions, or q0."""
+    st_, word = f.st, ""
+    while p != geometry.Q0 and p not in st_.atom_points:
+        i = next(i for i in geometry.cells_containing(st_.params, p) if i in st_.alphabet)
+        word, p = word + geometry.WORD_CHARS[i], st_.params.unapply_map(i, p)
+    return f.q0 if p == geometry.Q0 else f.atom(word, st_.atom_points.index(p) + 1)
+
+
+def reference_terminal(frame, f, p):
+    for c, v in zip(frame.domain.corners, frame.corner_values(f)):
+        if p == geometry.CORNERS[c]:
+            return v
+    if isinstance(frame, HD.HalfStructure):
+        return reference_atom_value(f, p)
+    return reference_cut_value(frame, f, p)
+
+
+# junctions of two cylinders on every cut, and upper cuts whose domain sits
+# in F_0 (1/9, 4/9 in a copy) or F_0 F_0 (1/9)
+BOUNDARY_CASES = (
+    ["half:2", "half:3", "half:4"]
+    + [f"upper:{lam}" for lam in ("1", "2/3", "1/2", "1/9", "4/9")]
+    + [f"lower:{lam}" for lam in ("1/2", "1/3")]
+)
+
+
+@pytest.mark.parametrize("name", BOUNDARY_CASES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_boundary_batch_matches_one_point_lookup(name, data):
+    """At every boundary vertex of `domain_cell_tree` (the corners marked in
+    its level-m rows), `terminals` gives the one-point `terminal` and the
+    reference lookup: equal, of the same type and with the same repr."""
+    make, alphabet, domain, _, _, frame, *_ = _route_case(name)
+    exact = data.draw(st.booleans())
+    f = make(
+        data.draw(st.dictionaries(words(alphabet, max_len=4), values(exact), max_size=5)),
+        data.draw(values(exact)), data.draw(values(exact)))
+    m = data.draw(st.integers(1, 5))
+    cells = geometry.domain_cell_tree(domain, m)
+    ends = list(dict.fromkeys(
+        (x + qx, y + qy) for x, y, bits in cells[m]
+        for j, (qx, qy) in enumerate(geometry.CORNERS_INT) if bits >> j & 1))
+    s = domain.level ** m
+    for (x, y), v in zip(ends, frame.terminals(f, ends, s)):
+        p = (F(x, s), F(y, s))
+        for single in (frame.terminal(f, p), reference_terminal(frame, f, p)):
+            assert type(v) is type(single)
+            assert v == single and repr(v) == repr(single)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketbvp import geometry as G
 from gasketbvp import harmonic as H
@@ -231,3 +233,24 @@ def test_descent_depth_follows_the_denominator():
     assert H.harmonic_value_in_cell(2, corners, (F(1), F(0))) == ext[2, 0]
     top = tuple(ext[q] for q in params.cell_points[0])
     assert H.harmonic_value_in_cell(2, corners, (F(1), F(1))) == H.cell_extension(2, top)[2, 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5]),
+       st.tuples(*[st.floats(allow_nan=False, allow_infinity=False, width=64)] * 3))
+def test_float_extension_is_the_fraction_weight_formula_bit_for_bit(level, vals):
+    # float corner values take float weights; a Fraction weight times a float
+    # is float(weight) * value, so the bits are those of the exact weights
+    got = H.cell_extension(level, vals)
+    v0, v1, v2 = vals
+    for pt, w in H.extension_basis(level).items():
+        want = w[0] * v0 + w[1] * v1 + w[2] * v2
+        assert type(got[pt]) is float and got[pt].hex() == want.hex()
+
+
+def test_exact_or_mixed_values_keep_the_exact_weights():
+    for vals in ((F(1), F(2), F(-3)), (1, 0.5, 0.25), (0.5, F(1, 3), 0.25)):
+        got = H.cell_extension(3, vals)
+        for pt, w in H.extension_basis(3).items():
+            want = w[0] * vals[0] + w[1] * vals[1] + w[2] * vals[2]
+            assert got[pt] == want and type(got[pt]) is type(want)

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import deque
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -280,6 +281,12 @@ def test_float_mode_needs_the_cells():
 # the domain entry point against the graph one
 
 
+def batch(value):
+    """The boundary values of `solve_domain` from a function of one exact
+    point."""
+    return lambda points, s: [value((F(x, s), F(y, s))) for x, y in points]
+
+
 def corner_data(domain):
     """Boundary values: 3/7 at the boundary corners, a quadratic on the cut."""
     ends = {G.CORNERS[c] for c in domain.corners}
@@ -305,10 +312,10 @@ def test_domain_tree_matches_the_graph_oracle(domain, m):
     ids = [sk.graph.vertex_id(p) for p in points]
     assert O.domain_unknowns(domain, m) == sk.graph.n_vertices() - len(sk.boundary_ids)
     want = O.solve(sk.problem(data), mode="rational")
-    got = O.solve_domain(domain, m, data, points, "rational")
+    got = O.solve_domain(domain, m, batch(data), points, "rational")
     assert got == [want[i] for i in ids] and all(type(v) is F for v in got)
     want = O.solve(sk.problem(lambda p: float(data(p))), mode="float")
-    got = O.solve_domain(domain, m, lambda p: float(data(p)), points, "float")
+    got = O.solve_domain(domain, m, batch(lambda p: float(data(p))), points, "float")
     assert all(type(v) is float for v in got)
     assert max(abs(v - want[i]) for v, i in zip(got, ids)) <= 1e-14
 
@@ -322,19 +329,19 @@ def test_domain_tree_refuses_what_the_graph_oracle_refuses():
         sk.problem(lambda p: F(1))
     for mode in ("rational", "float"):
         with pytest.raises(SolvabilityError) as tree_error:
-            O.solve_domain(domain, 4, lambda p: F(1), [G.Q1], mode)
+            O.solve_domain(domain, 4, batch(lambda p: F(1)), [G.Q1], mode)
         assert str(tree_error.value) == str(graph_error.value)
     with pytest.raises(ContractViolation, match="mode"):
-        O.solve_domain(G.HalfDomain(3), 2, lambda p: F(1), [G.Q1], "auto")
+        O.solve_domain(G.HalfDomain(3), 2, batch(lambda p: F(1)), [G.Q1], "auto")
     with pytest.raises(AddressError, match="not a vertex"):
-        O.solve_domain(G.HalfDomain(3), 2, lambda p: F(1), [(F(2), F(0))], "float")
+        O.solve_domain(G.HalfDomain(3), 2, batch(lambda p: F(1)), [(F(2), F(0))], "float")
 
 
 def test_domain_tree_counts_the_rational_cap():
     # level 9 of half-SG has 14757 unknowns: refused before any condensation
     assert O.domain_unknowns(G.HalfDomain(2), 9) == 14757
     with pytest.raises(SolvabilityError, match="capped at 5000 unknowns, got 14757"):
-        O.solve_domain(G.HalfDomain(2), 9, lambda p: F(1), [G.Q1], "rational")
+        O.solve_domain(G.HalfDomain(2), 9, batch(lambda p: F(1)), [G.Q1], "rational")
 
 
 def test_domain_tree_goes_beyond_the_graph():
@@ -351,9 +358,57 @@ def test_domain_tree_goes_beyond_the_graph():
     errors = {}
     for m in (8, 10):
         tracemalloc.start()
-        vals = O.solve_domain(domain, m, lambda p: f.st.terminal(f, p), targets, "float")
+        vals = O.solve_domain(domain, m, partial(f.st.terminals, f), targets, "float")
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 8 * 2**20
         errors[m] = max(abs(v - e) for v, e in zip(vals, exact))
     assert errors[10] <= errors[8] / 10
+
+
+def independence_case(name):
+    """(root frame, boundary data) with cylinders at two depths."""
+    from gasketbvp import lowerdomain as LD
+    from gasketbvp import upperdomain as UP
+
+    family, arg = name.split(":")
+    if family == "half":
+        level = int(arg)
+        cyl = {"00": 2.0} if level == 2 else {"03": 2.0, "30": -1.0}
+        f = HD.HalfBoundaryData(level, q1=1.0, atoms={("", 1): 0.5, ("0", 1): -0.25},
+                                cylinders=cyl, default=0.0, q0=0.0)
+        return HD.structure(level), f
+    if family == "upper":
+        lam = UP.TriadicLambda(F(arg))
+        cyl = {"1": 0.5, "31": -1.0} if lam.value == 1 else {"4": 0.5, "51": -1.0}
+        return UP.UpperFrame(lam), UP.UpperBoundaryData(lam, q0=1.0, cylinders=cyl, default=0.25)
+    lam = LD.BinaryLambda(F(arg))
+    cyl = {"1": 0.5, "20": -1.0} if lam.value == F(1, 2) else {"01": 0.5, "0201": -1.0}
+    return LD.LowerFrame(lam), LD.LowerBoundaryData(lam, q1=1.0, q2=-0.5, cylinders=cyl,
+                                                    default=0.25)
+
+
+@pytest.mark.parametrize("name", ["half:2", "half:3", "upper:1", "upper:2/3", "lower:1/2",
+                                  "lower:1/3"])
+def test_boundary_lookup_and_domain_solve_use_no_extension(name, monkeypatch):
+    # the oracle is the independent check of the extension formulas: its
+    # boundary values are a data lookup, and its solve touches no extend step
+    from gasketbvp import lowerdomain as LD
+    from gasketbvp import upperdomain as UP
+
+    frame, f = independence_case(name)
+    domain = frame.domain
+    targets = [(F(x, domain.level ** 2), F(y, domain.level ** 2))
+               for x, y, _ in G.domain_vertices(domain, 2)]
+    want = {m: O.solve_domain(domain, m, partial(frame.terminals, f), targets, "float")
+            for m in (2, 3, 4)}
+
+    def refuse(*args):
+        raise AssertionError("the oracle used an extension formula")
+
+    for module, attr in ((H, "cell_extension"), (HD, "extend_step"),
+                         (UP, "extend_step_upper"), (LD, "extend_step_lower")):
+        monkeypatch.setattr(module, attr, refuse)
+    for m, vals in want.items():
+        got = O.solve_domain(domain, m, partial(frame.terminals, f), targets, "float")
+        assert got == vals and all(type(v) is float for v in got)

@@ -429,19 +429,25 @@ def test_data_for_another_lambda_is_refused():
 def test_energy_estimate_computes_one_generator_energy_per_length(lam, cylinders, monkeypatch):
     # psi_w^(j) lives on lam shifted |w| times, so its energy depends on
     # (|w|, j) only: at depth 5 the estimate needs one energy per (|w|, j)
-    # plus the solution's, and equals the sum over every word
+    # plus the solution's, and equals the sum over every word, though it
+    # lists only the words where f is refined (the others are exact zeros)
     lam = UP.TriadicLambda(lam)
     f = UP.UpperBoundaryData(lam, q0=0.5, cylinders=cylinders, default=0.0)
+    b, full = UP.haar_expand(lam, f, 5)
+    assert len(full) > 60
     energy = UP.domain_energy_upper
     calls = []
     monkeypatch.setattr(UP, "domain_energy_upper", lambda *a: calls.append(a) or energy(*a))
     est = UP.energy_estimate_upper(lam, 0.5, f, 5)
-    assert len(est.coeffs) > 60
-    assert len(calls) == len({(len(w), j) for w, j in est.coeffs}) + 1
+    assert len(calls) == len({(len(w), j) for w, j in full}) + 1
+    assert est.coeffs == {(w, j): c for (w, j), c in full.items() if f.refined(w)}
+    assert all(c == 0 for key, c in full.items() if key not in est.coeffs)
     ratio = float(UP.RATIO)
+    weighted = ratio ** lam.m1 * (0.5 - b) ** 2
     ortho = UP.eta_of(lam) * (0.5 - est.b) ** 2
     ratios = []
-    for (word, j), c in sorted(est.coeffs.items()):
+    for (word, j), c in sorted(full.items()):
+        weighted += ratio ** lam.pair(len(word) + 1)[0] * c * c
         cur = lam
         for _ in word:
             cur = cur.shift()
@@ -449,5 +455,27 @@ def test_energy_estimate_computes_one_generator_energy_per_length(lam, cylinders
         ortho += c * c * (ratio ** lam.pair(len(word))[0] if word else 1) * e_gen
         ratios.append(e_gen / ratio ** cur.m1)
     ratios.append(UP.eta_of(lam) / ratio ** lam.m1)
-    assert est.orthogonal_energy == ortho
+    assert (est.b, est.weighted_sum, est.orthogonal_energy) == (b, weighted, ortho)
     assert est.bracket == (min(ratios) * est.weighted_sum, max(ratios) * est.weighted_sum)
+
+
+def test_energy_estimate_integrates_only_below_refined_words(monkeypatch):
+    # the bench data's words have at most two digits: the Haar walk stops
+    # below them, so f is integrated as often at depth 64 as at depth 3, not
+    # 3**depth times (the generator energies add two per length)
+    lam = UP.TriadicLambda(1)
+    cylinders = {"1": 0.5, "2": -1.0, "31": 2.0, "32": 0.25, "33": -0.75}
+    f = UP.UpperBoundaryData(lam, q0=1.5, cylinders=cylinders, default=0.0)
+    integrate = UP.integrate_upper
+    calls = []
+    monkeypatch.setattr(UP, "integrate_upper", lambda *a: calls.append(a) or integrate(*a))
+    counts = {}
+    for depth in (3, 9, 20, 64):
+        calls.clear()
+        est = UP.energy_estimate_upper(lam, 1.5, f, depth)
+        counts[depth] = est, sum(a[0] is f for a in calls)
+    # the mean, then three children of each refined word ("" and "3")
+    assert {n for _, n in counts.values()} == {1 + 3 * 2}
+    # the data is constant below depth 2 and lambda = 1 is its own shift, so
+    # every depth gives the same sums and bracket
+    assert len({(*est[:3], est.bracket) for est, _ in counts.values()}) == 1
