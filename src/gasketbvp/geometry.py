@@ -11,10 +11,10 @@ q0/q1/q2, the rest are numbered top-to-bottom, left-to-right (for l = 3
 the conventional order is 3 = bottom middle, 4 = right, 5 = left).
 
 Graphs are numpy arrays, and numpy is imported inside the functions that
-build or read them, so that only graph export and the oracle's graph entry
-point pay for it.  `domain_vertices` (for `solve`) and `domain_cell_tree`
-(for `compare`, through the oracle) walk a domain's cells top down in
-plain Python.
+build or read them, so that only a caller that builds a graph pays for it:
+graph export, and the tests and demos that give one to `oracle.solve`.
+`domain_vertices` (for `solve`) and `domain_cell_tree` (for the oracle)
+walk a domain's cells top down in plain Python.
 """
 
 from __future__ import annotations

@@ -16,27 +16,30 @@ exact test that an interior component does not touch the boundary.  Per
 cell only loads go up and values come down; the modes differ only in their
 number type, Fraction in rational mode and float in float mode.
 
-Two entry points share the types:
-  solve_domain   a domain's level-m graph, which is never built.  The cell
-                 tree is walked top down (geometry.domain_cell_tree), and
-                 only the cells that cross the cut or hold a boundary vertex
-                 are visited; every other cell inside is the one unloaded
-                 type of its depth.  So the cost follows the boundary, not
-                 the cell count, and no numpy is loaded.  The boundary
-                 vertices are read off the tree's finest rows, and their
-                 values come from the caller in one batch of integer
-                 points, a data lookup only.  `compare` uses it.
-  solve          a DirichletProblem on any graph of build_graph's cells,
-                 with any boundary set, in numpy arrays over every cell.
+One engine runs it, on a cell tree in the form of geometry.domain_cell_tree
+from one of two sources.  A domain's tree lists only the cells that cross
+the cut or hold a boundary vertex; every other cell inside is the one
+unloaded type of its depth (PLAIN), so the cost follows the boundary and
+the graph is never built.  A graph's tree, for any graph of build_graph's
+cells with any boundary set, lists every cell, so it is for small m.
+Values come down one level at a time, only as far as they are read.
+`solve_domain` (compare) asks the caller for its boundary values in one
+batch of integer points, a data lookup only, stops at its last target and
+keeps only the targets' values.  `solve` walks the domain's tree for a
+problem of DomainSkeleton.problem and the graph's for any other, and
+returns a sequence over vertex ids that walks down to a vertex's level
+when the vertex is read.  numpy holds only the graph and the boundary
+ids; the arithmetic is plain Python.
 """
 
 from __future__ import annotations
 
 import importlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import index, mul
 
 from . import _exact, geometry
 from .errors import AddressError, ContractViolation, ResolutionError, SolvabilityError
@@ -202,7 +205,7 @@ def check_exact_cap(unknowns):
 
 
 # ---------------------------------------------------------------------------
-# a domain's graph, condensed on its cell tree
+# the engine: loads up and values down a cell tree
 
 
 def _tree_types(params, cells):
@@ -236,37 +239,26 @@ def _unknowns(root):
     return root.free + root.status.count(_FREE)
 
 
-def solve_domain(domain, m, boundary_values, targets, mode):
-    """Values at the exact points `targets` of the oracle on
-    `geometry.domain_graph(domain, m)`: the problem of
-    `domain_restricted_graph`, solved on the domain's cell tree
-    (`geometry.domain_cell_tree`) without the graph.  The boundary vertices
-    are the corners marked in the tree's level-m rows, and
-    boundary_values(points, s) gives their values in one call, for the
-    points (x/s, y/s) of integer pairs (x, y) at s = l**m, in order.
-
-    Loads go up through the listed cells only; a PLAIN cell has the one
-    type of its depth and no load.  Values come down, by (cell, slot), only
-    until every target has one.  mode: "rational" for Fractions, "float"
-    for floats."""
-    if mode not in ("rational", "float"):
-        raise ContractViolation(f"unknown oracle mode {mode!r}")
-    exact = mode == "rational"
-    params = domain.params
-    cells = geometry.domain_cell_tree(domain, m)
+def _solve_tree(params, cells, lookup, exact):
+    """The oracle on a cell tree in the form of `geometry.domain_cell_tree`,
+    as `_values_down` yields its values.  The boundary vertices are the
+    corners marked in the level-m rows; lookup(points) gives their values
+    for integer points at scale l**m.  Every refusal comes before this
+    returns: an empty boundary and the rational cap before any lookup, a
+    zero pivot when the root's Schur block condenses every type."""
     types = _tree_types(params, cells)
     root = types[0][0]
     if not root.loaded:
         raise SolvabilityError("boundary set must be nonempty")
     if exact:
         check_exact_cap(_unknowns(root))
+    m = len(cells) - 1
     s = params.level ** m
-    want = [_scaled_point(p, s, m) for p in targets]
     number = Fraction if exact else float
     boundary = list(dict.fromkeys((x + qx, y + qy) for x, y, bits in cells[m]
                                   for j, (qx, qy) in enumerate(geometry.CORNERS_INT)
                                   if bits >> j & 1))
-    value = dict(zip(boundary, map(number, boundary_values(boundary, s)))).__getitem__
+    value = dict(zip(boundary, map(number, lookup(boundary)))).__getitem__
     load, inner = _loads_up(params, cells, types, value, exact)
     # the root's free corners from its Schur block, with a unit diagonal on
     # its absent and boundary corners
@@ -275,7 +267,30 @@ def solve_domain(domain, m, boundary_values, targets, mode):
                else value((s * qx, s * qy)) if st == _BOUNDARY
                else number(sum(map(mul, row, load)))
                for st, (qx, qy), row in zip(root.status, geometry.CORNERS_INT, rinv)]
-    found = _values_down(params, cells, types, inner, corners, set(want), value, exact)
+    return _values_down(params, cells, types, inner, corners, value, exact)
+
+
+def solve_domain(domain, m, boundary_values, targets, mode):
+    """Values at the exact points `targets` of the oracle on
+    `geometry.domain_graph(domain, m)`, the problem of
+    `domain_restricted_graph`, solved on the domain's cell tree without the
+    graph.  boundary_values(points, s) gives the boundary values in one
+    call, for the points (x/s, y/s) of integer pairs (x, y) at s = l**m.
+    Values come down only until every target has one, and only the
+    targets' are kept.  mode: "rational" for Fractions, "float" for
+    floats."""
+    if mode not in ("rational", "float"):
+        raise ContractViolation(f"unknown oracle mode {mode!r}")
+    s = domain.params.level ** m
+    levels = _solve_tree(domain.params, geometry.domain_cell_tree(domain, m),
+                         lambda points: boundary_values(points, s), mode == "rational")
+    want = [_scaled_point(p, s, m) for p in targets]
+    pending, found = set(want), {}
+    for values in levels:
+        found.update((p, v) for p, v in values if p in pending)
+        pending.difference_update(found)
+        if not pending:
+            break
     for p, q in zip(targets, want):
         if q not in found:
             raise AddressError(f"{p} is not a vertex of this graph")
@@ -314,24 +329,23 @@ def _loads_up(params, cells, types, value, exact):
     return loads[0] or [0, 0, 0], inner
 
 
-def _values_down(params, cells, types, inner, corners, pending, value, exact):
-    """The values at the points of `pending` (integer points at scale
-    l**m), found level by level from the root's corner values: a cell's
-    inner slots take Minv b_i - X u_c where free, the boundary value where
-    boundary, and its children take their corners from its slots."""
+def _values_down(params, cells, types, inner, corners, value, exact):
+    """Yield the vertex values level by level, each level a list of (point,
+    value) with integer points at scale l**m: first the root's corners,
+    then the inner slots of the cells of each level, which are the vertices
+    one level finer.  A cell's inner slots take Minv b_i - X u_c where free
+    and the boundary value where boundary, and its children take their
+    corners from its slots."""
     m = len(cells) - 1
     s = params.level ** m
     slot_points = dict(zip(sum(params.cell_slots, ()), sum(params.cell_points, ())))
-    found = {(s * qx, s * qy): v for (qx, qy), v in zip(geometry.CORNERS_INT, corners)
-             if v is not None}
-    pending = pending - set(found)
+    yield [((s * qx, s * qy), v) for (qx, qy), v in zip(geometry.CORNERS_INT, corners)
+           if v is not None]
     plain = (geometry.PLAIN,) * params.map_count
-    level = [(0, 0, cells[0][0][2], types[0][0], inner[0][0], corners)]
+    level = [(0, 0, cells[0][0][2], types[0][0], inner[0][0], corners)] if m else []
     for k in range(m):
-        if not pending:
-            break
         sub = params.level ** (m - k - 1)
-        below = []
+        below, values = [], []
         for x, y, kids, t, bi, uc in level:
             xr = t.blocks[1] if exact else t.float_x
             ub = None
@@ -348,9 +362,8 @@ def _values_down(params, cells, types, inner, corners, pending, value, exact):
                 else:
                     v = value(p) if st == _BOUNDARY else None
                 u.append(v)
-                if v is not None and p in pending:
-                    found[p] = v
-                    pending.discard(p)
+                if v is not None:
+                    values.append((p, v))
             if k + 1 == m:
                 continue
             for slot, (tx, ty), c in zip(params.cell_slots, params.int_translations, kids):
@@ -361,8 +374,8 @@ def _values_down(params, cells, types, inner, corners, pending, value, exact):
                 elif c is not None and types[k + 1][c] is not None:
                     below.append((*child, cells[k + 1][c][2], types[k + 1][c], inner[k + 1][c],
                                   [u[i] for i in slot]))
+        yield values
         level = below
-    return found
 
 
 def _scaled_point(p, s, m):
@@ -374,17 +387,21 @@ def _scaled_point(p, s, m):
 
 
 # ---------------------------------------------------------------------------
-# any graph of build_graph's cells, in numpy arrays
+# a problem on a graph of build_graph's cells
 
 
 @dataclass
 class DirichletProblem:
     """Boundary set B with values g on a level-m graph; solvable iff every
-    connected component of the graph touches B."""
+    connected component of the graph touches B.  `domain` is set when the
+    graph is `geometry.domain_graph(domain, m)` and B its boundary, as
+    `DomainSkeleton.problem` makes it: `solve` then walks the domain's cell
+    tree."""
 
     graph: geometry.Graph
     boundary_ids: object  # int64 array
     boundary_values: object  # sequence aligned with boundary_ids
+    domain: geometry.Domain = None
 
     def __post_init__(self):
         import numpy as np
@@ -397,128 +414,66 @@ class DirichletProblem:
 
 
 def solve(problem, mode="auto"):
-    """Solve the graph Dirichlet problem on a graph that keeps its cells;
-    returns values for all vertices.
-
-    mode: "rational" for exact Fractions (a list), "float" for floats (an
-    ndarray), "auto" picks rational when the boundary values are
-    Fractions/ints.
-    """
-    import numpy as np
-
+    """Solve the graph Dirichlet problem; returns a read-only sequence of
+    the values by vertex id, Fractions in rational mode and floats in float
+    mode ("auto" picks rational when the boundary values are
+    Fractions/ints).  The engine walks the problem's domain's cell tree when
+    it has a domain and the graph's cells otherwise.  Every refusal comes
+    here; a value is computed when read, down to its vertex's level."""
     if mode not in ("auto", "rational", "float"):
         raise ContractViolation(f"unknown oracle mode {mode!r}")
-    if mode == "auto":
-        exact = all(isinstance(v, (Fraction, int)) for v in problem.boundary_values)
-        mode = "rational" if exact else "float"
+    exact = mode == "rational" or mode == "auto" and all(
+        isinstance(v, (Fraction, int)) for v in problem.boundary_values)
     graph = problem.graph
+    points = map(tuple, graph.verts[problem.boundary_ids].tolist())
+    given = dict(zip(points, problem.boundary_values))
+    if problem.domain is None:
+        cells = _graph_cell_tree(graph, problem.boundary_ids.tolist())
+    else:
+        cells = geometry.domain_cell_tree(problem.domain, graph.m)
+    levels = _solve_tree(graph.params, cells, lambda points: [given[p] for p in points], exact)
+    return _Values(graph.verts, levels)
+
+
+def _graph_cell_tree(graph, boundary_ids):
+    """The level-m cells of a graph as a tree in the form of
+    `geometry.domain_cell_tree`, every cell listed: the level-m rows mark
+    the corners whose vertex is in boundary_ids.  Corner 1 of a cell, at
+    q1 = (0, 0), is its offset, and the cell codes ascend, so the parents
+    do too."""
     if graph.cells is None:
         raise ContractViolation("the oracle condenses over the cells; this graph has none")
-    bmask = np.zeros(graph.n_vertices(), dtype=bool)
-    bmask[problem.boundary_ids] = True
-    if mode == "float":
-        u = np.zeros(graph.n_vertices())
-        u[problem.boundary_ids] = [float(v) for v in problem.boundary_values]
-    else:
-        check_exact_cap(int((~bmask).sum()))
-        u = np.full(graph.n_vertices(), Fraction(0), dtype=object)
-        u[problem.boundary_ids] = [Fraction(v) for v in problem.boundary_values]
-    _condense(graph, bmask, u)
-    return u if mode == "float" else u.tolist()
+    params, boundary, n = graph.params, set(boundary_ids), graph.params.map_count
+    offsets = graph.verts[graph.cells[:, 1]].tolist()
+    rows = [[(x, y, sum(1 << j for j, v in enumerate(ids) if v in boundary))
+             for (x, y), ids in zip(offsets, graph.cells.tolist())]]
+    codes = graph.cell_codes.tolist()
+    for k in range(graph.m - 1, -1, -1):
+        step, parents = params.level ** (graph.m - k - 1), {}
+        for i, (code, (x, y, _)) in enumerate(zip(codes, rows[0])):
+            tx, ty = params.int_translations[code % n]
+            parent = parents.setdefault(code // n, (x - step * tx, y - step * ty, [None] * n))
+            parent[2][code % n] = i
+        codes = list(parents)
+        rows.insert(0, [(x, y, tuple(kids)) for x, y, kids in parents.values()])
+    return rows
 
 
-def _parent_types(types, ntypes, kid):
-    """Dense type ids of the parents, whose type is the tuple of their
-    children's types per digit (-1 where absent), and the first parent of
-    each type."""
-    import numpy as np
+class _Values(Sequence):
+    """The values of `solve` by vertex id, read-only.  Reading a vertex
+    takes levels from the walk until the vertex's own level has come."""
 
-    ptype = np.zeros(len(kid), dtype=np.int64)
-    for k in kid.T:
-        child = np.where(k >= 0, types[k], -1)
-        _, first, ptype = np.unique(ptype * (ntypes + 1) + child + 1,
-                                    return_index=True, return_inverse=True)
-    return ptype, first
+    def __init__(self, verts, levels):
+        self._verts, self._levels, self._found = verts, levels, {}
 
+    def __len__(self):
+        return len(self._verts)
 
-def _condense(graph, bmask, u):
-    """Fill in u at the free vertices; u holds the boundary values, and its
-    dtype (object for Fractions, or float) is the loads' number type.
-
-    Level-k cells meet only at their corners, so every level-(k-1) cell,
-    assembled on the V_1 slots of its children, eliminates its inner slots
-    locally: it becomes the 3x3 Schur block of its type plus a load.  At
-    level 0 the at most three corner unknowns are solved directly, then the
-    saved inner loads give every other vertex on the way down.
-    """
-    import numpy as np
-
-    exact = u.dtype == object
-    dtype = object if exact else float
-    params = graph.params
-    slot = np.array(params.cell_slots)
-    size = int(slot.max()) + 1
-    ids, codes = graph.cells, graph.cell_codes
-    bnd = bmask[ids]
-    types = bnd @ np.array([1, 2, 4])
-    table = _finest_types()
-    # a free corner's row of the triangle block takes -1 times each boundary
-    # neighbour into the load
-    g = np.where(bnd, u[ids], 0)
-    load = np.where(bnd, 0, g.sum(axis=1)[:, None])
-    del g, bnd
-    saved = []
-    for _ in range(graph.m):
-        parent, digit = np.divmod(codes, params.map_count)
-        first = np.ones(len(codes), dtype=bool)
-        first[1:] = parent[1:] != parent[:-1]
-        at = np.cumsum(first) - 1
-        # child of each parent with each digit, -1 where it is absent
-        kid = np.full((int(at[-1]) + 1, params.map_count), -1)
-        kid[at, digit] = np.arange(len(codes))
-        ptype, rep = _parent_types(types, len(table), kid)
-        kid_types = np.where(kid[rep] >= 0, types[kid[rep]], -1).tolist()
-        table = [_condense_type(params.level, tuple(table[c] if c >= 0 else None for c in kt))
-                 for kt in kid_types]
-        # slot vertex ids (-1 where no child has a vertex) and summed loads
-        sid = np.full((len(kid), size), -1, dtype=np.int64)
-        b = np.zeros(sid.shape, dtype=u.dtype)
-        for i in range(3):
-            flat = at * size + slot[digit, i]
-            # a child's absent corner (-1) must not hide a sibling's vertex;
-            # siblings that share a vertex write the same id
-            has = ids[:, i] >= 0
-            sid.ravel()[flat[has]] = ids[has, i]
-            np.add.at(b.ravel(), flat, load[:, i])
-        ops = [(t.loaded, np.array(t.minv, dtype=dtype) if t.loaded else None,
-                np.array(t.blocks[1], dtype=dtype)) for t in table]
-        load = np.zeros((len(kid), 3), dtype=u.dtype)
-        for t, (loaded, _, x) in enumerate(ops):
-            if loaded:
-                sel = ptype == t
-                load[sel] = b[sel, :3] - b[sel, 3:] @ x  # b_c - G b_i, G = X^T
-        saved.append((sid, ptype, b[:, 3:], ops))
-        ids, codes, types = sid[:, :3], parent[first], ptype
-        del b, kid
-    # level 0: one cell, whose absent and boundary corners get a unit diagonal
-    root = table[types[0]]
-    rinv = np.array(_inverse(_with_dead_diagonal(root.blocks[0], root.status)), dtype=dtype)
-    _set_free(u, ids, bmask, (rinv @ load[0])[None, :])
-    for sid, ptype, bi, ops in reversed(saved):
-        corners = sid[:, :3]
-        uc = np.where(corners >= 0, u[corners], 0)
-        ui = np.empty(bi.shape, dtype=u.dtype)
-        for t, (loaded, minv, x) in enumerate(ops):
-            sel = ptype == t
-            ui[sel] = (bi[sel] @ minv.T if loaded else 0) - uc[sel] @ x.T
-        _set_free(u, sid[:, 3:], bmask, ui)
-
-
-def _set_free(u, ids, bmask, values):
-    """u[ids] = values, skipping absent slots (-1) and boundary vertices."""
-    keep = ids >= 0
-    keep[keep] = ~bmask[ids[keep]]
-    u[ids[keep]] = values[keep]
+    def __getitem__(self, i):
+        p = tuple(self._verts[index(i)].tolist())
+        while p not in self._found:
+            self._found.update(next(self._levels))
+        return self._found[p]
 
 
 def matching_residuals(graph, values, bmask):
@@ -549,7 +504,7 @@ class DomainSkeleton:
 
     def problem(self, boundary_value_fn):
         vals = [boundary_value_fn(self.graph.point(int(i))) for i in self.boundary_ids]
-        return DirichletProblem(self.graph, self.boundary_ids, vals)
+        return DirichletProblem(self.graph, self.boundary_ids, vals, self.domain)
 
 
 def domain_restricted_graph(domain, m):
@@ -566,15 +521,9 @@ def domain_restricted_graph(domain, m):
 
 def solve_full_gasket(params, m, corner_values, mode="auto"):
     """Oracle with B = V_0 on the full gasket; cross-checks the extension."""
-    import numpy as np
-
     graph = geometry.build_graph(params, m)
-    ids = [
-        graph.vertex_id((Fraction(x), Fraction(y)))
-        for (x, y) in geometry.CORNERS_INT
-    ]
-    problem = DirichletProblem(graph, np.array(ids), list(corner_values))
-    return graph, solve(problem, mode=mode)
+    ids = [graph.vertex_id(q) for q in geometry.CORNERS]
+    return graph, solve(DirichletProblem(graph, ids, list(corner_values)), mode=mode)
 
 
 # ---------------------------------------------------------------------------

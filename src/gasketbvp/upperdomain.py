@@ -11,6 +11,7 @@ extension step, the Haar basis and the energy estimates.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -456,6 +457,18 @@ def haar_data(lam, word, j):
     return UpperBoundaryData(lam, q0=0.0, cylinders=cylinders, default=0.0)
 
 
+# the most coefficients haar_expand lists of every word: at lambda = 1,
+# depth 12 lists 3**12 - 1 of them, and depth 13 is refused
+MAX_HAAR_TERMS = 10 ** 6
+
+
+def haar_terms(lam, depth):
+    """The number of coefficients haar_expand lists of every word below
+    depth: one fewer than the words of length depth, as each word has one
+    fewer than its children."""
+    return math.prod(len(word_alphabet(lam, k)) for k in range(1, depth + 1)) - 1
+
+
 def haar_expand(lam, f, depth, every=True):
     """Mean b plus Haar coefficients {(word, j): c} for |word| < depth.
 
@@ -463,9 +476,13 @@ def haar_expand(lam, f, depth, every=True):
     combinations of cylinder means.  Data words hold at most MAX_RECURSION
     digits, so every coefficient below that depth is 0 and depth stops
     there.  Below a word where f is constant every coefficient is an exact
-    0; with every=False those words are left out."""
+    0; with every=False those words are left out.  Listing every word is
+    refused past MAX_HAAR_TERMS coefficients, before any integral."""
     if not 0 <= depth <= MAX_RECURSION:
         raise ContractViolation(f"depth must be >= 0 and <= {MAX_RECURSION}, not {depth}")
+    if every and (terms := haar_terms(lam, depth)) > MAX_HAAR_TERMS:
+        raise ContractViolation(f"depth {depth} has {terms} Haar coefficients, over the "
+                                f"{MAX_HAAR_TERMS} listed at most: lower --depth")
     cylinder.check_lam(lam, f)
     b = integrate_upper(f)
     coeffs = {}

@@ -190,6 +190,24 @@ def test_haar(tmp_path, capsys):
     assert coeffs[("", "1")] == pytest.approx(0.5)
 
 
+def test_haar_counts_its_coefficients_before_any_integral(tmp_path, capsys, monkeypatch):
+    # at lambda = 1, depth 13 would list 3**13 - 1 coefficients: refused with
+    # exit 2 before any integral (depth 12 is within the budget, see
+    # test_haar_terms_counts_what_haar_expand_lists)
+    from gasketbvp import upperdomain as UP
+
+    data = write_json(tmp_path / "u.json", {
+        "schema": 1, "q0": 0.0,
+        "cylinders": [{"w": "1", "v": 1.0}], "default_tail": 0.0,
+    })
+    integrals = []
+    monkeypatch.setattr(UP, "integrate_upper", lambda *a: integrals.append(a) or 0.0)
+    code, out, err = run(["haar", "--lambda", "1", "--data", data, "--depth", "13"], capsys)
+    assert (code, out, integrals) == (2, "", [])
+    assert f"depth 13 has {3 ** 13 - 1} Haar coefficients, over the 1000000" in err
+    assert "--depth" in err
+
+
 @pytest.mark.parametrize("domain", ["half", "lower"])
 def test_haar_needs_upper_domain(tmp_path, capsys, domain):
     data = write_json(tmp_path / "u.json", {

@@ -1,8 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketbvp import geometry as G
 from gasketbvp import lowerdomain as LD
@@ -243,6 +246,22 @@ def test_evaluate_equals_oracle_dyadic():
         vals = O.solve(sk.problem(bv))
         for i in range(sk.graph.n_vertices()):
             assert LD.evaluate_lower(lam, f, sk.graph.point(i)) == vals[i]
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(k=st.integers(0, 7), level=st.integers(1, 7), rng=st.randoms(use_true_random=False))
+def test_domain_solve_equals_evaluate_on_dyadic_data(k, level, rng):
+    # lambda = k/8 has dyadic depth d <= 3; from m = d on, the rational oracle
+    # equals the extension at every vertex, up to m = 7, the largest level
+    # under the rational cap for every such lambda
+    lam = LD.BinaryLambda(F(k, 8))
+    m = max(level, lam.dyadic_depth)
+    f = random_dyadic_data(lam, rng)
+    frame = LD.LowerFrame(lam)
+    s = 2 ** m
+    points = [(F(x, s), F(y, s)) for x, y, _ in G.domain_vertices(frame.domain, m)]
+    got = O.solve_domain(frame.domain, m, partial(frame.terminals, f), points, "rational")
+    assert got == LD.evaluate_lower_many(lam, f, points)
 
 
 def test_evaluate_h1_claim_bound():

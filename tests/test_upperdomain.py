@@ -292,6 +292,15 @@ def test_haar_and_energy_reject_negative_depth():
         UP.energy_estimate_upper(lam1, f.q0, f, -1)
 
 
+def test_haar_terms_counts_what_haar_expand_lists():
+    for lam in (UP.TriadicLambda(1), UP.TriadicLambda(F(2, 3)), lam_mixed_program()):
+        f = UP.UpperBoundaryData(lam, q0=0.0, cylinders={}, default=0.0)
+        for depth in range(5):
+            assert UP.haar_terms(lam, depth) == len(UP.haar_expand(lam, f, depth)[1])
+    assert UP.haar_terms(UP.TriadicLambda(1), 12) <= UP.MAX_HAAR_TERMS
+    assert UP.haar_terms(UP.TriadicLambda(1), 13) == 3 ** 13 - 1 > UP.MAX_HAAR_TERMS
+
+
 def test_haar_reconstruction_random():
     rng = random.Random(6)
     for lam in (UP.TriadicLambda(1), lam_mixed_program()):
