@@ -169,16 +169,19 @@ def cmd_compare(cfg, fam, lam):
     frame = fam.frame(cfg.level, lam)
     dom = frame.domain
     _refuse_rational(cfg, fam, lam)
-    geometry.check_graph_level(dom.params, cfg.levels[1])
+    lo, hi = cfg.levels
+    if hi > cylinder.MAX_RECURSION:  # data words, so the boundary lookup, reach no deeper
+        raise UsageError(f"--levels {lo}:{hi}: the oracle solves levels up to {cylinder.MAX_RECURSION}")
+    # the top level's cell tree, counted against its budget before any level is solved
+    unknowns = oracle.domain_unknowns(dom, hi)
     f = _data(cfg, fam, lam)
     mode = cfg.mode if cfg.mode != "auto" else "float"
     if mode == "rational":
-        # the top level's count, before any level is solved
-        oracle.check_exact_cap(oracle.domain_unknowns(dom, cfg.levels[1]))
+        oracle.check_exact_cap(unknowns)
     rows = _solution_rows(frame, f, dom, cfg.depth)
     targets = [(x, y) for _, _, x, y, _ in rows]
     lines, maxes = ["level,max_abs,mean_abs"], []
-    levels = list(range(cfg.levels[0], cfg.levels[1] + 1))
+    levels = list(range(lo, hi + 1))
     for m in levels:
         vals = oracle.solve_domain(dom, m, partial(frame.terminals, f), targets, mode)
         diffs = [abs(float(row[4]) - float(v)) for row, v in zip(rows, vals)]

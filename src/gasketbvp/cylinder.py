@@ -16,8 +16,6 @@ A frame provides
     domain            its geometry.Domain (read at the root frame only)
     name, slots       for error messages; the corners q_s whose values
                       F_d(q_s) the data of a sub-copy carries
-    dilate()          (frame, n) when the domain lies in F_0^n of the
-                      returned frame's domain (upper domains with m_1 > 1)
     corner_values(f)  the data's values at the domain's boundary corners
     cut_values(f, points, s)  the data's values at points (x/s, y/s) of the
                       cut line, integer pairs (x, y), in one batch (by
@@ -29,8 +27,8 @@ A frame provides
     full_cells()      the level-1 cells lying wholly inside the domain
     cell(f)           the corner values when the whole domain is one cell,
                       else None; the node then takes no other hook
-    copies(), shift(d)  the digits of the sub-copies that meet X; the frame
-                      of the sub-copy F_d
+    copies(), shift(d)  the digits of the sub-copies that meet X (F_0 alone
+                      for an upper domain with m_1 > 1); the frame of F_d
 as the measure state at the node X_word that `integrate` walks
     children()        (digit, weight, node) of the sub-cylinders: a child's
                       integral enters its parent's times weight
@@ -39,8 +37,8 @@ as the measure state at the node X_word that `integrate` walks
                       (by default the value of constant data)
 and for `energy`
     ratio             r^-1, the scale of one stage
-    coefficient()     c: data constant v on X has energy c (corner - v)^2
-    corner(f)         the data's value at that boundary corner
+    coefficient()     c: data constant v on X has energy c (a - v)^2, with
+                      a the data's value at its one boundary corner
 """
 
 from __future__ import annotations
@@ -147,9 +145,6 @@ def check_lam(lam, *data):
 class Frame:
     """Defaults of the frame protocol (see the module docstring)."""
 
-    def dilate(self):
-        return self, 0
-
     def terminals(self, f, points, s):
         """`terminal` at the points (x/s, y/s), for integer pairs (x, y), in
         order: the boundary corners take `corner_values`, the points of the
@@ -186,16 +181,15 @@ def _copy_data(frame, f, values, d):
 
 def walk(frame, f, m):
     """{(x, y): value} of the solution with data f at the level-m vertices
-    of the frame's closed domain, (x, y) integers at scale l**m.  The first
-    step to reach a vertex sets it, in `evaluate`'s precedence: a node's
-    own points (`cell`, else `terminals`, else `values`), its full cells,
-    extended once per subcell down to level m, then its sub-copies, depth
-    first in digit order."""
+    of the frame's closed domain, (x, y) integers at scale l**m, m >= 1.
+    The first step to reach a vertex sets it, in `evaluate`'s precedence: a
+    node's own V_1 points (`cell`, else `terminals`, else `values`), its
+    full cells, extended once per subcell down to level m, then its
+    sub-copies (an upper dilation too), depth first in digit order."""
     params = frame.params
     l, shifts = params.level, params.int_translations
     v1 = list({pt: p for cell, exact in zip(params.cell_points, params.cell_corners)
                for pt, p in zip(cell, exact)}.items())
-    v0 = list(zip(geometry.CORNERS_INT, geometry.CORNERS))
     out = {}
 
     def fill(vals, x, y, k):
@@ -208,29 +202,21 @@ def walk(frame, f, m):
                 fill(tuple(ext[q] for q in cell), x + step * tx, y + step * ty, k + 1)
 
     def node(frame, f, x, y, k):
-        # corner j of the level-k cell at (x, y) is at l**(m-k) q_j + (x, y);
-        # the level-m grid meets its subcell F_0^n in the V_1 points, in the
-        # corners at level m, or in q_0 alone below level m
-        frame, n = frame.dilate()
-        below = k + n > m
-        n = min(n, m - k)
-        dx = l ** (m - k) - l ** (m - k - n)  # F_0 fixes q_0 = (1, 2)
-        x, y, k = x + dx, y + 2 * dx, k + n
+        # corner j of the level-k cell at (x, y) is at l**(m-k) q_j + (x, y),
+        # and a V_1 point, an integer pair at scale l, at l**(m-k-1) times it
+        step = l ** (m - k - 1)
         whole = frame.cell(f)
         values = frame.values(f) if whole is None else dict(zip(geometry.CORNERS, whole))
-        # V_1 points at scale l, else V_0 points at scale 1
-        step, scale = (l ** (m - k - 1), l) if k < m else (1, 1)
-        todo = [(pt, p) for pt, p in (v1 if k < m else v0[:1 if below else 3])
-                if (x + step * pt[0], y + step * pt[1]) not in out]
+        todo = [(pt, p) for pt, p in v1 if (x + step * pt[0], y + step * pt[1]) not in out]
         pts = [pt for pt, _ in todo]
-        ends = frame.terminals(f, pts, scale) if whole is None else [None] * len(pts)
+        ends = frame.terminals(f, pts, l) if whole is None else [None] * len(pts)
         for ((px, py), p), value in zip(todo, ends):
             value = values.get(p) if value is None else value
             if value is not None:
                 out[x + step * px, y + step * py] = value
-        if whole is not None and k < m:
+        if whole is not None:
             fill(whole, x, y, k)
-        elif whole is None and k + 1 < m:
+        elif k + 1 < m:
             for i in frame.full_cells():
                 fill(tuple(values[q] for q in params.cell_corners[i]),
                      x + step * shifts[i][0], y + step * shifts[i][1], k + 1)
@@ -245,8 +231,8 @@ def walk(frame, f, m):
 def evaluate(frame, f, vertices):
     """Values at the vertices (VertexAddresses or exact points) of the
     solution with data f on the frame's domain, in order; a point off the
-    gasket raises AddressError, and one outside the closed domain
-    ResolutionError.
+    gasket or whose denominator divides no power of l raises AddressError,
+    and one outside the closed domain ResolutionError.
 
     At each recursion node a point is a boundary point (`terminals`, one
     batch per node) or a V_1 point (`values`), else it lies in the first
@@ -254,8 +240,10 @@ def evaluate(frame, f, vertices):
     goes on into the first sub-copy containing it; a node that is one cell
     (`cell`) descends every point.  The points of one node share its extend
     step, its sub-copies' data and one descent per full cell, and wait with
-    it on a stack, as integers over their common denominator s."""
+    it on a stack, as integers over their common denominator s, at most the
+    deepest point's `harmonic.descent_budget` of sub-copies down."""
     params = frame.params
+    l, corners = params.level, params.cell_corners
     points = [geometry.exact_point(params, v) for v in vertices]
     s, batch = geometry.scaled(points)
     for k, x, y in batch:
@@ -263,18 +251,17 @@ def evaluate(frame, f, vertices):
             raise AddressError(f"{points[k]} lies outside the gasket")
         if geometry.outside(frame.domain, x, y, s):
             raise ResolutionError(f"{points[k]} lies outside the closed {frame.name}")
-    l, corners = params.level, params.cell_corners
+    budgets = [harmonic.descent_budget(l, x, y, s) for _, x, y in batch]
+    if None in budgets:
+        p = points[budgets.index(None)]
+        raise AddressError(f"{p} is no vertex: its denominator divides no power of {l}")
     shifts = geometry.unapply_shifts(params, s)
     out = [None] * len(points)
-    stack = [(frame, f, batch, MAX_RECURSION)]
+    stack = [(frame, f, batch, max(budgets, default=1))]  # no points: the root only
     while stack:
         frame, f, batch, depth = stack.pop()
         if depth == 0:
-            raise AddressError("vertex is deeper than the recursion cap")
-        frame, n = frame.dilate()
-        sx, sy = shifts[0]
-        for _ in range(n):
-            batch = [(k, l * x - sx, l * y - sy) for k, x, y in batch]
+            raise AddressError(f"{points[batch[0][0]]} is no vertex of the {frame.name}")
         whole = frame.cell(f)
         if whole is not None:
             harmonic.descend(frame.level, whole, batch, s, out, points)
@@ -324,10 +311,6 @@ def cut_values(frame, f, points, s):
             for k, _, _ in batch:
                 vals[k].append(sub)
             return
-        frame, n = frame.dilate()
-        sx, sy = shifts[0]
-        for _ in range(n):
-            batch = [(k, l * x - sx, l * y - sy) for k, x, y in batch]
         groups = {d: [] for d in frame.copies()}
         for k, x, y in batch:
             hits = 0
@@ -388,20 +371,16 @@ def energy(frame, f, g, stages=None):
     are summed (the pairing over O_stages)."""
 
     def rec(frame, f, g, k):
-        frame, n = frame.dilate()
-        scale = 1
-        for _ in range(n):
-            scale *= frame.ratio
         if stages is None:
             sf, sg = f.subtree(""), g.subtree("")
             if sf is not None or sg is not None:
                 c = frame.coefficient()
-                fa, ga = frame.corner(f), frame.corner(g)
+                (fa,), (ga,) = frame.corner_values(f), frame.corner_values(g)
                 if sg is None:
-                    return scale * (fa - sf) * c * (ga - integrate(frame, g))
+                    return (fa - sf) * c * (ga - integrate(frame, g))
                 if sf is None:
-                    return scale * (ga - sg) * c * (fa - integrate(frame, f))
-                return scale * c * (fa - sf) * (ga - sg)
+                    return (ga - sg) * c * (fa - integrate(frame, f))
+                return c * (fa - sf) * (ga - sg)
         elif k >= stages:
             return 0
         fcells, fcopies = stage(frame, f)
@@ -411,7 +390,7 @@ def energy(frame, f, g, stages=None):
             total += frame.ratio * harmonic.triangle_energy(a, b)
         for (sub, fs), (_, gs) in zip(fcopies, gcopies):
             total += frame.ratio * rec(sub, fs, gs, k + 1)
-        return scale * total
+        return total
 
     return rec(frame, f, g, 0)
 

@@ -32,6 +32,8 @@ from .errors import AddressError, CapabilityError, ContractViolation, Resolution
 MAX_LEVEL = 8
 MAX_GRAPH_LEVEL = 14
 MAX_GRAPH_CELLS = 3 ** MAX_GRAPH_LEVEL
+# the most cells `domain_cell_tree` lists (upper lambda = 1 lists 29,533 at m = 9)
+MAX_TREE_CELLS = 30_000
 
 Q0 = (Fraction(1), Fraction(2))
 Q1 = (Fraction(0), Fraction(0))
@@ -632,7 +634,8 @@ def domain_cell_tree(domain, m):
     with no boundary vertex, or None for a child with no corner on the
     closed side of the cut, or a level-m child that crosses it: the graph
     drops both.  At level m, kids is the bit mask of the corners that are
-    boundary vertices."""
+    boundary vertices.  A tree of more than MAX_TREE_CELLS cells is refused
+    as soon as its count passes them."""
     if m < 1:
         raise ResolutionError("domain restriction needs m >= 1")
     params = domain.params
@@ -641,7 +644,7 @@ def domain_cell_tree(domain, m):
     closed = _closed_side(domain, m)
     cut = domain.cut * s
     line = cut.numerator if cut.denominator == 1 else None
-    levels, row = [], [(0, 0)]
+    levels, row, count = [], [(0, 0)], 1
     for k in range(1, m + 1):
         step = l ** (m - k)
         shifts = [(step * tx, step * ty) for tx, ty in params.int_translations]
@@ -669,6 +672,10 @@ def domain_cell_tree(domain, m):
             listed.append((x, y, tuple(kids)))
         levels.append(listed)
         row = below
+        count += len(row)
+        if count > MAX_TREE_CELLS:
+            raise ResolutionError(f"level {m} lists more than {MAX_TREE_CELLS} cells of the domain "
+                                  "in its cell tree, the oracle's budget: lower --levels")
     levels.append(row)
     return levels
 

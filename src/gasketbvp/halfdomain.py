@@ -162,9 +162,6 @@ class HalfStructure(cylinder.Frame):
     def coefficient(self):
         return 3
 
-    def corner(self, f):
-        return f.q1
-
     def _embed_chain(self, p):
         chain = []
         for _ in range(MAX_RECURSION):
@@ -469,7 +466,9 @@ def _extend_step_system(f):
         p = points[i][1]
         rows[p][p] += 3
         rhs[p] += 3 * integrate(f, geometry.WORD_CHARS[i])
-    return dict(sorted(solve(rows, rhs).items()))
+    # solved exactly, but float data take float values, as in the closed forms
+    floats = any(type(v) is float for v in rhs.values())
+    return {p: float(v) if floats else v for p, v in sorted(solve(rows, rhs).items())}
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,13 @@ def harmonic_value_in_cell(level, corner_values, p):
     return out[0]
 
 
+def descent_budget(level, x, y, s):
+    """The levels a descent to the point (x/s, y/s) takes at most (see
+    `descend`), or None when its reduced denominator divides no l**k."""
+    d = s // math.gcd(s, x, y)
+    return next((k + 3 for k in range(d.bit_length()) if level ** k % d == 0), None)
+
+
 def descend(level, corner_values, batch, s, out, points):
     """Set out[k] for every (k, x, y) in batch to the value at the point
     (x/s, y/s) of the harmonic function on the unit cell with the given
@@ -143,19 +150,16 @@ def descend(level, corner_values, batch, s, out, points):
     A point over the reduced denominator d, for the least k with d | l**k,
     is an integer point of its level-k cell: a corner, or (1, 0) or (1, 1),
     which are vertices at most two levels further down or never.  The
-    descent stops there, and a d that divides no l**k is refused at once."""
+    descent stops there (`descent_budget`); a d dividing no l**k is refused."""
     params = gasket(level)
     corners = params.cell_points
     shifts = geometry.unapply_shifts(params, s)
     vertices = {(s * x, s * y): c for c, (x, y) in enumerate(CORNERS_INT)}
-    cap = 0
-    for k, x, y in batch:
-        d = s // math.gcd(s, x, y)
-        n = next((n for n in range(d.bit_length()) if level ** n % d == 0), None)
-        if n is None:
-            raise ContractViolation(f"{points[k]} is not a vertex address within the descent cap")
-        cap = max(cap, n + 3)
-    stack = [(tuple(corner_values), batch, cap)]
+    caps = [descent_budget(level, x, y, s) for _, x, y in batch]
+    if None in caps:
+        p = points[batch[caps.index(None)][0]]
+        raise ContractViolation(f"{p} is not a vertex address within the descent cap")
+    stack = [(tuple(corner_values), batch, max(caps))]
     while stack:
         vals, batch, depth = stack.pop()
         if depth == 0:

@@ -39,7 +39,7 @@ class TriadicLambda:
             raise ResolutionError("lambda must lie in (0, 1]")
         self.value = value
         self._pairs = []
-        self._shifted = None
+        self._shifted = self._dilated = None
 
     @classmethod
     def parse(cls, text):
@@ -99,10 +99,14 @@ class TriadicLambda:
         return self._shifted
 
     def dilate(self):
-        """3 lambda, defined when m_1 > 1 (strips one leading zero digit)."""
+        """3 lambda, defined when m_1 > 1 (strips one leading zero digit);
+        made once, as `shift`, keeping the digits read so far."""
         if self.m1 <= 1:
             raise ResolutionError("dilate needs m_1 > 1")
-        return TriadicLambda(3 * self.value)
+        if self._dilated is None:
+            self._dilated = lam = TriadicLambda(3 * self.value)
+            lam._pairs, lam._rest = [(m - 1, i) for m, i in self._pairs], self._rest
+        return self._dilated
 
     def cut_height(self):
         """Global y coordinate of the cut line (the triangle has height 2)."""
@@ -260,6 +264,12 @@ class UpperBoundaryData(CylinderData):
     def alphabet(self, k):
         return word_alphabet(self.lam, k)
 
+    def shifted(self, digit, q0):
+        """Data of the copy F_digit; the dilation (m_1 > 1) reads no digit."""
+        if self.lam.m1 > 1:
+            return UpperBoundaryData(self.lam.dilate(), q0, self.cylinders, self.default)
+        return super().shifted(digit, q0)
+
     def with_q0(self, q0):
         return UpperBoundaryData(self.lam, q0=q0, cylinders=self.cylinders, default=self.default)
 
@@ -358,7 +368,8 @@ _FULL_CELLS = {1: (0,), 2: (0, 4, 5)}
 
 
 class UpperFrame(cylinder.Frame):
-    """The upper domain of SG_3 for one lambda as a recursion frame."""
+    """The upper domain of SG_3 for one lambda as a recursion frame; while
+    m_1 > 1 it is F_0 of the domain of 3 lambda, its one copy."""
 
     name = "upper domain"
     level = 3
@@ -370,13 +381,6 @@ class UpperFrame(cylinder.Frame):
         self.lam = lam
         self.params = gasket(3)
 
-    def dilate(self):
-        # while m_1 > 1 the whole domain sits in the top cell
-        lam, n = self.lam, 0
-        while lam.m1 > 1:
-            lam, n = lam.dilate(), n + 1
-        return UpperFrame(lam), n
-
     @property
     def domain(self):
         return geometry.UpperDomain(cut_y=self.lam.cut_height())
@@ -385,20 +389,17 @@ class UpperFrame(cylinder.Frame):
         return (float(f.q0),)
 
     def values(self, f):
-        corners = self.params.cell_corners
-        values = {Q0: float(f.q0)}
-        for d, v in extend_step_upper(self.lam, f).items():
-            values[corners[d][0]] = v
-        return values
+        row = extend_step_upper(self.lam, f).items() if self.lam.m1 == 1 else ()
+        return {Q0: float(f.q0), **{self.params.cell_corners[d][0]: v for d, v in row}}
 
     def full_cells(self):
-        return _FULL_CELLS[self.lam.iota1]
+        return _FULL_CELLS[self.lam.iota1] if self.lam.m1 == 1 else ()
 
     def copies(self):
-        return level_alphabet(self.lam)
+        return level_alphabet(self.lam) if self.lam.m1 == 1 else (0,)
 
     def shift(self, d):
-        return UpperFrame(self.lam.shift())
+        return UpperFrame(self.lam.shift() if self.lam.m1 == 1 else self.lam.dilate())
 
     def children(self):
         child = UpperFrame(self.lam.shift())
@@ -406,9 +407,6 @@ class UpperFrame(cylinder.Frame):
 
     def coefficient(self):
         return eta_of(self.lam)
-
-    def corner(self, f):
-        return f.q0
 
 
 def evaluate_upper(lam, f, v):
@@ -569,12 +567,15 @@ def energy_estimate_upper(lam, a, f, depth):
     s_total = ratio ** lam.m1 * (a - b) ** 2
     ortho = eta_of(lam) * (a - b) ** 2
     # the generator psi_w^(j) lives on lam shifted |w| times, so its energy
-    # depends on (|w|, j) only; the bracket takes every |w| < depth
-    generators = {}
+    # depends on that lambda and j only, each computed once (the shifts of a
+    # rational lambda repeat); the bracket takes every |w| < depth
+    generators, energies = {}, {}
     cur = lam
     for n in range(depth):
-        for j in (1,) if lam.pair(n + 1)[1] == 1 else (1, 2):
-            generators[n, j] = cur, domain_energy_upper(cur, 0.0, haar_data(cur, "", j))
+        for j in (1,) if cur.iota1 == 1 else (1, 2):
+            if (cur.value, j) not in energies:
+                energies[cur.value, j] = domain_energy_upper(cur, 0.0, haar_data(cur, "", j))
+            generators[n, j] = cur, energies[cur.value, j]
         cur = cur.shift()
     for (word, j), c in sorted(coeffs.items()):
         n = len(word)

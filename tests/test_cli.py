@@ -301,6 +301,23 @@ def test_solve_extends_once_per_cell(tmp_path, capsys, monkeypatch):
     assert 0 < len(calls) <= 2 * sum(3 ** k for k in range(5))
 
 
+@pytest.mark.parametrize("level", [4, 5])
+def test_solve_float_data_on_half_domains_prints_floats(tmp_path, capsys, level):
+    # the level-1 system of l >= 4 is solved exactly; float data still give
+    # float values, as on l in {2, 3}
+    first = geometry.WORD_CHARS[geometry.gasket(level).half_alphabet[0]]
+    data = write_json(tmp_path / "f.json", {
+        "schema": 1, "q1": "1/4", "q0": "1/2", "default_tail": "1/5",
+        "atoms": [{"w": "", "j": 1, "v": "1/3"}, {"w": "", "j": 2, "v": "-2/7"}],
+        "cylinders": [{"w": first, "v": "3/4"}]})
+    code, out, err = run(["solve", "--domain", "half", "--l", str(level), "--level", "2",
+                          "--mode", "float", "--data", data], capsys)
+    assert code == 0, err
+    values = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+    assert len(values) > 10
+    assert all(repr(float(v)) == v for v in values)
+
+
 def test_solve_deep_cylinder_is_exact(tmp_path, capsys):
     # a 26-digit cylinder has mass 7**-26 on half-SG3; an integral that
     # stops short of it reads 0 and so does every value
@@ -447,17 +464,29 @@ def test_compare_reads_the_boundary_in_one_batch_per_level(domain, data, tmp_pat
     assert all(n > 0 for _, n in batches)
 
 
-def test_compare_checks_the_graph_cap_before_any_graph(half_data, capsys, monkeypatch):
-    # level 9 of SG_3 is over the cap: refused before levels 3-8 are solved
+def test_compare_checks_the_tree_budget_before_any_level(half_data, tmp_path, capsys,
+                                                        monkeypatch):
+    # levels 8-9 of half-SG3 list 1,012 and 2,035 tree cells (the level-9
+    # graph would have 6**9): solved.  Level 13 lists 32,751, over the
+    # budget, upper lambda = 1 passes it long before level 40, and no data
+    # word reaches level 65: each is refused before any level is solved
     solved = count_solves(monkeypatch)
-    code, out, _ = run(["compare", "--domain", "half-sg3", "--levels", "2:3", "--data", half_data],
-                       capsys)
-    assert (code, solved) == (0, [2, 3])
-    solved.clear()
-    code, out, err = run(["compare", "--domain", "half-sg3", "--levels", "3:9", "--data", half_data],
-                         capsys)
-    assert (code, out, solved) == (2, "", [])
-    assert "level 9 of SG_3 has 10077696 cells" in err
+    code, out, err = run(["compare", "--domain", "half-sg3", "--levels", "8:9",
+                          "--data", half_data], capsys)
+    assert (code, solved) == (0, [8, 9]), err
+    upper = write_json(tmp_path / "u.json", {"schema": 1, "q0": "1", "default_tail": "0"})
+    for argv, message in (
+        (["--domain", "half-sg3", "--levels", "3:13", "--data", half_data],
+         f"level 13 lists more than {geometry.MAX_TREE_CELLS} cells"),
+        (["--domain", "upper", "--lambda", "1", "--levels", "3:40", "--data", upper],
+         f"level 40 lists more than {geometry.MAX_TREE_CELLS} cells"),
+        (["--domain", "half-sg", "--levels", "3:65", "--data", half_data],
+         "--levels 3:65: the oracle solves levels up to 64"),
+    ):
+        solved.clear()
+        code, out, err = run(["compare", *argv], capsys)
+        assert (code, out, solved) == (2, "", []), err
+        assert message in err and "--levels" in err
 
 
 def test_compare_checks_the_rational_cap_before_any_level(half_data, capsys, monkeypatch):

@@ -256,14 +256,6 @@ def reference_value_in_cell(level, vals, p):
     return vals[geometry.CORNERS.index(point)]
 
 
-def normalize(frame, p):
-    """(frame, p) with p seen through the frame's dilations."""
-    frame, n = frame.dilate()
-    for _ in range(n):
-        p = frame.params.unapply_map(0, p)
-    return frame, p
-
-
 def reference_route(frame, f, p):
     """One point's walk: the node's one harmonic cell if it is one, else a
     boundary value, a V_1 value, the first full cell containing it, or else
@@ -272,7 +264,6 @@ def reference_route(frame, f, p):
     corners = frame.params.cell_corners
     contains = lambda i, p: geometry.cells_containing(params, params.unapply_map(i, p))
     while True:
-        frame, p = normalize(frame, p)
         whole = frame.cell(f)
         if whole is not None:
             return reference_value_in_cell(frame.level, whole, p)
@@ -467,7 +458,6 @@ def reference_cut_value(frame, f, p):
         if sub is not None:
             vals.append(sub)
             return
-        frame, p = normalize(frame, p)
         for d in frame.copies():
             local = params.unapply_map(d, p)
             if geometry.cells_containing(params, local):

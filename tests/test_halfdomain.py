@@ -231,6 +231,35 @@ def test_evaluate_examples():
     assert HD.evaluate(HD.constant_data(3, F(7)), x0) == 7
     assert HD.evaluate(f, G.Q1) == 1
     assert HD.evaluate(f, HD.atom_point(3, "03")) == 0
+    assert HD.evaluate_many(f, []) == []
+
+
+@pytest.mark.parametrize("n", [63, 80])
+def test_evaluate_goes_as_deep_as_the_point(n):
+    """F_3 F_0^n x is a vertex n + 2 levels deep, below every data word.
+    With data a at q1 and c on X_3, the copy F_3 carries u(x) at its q1
+    (F_3 q1 = x) and c on its X, and each copy F_0 of that carries
+    u(z) - c = (q1 - c) / 15 (z = F_0 q1), so u = c + (4/15) (u(x) - c) / 15**n
+    from the closed-form extend step alone."""
+    cp = HD.crucial_points(3)
+    p = G.apply_word(G.gasket(3), (3,) + (0,) * n, cp["x"])
+    assert HD.evaluate(HD.constant_data(3, F(2, 7)), p) == F(2, 7)
+    c = F(-1, 3)
+    f = HD.HalfBoundaryData(3, q1=F(1), cylinders={"3": c}, default=F(1, 2), q0=F(1, 2))
+    ux = HD.extend_step_sg3(f)[0]
+    assert HD.evaluate(f, p) == c + F(4, 15) * (ux - c) / 15 ** n
+
+
+def test_evaluate_refuses_a_point_no_power_of_l_clears(monkeypatch):
+    """(1/2, 0) lies on the bottom edge, inside the closed half domain of
+    SG_3, but no power of 3 clears its denominator: it is refused with the
+    rest of its batch before any extend step."""
+    monkeypatch.setattr(HD, "extend_step", lambda f: pytest.fail("an extend step ran"))
+    points = [HD.crucial_points(3)["y"], (F(1, 2), F(0))]
+    with pytest.raises(AddressError, match="is no vertex: its denominator divides no power of 3"
+                       ) as refused:
+        HD.evaluate_many(ha_data(), [(F(x), F(y)) for x, y in points])
+    assert str(refused.value).startswith(str(points[1]))
 
 
 def test_evaluate_vs_oracle_decreasing():

@@ -192,6 +192,18 @@ def test_evaluate_upper():
         UP.evaluate_upper(lam12, h0, G.Q1)  # below the cut
 
 
+def test_evaluate_upper_in_a_deep_dilation():
+    """At lambda = 3**-70 the domain is F_0^70 of the domain at lambda = 1,
+    with the same data words: the solution at F_0^70 p is the lambda = 1
+    solution at p, for every level-2 vertex p of that domain."""
+    lam, top = UP.TriadicLambda(F(1, 3 ** 70)), UP.TriadicLambda(1)
+    cyl = {"1": 0.5, "31": -1.0, "2": 0.75}
+    f, g = (UP.UpperBoundaryData(t, q0=2.0, cylinders=cyl, default=0.25) for t in (lam, top))
+    points = [(F(x, 9), F(y, 9)) for x, y, _ in G.domain_vertices(G.UpperDomain(cut_y=0), 2)]
+    deep = [G.apply_word(G.gasket(3), (0,) * 70, p) for p in points]
+    assert UP.evaluate_upper_many(lam, f, deep) == UP.evaluate_upper_many(top, g, points)
+
+
 def test_evaluate_vs_oracle_lambda1():
     lam1 = UP.TriadicLambda(1)
     f = UP.UpperBoundaryData(
@@ -435,11 +447,13 @@ def test_data_for_another_lambda_is_refused():
     (1, {"1": 1.0, "32": -2 / 7, "213": 0.25, "3312": 0.5}),
     (F(2, 3), {"4": 1.0, "52": -2 / 7, "513": 0.25, "4231": 0.5}),
 ], ids=["1", "2/3"])
-def test_energy_estimate_computes_one_generator_energy_per_length(lam, cylinders, monkeypatch):
+def test_energy_estimate_computes_one_generator_energy_per_shifted_lambda(lam, cylinders,
+                                                                         monkeypatch):
     # psi_w^(j) lives on lam shifted |w| times, so its energy depends on
-    # (|w|, j) only: at depth 5 the estimate needs one energy per (|w|, j)
-    # plus the solution's, and equals the sum over every word, though it
-    # lists only the words where f is refined (the others are exact zeros)
+    # that lambda and j only: at depth 5 the estimate needs one energy per
+    # (shifted lambda, j) plus the solution's, and equals the sum over every
+    # word, though it lists only the words where f is refined (the others
+    # are exact zeros)
     lam = UP.TriadicLambda(lam)
     f = UP.UpperBoundaryData(lam, q0=0.5, cylinders=cylinders, default=0.0)
     b, full = UP.haar_expand(lam, f, 5)
@@ -448,7 +462,10 @@ def test_energy_estimate_computes_one_generator_energy_per_length(lam, cylinders
     calls = []
     monkeypatch.setattr(UP, "domain_energy_upper", lambda *a: calls.append(a) or energy(*a))
     est = UP.energy_estimate_upper(lam, 0.5, f, 5)
-    assert len(calls) == len({(len(w), j) for w, j in full}) + 1
+    shifted = [lam]
+    for _ in range(4):
+        shifted.append(shifted[-1].shift())
+    assert len(calls) == len({(shifted[len(w)].value, j) for w, j in full}) + 1
     assert est.coeffs == {(w, j): c for (w, j), c in full.items() if f.refined(w)}
     assert all(c == 0 for key, c in full.items() if key not in est.coeffs)
     ratio = float(UP.RATIO)
@@ -466,6 +483,26 @@ def test_energy_estimate_computes_one_generator_energy_per_length(lam, cylinders
     ratios.append(UP.eta_of(lam) / ratio ** lam.m1)
     assert (est.b, est.weighted_sum, est.orthogonal_energy) == (b, weighted, ortho)
     assert est.bracket == (min(ratios) * est.weighted_sum, max(ratios) * est.weighted_sum)
+
+
+@pytest.mark.parametrize("lam,cylinders,generators", [
+    (1, {"1": 1.0, "32": -2 / 7}, 2),
+    (F(2, 3), {"4": 1.0, "52": -2 / 7}, 3),
+    (F(1, 2), {"4": 1.0, "54": -2 / 7}, 1),
+], ids=["1", "2/3", "1/2"])
+def test_energy_estimate_at_depth_64_repeats_no_generator(lam, cylinders, generators,
+                                                           monkeypatch):
+    # the shifts of lambda = 1 and 1/2 are lambda itself, and 2/3 shifts to
+    # 1: at depth 64 the estimate computes each generator's energy once, and
+    # as the data are constant below depth 2 it equals the depth-3 estimate
+    lam = UP.TriadicLambda(lam)
+    f = UP.UpperBoundaryData(lam, q0=0.5, cylinders=cylinders, default=0.0)
+    shallow = UP.energy_estimate_upper(lam, 0.5, f, 3)
+    energy = UP.domain_energy_upper
+    calls = []
+    monkeypatch.setattr(UP, "domain_energy_upper", lambda *a: calls.append(a) or energy(*a))
+    assert UP.energy_estimate_upper(lam, 0.5, f, 64) == shallow
+    assert len(calls) == generators + 1
 
 
 def test_energy_estimate_integrates_only_below_refined_words(monkeypatch):
