@@ -172,8 +172,9 @@ def cmd_compare(cfg, fam, lam):
     lo, hi = cfg.levels
     if hi > cylinder.MAX_RECURSION:  # data words, so the boundary lookup, reach no deeper
         raise UsageError(f"--levels {lo}:{hi}: the oracle solves levels up to {cylinder.MAX_RECURSION}")
-    # the top level's cell tree, counted against its budget before any level is solved
-    unknowns = oracle.domain_unknowns(dom, hi)
+    # the top level's cell tree: checked against both caps before any level, solved last
+    top = geometry.domain_cell_tree(dom, hi)
+    unknowns = oracle.domain_unknowns(dom, top)
     f = _data(cfg, fam, lam)
     mode = cfg.mode if cfg.mode != "auto" else "float"
     if mode == "rational":
@@ -183,7 +184,8 @@ def cmd_compare(cfg, fam, lam):
     lines, maxes = ["level,max_abs,mean_abs"], []
     levels = list(range(lo, hi + 1))
     for m in levels:
-        vals = oracle.solve_domain(dom, m, partial(frame.terminals, f), targets, mode)
+        cells = top if m == hi else geometry.domain_cell_tree(dom, m)
+        vals = oracle.solve_domain(dom, cells, partial(frame.terminals, f), targets, mode)
         diffs = [abs(float(row[4]) - float(v)) for row, v in zip(rows, vals)]
         maxes.append(max(diffs))
         lines.append(f"{m},{maxes[-1]!r},{sum(diffs) / len(diffs)!r}")

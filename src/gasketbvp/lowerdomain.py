@@ -243,10 +243,10 @@ def closed_form_ones_matrix(lam, m, word):
     a = ((x ** j, -(x ** (two_m - j))), (-(x ** (j + 1)), x ** (two_m - j - 1)))
     det = 1 - x ** (2 * two_m)
     binv = ((1 / det, x ** two_m / det), (x ** two_m / det, 1 / det))
-    return _matmul(a, binv)
+    return _mul2x2(a, binv)
 
 
-def _matmul(a, b):
+def _mul2x2(a, b):
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
         for i in range(2)
@@ -290,7 +290,7 @@ def transfer_matrix(lam, word):
     for k, d in enumerate(geometry.word_from_str(word), start=1):
         if d not in word_alphabet(lam, k):
             raise AddressError(f"digit {d} at position {k} conflicts with lambda")
-        m = _matmul(single_matrix(cur, d), m)
+        m = _mul2x2(single_matrix(cur, d), m)
         cur = cur.shift()
     return m
 
@@ -450,7 +450,7 @@ class LowerFrame(cylinder.Frame):
     def children(self):
         lam, child = self.lam, self.lam.shift()
         return [
-            (d, 1, LowerFrame(child, self.column, _matmul(single_matrix(lam, d), self.matrix)))
+            (d, 1, LowerFrame(child, self.column, _mul2x2(single_matrix(lam, d), self.matrix)))
             for d in word_alphabet(lam, 1)
         ]
 

@@ -6,15 +6,20 @@ the independent ground truth for every closed-form extension algorithm in
 the package, and it uses none of them: no renormalisation constant, no
 extension formula.
 
-It is one static condensation over the cell hierarchy.  The graph
-Laplacian is a sum of one triangle block per level-m cell, and each coarser
-cell eliminates its inner vertices onto its three corners.  How a cell
-condenses depends only on its type, the free, boundary or absent status of
-every vertex below it, and a cut domain has few types per level.  So each
-type is condensed once, exactly in Fractions, and a zero pivot there is the
-exact test that an interior component does not touch the boundary.  Per
-cell only loads go up and values come down; the modes differ only in their
-number type, Fraction in rational mode and float in float mode.
+It is one static condensation over the cell hierarchy, in conductance
+form: the equations are a grounded graph Laplacian, conductance 1 along
+each edge between free vertices and a grounding for each edge to a
+boundary vertex, whose value is a load.  Each coarser cell eliminates its
+free inner vertices onto its corners by Grassmann-Taksar-Heyman
+elimination (Oper. Res. 33, 1985), which only adds nonnegative terms.  So
+it runs on Fractions in rational mode and on floats in float mode, with
+entrywise relative accuracy (O'Cinneide, Numer. Math. 65, 1993), and a
+pivot is 0 in either mode exactly when some interior component does not
+touch the boundary.  A cell condenses by its type, the free, boundary or
+absent status of every vertex below it, and a cut domain has few types
+per level, so each type is condensed once.  Per cell only loads go up, by
+forward substitution over the type's elimination record, and values come
+down by back substitution.
 
 One engine runs it, on a cell tree in the form of geometry.domain_cell_tree
 from one of two sources.  A domain's tree lists only the cells that cross
@@ -23,13 +28,13 @@ unloaded type of its depth (PLAIN), so the cost follows the boundary and
 the graph is never built.  A graph's tree, for any graph of build_graph's
 cells with any boundary set, lists every cell, so it is for small m.
 Values come down one level at a time, only as far as they are read.
-`solve_domain` (compare) asks the caller for its boundary values in one
-batch of integer points, a data lookup only, stops at its last target and
-keeps only the targets' values.  `solve` walks the domain's tree for a
-problem of DomainSkeleton.problem and the graph's for any other, and
-returns a sequence over vertex ids that walks down to a vertex's level
-when the vertex is read.  numpy holds only the graph and the boundary
-ids; the arithmetic is plain Python.
+`solve_domain` (compare) takes the domain's tree of its level, asks the
+caller for its boundary values in one batch of integer points, a data
+lookup only, stops at its last target and keeps only the targets' values.
+`solve` walks the domain's tree for a problem of DomainSkeleton.problem
+and the graph's for any other, and returns a sequence over vertex ids
+that walks down to a vertex's level when the vertex is read.  numpy holds
+only the graph and the boundary ids; the arithmetic is plain Python.
 """
 
 from __future__ import annotations
@@ -53,123 +58,115 @@ def __getattr__(name):
 
 
 # ---------------------------------------------------------------------------
-# cell types, condensed exactly in lists of Fractions
+# cell types, condensed in conductance form
 
 
 # status of a cell's corner: no vertex there, a boundary vertex, an unknown
 _ABSENT, _BOUNDARY, _FREE = 0, 1, 2
 
-# the graph Laplacian is the sum over level-m cells of this triangle block
-_TRIANGLE = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
-
 
 @dataclass(eq=False)
 class _CellType:
     """One cell type: the status of its corners, the number of free
-    vertices strictly inside it, and whether a boundary vertex lies in it
-    (`loaded`: a cell without one carries no load).  `parts` is what a
-    coarser type is made of, (level, children per digit, status of every
-    V_1 slot), and None for a level-m cell.  Its matrices are condensed on
+    vertices strictly inside it, whether a boundary vertex lies in it
+    (`loaded`: a cell without one carries no load) and the number type it
+    condenses in.  `parts` is (level, children per digit, status of every
+    V_1 slot) for a coarser type, None for a level-m cell.  It condenses on
     first use, so counting free vertices condenses nothing.  Types compare
-    by identity: the cache of `_condense_type` gives equal children the
-    same parent object."""
+    by identity: `_condense_type`'s cache gives equal children one parent."""
 
     status: tuple
     free: int
     loaded: bool
+    number: type
     parts: tuple = None
 
     @cached_property
-    def local(self):
-        """The local matrix on the V_1 slots, summed from the children's
-        Schur blocks, with a unit diagonal on the inner slots of no vertex
-        and of boundary vertices, whose rows and columns are empty."""
+    def schur(self):
+        """(c, g, record): the Schur complement onto the corners, as
+        conductances c[i] = {j: c_ij} between free corners and groundings
+        g[i], and the `_eliminate` record of the free inner slots.  A level-m
+        cell has conductance 1 between free corners, each grounded once per
+        boundary corner; a coarser one sums its children's on its V_1 slots."""
+        if self.parts is None:
+            free = [j for j, st in enumerate(self.status) if st == _FREE]
+            one, ground = self.number(1), self.number(3 - len(free))
+            return ([{j: one for j in free if j != i} if i in free else {} for i in range(3)],
+                    [ground if i in free else 0 for i in range(3)], [])
         level, children, status = self.parts
-        a = [[Fraction(0)] * len(status) for _ in status]
+        c, g = [{} for _ in status], [0] * len(status)
         for corners, child in zip(geometry.gasket(level).cell_slots, children):
             if child is not None:
-                for i, row in zip(corners, child.blocks[0]):
-                    for j, v in zip(corners, row):
-                        a[i][j] += v
-        return _with_dead_diagonal(a, (_FREE,) * 3 + status[3:])
-
-    @cached_property
-    def blocks(self):
-        """(schur, x), exact: the Schur complement onto the corners and, over
-        the inner slots, X = Minv A_ic.  The local matrix is symmetric, so
-        A_ci Minv = X^T."""
-        if self.parts is None:
-            # boundary rows and columns of the triangle block are empty
-            free = [st == _FREE for st in self.status]
-            return [[Fraction(t if free[i] and free[j] else 0) for j, t in enumerate(row)]
-                    for i, row in enumerate(_TRIANGLE)], None
-        a = self.local
-        x = _solve([row[3:] for row in a[3:]], [row[:3] for row in a[3:]])
-        schur = [[v - w for v, w in zip(row[:3], prod)]
-                 for row, prod in zip(a[:3], _matmul([row[3:] for row in a[:3]], x))]
-        return schur, x
-
-    @cached_property
-    def minv(self):
-        """The inverse Minv of the local matrix over the inner slots: only
-        the values of a loaded cell's inner slots need it."""
-        return _inverse([row[3:] for row in self.local[3:]])
-
-    @cached_property
-    def float_x(self):
-        return [[float(v) for v in row] for row in self.blocks[1]]
-
-    @cached_property
-    def float_minv(self):
-        return [[float(v) for v in row] for row in self.minv]
+                cc, cg, _ = child.schur
+                for i, row, gi in zip(corners, cc, cg):
+                    g[i] += gi
+                    for j, v in row.items():
+                        c[i][corners[j]] = c[i].get(corners[j], 0) + v
+        record = _eliminate(c, g, [k for k in range(3, len(status)) if status[k] == _FREE])
+        return c[:3], g[:3], record
 
 
-def _matmul(a, b):
-    """The product of two matrices given as lists of rows."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+def _eliminate(c, g, order):
+    """Eliminate the slots `order` in turn from the grounded graph Laplacian
+    of conductances c[i] = {j: c_ij} and groundings g[i]: pivot d_k =
+    sum_j c_kj + g_k, then c_ij += c_ik c_kj / d_k and g_i += c_ik g_k / d_k.
+    c and g are left as the Schur complement onto the other slots; returns
+    the record [(k, d_k, slots j, weights c_kj / d_k)].  No term is negative,
+    so d_k is 0, in floats too, exactly when slot k has no conductance left:
+    some interior component does not touch the boundary."""
+    record = []
+    for k in order:
+        row = c[k]
+        d = sum(row.values()) + g[k]
+        if d == 0:
+            raise SolvabilityError("an interior component does not touch the boundary")
+        slots = tuple(row)
+        weights = tuple(v / d for v in row.values())
+        for i, wi in zip(slots, weights):
+            ci, cik = c[i], row[i]
+            del ci[k]
+            for j, w in zip(slots, weights):
+                if j != i:
+                    ci[j] = ci.get(j, 0) + cik * w
+            g[i] += g[k] * wi
+        record.append((k, d, slots, weights))
+    return record
+
+
+def _forward(record, b):
+    """Forward substitution of the loads b over an elimination record:
+    y_k = b_k / d_k per step, then b_j += (c_kj / d_k) b_k.  Returns the
+    y_k and leaves in b the loads on the slots not eliminated."""
+    ys = []
+    for k, d, slots, weights in record:
+        bk = b[k]
+        ys.append(bk / d)
+        for j, w in zip(slots, weights):
+            b[j] += w * bk
+    return ys
+
+
+def _backward(record, ys, u):
+    """Back substitution over an elimination record into the slot values u,
+    last step first: u_k = y_k + sum_j (c_kj / d_k) u_j.  ys is None for a
+    cell without load, whose y_k are 0."""
+    for n in range(len(record) - 1, -1, -1):
+        k, _, slots, weights = record[n]
+        v = sum(map(mul, weights, map(u.__getitem__, slots)))
+        u[k] = v + ys[n] if ys else v
 
 
 @lru_cache(maxsize=None)
-def _finest_types():
-    """The 8 level-m cell types: bit j is set when corner j is a boundary
-    vertex."""
-    return [_CellType(tuple(_BOUNDARY if t >> j & 1 else _FREE for j in range(3)), 0, t > 0)
+def _finest_types(number):
+    """The 8 level-m cell types of one number type: bit j is set when
+    corner j is a boundary vertex."""
+    return [_CellType(tuple(_BOUNDARY if t >> j & 1 else _FREE for j in range(3)), 0, t > 0,
+                      number)
             for t in range(8)]
 
 
-def _solve(a, b):
-    """a^-1 b, exact, for a symmetric positive semidefinite matrix a of
-    Fractions, by Gauss-Jordan without pivoting.  A zero pivot occurs
-    exactly when a is singular, that is when some interior component does
-    not touch the boundary."""
-    n = len(a)
-    aug = [list(row) + list(rhs) for row, rhs in zip(a, b)]
-    for k in range(n):
-        pivot = aug[k][k]
-        if pivot == 0:
-            raise SolvabilityError("an interior component does not touch the boundary")
-        aug[k] = [v / pivot for v in aug[k]]
-        for i in range(n):
-            f = aug[i][k]
-            if i != k and f != 0:
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug]
-
-
-def _inverse(a):
-    return _solve(a, [[Fraction(int(i == j)) for j in range(len(a))] for i in range(len(a))])
-
-
-def _with_dead_diagonal(a, status):
-    """a with a unit diagonal on the slots of no vertex and of boundary
-    vertices, whose rows and columns are empty: it decouples them."""
-    return [[v + 1 if i == j and status[i] != _FREE else v for j, v in enumerate(row)]
-            for i, row in enumerate(a)]
-
-
 @lru_cache(maxsize=4096)
-def _condense_type(level, children):
+def _condense_type(level, children, number):
     """The parent type of SG_level, given its children's types per digit
     (None where the child is absent).  Cached: the solves of one domain at
     successive levels share their finer types."""
@@ -183,17 +180,17 @@ def _condense_type(level, children):
                 status[i] = max(status[i], st)
     free = sum(c.free for c in children if c is not None) + status[3:].count(_FREE)
     loaded = any(c is not None and c.loaded for c in children)
-    return _CellType(tuple(status[:3]), free, loaded, (level, children, tuple(status)))
+    return _CellType(tuple(status[:3]), free, loaded, number, (level, children, tuple(status)))
 
 
 @lru_cache(maxsize=None)
-def _plain_type(level, depth):
+def _plain_type(level, depth, number):
     """The type of a cell with every cell `depth` levels below it and no
     boundary vertex."""
     if depth == 0:
-        return _finest_types()[0]
-    children = (_plain_type(level, depth - 1),) * geometry.gasket(level).map_count
-    return _condense_type(level, children)
+        return _finest_types(number)[0]
+    children = (_plain_type(level, depth - 1, number),) * geometry.gasket(level).map_count
+    return _condense_type(level, children, number)
 
 
 def check_exact_cap(unknowns):
@@ -208,29 +205,29 @@ def check_exact_cap(unknowns):
 # the engine: loads up and values down a cell tree
 
 
-def _tree_types(params, cells):
+def _tree_types(params, cells, number):
     """The type of every listed cell of a `geometry.domain_cell_tree`, per
     level, or None for a cell that holds no level-m cell of the domain."""
     m = len(cells) - 1
-    finest = _finest_types()
+    finest = _finest_types(number)
     types = [[finest[bits] for _, _, bits in cells[m]]]
     for k in range(m - 1, -1, -1):
-        plain, below = _plain_type(params.level, m - k - 1), types[0]
+        plain, below = _plain_type(params.level, m - k - 1, number), types[0]
         row = []
         for _, _, kids in cells[k]:
             children = tuple(plain if c == geometry.PLAIN else None if c is None else below[c]
                              for c in kids)
-            row.append(_condense_type(params.level, children) if any(children) else None)
+            row.append(_condense_type(params.level, children, number) if any(children) else None)
         types.insert(0, row)
     if types[0][0] is None:
         raise ResolutionError("no cells of this level are contained in the domain")
     return types
 
 
-def domain_unknowns(domain, m):
-    """The free vertices of `geometry.domain_graph(domain, m)`, counted on
-    the domain's cell tree without condensing."""
-    return _unknowns(_tree_types(domain.params, geometry.domain_cell_tree(domain, m))[0][0])
+def domain_unknowns(domain, cells):
+    """The free vertices of a domain's graph, counted on its cell tree
+    `cells` without condensing (so the float types serve either mode)."""
+    return _unknowns(_tree_types(domain.params, cells, float)[0][0])
 
 
 def _unknowns(root):
@@ -245,8 +242,9 @@ def _solve_tree(params, cells, lookup, exact):
     corners marked in the level-m rows; lookup(points) gives their values
     for integer points at scale l**m.  Every refusal comes before this
     returns: an empty boundary and the rational cap before any lookup, a
-    zero pivot when the root's Schur block condenses every type."""
-    types = _tree_types(params, cells)
+    zero pivot in condensing the types or the root."""
+    number = Fraction if exact else float
+    types = _tree_types(params, cells, number)
     root = types[0][0]
     if not root.loaded:
         raise SolvabilityError("boundary set must be nonempty")
@@ -254,26 +252,24 @@ def _solve_tree(params, cells, lookup, exact):
         check_exact_cap(_unknowns(root))
     m = len(cells) - 1
     s = params.level ** m
-    number = Fraction if exact else float
     boundary = list(dict.fromkeys((x + qx, y + qy) for x, y, bits in cells[m]
                                   for j, (qx, qy) in enumerate(geometry.CORNERS_INT)
                                   if bits >> j & 1))
     value = dict(zip(boundary, map(number, lookup(boundary)))).__getitem__
-    load, inner = _loads_up(params, cells, types, value, exact)
-    # the root's free corners from its Schur block, with a unit diagonal on
-    # its absent and boundary corners
-    rinv = _inverse(_with_dead_diagonal(root.blocks[0], root.status))
-    corners = [None if st == _ABSENT
-               else value((s * qx, s * qy)) if st == _BOUNDARY
-               else number(sum(map(mul, row, load)))
-               for st, (qx, qy), row in zip(root.status, geometry.CORNERS_INT, rinv)]
-    return _values_down(params, cells, types, inner, corners, value, exact)
+    load, inner = _loads_up(params, cells, types, value)
+    c, g, _ = root.schur
+    record = _eliminate([dict(row) for row in c], list(g),
+                        [j for j, st in enumerate(root.status) if st == _FREE])
+    corners = [value((s * qx, s * qy)) if st == _BOUNDARY else None
+               for st, (qx, qy) in zip(root.status, geometry.CORNERS_INT)]
+    _backward(record, _forward(record, load), corners)
+    return _values_down(params, cells, types, inner, corners, value)
 
 
-def solve_domain(domain, m, boundary_values, targets, mode):
-    """Values at the exact points `targets` of the oracle on
-    `geometry.domain_graph(domain, m)`, the problem of
-    `domain_restricted_graph`, solved on the domain's cell tree without the
+def solve_domain(domain, cells, boundary_values, targets, mode):
+    """Values at the exact points `targets` of the oracle on a domain's
+    level-m graph, the problem of `domain_restricted_graph`, solved on its
+    cell tree `cells` = `geometry.domain_cell_tree(domain, m)` without the
     graph.  boundary_values(points, s) gives the boundary values in one
     call, for the points (x/s, y/s) of integer pairs (x, y) at s = l**m.
     Values come down only until every target has one, and only the
@@ -281,9 +277,10 @@ def solve_domain(domain, m, boundary_values, targets, mode):
     floats."""
     if mode not in ("rational", "float"):
         raise ContractViolation(f"unknown oracle mode {mode!r}")
+    m = len(cells) - 1
     s = domain.params.level ** m
-    levels = _solve_tree(domain.params, geometry.domain_cell_tree(domain, m),
-                         lambda points: boundary_values(points, s), mode == "rational")
+    levels = _solve_tree(domain.params, cells, lambda points: boundary_values(points, s),
+                         mode == "rational")
     want = [_scaled_point(p, s, m) for p in targets]
     pending, found = set(want), {}
     for values in levels:
@@ -297,11 +294,12 @@ def solve_domain(domain, m, boundary_values, targets, mode):
     return [found[q] for q in want]
 
 
-def _loads_up(params, cells, types, value, exact):
-    """The root's load and, per level, each listed cell's inner loads b_i
-    (None for a cell without load).  A level-m cell loads each free corner
-    with the sum of its boundary values; a coarser one sums its children's
-    loads on its V_1 slots and passes b_c - X^T b_i on."""
+def _loads_up(params, cells, types, value):
+    """The root's load on its corners and, per level, each listed cell's y_k
+    of `_forward` (None for a cell without load).  A level-m cell loads each
+    free corner with the sum of its boundary values; a coarser one sums its
+    children's loads on its V_1 slots, runs forward substitution over its
+    record and passes on the loads left on its corners."""
     m = len(cells) - 1
     loads = []
     for x, y, bits in cells[m]:
@@ -314,63 +312,51 @@ def _loads_up(params, cells, types, value, exact):
     for k in range(m - 1, -1, -1):
         below, loads, inner[k] = loads, [], []
         for (_, _, kids), t in zip(cells[k], types[k]):
-            load = bi = None
+            b = ys = None
             if t is not None and t.loaded:
                 b = [0] * size
                 for corners, c in zip(slots, kids):
                     if c not in (None, geometry.PLAIN) and below[c] is not None:
                         for i, v in zip(corners, below[c]):
                             b[i] += v
-                bi = b[3:]
-                xt = zip(*(t.blocks[1] if exact else t.float_x))
-                load = [v - sum(map(mul, col, bi)) for v, col in zip(b[:3], xt)]
-            loads.append(load)
-            inner[k].append(bi)
-    return loads[0] or [0, 0, 0], inner
+                ys = _forward(t.schur[2], b)
+                b = b[:3]
+            loads.append(b)
+            inner[k].append(ys)
+    return loads[0], inner
 
 
-def _values_down(params, cells, types, inner, corners, value, exact):
+def _values_down(params, cells, types, inner, corners, value):
     """Yield the vertex values level by level, each level a list of (point,
     value) with integer points at scale l**m: first the root's corners,
     then the inner slots of the cells of each level, which are the vertices
-    one level finer.  A cell's inner slots take Minv b_i - X u_c where free
-    and the boundary value where boundary, and its children take their
-    corners from its slots."""
+    one level finer.  A cell's inner slots take their boundary value where
+    boundary and back substitution over its record where free, and its
+    children take their corners from its slots."""
     m = len(cells) - 1
     s = params.level ** m
     slot_points = dict(zip(sum(params.cell_slots, ()), sum(params.cell_points, ())))
+    inner_points = [slot_points[i] for i in range(3, len(slot_points))]
     yield [((s * qx, s * qy), v) for (qx, qy), v in zip(geometry.CORNERS_INT, corners)
            if v is not None]
-    plain = (geometry.PLAIN,) * params.map_count
+    plain, number = (geometry.PLAIN,) * params.map_count, types[0][0].number
     level = [(0, 0, cells[0][0][2], types[0][0], inner[0][0], corners)] if m else []
     for k in range(m):
         sub = params.level ** (m - k - 1)
+        plain_type = _plain_type(params.level, m - k - 1, number)
         below, values = [], []
-        for x, y, kids, t, bi, uc in level:
-            xr = t.blocks[1] if exact else t.float_x
-            ub = None
-            if bi:
-                # the loads' part of the inner values, Minv b_i
-                ub = [sum(map(mul, row, bi)) for row in (t.minv if exact else t.float_minv)]
-            u = list(uc)
-            uc = [0 if v is None else v for v in uc]
-            for r, st in enumerate(t.parts[2][3:]):
-                px, py = slot_points[3 + r]
-                p = (x + sub * px, y + sub * py)
-                if st == _FREE:
-                    v = (ub[r] if ub else 0) - sum(map(mul, xr[r], uc))
-                else:
-                    v = value(p) if st == _BOUNDARY else None
-                u.append(v)
-                if v is not None:
-                    values.append((p, v))
+        for x, y, kids, t, ys, uc in level:
+            points = [(x + sub * px, y + sub * py) for px, py in inner_points]
+            u = uc + [value(p) if st == _BOUNDARY else None
+                      for p, st in zip(points, t.parts[2][3:])]
+            _backward(t.schur[2], ys, u)
+            values += [(p, v) for p, v in zip(points, u[3:]) if v is not None]
             if k + 1 == m:
                 continue
             for slot, (tx, ty), c in zip(params.cell_slots, params.int_translations, kids):
                 child = (x + sub * tx, y + sub * ty)
                 if c == geometry.PLAIN:
-                    t = _plain_type(params.level, m - k - 1)
-                    below.append((*child, plain, t, None, [u[i] for i in slot]))
+                    below.append((*child, plain, plain_type, None, [u[i] for i in slot]))
                 elif c is not None and types[k + 1][c] is not None:
                     below.append((*child, cells[k + 1][c][2], types[k + 1][c], inner[k + 1][c],
                                   [u[i] for i in slot]))

@@ -23,6 +23,8 @@ from .geometry import Q0, gasket
 F = Fraction
 
 RATIO = 1 / geometry.renormalization_factor(3)  # r^-1 of SG_3
+# (15/7)**300 < 2e99: eta < 2 (15/7)**m_1 and its cube in extend_step_upper stay finite
+MAX_RATIO_POWER = 300
 ALPHA_MAX = 0.4415378110            # just above alpha(1) = (75 - sqrt(2353))/60
 
 EtaAlpha = namedtuple("EtaAlpha", ["alpha", "eta", "depth", "err"])
@@ -157,8 +159,17 @@ def _program_value(prefix, periodic):
 # the alpha/eta fixed point
 
 
+def _ratio_power(n):
+    """(15/7)**n in floats, the scale of n triadic digits; refused past
+    MAX_RATIO_POWER, before any float power or product of it overflows."""
+    if n > MAX_RATIO_POWER:
+        raise ResolutionError(f"--lambda: its triadic digits need (15/7)**{n}, over the "
+                              f"(15/7)**{MAX_RATIO_POWER} that floats keep finite here")
+    return float(RATIO) ** n
+
+
 def _tmap(iota, gap, x):
-    c = float(RATIO) ** gap
+    c = _ratio_power(gap)
     e = c * (1.0 - x)
     if iota == 1:
         return 1.0 / (1.0 + 2.0 * e)
@@ -193,7 +204,7 @@ def eta_alpha(lam, tol=1e-12, max_depth=400):
         err = hi - lo
         result = EtaAlpha(
             alpha=lo,
-            eta=2.0 * float(RATIO) ** lam.m1 * (1.0 - lo),
+            eta=2.0 * _ratio_power(lam.m1) * (1.0 - lo),
             depth=depth,
             err=err,
         )
@@ -545,7 +556,7 @@ def gauss_green_h0_energy(lam, depth):
 
 def h0_band(lam):
     """Proven bracket for eta(lambda): [2(1-alpha(1)), 2) * (15/7)^{m_1}."""
-    scale = float(RATIO) ** lam.m1
+    scale = _ratio_power(lam.m1)
     return 1.116924 * scale, 2.0 * scale
 
 
@@ -563,8 +574,7 @@ def energy_estimate_upper(lam, a, f, depth):
     # adding the exact zeros of the others would leave every sum unchanged
     b, coeffs = haar_expand(lam, f, depth, every=False)
     a = float(a)
-    ratio = float(RATIO)
-    s_total = ratio ** lam.m1 * (a - b) ** 2
+    s_total = _ratio_power(lam.m1) * (a - b) ** 2
     ortho = eta_of(lam) * (a - b) ** 2
     # the generator psi_w^(j) lives on lam shifted |w| times, so its energy
     # depends on that lambda and j only, each computed once (the shifts of a
@@ -580,16 +590,16 @@ def energy_estimate_upper(lam, a, f, depth):
     for (word, j), c in sorted(coeffs.items()):
         n = len(word)
         m_next = lam.pair(n + 1)[0]
-        s_term = ratio ** m_next * c * c
+        s_term = _ratio_power(m_next) * c * c
         s_total += s_term
         cur, e_gen = generators[n, j]
         m_prev = lam.pair(n)[0] if n else 0
-        e_term = ratio ** m_prev * e_gen
+        e_term = _ratio_power(m_prev) * e_gen
         ortho += c * c * e_term
     energy = domain_energy_upper(lam, a, f)
     lo_band, hi_band = h0_band(lam)
-    ratios = [e_gen / ratio ** cur.m1 for cur, e_gen in generators.values()]
-    ratios.append(eta_of(lam) / ratio ** lam.m1)
+    ratios = [e_gen / _ratio_power(cur.m1) for cur, e_gen in generators.values()]
+    ratios.append(eta_of(lam) / _ratio_power(lam.m1))
     bracket = (min(ratios) * s_total, max(ratios) * s_total)
     return UpperEnergyEstimate(s_total, energy, ortho, b, coeffs, bracket, (lo_band, hi_band))
 
@@ -605,5 +615,5 @@ def empirical_generator_ratios(lams=None):
         js = (1,) if lam.iota1 == 1 else (1, 2)
         for j in js:
             e = domain_energy_upper(lam, 0.0, haar_data(lam, "", j))
-            ratios.append(e / float(RATIO) ** lam.m1)
+            ratios.append(e / _ratio_power(lam.m1))
     return min(ratios), max(ratios)

@@ -422,7 +422,8 @@ def count_solves(monkeypatch):
 
     solved = []
     solve = oracle.solve_domain
-    monkeypatch.setattr(oracle, "solve_domain", lambda *a: solved.append(a[1]) or solve(*a))
+    monkeypatch.setattr(oracle, "solve_domain",
+                        lambda *a: solved.append(len(a[1]) - 1) or solve(*a))
     return solved
 
 
@@ -450,11 +451,11 @@ def test_compare_reads_the_boundary_in_one_batch_per_level(domain, data, tmp_pat
     batches = []
     solve = oracle.solve_domain
 
-    def counted(dom, m, values, *rest):
+    def counted(dom, cells, values, *rest):
         def batch(points, s):
-            batches.append((m, len(points)))
+            batches.append((len(cells) - 1, len(points)))
             return values(points, s)
-        return solve(dom, m, batch, *rest)
+        return solve(dom, cells, batch, *rest)
 
     monkeypatch.setattr(oracle, "solve_domain", counted)
     path = write_json(tmp_path / "f.json", {"schema": 1, **data})
@@ -462,6 +463,29 @@ def test_compare_reads_the_boundary_in_one_batch_per_level(domain, data, tmp_pat
     assert code == 0, err
     assert [m for m, _ in batches] == [2, 3, 4, 5]
     assert all(n > 0 for _, n in batches)
+
+
+def test_compare_builds_each_level_tree_once(half_data, capsys, monkeypatch):
+    # the top level's tree is counted against the budget and the rational
+    # cap first, then solved without being built again
+    built = []
+    tree = geometry.domain_cell_tree
+    monkeypatch.setattr(geometry, "domain_cell_tree",
+                        lambda dom, m: built.append(m) or tree(dom, m))
+    for mode in ("rational", "float"):
+        built.clear()
+        code, out, err = run(["compare", "--domain", "half-sg", "--levels", "2:5", "--mode", mode,
+                              "--data", half_data], capsys)
+        assert (code, built) == (0, [5, 2, 3, 4]), err
+
+
+def test_compare_condenses_large_cells_in_floats(half_data, capsys):
+    # SG_8 cell types have 42 inner slots; condensed in floats, levels 3-5
+    # take well under a second (about 20 s when they were condensed exactly)
+    code, out, err = run(["compare", "--domain", "half", "--l", "8", "--levels", "3:5",
+                          "--mode", "float", "--data", half_data], capsys)
+    assert code == 0, err
+    assert out.splitlines()[-1] == "monotone_decreasing,true"
 
 
 def test_compare_checks_the_tree_budget_before_any_level(half_data, tmp_path, capsys,

@@ -9,6 +9,7 @@ in SUPPORTED succeed on small data, every other pair is a usage error.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +38,10 @@ DATA = {
 
 UPPER = ["--domain", "upper", "--lambda", "1"]
 LOWER = ["--domain", "lower", "--lambda", "1/2"]
+# lambda = 3**-1000 (first nonzero digit at 1001) and 2/3 + 2 * 3**-1000 (a
+# gap of 999 digits): their float scales (15/7)**n would overflow
+DEEP = ["--domain", "upper", "--lambda", str(Fraction(1, 3 ** 1000))]
+GAP = ["--domain", "upper", "--lambda", str(Fraction(2, 3) + Fraction(2, 3 ** 1000))]
 
 EDGES = [
     # dtn is an SG half-domain command
@@ -74,6 +79,12 @@ EDGES = [
     (["eta", "--domain", "upper", "--lambda", "0"], 2, "lambda must lie in (0, 1]"),
     (["eta", "--domain", "lower", "--lambda", "1"], 2, "lambda must lie in [0, 1)"),
     (["eta", "--domain", "lower", "--lambda", "bits:1periodic:1"], 2, "infinite runs of 1"),
+    # a lambda whose digits lie too far apart for floats is refused, naming it
+    (["eta", *DEEP], 2, "--lambda: its triadic digits need (15/7)**1001"),
+    (["energy", *DEEP, "--data", "{upper-flat}"], 2, "--lambda: its triadic digits need (15/7)**1001"),
+    (["eta", *GAP], 2, "--lambda: its triadic digits need (15/7)**999"),
+    (["haar", *DEEP, "--data", "{upper-flat}"], 0, "word,j,coefficient"),
+    (["eta", "--domain", "upper", "--lambda", str(Fraction(1, 3 ** 70))], 0, "alpha,0.441537810957636"),
     # rational mode
     (["solve", *UPPER, "--mode", "rational", "--data", "{upper}"], 2,
      "upper-domain evaluation needs eta limits"),

@@ -80,9 +80,41 @@ def test_disconnected_interior_rejected():
     # a vertex of 00, so the interior of 22 is a component on its own
     g = G.build_graph(G.gasket(2), 2, lambda corners: np.isin(np.arange(len(corners)), [0, 8]))
     assert g.n_vertices() == 6
+    messages = []
     for mode in ("rational", "float"):
-        with pytest.raises(SolvabilityError):
+        with pytest.raises(SolvabilityError) as error:
             O.solve(O.DirichletProblem(g, np.array([0]), [F(1)]), mode=mode)
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]
+
+
+def test_zero_pivot_inside_a_cell_type_is_refused(monkeypatch):
+    # the cells 03, 04 and 05 of SG_3 hold no corner of cell 0 and meet only
+    # each other, so their level-3 cells are a component of their own; the
+    # boundary is q1, in cell 1.  The zero pivot comes while cell 0's type
+    # eliminates its inner slots, before the root, in both modes.  Their
+    # types carry conductances that are not dyadic, so a float elimination
+    # that subtracts on the diagonal leaves a pivot of about 1e-15 and solves
+    keep = [*range(18, 36), *range(36, 72)]
+    g = G.build_graph(G.gasket(3), 3, lambda corners: np.isin(np.arange(len(corners)), keep))
+    boundary = np.array([g.vertex_id(G.Q1)])
+    eliminate, refused = O._eliminate, []
+
+    def counted(c, g, order):
+        try:
+            return eliminate(c, g, order)
+        except SolvabilityError:
+            refused.append(order)
+            raise
+
+    monkeypatch.setattr(O, "_eliminate", counted)
+    messages = []
+    for mode, value in (("rational", F(1)), ("float", 1.0)):
+        with pytest.raises(SolvabilityError) as error:
+            O.solve(O.DirichletProblem(g, boundary, [value]), mode=mode)
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]
+    assert len(refused) == 2 and all(min(order) >= 3 for order in refused)
 
 
 def test_half_sg3_skeleton_level1():
@@ -256,15 +288,31 @@ def test_condensation_matches_reference_on_random_cells(problem):
 
 
 def test_float_mode_is_accurate_to_rounding(monkeypatch):
-    # 32,691 vertices, over the rational cap; each cell type is condensed
-    # exactly and only the loads are rounded, so the error does not grow
-    # with the level as a float elimination's does (1e-11 here)
+    # 32,691 vertices, over the rational cap; each cell type is condensed in
+    # conductance form, which only adds nonnegative terms, so the error does
+    # not grow with the level as a float elimination's does (1e-11 here)
     monkeypatch.setattr(_exact, "EXACT_UNKNOWN_CAP", 10**5)
     sk = O.domain_restricted_graph(G.HalfDomain(3), 6)
     data = lambda p: F(1) if p == G.Q1 else p[0] - p[1] / 3
     exact = O.solve(sk.problem(data), mode="rational")
     vals = O.solve(sk.problem(lambda p: float(data(p))), mode="float")
     assert max(abs(v - float(e)) for v, e in zip(vals, exact)) <= 1e-14
+
+
+def test_float_types_condense_in_floats():
+    # a float solve builds no Fraction: every pivot, weight, conductance and
+    # grounding of its types is a float
+    domain = G.HalfDomain(3)
+    cells = G.domain_cell_tree(domain, 4)
+    O.solve_domain(domain, cells, batch(lambda p: float(p == G.Q1)), [G.Q1], "float")
+    types = [t for row in O._tree_types(domain.params, cells, float) for t in row if t]
+    assert any(t.schur[2] for t in types)
+    for t in types:
+        c, g, record = t.schur
+        assert all(type(v) is float for row in c for v in row.values())
+        assert all(type(v) is float for v, st in zip(g, t.status) if st == O._FREE)
+        for _, d, _, weights in record:
+            assert type(d) is float and all(type(w) is float for w in weights)
 
 
 def test_float_mode_needs_the_cells():
@@ -303,6 +351,11 @@ def test_solve_walks_down_only_as_far_as_it_is_read(monkeypatch):
 # the domain entry point against the reference elimination
 
 
+def solve_at(domain, m, *args):
+    """`solve_domain` on the domain's cell tree of level m."""
+    return O.solve_domain(domain, G.domain_cell_tree(domain, m), *args)
+
+
 def batch(value):
     """The boundary values of `solve_domain` from a function of one exact
     point."""
@@ -332,13 +385,14 @@ def test_domain_tree_matches_the_graph_oracle(domain, m):
     points = [sk.graph.point(i) for i in range(sk.graph.n_vertices())]
     random.Random(m).shuffle(points)
     ids = [sk.graph.vertex_id(p) for p in points]
-    assert O.domain_unknowns(domain, m) == sk.graph.n_vertices() - len(sk.boundary_ids)
+    unknowns = sk.graph.n_vertices() - len(sk.boundary_ids)
+    assert O.domain_unknowns(domain, G.domain_cell_tree(domain, m)) == unknowns
     # `solve` runs the same engine, so the check is the elimination that
     # shares no code with it
     want = reference_solve(sk.problem(data))
-    got = O.solve_domain(domain, m, batch(data), points, "rational")
+    got = solve_at(domain, m, batch(data), points, "rational")
     assert got == [want[i] for i in ids] and all(type(v) is F for v in got)
-    got = O.solve_domain(domain, m, batch(lambda p: float(data(p))), points, "float")
+    got = solve_at(domain, m, batch(lambda p: float(data(p))), points, "float")
     assert all(type(v) is float for v in got)
     assert max(abs(v - want[i]) for v, i in zip(got, ids)) <= 1e-14
 
@@ -352,19 +406,42 @@ def test_domain_tree_refuses_what_the_graph_oracle_refuses():
         sk.problem(lambda p: F(1))
     for mode in ("rational", "float"):
         with pytest.raises(SolvabilityError) as tree_error:
-            O.solve_domain(domain, 4, batch(lambda p: F(1)), [G.Q1], mode)
+            solve_at(domain, 4, batch(lambda p: F(1)), [G.Q1], mode)
         assert str(tree_error.value) == str(graph_error.value)
     with pytest.raises(ContractViolation, match="mode"):
-        O.solve_domain(G.HalfDomain(3), 2, batch(lambda p: F(1)), [G.Q1], "auto")
+        solve_at(G.HalfDomain(3), 2, batch(lambda p: F(1)), [G.Q1], "auto")
     with pytest.raises(AddressError, match="not a vertex"):
-        O.solve_domain(G.HalfDomain(3), 2, batch(lambda p: F(1)), [(F(2), F(0))], "float")
+        solve_at(G.HalfDomain(3), 2, batch(lambda p: F(1)), [(F(2), F(0))], "float")
 
 
 def test_domain_tree_counts_the_rational_cap():
     # level 9 of half-SG has 14757 unknowns: refused before any condensation
-    assert O.domain_unknowns(G.HalfDomain(2), 9) == 14757
+    assert O.domain_unknowns(G.HalfDomain(2), G.domain_cell_tree(G.HalfDomain(2), 9)) == 14757
     with pytest.raises(SolvabilityError, match="capped at 5000 unknowns, got 14757"):
-        O.solve_domain(G.HalfDomain(2), 9, batch(lambda p: F(1)), [G.Q1], "rational")
+        solve_at(G.HalfDomain(2), 9, batch(lambda p: F(1)), [G.Q1], "rational")
+
+
+def positive_data(p):
+    """Boundary values in [1, 3) on a half domain (x <= 1): no relative error
+    exceeds the absolute one."""
+    return 1 + (p[0] - p[1] / 3) ** 2 + F(3, 7) * (p == G.Q1)
+
+
+@pytest.mark.parametrize("level,m", [(2, 8), (3, 4), (4, 3), (8, 2)])
+def test_float_domain_solve_is_accurate_to_rounding(level, m):
+    # at the largest level under the rational cap, the float solve is within
+    # 1e-12 relative of the exact one at every vertex; a float elimination
+    # that subtracts on the diagonal loses digits to cancellation here
+    domain = G.HalfDomain(level)
+    cells = G.domain_cell_tree(domain, m)
+    assert (O.domain_unknowns(domain, cells) <= _exact.EXACT_UNKNOWN_CAP
+            < O.domain_unknowns(domain, G.domain_cell_tree(domain, m + 1)))
+    s = level ** m
+    points = [(F(x, s), F(y, s)) for x, y, _ in G.domain_vertices(domain, m)]
+    exact = O.solve_domain(domain, cells, batch(positive_data), points, "rational")
+    vals = O.solve_domain(domain, cells, batch(lambda p: float(positive_data(p))), points,
+                          "float")
+    assert max(abs(v - e) / e for v, e in zip(vals, exact)) <= 1e-12
 
 
 def test_domain_tree_goes_beyond_the_graph():
@@ -381,7 +458,7 @@ def test_domain_tree_goes_beyond_the_graph():
     errors = {}
     for m in (8, 10):
         tracemalloc.start()
-        vals = O.solve_domain(domain, m, partial(f.st.terminals, f), targets, "float")
+        vals = solve_at(domain, m, partial(f.st.terminals, f), targets, "float")
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 8 * 2**20
@@ -423,7 +500,7 @@ def test_boundary_lookup_and_domain_solve_use_no_extension(name, monkeypatch):
     domain = frame.domain
     targets = [(F(x, domain.level ** 2), F(y, domain.level ** 2))
                for x, y, _ in G.domain_vertices(domain, 2)]
-    want = {m: O.solve_domain(domain, m, partial(frame.terminals, f), targets, "float")
+    want = {m: solve_at(domain, m, partial(frame.terminals, f), targets, "float")
             for m in (2, 3, 4)}
 
     def refuse(*args):
@@ -433,5 +510,5 @@ def test_boundary_lookup_and_domain_solve_use_no_extension(name, monkeypatch):
                          (UP, "extend_step_upper"), (LD, "extend_step_lower")):
         monkeypatch.setattr(module, attr, refuse)
     for m, vals in want.items():
-        got = O.solve_domain(domain, m, partial(frame.terminals, f), targets, "float")
+        got = solve_at(domain, m, partial(frame.terminals, f), targets, "float")
         assert got == vals and all(type(v) is float for v in got)
