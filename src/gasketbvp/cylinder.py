@@ -185,21 +185,28 @@ def walk(frame, f, m):
     The first step to reach a vertex sets it, in `evaluate`'s precedence: a
     node's own V_1 points (`cell`, else `terminals`, else `values`), its
     full cells, extended once per subcell down to level m, then its
-    sub-copies (an upper dilation too), depth first in digit order."""
+    sub-copies (an upper dilation too), depth first in digit order.
+
+    A full cell with exact corner values is filled in integers: its
+    subcells carry numerators over q D_l^k (`harmonic.extension_step`), and
+    a vertex's Fraction is built when the vertex is first set."""
     params = frame.params
     l, shifts = params.level, params.int_translations
     v1 = list({pt: p for cell, exact in zip(params.cell_points, params.cell_corners)
                for pt, p in zip(cell, exact)}.items())
     out = {}
 
-    def fill(vals, x, y, k):
+    def fill(vals, den, x, y, k):
+        # vals are values (den None) or integer numerators over den
         step = l ** (m - k - 1)
-        ext = harmonic.cell_extension(l, vals)
+        ext, den = harmonic.extension_step(l, vals, den)
         for (px, py), v in ext.items():
-            out.setdefault((x + step * px, y + step * py), v)
+            key = x + step * px, y + step * py
+            if key not in out:
+                out[key] = v if den is None else Fraction(v, den)
         if k + 1 < m:
             for cell, (tx, ty) in zip(params.cell_points, shifts):
-                fill(tuple(ext[q] for q in cell), x + step * tx, y + step * ty, k + 1)
+                fill(tuple(ext[q] for q in cell), den, x + step * tx, y + step * ty, k + 1)
 
     def node(frame, f, x, y, k):
         # corner j of the level-k cell at (x, y) is at l**(m-k) q_j + (x, y),
@@ -215,10 +222,10 @@ def walk(frame, f, m):
             if value is not None:
                 out[x + step * px, y + step * py] = value
         if whole is not None:
-            fill(whole, x, y, k)
+            fill(whole, None, x, y, k)
         elif k + 1 < m:
             for i in frame.full_cells():
-                fill(tuple(values[q] for q in params.cell_corners[i]),
+                fill(tuple(values[q] for q in params.cell_corners[i]), None,
                      x + step * shifts[i][0], y + step * shifts[i][1], k + 1)
             for d in frame.copies():
                 node(frame.shift(d), _copy_data(frame, f, values, d),
@@ -240,8 +247,9 @@ def evaluate(frame, f, vertices):
     goes on into the first sub-copy containing it; a node that is one cell
     (`cell`) descends every point.  The points of one node share its extend
     step, its sub-copies' data and one descent per full cell, and wait with
-    it on a stack, as integers over their common denominator s, at most the
-    deepest point's `harmonic.descent_budget` of sub-copies down."""
+    it on a stack, as integers over their common denominator s (a V_1 point
+    is found by its integer pair), at most the deepest point's
+    `harmonic.descent_budget` of sub-copies down."""
     params = frame.params
     l, corners = params.level, params.cell_corners
     points = [geometry.exact_point(params, v) for v in vertices]
@@ -256,6 +264,10 @@ def evaluate(frame, f, vertices):
         p = points[budgets.index(None)]
         raise AddressError(f"{p} is no vertex: its denominator divides no power of {l}")
     shifts = geometry.unapply_shifts(params, s)
+    # the V_1 points by integer pair at scale s l: (x/s, y/s) is the V_1
+    # point p when (l x, l y) is its key
+    v1 = {(s * px, s * py): p for cell, exact in zip(params.cell_points, corners)
+          for (px, py), p in zip(cell, exact)}
     out = [None] * len(points)
     stack = [(frame, f, batch, max(budgets, default=1))]  # no points: the root only
     while stack:
@@ -271,8 +283,9 @@ def evaluate(frame, f, vertices):
         targets = [(i, cells) for i in frame.full_cells()] + [(d, copies) for d in frame.copies()]
         ends = frame.terminals(f, [(x, y) for _, x, y in batch], s)
         for (k, x, y), value in zip(batch, ends):
-            p = (Fraction(x, s), Fraction(y, s))
-            value = values.get(p) if value is None else value
+            if value is None:
+                p = v1.get((l * x, l * y))
+                value = None if p is None else values.get(p)
             if value is not None:
                 out[k] = value
                 continue
@@ -283,6 +296,7 @@ def evaluate(frame, f, vertices):
                     bucket.setdefault(i, []).append((k, lx, ly))
                     break
             else:
+                p = (Fraction(x, s), Fraction(y, s))
                 raise AddressError(f"{p} could not be routed inside the {frame.name}")
         batch = None
         for i, group in cells.items():
@@ -296,9 +310,10 @@ def evaluate(frame, f, vertices):
 def cut_values(frame, f, points, s):
     """Data values at the points (x/s, y/s) of the cut line, for integer
     pairs (x, y), in order; at a junction of two cylinders of
-    piecewise-constant data the cylinder values are averaged.  The points
-    descend together: a node reads its data once and sends each point into
-    every sub-copy whose cell holds it, depth first in digit order."""
+    piecewise-constant data the cylinder values are averaged (integers to a
+    Fraction, so exact values stay exact).  The points descend together: a
+    node reads its data once and sends each point into every sub-copy whose
+    cell holds it, depth first in digit order."""
     params = frame.params
     l = params.level
     shifts = geometry.unapply_shifts(params, s)
@@ -327,7 +342,8 @@ def cut_values(frame, f, points, s):
                 rec(frame.shift(d), data.shifted(d, *blank), group)
 
     rec(frame, f, [(k, x, y) for k, (x, y) in enumerate(points)])
-    return [sum(v) / len(v) for v in vals]
+    sums = [(sum(v), len(v)) for v in vals]
+    return [Fraction(t, n) if type(t) is int else t / n for t, n in sums]
 
 
 def cut_value(frame, f, p):

@@ -5,6 +5,13 @@ on Gamma_1 (geometry's level-1 table): for SG they are the 2/5-1/5 rule,
 for SG_3 the 8-4-3 / 15 rule with mean value at the centre, derived, not
 typed in.  The public `harmonic_extend_cell` still serves only l in {2, 3};
 higher levels are used internally.
+
+Exact values are extended in integers: the weights of level l are integers
+over their least common denominator D_l (5 on SG, 15 on SG_3, 309 and 1663
+for l = 4, 5), so k extensions of exact corner values over the common
+denominator q give integer numerators over q D_l^k (`extend_numerators`).
+The walk and `descend` carry those numerators down and build a Fraction
+once per value they set; float corner values take float weights.
 """
 
 from __future__ import annotations
@@ -53,11 +60,52 @@ def _float_basis(level):
     return {pt: tuple(map(float, w)) for pt, w in extension_basis(level).items()}
 
 
+@lru_cache(maxsize=None)
+def integer_basis(level):
+    """(D, {pt: (a0, a1, a2)}): the extension weights of the level as
+    integers a_c over their least common denominator D."""
+    basis = extension_basis(level)
+    d = math.lcm(*(w.denominator for ws in basis.values() for w in ws))
+    return d, {pt: tuple(w.numerator * (d // w.denominator) for w in ws)
+               for pt, ws in basis.items()}
+
+
+def _exact_numerators(values):
+    """(q, nums): exact values (Fractions or ints) as integer numerators
+    over their least common denominator q."""
+    q = math.lcm(*(v.denominator for v in values))
+    return q, tuple(v.numerator * (q // v.denominator) for v in values)
+
+
+def extend_numerators(level, nums):
+    """The extension of corner values n_c / q to the cell's V_1 points, keyed
+    by integer coordinates at scale l, as integer numerators over q D_l."""
+    n0, n1, n2 = nums
+    return {pt: a * n0 + b * n1 + c * n2 for pt, (a, b, c) in integer_basis(level)[1].items()}
+
+
+def extension_step(level, vals, den):
+    """(ext, den) of one extension of a cell's corner values: with den None
+    vals are values, else integer numerators over den.  Exact values go over
+    to numerators, and ext then holds numerators over the returned den;
+    float or mixed values give values, and den None."""
+    if den is None:
+        if not _is_exact(*vals):
+            return cell_extension(level, vals), None
+        den, vals = _exact_numerators(vals)
+    return extend_numerators(level, vals), den * integer_basis(level)[0]
+
+
 def cell_extension(level, values):
     """Extension of cell-corner values (v0, v1, v2) to the cell's V_1 points,
     keyed by integer coordinates at scale l. Internal: accepts any level.
-    Float values take float weights: a Fraction times a float is computed
-    as float(weight) * value anyway."""
+    Exact values are extended in integers (`extend_numerators`).  Float
+    values take float weights: a Fraction times a float is computed as
+    float(weight) * value anyway."""
+    if _is_exact(*values):
+        q, nums = _exact_numerators(values)
+        den = q * integer_basis(level)[0]
+        return {pt: Fraction(n, den) for pt, n in extend_numerators(level, nums).items()}
     floats = all(type(v) is float for v in values)
     basis = _float_basis(level) if floats else extension_basis(level)
     v0, v1, v2 = values
@@ -150,7 +198,11 @@ def descend(level, corner_values, batch, s, out, points):
     A point over the reduced denominator d, for the least k with d | l**k,
     is an integer point of its level-k cell: a corner, or (1, 0) or (1, 1),
     which are vertices at most two levels further down or never.  The
-    descent stops there (`descent_budget`); a d dividing no l**k is refused."""
+    descent stops there (`descent_budget`); a d dividing no l**k is refused.
+
+    Exact values go down as integer numerators over one denominator per
+    subcell (`extension_step`), and a point's Fraction is built when it is
+    set; a point at a corner of the unit cell takes its value as given."""
     params = gasket(level)
     corners = params.cell_points
     shifts = geometry.unapply_shifts(params, s)
@@ -159,9 +211,9 @@ def descend(level, corner_values, batch, s, out, points):
     if None in caps:
         p = points[batch[caps.index(None)][0]]
         raise ContractViolation(f"{p} is not a vertex address within the descent cap")
-    stack = [(tuple(corner_values), batch, max(caps))]
+    stack = [(tuple(corner_values), None, batch, max(caps))]
     while stack:
-        vals, batch, depth = stack.pop()
+        vals, den, batch, depth = stack.pop()
         if depth == 0:
             raise ContractViolation(
                 f"{points[batch[0][0]]} is not a vertex address within the descent cap"
@@ -170,7 +222,7 @@ def descend(level, corner_values, batch, s, out, points):
         for k, x, y in batch:
             c = vertices.get((x, y))
             if c is not None:
-                out[k] = vals[c]
+                out[k] = vals[c] if den is None else Fraction(vals[c], den)
                 continue
             cells = geometry.cells_at(params, x, y, s)
             if not cells:
@@ -180,9 +232,9 @@ def descend(level, corner_values, batch, s, out, points):
             groups.setdefault(i, []).append((k, level * x - sx, level * y - sy))
         batch = None
         if groups:
-            ext = cell_extension(level, vals)
+            ext, den = extension_step(level, vals, den)
             for i, group in groups.items():
-                stack.append((tuple(ext[q] for q in corners[i]), group, depth - 1))
+                stack.append((tuple(ext[q] for q in corners[i]), den, group, depth - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -292,8 +292,8 @@ def test_solve_extends_once_per_cell(tmp_path, capsys, monkeypatch):
         "cylinders": [{"w": "1", "v": "3/7"}, {"w": "2", "v": "-1/7"}],
     })
     calls = []
-    extend = harmonic.cell_extension
-    monkeypatch.setattr(harmonic, "cell_extension", lambda *a: calls.append(a) or extend(*a))
+    extend = harmonic.extend_numerators
+    monkeypatch.setattr(harmonic, "extend_numerators", lambda *a: calls.append(a) or extend(*a))
     code, out, err = run(["solve", "--domain", "lower", "--lambda", "1/2", "--level", "6",
                           "--mode", "rational", "--data", data], capsys)
     assert code == 0, err

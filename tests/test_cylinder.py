@@ -399,11 +399,14 @@ def test_walk_matches_evaluate(name, level, data):
     there is the evaluator's: equal, of the same type and with the same repr
     (bit-identical floats)."""
     make, alphabet, domain, m, exact_ok, frame, _, many = _route_case(name)
-    m = level or m
     exact = exact_ok and data.draw(st.booleans())
     f = make(
         data.draw(st.dictionaries(words(alphabet), values(exact), max_size=4)),
         data.draw(values(exact)), data.draw(values(exact)))
+    assert_walk_matches_evaluate(frame, f, domain, level or m, many)
+
+
+def assert_walk_matches_evaluate(frame, f, domain, m, many):
     walked = cylinder.walk(frame, f, m)
     keys = [(x, y) for x, y, _ in geometry.domain_vertices(domain, m)]
     assert set(keys) <= walked.keys()
@@ -412,6 +415,38 @@ def test_walk_matches_evaluate(name, level, data):
         w = walked[key]
         assert type(w) is type(v)
         assert w == v and repr(w) == repr(v)
+    return walked
+
+
+@pytest.mark.parametrize("name", ["half:2", "half:3", "half:4", "lower:1/2", "lower:5/8"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_walk_matches_evaluate_on_integer_data(name, data):
+    """Python ints are exact data too: the walk extends its cells in integer
+    numerators and the cut line averages exactly, so every value is an int
+    or a Fraction, equal to the evaluator's with the same type and repr."""
+    make, alphabet, domain, m, _, frame, _, many = _route_case(name)
+    ints = st.integers(-50, 50)
+    f = make(data.draw(st.dictionaries(words(alphabet), ints, max_size=4)),
+             data.draw(ints), data.draw(ints))
+    walked = assert_walk_matches_evaluate(frame, f, domain, m, many)
+    assert {type(v) for v in walked.values()} <= {int, F}
+
+
+def test_cut_line_values_of_integer_data_are_exact():
+    """Cut-line values of int data are exact: one cylinder's value, or at a
+    junction of two cylinders (upper lambda = 2/3, the point (1, 2/3)
+    between X_4 and X_5) their exact mean."""
+    lam = LD.BinaryLambda(F(1, 2))
+    f = LD.LowerBoundaryData(lam, q1=1, q2=-2, cylinders={"1": 3, "2": -1}, default=0)
+    walked = cylinder.walk(LD.LowerFrame(lam), f, 2)
+    assert [walked[2, 4], walked[6, 4]] == [3, -1]
+    assert type(walked[2, 4]) is type(walked[6, 4]) is F
+    lam = UP.TriadicLambda(F(2, 3))
+    f = UP.UpperBoundaryData(lam, q0=1, cylinders={"4": 1, "5": 2}, default=0)
+    for got in (cylinder.walk(UP.UpperFrame(lam), f, 2)[9, 6],
+                UP.evaluate_upper_many(lam, f, [(F(1), F(2, 3))])[0]):
+        assert got == F(3, 2) and type(got) is F
 
 
 @PROPERTY_SETTINGS

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -195,8 +196,8 @@ def test_graph_energy_of_a_float_oracle_solution():
 
 def count_extensions(monkeypatch):
     calls = []
-    extend = H.cell_extension
-    monkeypatch.setattr(H, "cell_extension", lambda *a: calls.append(a) or extend(*a))
+    extend = H.extend_numerators
+    monkeypatch.setattr(H, "extend_numerators", lambda *a: calls.append(a) or extend(*a))
     return calls
 
 
@@ -248,8 +249,47 @@ def test_float_extension_is_the_fraction_weight_formula_bit_for_bit(level, vals)
 
 
 def test_exact_or_mixed_values_keep_the_exact_weights():
-    for vals in ((F(1), F(2), F(-3)), (1, 0.5, 0.25), (0.5, F(1, 3), 0.25)):
+    for vals in ((F(1), F(2), F(-3)), (1, -2, 3), (F(1, 3), 2, F(-5, 7)), (1, 0.5, 0.25),
+                 (0.5, F(1, 3), 0.25)):
         got = H.cell_extension(3, vals)
         for pt, w in H.extension_basis(3).items():
             want = w[0] * vals[0] + w[1] * vals[1] + w[2] * vals[2]
             assert got[pt] == want and type(got[pt]) is type(want)
+
+
+@pytest.mark.parametrize("level,d", [(2, 5), (3, 15), (4, 309), (5, 1663)])
+def test_integer_weights_over_their_least_common_denominator(level, d):
+    """The extension weights of SG_l are integers over one least common
+    denominator D_l, and each point's weights sum to D_l: a constant extends
+    to itself."""
+    got, weights = H.integer_basis(level)
+    assert got == d
+    basis = H.extension_basis(level)
+    assert weights.keys() == basis.keys()
+    for pt, ints in weights.items():
+        assert all(type(a) is int for a in ints)
+        assert tuple(F(a, d) for a in ints) == basis[pt]
+        assert sum(ints) == d
+    assert math.gcd(d, *(a for ints in weights.values() for a in ints)) == 1
+
+
+exact_values = st.one_of(st.integers(-50, 50),
+                         st.builds(F, st.integers(-50, 50), st.integers(1, 12)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5]), st.tuples(*[exact_values] * 3),
+       st.lists(st.integers(0, 20), max_size=5))
+def test_numerator_chain_is_the_fraction_chain(level, vals, picks):
+    """Extensions carried in integer numerators down a word of subcells give
+    the values of the Fraction weight formula applied step by step."""
+    params = G.gasket(level)
+    basis = H.extension_basis(level)
+    nums, den = vals, None
+    for n in picks:
+        cell = params.cell_points[n % params.map_count]
+        ext, den = H.extension_step(level, nums, den)
+        want = {pt: w[0] * vals[0] + w[1] * vals[1] + w[2] * vals[2] for pt, w in basis.items()}
+        assert {pt: F(v, den) for pt, v in ext.items()} == want
+        assert H.cell_extension(level, vals) == want
+        nums, vals = tuple(ext[q] for q in cell), tuple(want[q] for q in cell)

@@ -197,8 +197,9 @@ def test_float_matches_rational_on_domain_skeletons(domain, m):
 # the condensation against a general elimination on random cell sets
 
 # a fault in how siblings share a slot shows only on m >= 2 graphs whose
-# cells leave some corner untouched, so more examples than test_cylinder's
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
+# cells leave some corner untouched, so more examples than test_cylinder's;
+# derandomized, so every run draws the same cell sets and takes the same time
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
 
 @st.composite
@@ -506,8 +507,9 @@ def test_boundary_lookup_and_domain_solve_use_no_extension(name, monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle used an extension formula")
 
-    for module, attr in ((H, "cell_extension"), (HD, "extend_step"),
-                         (UP, "extend_step_upper"), (LD, "extend_step_lower")):
+    for module, attr in ((H, "cell_extension"), (H, "extend_numerators"),
+                         (HD, "extend_step"), (UP, "extend_step_upper"),
+                         (LD, "extend_step_lower")):
         monkeypatch.setattr(module, attr, refuse)
     for m, vals in want.items():
         got = solve_at(domain, m, partial(frame.terminals, f), targets, "float")
