@@ -7,9 +7,12 @@ domain family (`halfdomain`, `upperdomain`, `lowerdomain`) and the boundary
 data and recursion engine they share (`cylinder`).  `cli` is the
 command-line front end.
 
-`oracle` is imported on first use of `gasketbvp.oracle`, and numpy only by
-the graph code of `geometry` and by the oracle: only `compare` pays for
-their import.
+Start-up loads the package's modules but `oracle`, and from the standard
+library only what they run: `fractions`, `heapq` and, for `cli`,
+`argparse` and `json`.  No `dataclasses` (with its `inspect`, `ast`, `dis`
+and `tokenize`): records are namedtuples or plain classes.  `oracle` is
+imported on first use of `gasketbvp.oracle`, by `compare` alone, and
+numpy only by the graph code of `geometry` and of the oracle.
 """
 
 import importlib

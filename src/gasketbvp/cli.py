@@ -8,14 +8,13 @@ Exit codes: 0 success, 1 internal error, 2 usage/data error, 3 accuracy
 failure.  Outputs are byte-deterministic for a fixed configuration.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 from . import cylinder, geometry, halfdomain, lowerdomain, upperdomain
 from .errors import AccuracyError, GasketError
@@ -126,14 +125,14 @@ def _emit(lines, out):
 
 
 def _solution_rows(frame, f, dom, m):
-    """(word, corner, x, y, value) at every level-m vertex of the domain, in
-    (x, y) order, listed before the walk so that the graph cap refuses first;
-    a function of its own so that the walk is freed before the rows are used."""
+    """(s, rows): (word, corner, x, y, value) at every level-m vertex of the
+    domain, in (x, y) order, the point being (x/s, y/s) for integers x, y
+    and s = l**m; listed before the walk so that the graph cap refuses
+    first, in a function of its own so that the walk is freed before the
+    rows are used."""
     verts = geometry.domain_vertices(dom, m)
     values = cylinder.walk(frame, f, m)
-    s = dom.params.level ** m
-    return [(geometry.word_to_str(a.word), a.corner, F(x, s), F(y, s), values[x, y])
-            for x, y, a in verts]
+    return dom.params.level ** m, [(a.word, a.corner, x, y, values[x, y]) for x, y, a in verts]
 
 
 def _refuse_rational(cfg, fam, lam):
@@ -148,19 +147,22 @@ def cmd_solve(cfg, fam, lam):
     _refuse_rational(cfg, fam, lam)
     # upper data stays exact here: its cut-line values print as fractions
     f = load_boundary_data(cfg.data_path, cfg.domain, cfg.mode, lam=lam, level=cfg.level)
-    rows = _solution_rows(frame, f, dom, cfg.depth)
+    s, rows = _solution_rows(frame, f, dom, cfg.depth)
+
+    texts = {}
+
+    def coord(n):  # str(Fraction(n, s)) without the Fraction, once per n
+        if n not in texts:
+            g = gcd(n, s)
+            texts[n] = str(n // g) if g == s else f"{n // g}/{s // g}"
+        return texts[n]
+
+    rows = [(geometry.word_to_str(w), c, coord(x), coord(y), _fmt(v)) for w, c, x, y, v in rows]
     if cfg.fmt == "json":
-        payload = {
-            "schema": SCHEMA,
-            "rows": [
-                {"word": w, "corner": c, "x": _fmt(x), "y": _fmt(y), "value": _fmt(v)}
-                for (w, c, x, y, v) in rows
-            ],
-        }
+        keys = ("word", "corner", "x", "y", "value")
+        payload = {"schema": SCHEMA, "rows": [dict(zip(keys, row)) for row in rows]}
         return [json.dumps(payload, sort_keys=True)]
-    lines = ["word,corner,x,y,value"]
-    lines += [f"{w},{c},{_fmt(x)},{_fmt(y)},{_fmt(v)}" for (w, c, x, y, v) in rows]
-    return lines
+    return ["word,corner,x,y,value"] + [f"{w},{c},{x},{y},{v}" for w, c, x, y, v in rows]
 
 
 def cmd_compare(cfg, fam, lam):
@@ -179,8 +181,8 @@ def cmd_compare(cfg, fam, lam):
     mode = cfg.mode if cfg.mode != "auto" else "float"
     if mode == "rational":
         oracle.check_exact_cap(unknowns)
-    rows = _solution_rows(frame, f, dom, cfg.depth)
-    targets = [(x, y) for _, _, x, y, _ in rows]
+    s, rows = _solution_rows(frame, f, dom, cfg.depth)
+    targets = [(F(x, s), F(y, s)) for _, _, x, y, _ in rows]
     lines, maxes = ["level,max_abs,mean_abs"], []
     levels = list(range(lo, hi + 1))
     for m in levels:

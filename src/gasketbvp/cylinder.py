@@ -41,8 +41,6 @@ and for `energy`
                       a the data's value at its one boundary corner
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from . import geometry, harmonic

@@ -13,10 +13,6 @@ class CapabilityError(GasketError, NotImplementedError):
     """Operation not available for the requested gasket level."""
 
 
-class LevelMismatchError(GasketError, ValueError):
-    """Graph functions defined on different levels were combined."""
-
-
 class ContractViolation(GasketError, ValueError):
     """A precondition (harmonicity, convergence, totality) does not hold."""
 

@@ -17,12 +17,9 @@ graph export, and the tests and demos that give one to `oracle.solve`.
 walk a domain's cells top down in plain Python.
 """
 
-from __future__ import annotations
-
 import math
-import string
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,11 +38,11 @@ Q2 = (Fraction(2), Fraction(0))
 CORNERS = (Q0, Q1, Q2)
 CORNERS_INT = ((1, 2), (0, 0), (2, 0))
 
-WORD_CHARS = string.digits + string.ascii_lowercase
+WORD_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def word_to_str(word):
-    return "".join(WORD_CHARS[d] for d in word)
+    return "".join(map(WORD_CHARS.__getitem__, word))
 
 
 def word_from_str(s):
@@ -56,14 +53,11 @@ def word_from_str(s):
     return digits
 
 
-@dataclass(frozen=True)
-class VertexAddress:
+class VertexAddress(namedtuple("VertexAddress", ["word", "corner", "canonical"], defaults=[False])):
     """A level-|word| vertex F_w(q_corner); canonical iff it is the
     lexicographically least (word, corner) pair among coordinate aliases."""
 
-    word: tuple
-    corner: int
-    canonical: bool = False
+    __slots__ = ()
 
     def __str__(self):
         return f"{word_to_str(self.word)}:{self.corner}"
@@ -306,7 +300,6 @@ def canonicalize(params, addr):
 # graphs
 
 
-@dataclass
 class Graph:
     """Level-m approximating graph (possibly restricted to a domain).
 
@@ -314,18 +307,16 @@ class Graph:
     give one (word, corner) address per vertex.  Graphs from build_graph
     also keep their level-m cells: the corner vertex ids of each (cells,
     corner j at column j) and its word code (cell_codes, ascending).
+    The arrays are numpy int64, rep_corner int8: verts (N, 2), coordinates
+    times l**m; edges (E, 2) and cells (C, 3), vertex ids; rep_cell and
+    cell_codes, words encoded base map_count.
     """
 
-    params: GasketParams
-    m: int
-    verts: np.ndarray          # (N, 2) int64, coordinates * l**m
-    edges: np.ndarray          # (E, 2) int64 vertex ids
-    rep_cell: np.ndarray       # (N,) int64 word encoded base map_count
-    rep_corner: np.ndarray     # (N,) int8
-    cells: np.ndarray = None       # (C, 3) int64 vertex ids
-    cell_codes: np.ndarray = None  # (C,) int64 word encoded base map_count
-    _index: VertexIndex = field(default=None, repr=False)
-    _adj: object = field(default=None, repr=False)
+    def __init__(self, params, m, verts, edges, rep_cell, rep_corner, cells=None, cell_codes=None):
+        self.params, self.m, self.verts, self.edges = params, m, verts, edges
+        self.rep_cell, self.rep_corner = rep_cell, rep_corner
+        self.cells, self.cell_codes = cells, cell_codes
+        self._index = self._adj = None
 
     @property
     def scale(self):
@@ -494,18 +485,13 @@ def build_graph(params, m, cell_filter=None):
 # domains
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(namedtuple("Domain", ["level", "axis", "cut", "side", "corners"])):
     """SG_level on one side of a straight cut: the points whose coordinate
     number `axis` (0 for x, 1 for y) is at most `cut` (side -1) or at least
     `cut` (side +1).  Its boundary is the V_0 corners q_c for c in
     `corners` plus the Cantor set on the cut line."""
 
-    level: int
-    axis: int
-    cut: Fraction
-    side: int
-    corners: tuple
+    __slots__ = ()
 
     @property
     def params(self):

@@ -12,8 +12,6 @@ cells meeting the line in a Cantor piece: {0} for SG, {0,3} for SG_3,
 carries several atoms.
 """
 
-from __future__ import annotations
-
 import warnings
 from collections import defaultdict, namedtuple
 from fractions import Fraction

@@ -1,4 +1,4 @@
-"""Single-cell harmonic extension, graph energies and normal derivatives.
+"""Single-cell harmonic extension, cell energies and normal derivatives.
 
 The extension weights of every level come from one exact Dirichlet solve
 on Gamma_1 (geometry's level-1 table): for SG they are the 2/5-1/5 rule,
@@ -14,15 +14,12 @@ The walk and `descend` carry those numerators down and build a Fraction
 once per value they set; float corner values take float weights.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import geometry
-from .errors import CapabilityError, ContractViolation, LevelMismatchError
+from .errors import CapabilityError, ContractViolation
 from .geometry import CORNERS_INT, gasket
 
 MATCHING_RTOL = 1e-10
@@ -235,54 +232,6 @@ def descend(level, corner_values, batch, s, out, points):
             ext, den = extension_step(level, vals, den)
             for i, group in groups.items():
                 stack.append((tuple(ext[q] for q in corners[i]), den, group, depth - 1))
-
-
-# ---------------------------------------------------------------------------
-# graph functions
-
-
-@dataclass
-class GraphFunction:
-    """A total assignment of values to the vertices of a level-m graph."""
-
-    graph: geometry.Graph
-    values: object  # sequence indexed by vertex id
-
-    def __post_init__(self):
-        if len(self.values) != self.graph.n_vertices():
-            raise LevelMismatchError("values do not cover the graph's vertex set")
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-
-def graph_energy(f, g=None):
-    """Discrete resistance form r^(-m) * sum over edges of df * dg."""
-    if g is None:
-        g = f
-    if g.graph is not f.graph and (
-        g.graph.m != f.graph.m or g.graph.params.level != f.graph.params.level
-    ):
-        raise LevelMismatchError("graph energy requires functions on the same level")
-    graph = f.graph
-    fv, gv = f.values, g.values
-    total = sum((fv[i] - fv[j]) * (gv[i] - gv[j]) for i, j in graph.edges)
-    r = graph.params.renorm_factor
-    if not _is_exact(fv[0], gv[0]):
-        r = float(r)
-    return total / r ** graph.m
-
-
-def verify_matching(f, vertex):
-    """Mean-value residual sum_{y ~ x} (f(x) - f(y)); zero iff graph-harmonic."""
-    graph = f.graph
-    if isinstance(vertex, geometry.VertexAddress):
-        vertex = graph.vertex_id(geometry.resolve(graph.params, vertex))
-    p = graph.point(vertex)
-    if p in geometry.CORNERS:
-        raise ContractViolation("matching condition is not defined at V_0 corners")
-    nbrs = graph.neighbors(vertex)
-    return len(nbrs) * f[vertex] - sum(f[int(j)] for j in nbrs)
 
 
 def triangle_energy(a, b=None):

@@ -9,8 +9,6 @@ the normal derivative formulas and the extension step.  For dyadic
 lambda every quantity is an exact rational.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 
@@ -20,8 +18,6 @@ from .errors import AccuracyError, AddressError, ContractViolation, ResolutionEr
 from .geometry import Q0, Q1, Q2, gasket
 
 F = Fraction
-
-RATIO = 1 / geometry.renormalization_factor(2)  # r^-1 of SG
 
 EtaPair = namedtuple("EtaPair", ["eta1", "eta2", "depth", "err", "exact"])
 

@@ -37,11 +37,8 @@ that walks down to a vertex's level when the vertex is read.  numpy holds
 only the graph and the boundary ids; the arithmetic is plain Python.
 """
 
-from __future__ import annotations
-
 import importlib
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import index, mul
@@ -65,7 +62,6 @@ def __getattr__(name):
 _ABSENT, _BOUNDARY, _FREE = 0, 1, 2
 
 
-@dataclass(eq=False)
 class _CellType:
     """One cell type: the status of its corners, the number of free
     vertices strictly inside it, whether a boundary vertex lies in it
@@ -75,11 +71,9 @@ class _CellType:
     first use, so counting free vertices condenses nothing.  Types compare
     by identity: `_condense_type`'s cache gives equal children one parent."""
 
-    status: tuple
-    free: int
-    loaded: bool
-    number: type
-    parts: tuple = None
+    def __init__(self, status, free, loaded, number, parts=None):
+        self.status, self.free, self.loaded = status, free, loaded
+        self.number, self.parts = number, parts
 
     @cached_property
     def schur(self):
@@ -376,26 +370,22 @@ def _scaled_point(p, s, m):
 # a problem on a graph of build_graph's cells
 
 
-@dataclass
 class DirichletProblem:
-    """Boundary set B with values g on a level-m graph; solvable iff every
+    """Boundary set B (vertex ids, kept as an int64 array) with values g, a
+    sequence aligned with it, on a level-m graph; solvable iff every
     connected component of the graph touches B.  `domain` is set when the
     graph is `geometry.domain_graph(domain, m)` and B its boundary, as
     `DomainSkeleton.problem` makes it: `solve` then walks the domain's cell
     tree."""
 
-    graph: geometry.Graph
-    boundary_ids: object  # int64 array
-    boundary_values: object  # sequence aligned with boundary_ids
-    domain: geometry.Domain = None
-
-    def __post_init__(self):
+    def __init__(self, graph, boundary_ids, boundary_values, domain=None):
         import numpy as np
 
-        self.boundary_ids = np.asarray(self.boundary_ids, dtype=np.int64)
+        self.graph, self.boundary_values, self.domain = graph, boundary_values, domain
+        self.boundary_ids = np.asarray(boundary_ids, dtype=np.int64)
         if len(self.boundary_ids) == 0:
             raise SolvabilityError("boundary set must be nonempty")
-        if len(self.boundary_ids) != len(self.boundary_values):
+        if len(self.boundary_ids) != len(boundary_values):
             raise SolvabilityError("boundary values must align with boundary ids")
 
 
@@ -478,15 +468,14 @@ def matching_residuals(graph, values, bmask):
 # domain-restricted graphs
 
 
-@dataclass
 class DomainSkeleton:
     """Vertex set of the level-m cells contained in a domain closure, with
-    the classified boundary subset (the discrete counterpart of O_m/A_m)."""
+    the classified boundary subset (the discrete counterpart of O_m/A_m):
+    boundary_ids an int64 array, boundary_kinds CANTOR or CORNER per id."""
 
-    domain: geometry.Domain
-    graph: geometry.Graph
-    boundary_ids: object  # int64 array
-    boundary_kinds: tuple  # CANTOR / CORNER per boundary id
+    def __init__(self, domain, graph, boundary_ids, boundary_kinds):
+        self.domain, self.graph, self.boundary_ids, self.boundary_kinds = (
+            domain, graph, boundary_ids, boundary_kinds)
 
     def problem(self, boundary_value_fn):
         vals = [boundary_value_fn(self.graph.point(int(i))) for i in self.boundary_ids]
@@ -503,36 +492,3 @@ def domain_restricted_graph(domain, m):
     bids = np.flatnonzero(cantor | corner)
     kinds = tuple(geometry.CORNER if corner[i] else geometry.CANTOR for i in bids)
     return DomainSkeleton(domain, graph, bids, kinds)
-
-
-def solve_full_gasket(params, m, corner_values, mode="auto"):
-    """Oracle with B = V_0 on the full gasket; cross-checks the extension."""
-    graph = geometry.build_graph(params, m)
-    ids = [graph.vertex_id(q) for q in geometry.CORNERS]
-    return graph, solve(DirichletProblem(graph, ids, list(corner_values)), mode=mode)
-
-
-# ---------------------------------------------------------------------------
-# CSV interface (matches the geometry export format)
-
-
-def write_values_csv(graph, values, path):
-    with open(path, "w") as fh:
-        fh.write("vertex_id,value\n")
-        for i in range(graph.n_vertices()):
-            fh.write(f"{i},{values[i]}\n")
-
-
-def read_values_csv(path):
-    out = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "vertex_id,value":
-            raise SolvabilityError(f"expected header 'vertex_id,value', got {header!r}")
-        for line in fh:
-            vid, val = line.strip().split(",")
-            try:
-                out[int(vid)] = Fraction(val)
-            except ValueError:
-                out[int(vid)] = float(val)
-    return out

@@ -9,8 +9,6 @@ derivative of h_0 at the top corner and drives the boundary measure, the
 extension step, the Haar basis and the energy estimates.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -159,27 +157,47 @@ def _program_value(prefix, periodic):
 # the alpha/eta fixed point
 
 
-def _ratio_power(n):
+def _ratio_power(n, side=0):
     """(15/7)**n in floats, the scale of n triadic digits; refused past
-    MAX_RATIO_POWER, before any float power or product of it overflows."""
+    MAX_RATIO_POWER, before any float power or product of it overflows.
+
+    side -1 or +1 gives a bound below or above the exact power.  float(15/7)
+    is within 2**-53 of 15/7 relatively and `**` within an ulp (2**-52
+    relatively) of the power of its argument, so the float power is within
+    (n + 2) 2**-53 of the exact one for n <= MAX_RATIO_POWER; the bound
+    moves it out by (n + 4) 2**-52 and one ulp more."""
     if n > MAX_RATIO_POWER:
         raise ResolutionError(f"--lambda: its triadic digits need (15/7)**{n}, over the "
                               f"(15/7)**{MAX_RATIO_POWER} that floats keep finite here")
-    return float(RATIO) ** n
+    power = float(RATIO) ** n
+    if side:
+        power = math.nextafter(power * (1 + side * (n + 4) * 2.0 ** -52), side * math.inf)
+    return power
 
 
-def _tmap(iota, gap, x):
-    c = _ratio_power(gap)
-    e = c * (1.0 - x)
+def _rounding(side):
+    """v moved one ulp towards side * infinity; v itself for side 0."""
+    return (lambda v: math.nextafter(v, side * math.inf)) if side else (lambda v: v)
+
+
+def _tmap(iota, gap, x, side=0):
+    """The one-digit map at x: increasing in x, and decreasing in e.  side -1
+    or +1 gives a bound below or above its exact value, (15/7)**gap exact:
+    each float operation's result moves one ulp (math.nextafter), past the
+    half ulp that rounding to nearest may lose, towards the bound, and
+    inside e away from it."""
+    out, inn = _rounding(side), _rounding(-side)
+    e = inn(_ratio_power(gap, -side) * inn(1.0 - x))
     if iota == 1:
-        return 1.0 / (1.0 + 2.0 * e)
-    return (3.0 + 6.0 * e + 2.0 * e * e) / (3.0 + 15.0 * e + 6.0 * e * e)
+        return out(1.0 / inn(1.0 + inn(2.0 * e)))
+    num = out(out(3.0 + out(6.0 * e)) + out(out(2.0 * e) * e))
+    return out(num / inn(inn(3.0 + inn(15.0 * e)) + inn(inn(6.0 * e) * e)))
 
 
-def _composite(lam, depth, seed):
+def _composite(lam, depth, seed, side=0):
     x = seed
     for k in range(depth, 0, -1):
-        x = _tmap(lam.pair(k)[1], lam.gap(k), x)
+        x = _tmap(lam.pair(k)[1], lam.gap(k), x, side)
     return x
 
 
@@ -190,8 +208,11 @@ def eta_alpha(lam, tol=1e-12, max_depth=400):
     """alpha(lambda) with a certified bracket, plus eta(lambda).
 
     The one-digit maps are monotone increasing on [0, alpha(1)], so
-    composing from seed 0 and from seed alpha(1)+ brackets the limit; the
-    reported err is the bracket width at the final depth.
+    composing from seed 0 and from seed alpha(1)+ brackets the limit.
+    alpha is the composite from seed 0 in plain floats; the bracket ends are
+    composed again with outward rounding (`_tmap`'s side), so that they
+    bound the exact composites, and err, their distance rounded up, bounds
+    |alpha - alpha(lambda)|.
     """
     cached = _ETA_CACHE.get(lam.value)
     if cached is not None and cached.err <= tol:
@@ -199,16 +220,15 @@ def eta_alpha(lam, tol=1e-12, max_depth=400):
     depth = 8
     result = None
     while depth <= max_depth:
-        lo = _composite(lam, depth, 0.0)
-        hi = _composite(lam, depth, ALPHA_MAX)
-        err = hi - lo
+        alpha = _composite(lam, depth, 0.0)
+        lo, hi = _composite(lam, depth, 0.0, -1), _composite(lam, depth, ALPHA_MAX, 1)
         result = EtaAlpha(
-            alpha=lo,
-            eta=2.0 * _ratio_power(lam.m1) * (1.0 - lo),
+            alpha=alpha,
+            eta=2.0 * _ratio_power(lam.m1) * (1.0 - alpha),
             depth=depth,
-            err=err,
+            err=math.nextafter(hi - lo, math.inf),
         )
-        if err <= tol:
+        if result.err <= tol:
             break
         depth *= 2
     if result.err > tol:

@@ -15,6 +15,7 @@ from gasketbvp import halfdomain as HD
 from gasketbvp import lowerdomain as LD
 from gasketbvp import upperdomain as UP
 from gasketbvp.errors import AddressError, ContractViolation, ResolutionError
+from graph_helpers import solve_full_gasket
 
 F = Fraction
 
@@ -463,7 +464,7 @@ def test_lower_lambda_zero_is_one_harmonic_cell(data):
     default, q1, q2 = (data.draw(values(exact)) for _ in range(3))
     f = LD.LowerBoundaryData(lam, q1=q1, q2=q2, cylinders=cyl, default=default)
     corners = (cyl[max(cyl, key=len)] if cyl else default, q1, q2)
-    graph, solution = oracle.solve_full_gasket(
+    graph, solution = solve_full_gasket(
         geometry.gasket(2), 3, corners, mode="rational" if exact else "float")
     ids = data.draw(st.permutations(range(graph.n_vertices())))
     points = [graph.point(i) for i in ids]

@@ -123,6 +123,20 @@ def test_canonicalization_properties():
                 assert same_pt == same_canon
 
 
+def test_addresses_and_domains_are_frozen_records():
+    a = G.VertexAddress((0, 2), 1)
+    assert a == G.VertexAddress((0, 2), 1, canonical=False) != G.VertexAddress((0, 2), 1, True)
+    assert hash(a) == hash(G.VertexAddress((0, 2), 1))
+    assert repr(a) == "VertexAddress(word=(0, 2), corner=1, canonical=False)" and str(a) == "02:1"
+    d = G.HalfDomain(3)
+    assert d == G.Domain(3, 0, F(1), -1, (1,)) and hash(d) == hash(G.HalfDomain(3))
+    assert repr(d) == "Domain(level=3, axis=0, cut=Fraction(1, 1), side=-1, corners=(1,))"
+    assert d.params is G.gasket(3)
+    for record, field in ((a, "corner"), (d, "cut"), (a, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+
 def test_alias_of_shared_midpoint():
     p = G.gasket(2)
     a = G.VertexAddress((0,), 1)  # F_0 q_1 == F_1 q_0

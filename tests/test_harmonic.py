@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from gasketbvp import geometry as G
 from gasketbvp import harmonic as H
-from gasketbvp import oracle as O
 from gasketbvp.errors import CapabilityError, ContractViolation
+from graph_helpers import (GraphFunction, LevelMismatchError, graph_energy, solve_full_gasket,
+                           verify_matching)
+
 
 F = Fraction
 
@@ -59,29 +61,29 @@ def test_extension_matches_gamma1_solve():
 
 
 def graph_fn(graph, fn):
-    return H.GraphFunction(graph, [fn(graph.point(i)) for i in range(graph.n_vertices())])
+    return GraphFunction(graph, [fn(graph.point(i)) for i in range(graph.n_vertices())])
 
 
 def test_graph_energy_examples():
     g0 = G.build_graph(G.gasket(3), 0)
     ha = {G.Q0: F(0), G.Q1: F(1), G.Q2: F(-1)}
     f0 = graph_fn(g0, lambda p: ha[p])
-    assert H.graph_energy(f0) == 6
+    assert graph_energy(f0) == 6
     # harmonic extension preserves the energy at the next level
     g1 = G.build_graph(G.gasket(3), 1)
     f1 = graph_fn(g1, lambda p: H.harmonic_value_in_cell(3, (F(0), F(1), F(-1)), p))
-    assert H.graph_energy(f1) == 6
-    const = H.GraphFunction(g1, [F(3)] * g1.n_vertices())
-    assert H.graph_energy(const) == 0
+    assert graph_energy(f1) == 6
+    const = GraphFunction(g1, [F(3)] * g1.n_vertices())
+    assert graph_energy(const) == 0
 
 
 def test_graph_energy_level_mismatch():
     g0 = G.build_graph(G.gasket(3), 0)
     g1 = G.build_graph(G.gasket(3), 1)
-    with pytest.raises(H.LevelMismatchError):
-        H.graph_energy(
-            H.GraphFunction(g0, [1, 2, 3]),
-            H.GraphFunction(g1, [0] * g1.n_vertices()),
+    with pytest.raises(LevelMismatchError):
+        graph_energy(
+            GraphFunction(g0, [1, 2, 3]),
+            GraphFunction(g1, [0] * g1.n_vertices()),
         )
 
 
@@ -98,7 +100,7 @@ def test_energy_monotone_under_restriction():
             g1, lambda q: H.harmonic_value_in_cell(l, corner_vals, q)
         )
         f0 = graph_fn(g0, lambda q: H.harmonic_value_in_cell(l, corner_vals, q))
-        assert H.graph_energy(harm) == H.graph_energy(f0)
+        assert graph_energy(harm) == graph_energy(f0)
         bumped = list(harm.values)
         for i in range(g1.n_vertices()):
             if tuple(map(int, g1.verts[i])) not in [
@@ -106,7 +108,7 @@ def test_energy_monotone_under_restriction():
             ]:
                 bumped[i] += F(1, 2)
                 break
-        assert H.graph_energy(H.GraphFunction(g1, bumped)) > H.graph_energy(f0)
+        assert graph_energy(GraphFunction(g1, bumped)) > graph_energy(f0)
 
 
 def test_maximum_principle():
@@ -168,29 +170,29 @@ def test_normal_derivative_rejects_non_harmonic():
 
 def test_verify_matching():
     g = G.build_graph(G.gasket(2), 1)
-    const = H.GraphFunction(g, [F(2)] * g.n_vertices())
+    const = GraphFunction(g, [F(2)] * g.n_vertices())
     harm = graph_fn(g, lambda p: H.harmonic_value_in_cell(2, (F(3), F(0), F(1)), p))
     mid = g.vertex_id(((G.Q0[0] + G.Q1[0]) / 2, (G.Q0[1] + G.Q1[1]) / 2))
-    assert H.verify_matching(const, mid) == 0
-    assert H.verify_matching(harm, mid) == 0
+    assert verify_matching(const, mid) == 0
+    assert verify_matching(harm, mid) == 0
     indicator = [F(0)] * g.n_vertices()
     indicator[mid] = F(1)
-    assert H.verify_matching(H.GraphFunction(g, indicator), mid) == 4
+    assert verify_matching(GraphFunction(g, indicator), mid) == 4
     with pytest.raises(ContractViolation):
         corner = g.vertex_id(G.Q1)
-        H.verify_matching(const, corner)
+        verify_matching(const, corner)
 
 
 def test_graph_energy_of_a_float_oracle_solution():
     # the oracle's float solution holds floats; its energy is the exact
     # one, E_0 of the corner data, to rounding
     params = G.gasket(3)
-    graph, exact = O.solve_full_gasket(params, 3, (F(1), F(0), F(-2)), mode="rational")
-    _, floats = O.solve_full_gasket(params, 3, (1.0, 0.0, -2.0), mode="float")
+    graph, exact = solve_full_gasket(params, 3, (F(1), F(0), F(-2)), mode="rational")
+    _, floats = solve_full_gasket(params, 3, (1.0, 0.0, -2.0), mode="float")
     assert len(floats) == graph.n_vertices() and all(type(v) is float for v in floats)
-    want = H.graph_energy(H.GraphFunction(graph, exact))
+    want = graph_energy(GraphFunction(graph, exact))
     assert want == 14
-    got = H.graph_energy(H.GraphFunction(graph, floats))
+    got = graph_energy(GraphFunction(graph, floats))
     assert abs(got - 14) <= 1e-12 * 14
 
 

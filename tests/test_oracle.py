@@ -15,17 +15,18 @@ from gasketbvp import halfdomain as HD
 from gasketbvp import harmonic as H
 from gasketbvp import oracle as O
 from gasketbvp.errors import AddressError, ContractViolation, SolvabilityError
+from graph_helpers import read_values_csv, solve_full_gasket, write_values_csv
 
 F = Fraction
 
 
 def test_constant_data():
-    graph, vals = O.solve_full_gasket(G.gasket(2), 2, (F(3), F(3), F(3)))
+    graph, vals = solve_full_gasket(G.gasket(2), 2, (F(3), F(3), F(3)))
     assert all(v == 3 for v in vals)
 
 
 def test_sg3_level1_matches_extension_rule():
-    graph, vals = O.solve_full_gasket(G.gasket(3), 1, (F(1), F(0), F(0)))
+    graph, vals = solve_full_gasket(G.gasket(3), 1, (F(1), F(0), F(0)))
     expected = H.harmonic_extend_cell(3, (F(1), F(0), F(0)))
     for pt, v in expected.items():
         vid = graph.vertex_id((F(pt[0], 3), F(pt[1], 3)))
@@ -38,7 +39,7 @@ def test_oracle_equals_repeated_extension_exact():
     for l, mmax in ((2, 5), (3, 4)):
         data = (F(2), F(-1), F(5, 3))
         for m in range(1, mmax + 1):
-            graph, vals = O.solve_full_gasket(G.gasket(l), m, data)
+            graph, vals = solve_full_gasket(G.gasket(l), m, data)
             for i in range(graph.n_vertices()):
                 want = H.harmonic_value_in_cell(l, data, graph.point(i))
                 assert vals[i] == want
@@ -46,8 +47,8 @@ def test_oracle_equals_repeated_extension_exact():
 
 def test_float_mode_matches_rational():
     data = (1.0, 0.0, 0.0)
-    graph, vals = O.solve_full_gasket(G.gasket(3), 3, data, mode="float")
-    _, exact = O.solve_full_gasket(G.gasket(3), 3, (F(1), F(0), F(0)))
+    graph, vals = solve_full_gasket(G.gasket(3), 3, data, mode="float")
+    _, exact = solve_full_gasket(G.gasket(3), 3, (F(1), F(0), F(0)))
     err = max(abs(vals[i] - float(exact[i])) for i in range(graph.n_vertices()))
     assert err < 1e-11
     bmask = np.zeros(graph.n_vertices(), dtype=bool)
@@ -58,14 +59,14 @@ def test_float_mode_matches_rational():
 
 def test_unknown_mode_rejected():
     with pytest.raises(ContractViolation, match="mode"):
-        O.solve_full_gasket(G.gasket(3), 3, (1.0, 0.25, -0.5), mode="cg")
+        solve_full_gasket(G.gasket(3), 3, (1.0, 0.25, -0.5), mode="cg")
 
 
 def test_maximum_principle_random():
     rng = random.Random(21)
     for _ in range(5):
         data = tuple(rng.uniform(-2, 2) for _ in range(3))
-        graph, vals = O.solve_full_gasket(G.gasket(2), 4, data, mode="float")
+        graph, vals = solve_full_gasket(G.gasket(2), 4, data, mode="float")
         assert min(data) - 1e-12 <= min(vals) and max(vals) <= max(data) + 1e-12
 
 
@@ -157,23 +158,23 @@ def test_truncated_half_domain_converges_to_one_third():
 
 
 def test_values_csv_roundtrip(tmp_path):
-    graph, vals = O.solve_full_gasket(G.gasket(2), 1, (F(1), F(0), F(0)))
+    graph, vals = solve_full_gasket(G.gasket(2), 1, (F(1), F(0), F(0)))
     path = tmp_path / "vals.csv"
-    O.write_values_csv(graph, vals, path)
-    back = O.read_values_csv(path)
+    write_values_csv(graph, vals, path)
+    back = read_values_csv(path)
     assert back == {i: vals[i] for i in range(graph.n_vertices())}
 
 
 def test_rational_cap_checked_before_assembly():
     with pytest.raises(SolvabilityError, match="capped"):
-        O.solve_full_gasket(G.gasket(3), 5, (F(1), F(0), F(0)), mode="rational")
+        solve_full_gasket(G.gasket(3), 5, (F(1), F(0), F(0)), mode="rational")
 
 
 def test_values_csv_bad_header(tmp_path):
     path = tmp_path / "vals.csv"
     path.write_text("id,value\n0,1\n")
     with pytest.raises(SolvabilityError):
-        O.read_values_csv(path)
+        read_values_csv(path)
 
 
 @pytest.mark.parametrize("domain,m", [

@@ -1,10 +1,16 @@
 """Rules the package source keeps: checks raise real errors (the types in
-`gasketbvp.errors`), never `assert`, which `python -O` strips; and nothing
-is kept that nothing reads: every attribute set on `self` is read
-somewhere, and every private top-level name is used beyond its
-definition."""
+`gasketbvp.errors`), never `assert`, which `python -O` strips; nothing is
+kept that nothing reads: every attribute set on `self` is read somewhere,
+every private top-level name is used beyond its definition, and every
+public one by the package, the demos, the bench or the acceptance tests;
+and start-up loads only what a command runs: no `dataclasses` (with its
+`inspect`, `ast`, `dis` and `tokenize`), and numpy and the oracle only
+when a graph is built or `compare` runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,8 +18,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gasketbvp"
 SOURCES = sorted(SRC.glob("*.py"))
-TREES = {path: ast.parse(path.read_text(), filename=str(path))
-         for path in SOURCES + sorted((ROOT / "tests").glob("*.py"))}
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+# what outside the package may use a public name: the demos, the bench (its
+# tracing names functions in strings) and the acceptance tests
+USERS = [*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "bench").glob("*.py")),
+         ROOT / "tests" / "test_acceptance.py"]
+TREES = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES + TESTS + USERS}
+# paper formulas and diagnostics that only the other tests use
+TESTED_ONLY = {
+    "antisymmetric_values", "atom_point", "constant_data", "closed_form_zero_matrix",
+    "closed_form_ones_matrix", "constant_lower", "normal_derivatives_lower",
+    "normal_derivative_q0", "empirical_generator_ratios", "matching_residuals",
+}
 
 
 def names_read(node):
@@ -30,7 +46,7 @@ def test_no_assert(path):
 
 
 def test_every_self_attribute_is_read():
-    read = set().union(*map(names_read, TREES.values()))
+    read = set().union(*(names_read(TREES[path]) for path in SOURCES + TESTS))
     unread = sorted(
         f"{path.name}:{node.lineno} self.{target.attr}"
         for path in SOURCES for node in ast.walk(TREES[path])
@@ -42,22 +58,64 @@ def test_every_self_attribute_is_read():
     assert unread == []
 
 
-def test_every_private_name_is_used():
+def top_level_names():
+    """(path, node, name) for every name a top-level def, class or
+    assignment of the package defines."""
+    for path in SOURCES:
+        for node in TREES[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path, node, node.name
+            elif isinstance(node, ast.Assign):
+                yield from ((path, node, t.id) for t in node.targets if isinstance(t, ast.Name))
+
+
+def used_in(paths, name, node):
     # a top-level statement's own reads do not count for the names it defines
-    tops = [(path, node) for path, tree in TREES.items() for node in tree.body]
-    unused = []
-    for path, node in tops:
-        if path not in SOURCES:
-            continue
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined = [node.name]
-        elif isinstance(node, ast.Assign):
-            defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in defined:
-            if name.startswith("_") and not name.startswith("__") and not any(
-                name in names_read(other) for _, other in tops if other is not node
-            ):
-                unused.append(f"{path.name}:{node.lineno} {name}")
+    return any(name in names_read(other) for path in paths for other in TREES[path].body
+               if other is not node)
+
+
+def test_every_private_name_is_used():
+    unused = [f"{path.name}:{node.lineno} {name}" for path, node, name in top_level_names()
+              if name.startswith("_") and not name.startswith("__")
+              and not used_in(SOURCES + TESTS, name, node)]
     assert unused == []
+
+
+def test_every_public_name_is_used():
+    outside = set().union(*(names_read(TREES[path]) for path in USERS))
+    outside |= {part for path in USERS for n in ast.walk(TREES[path])
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                for part in n.value.split(".")}
+    unused = {name for _, node, name in top_level_names()
+              if not name.startswith("_") and name not in outside
+              and not used_in(SOURCES, name, node)}
+    assert unused - TESTED_ONLY == set(), "used by no package, demo, bench or acceptance code"
+    assert TESTED_ONLY - unused == set(), "listed as tested only, but used or gone"
+
+
+def test_no_dataclasses():
+    importers = [path.name for path in SOURCES for node in ast.walk(TREES[path])
+                 if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert importers == []
+
+
+# what importing a module must not load
+UNLOADED = {
+    "gasketbvp.cli": ["dataclasses", "inspect", "numpy", "gasketbvp.oracle"],
+    "gasketbvp.oracle": ["dataclasses", "numpy"],
+}
+
+
+@pytest.mark.parametrize("module", UNLOADED)
+def test_start_up_loads_only_what_commands_run(module):
+    # a fresh interpreter, and only the modules the import adds: what the
+    # interpreter's own start loads does not count
+    script = ("import sys; before = set(sys.modules); import " + module
+              + "; print(' '.join(sorted(set(sys.modules) - before)))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert module in loaded
+    assert [name for name in UNLOADED[module] if name in loaded] == []

@@ -1,9 +1,12 @@
 import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketbvp import geometry as G
 from gasketbvp import harmonic as H
@@ -88,6 +91,43 @@ def test_alpha_half_exact():
     ea = UP.eta_alpha(UP.TriadicLambda(F(1, 2)))
     assert abs(ea.alpha - 7 / 30) < 1e-12
     assert abs(UP.eta_of(UP.TriadicLambda(F(1, 2))) - 23 / 7) < 1e-11
+
+
+def test_ratio_power_bounds_bracket_the_exact_power():
+    for n in range(UP.MAX_RATIO_POWER + 1):
+        exact = F(15, 7) ** n
+        assert F(UP._ratio_power(n, -1)) < exact < F(UP._ratio_power(n, 1))
+        assert abs(F(UP._ratio_power(n)) - exact) <= exact * F(n + 2, 2 ** 53)
+
+
+def decimal_composite(lam, depth, seed):
+    """The exact one-digit maps of `eta_alpha`'s composite, to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(seed)
+        for k in range(depth, 0, -1):
+            e = (Decimal(15) / 7) ** lam.gap(k) * (1 - x)
+            if lam.pair(k)[1] == 1:
+                x = 1 / (1 + 2 * e)
+            else:
+                x = (3 + 6 * e + 2 * e * e) / (3 + 15 * e + 6 * e * e)
+        return x
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(prefix=st.lists(st.tuples(st.integers(1, 40), st.sampled_from([1, 2])), max_size=5),
+       periodic=st.lists(st.tuples(st.integers(1, 4), st.sampled_from([1, 2])), min_size=1, max_size=3))
+def test_alpha_bound_covers_rounding(prefix, periodic):
+    """The exact composites from both seeds, at the depth `eta_alpha`
+    stops at, lie within alpha +- err: the printed bound survives the
+    rounding of up to 64 float map evaluations."""
+    ms = itertools.accumulate(gap for gap, _ in prefix)
+    text = "digits:" + "".join(f"({m},{i})" for m, (_, i) in zip(ms, prefix))
+    lam = UP.TriadicLambda.parse(text + "periodic:" + "".join(f"({g},{i})" for g, i in periodic))
+    ea = UP.eta_alpha(lam, tol=1e-12, max_depth=64)
+    alpha, err = Decimal(ea.alpha), Decimal(ea.err)
+    for seed in (0.0, UP.ALPHA_MAX):
+        assert alpha - err <= decimal_composite(lam, ea.depth, seed) <= alpha + err
 
 
 def test_measure_weights():
