@@ -174,20 +174,23 @@ def cmd_compare(cfg, fam, lam):
     lo, hi = cfg.levels
     if hi > cylinder.MAX_RECURSION:  # data words, so the boundary lookup, reach no deeper
         raise UsageError(f"--levels {lo}:{hi}: the oracle solves levels up to {cylinder.MAX_RECURSION}")
-    # the top level's cell tree: checked against both caps before any level, solved last
-    top = geometry.domain_cell_tree(dom, hi)
-    unknowns = oracle.domain_unknowns(dom, top)
-    f = _data(cfg, fam, lam)
     mode = cfg.mode if cfg.mode != "auto" else "float"
+    # one run's cell shapes serve every level; the top level is counted
+    # against the rational cap before the data is read
+    shapes = oracle.CellShapes(dom, mode)
+    unknowns = shapes.unknowns(hi)
+    f = _data(cfg, fam, lam)
     if mode == "rational":
         oracle.check_exact_cap(unknowns)
+    # every level is listed before any is solved, the top one first, so
+    # the cell budget refuses before any level
+    levels = list(range(lo, hi + 1))
+    trees = {m: shapes.tree(m, (frame, f)) for m in (hi, *levels[:-1])}
     s, rows = _solution_rows(frame, f, dom, cfg.depth)
     targets = [(F(x, s), F(y, s)) for _, _, x, y, _ in rows]
     lines, maxes = ["level,max_abs,mean_abs"], []
-    levels = list(range(lo, hi + 1))
     for m in levels:
-        cells = top if m == hi else geometry.domain_cell_tree(dom, m)
-        vals = oracle.solve_domain(dom, cells, partial(frame.terminals, f), targets, mode)
+        vals = oracle.solve_domain(trees[m], partial(frame.terminals, f), targets)
         diffs = [abs(float(row[4]) - float(v)) for row, v in zip(rows, vals)]
         maxes.append(max(diffs))
         lines.append(f"{m},{maxes[-1]!r},{sum(diffs) / len(diffs)!r}")

@@ -13,8 +13,12 @@ the conventional order is 3 = bottom middle, 4 = right, 5 = left).
 Graphs are numpy arrays, and numpy is imported inside the functions that
 build or read them, so that only a caller that builds a graph pays for it:
 graph export, and the tests and demos that give one to `oracle.solve`.
-`domain_vertices` (for `solve`) and `domain_cell_tree` (for the oracle)
-walk a domain's cells top down in plain Python.
+`domain_vertices` (for `solve`) walks a domain's cells top down in plain
+Python.  For the oracle, `cell_shape` tells what a cell of a domain's
+graph is from its shape alone: the cut's place in the cell's own
+coordinates, its boundary corners and its depth.  The oracle lists a
+level's cells by shape within MAX_TREE_CELLS, which counts the cells it
+lists one by one and the shapes it makes.
 """
 
 import math
@@ -29,7 +33,9 @@ from .errors import AddressError, CapabilityError, ContractViolation, Resolution
 MAX_LEVEL = 8
 MAX_GRAPH_LEVEL = 14
 MAX_GRAPH_CELLS = 3 ** MAX_GRAPH_LEVEL
-# the most cells `domain_cell_tree` lists (upper lambda = 1 lists 29,533 at m = 9)
+# the oracle's budget for one level of a domain: the cells it lists one by
+# one (those above the leaves, and the leaves) plus the shapes made so far.
+# Half-SG_3 without data by word lists 16,383 cells at m = 13
 MAX_TREE_CELLS = 30_000
 
 Q0 = (Fraction(1), Fraction(2))
@@ -603,67 +609,46 @@ def domain_vertices(domain, m):
     return [(x, y, VertexAddress(*first[x, y])) for x, y in sorted(first)]
 
 
-# a child in `domain_cell_tree` that is not visited: it and every cell below
-# it are in the domain graph, and none holds a boundary vertex
+# a cell inside the domain graph that holds no boundary vertex
 PLAIN = -1
 
 
-def domain_cell_tree(domain, m):
-    """The cells of `domain_graph(domain, m)` as a tree walked top down,
-    listing only the root and the cells that cross the cut or hold a
-    boundary vertex (on the cut line, or a boundary corner of the domain).
+def cell_shape(domain, tau, bits, d):
+    """What a cell d levels above the graph's level m is in
+    `domain_graph(domain, m)`, from its shape alone: tau / q, where the cut
+    lies along the domain's axis in the cell's own coordinates (the cell
+    taken as the gasket of corners q_j), an integer over the denominator q
+    of the domain's cut, and bits, the mask of its corners that are
+    boundary corners of the domain.  The closed side rounds the cut as the
+    graph does, at the cell's scale l**d.
 
-    Returns one list per level k = 0..m of the listed level-k cells, each
-    (x, y, kids): corner j of the cell is at l**(m-k) q_j + (x, y) in
-    integer coordinates at scale l**m.  Above level m, kids[d] is child d's
-    index in the next level's list, PLAIN for a child inside the domain
-    with no boundary vertex, or None for a child with no corner on the
-    closed side of the cut, or a level-m child that crosses it: the graph
-    drops both.  At level m, kids is the bit mask of the corners that are
-    boundary vertices.  A tree of more than MAX_TREE_CELLS cells is refused
-    as soon as its count passes them."""
-    if m < 1:
-        raise ResolutionError("domain restriction needs m >= 1")
-    params = domain.params
-    l, axis = params.level, domain.axis
-    s = l ** m
-    closed = _closed_side(domain, m)
-    cut = domain.cut * s
-    line = cut.numerator if cut.denominator == 1 else None
-    levels, row, count = [], [(0, 0)], 1
-    for k in range(1, m + 1):
-        step = l ** (m - k)
-        shifts = [(step * tx, step * ty) for tx, ty in params.int_translations]
-        reach = [step * q[axis] for q in CORNERS_INT]
-        # a boundary corner q_c of the domain is corner c of the cell c...c
-        ends = {((s - step) * CORNERS_INT[c][0], (s - step) * CORNERS_INT[c][1]): 1 << c
-                for c in domain.corners}
-        listed, below = [], []
-        for x, y in row:
-            kids = []
-            for dx, dy in shifts:
-                cx, cy = x + dx, y + dy
-                base = (cx, cy)[axis]
-                inside = [closed(base + r) for r in reach]
-                if not any(inside) or (k == m and not all(inside)):
-                    kids.append(None)
-                    continue
-                bits = ends.get((cx, cy), 0)
-                bits |= sum(1 << j for j, r in enumerate(reach) if base + r == line)
-                if all(inside) and not bits:
-                    kids.append(PLAIN)
-                else:
-                    kids.append(len(below))
-                    below.append((cx, cy) if k < m else (cx, cy, bits))
-            listed.append((x, y, tuple(kids)))
-        levels.append(listed)
-        row = below
-        count += len(row)
-        if count > MAX_TREE_CELLS:
-            raise ResolutionError(f"level {m} lists more than {MAX_TREE_CELLS} cells of the domain "
-                                  "in its cell tree, the oracle's budget: lower --levels")
-    levels.append(row)
-    return levels
+    Returns None when no level-m cell of the graph lies in the cell, PLAIN
+    when the whole cell is in the graph and holds no boundary vertex, the
+    mask of its boundary corners (on the cut line or in bits) at d = 0, and
+    else the shapes (tau, bits) of its children by digit: child t has the
+    cut at l tau / q - (l t_t) along the axis, or at -1 or 3, clear of the
+    whole cell, when the cut meets nothing below, and keeps bit t."""
+    params, axis, q = domain.params, domain.axis, domain.cut.denominator
+    l = params.level
+    scaled = tau * l ** d
+    # the last coordinate on the closed side, at scale l**d
+    bound = scaled // q if domain.side < 0 else -(-scaled // q)
+    reach = [l ** d * c[axis] for c in CORNERS_INT]
+    inside = [(r - bound) * domain.side >= 0 for r in reach]
+    line = sum(1 << j for j, r in enumerate(reach) if r * q == scaled)
+    if d == 0:
+        return bits | line if all(inside) else None
+    if not any(inside):
+        return None
+    if all(inside) and not bits | line:
+        return PLAIN
+    if all(inside) and not line:
+        # the cut meets nothing below: every child sees it from afar, so
+        # one cut stands for all (the cells of the domain's corners share it)
+        return tuple(((-1 if domain.side > 0 else 3) * q, bits & 1 << n)
+                     for n in range(params.map_count))
+    return tuple((l * tau - t[axis] * q, bits & 1 << n)
+                 for n, t in enumerate(params.int_translations))
 
 
 def boundary_masks(domain, graph):

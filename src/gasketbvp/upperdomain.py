@@ -12,6 +12,7 @@ extension step, the Haar basis and the energy estimates.
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from . import cylinder, geometry
 from .cylinder import MAX_RECURSION, CylinderData
@@ -20,7 +21,20 @@ from .geometry import Q0, gasket
 
 F = Fraction
 
-RATIO = 1 / geometry.renormalization_factor(3)  # r^-1 of SG_3
+
+def __getattr__(name):
+    # RATIO, r^-1 of SG_3, is an exact solve on Gamma_1: made on first read,
+    # since only upper-domain commands read it
+    if name == "RATIO":
+        return _ratio()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+@lru_cache(maxsize=None)
+def _ratio():
+    return 1 / geometry.renormalization_factor(3)
+
+
 # (15/7)**300 < 2e99: eta < 2 (15/7)**m_1 and its cube in extend_step_upper stay finite
 MAX_RATIO_POWER = 300
 ALPHA_MAX = 0.4415378110            # just above alpha(1) = (75 - sqrt(2353))/60
@@ -169,7 +183,7 @@ def _ratio_power(n, side=0):
     if n > MAX_RATIO_POWER:
         raise ResolutionError(f"--lambda: its triadic digits need (15/7)**{n}, over the "
                               f"(15/7)**{MAX_RATIO_POWER} that floats keep finite here")
-    power = float(RATIO) ** n
+    power = float(_ratio()) ** n
     if side:
         power = math.nextafter(power * (1 + side * (n + 4) * 2.0 ** -52), side * math.inf)
     return power
@@ -406,7 +420,9 @@ class UpperFrame(cylinder.Frame):
     level = 3
     slots = (0,)
 
-    ratio = float(RATIO)
+    @property
+    def ratio(self):
+        return float(_ratio())
 
     def __init__(self, lam):
         self.lam = lam

@@ -1,8 +1,10 @@
-"""Helpers that only the tests use: the full-gasket oracle, a CSV round trip
-of oracle values, and functions on a graph's vertices with their energy
-and mean-value residual.  They build on the package's public API and
-keep no state of their own."""
+"""Helpers that only the tests use: the full-gasket oracle, the per-cell
+cell tree of a domain (the reference the oracle's compressed listing is
+checked against), a CSV round trip of oracle values, and functions on a
+graph's vertices with their energy and mean-value residual.  They build on
+the package's API and keep no state of their own."""
 
+import math
 from fractions import Fraction
 
 from gasketbvp import geometry, oracle
@@ -18,6 +20,88 @@ def solve_full_gasket(params, m, corner_values, mode="auto"):
     graph = geometry.build_graph(params, m)
     ids = [graph.vertex_id(q) for q in geometry.CORNERS]
     return graph, oracle.solve(oracle.DirichletProblem(graph, ids, list(corner_values)), mode=mode)
+
+
+# ---------------------------------------------------------------------------
+# the per-cell cell tree of a domain
+
+
+def domain_cell_tree(domain, m):
+    """The cells of `domain_graph(domain, m)` as a tree walked top down,
+    listing only the root and the cells that cross the cut or hold a
+    boundary vertex (on the cut line, or a boundary corner of the domain).
+
+    Returns one list per level k = 0..m of the listed level-k cells, each
+    (x, y, kids): corner j of the cell is at l**(m-k) q_j + (x, y) in
+    integer coordinates at scale l**m.  Above level m, kids[d] is child d's
+    index in the next level's list, PLAIN for a child inside the domain
+    with no boundary vertex, or None for a child with no corner on the
+    closed side of the cut, or a level-m child that crosses it: the graph
+    drops both.  At level m, kids is the bit mask of the corners that are
+    boundary vertices."""
+    params = domain.params
+    l, axis = params.level, domain.axis
+    s = l ** m
+    cut = domain.cut * s
+    bound = math.floor(cut) if domain.side < 0 else math.ceil(cut)
+    line = cut.numerator if cut.denominator == 1 else None
+    levels, row = [], [(0, 0)]
+    for k in range(1, m + 1):
+        step = l ** (m - k)
+        shifts = [(step * tx, step * ty) for tx, ty in params.int_translations]
+        reach = [step * q[axis] for q in geometry.CORNERS_INT]
+        # a boundary corner q_c of the domain is corner c of the cell c...c
+        ends = {((s - step) * geometry.CORNERS_INT[c][0], (s - step) * geometry.CORNERS_INT[c][1]):
+                1 << c for c in domain.corners}
+        listed, below = [], []
+        for x, y in row:
+            kids = []
+            for dx, dy in shifts:
+                cx, cy = x + dx, y + dy
+                base = (cx, cy)[axis]
+                inside = [(base + r - bound) * domain.side >= 0 for r in reach]
+                if not any(inside) or (k == m and not all(inside)):
+                    kids.append(None)
+                    continue
+                bits = ends.get((cx, cy), 0)
+                bits |= sum(1 << j for j, r in enumerate(reach) if base + r == line)
+                if all(inside) and not bits:
+                    kids.append(geometry.PLAIN)
+                else:
+                    kids.append(len(below))
+                    below.append((cx, cy) if k < m else (cx, cy, bits))
+            listed.append((x, y, tuple(kids)))
+        levels.append(listed)
+        row = below
+    levels.append(row)
+    return levels
+
+
+def reference_rows(domain, m, number):
+    """`domain_cell_tree` as the rows of the oracle's engine, every listed
+    cell of it a row down to level m, where the cells are the leaves; a
+    child without load is not a row."""
+    cells = domain_cell_tree(domain, m)
+    level = domain.level
+    rows = [[(x, y, oracle._finest_types(number)[bits], None, None) for x, y, bits in cells[m]]]
+    for k in range(m - 1, -1, -1):
+        plain, below = oracle._plain_type(level, m - k - 1, number), rows[0]
+        row = []
+        for x, y, kids in cells[k]:
+            children = tuple(plain if c == geometry.PLAIN else None if c is None else below[c][2]
+                             for c in kids)
+            t = oracle._condense_type(level, children, number) if any(children) else None
+            row.append((x, y, t, tuple(c if t and t.loaded else None
+                                       for c, t in zip(kids, children)), None))
+        rows.insert(0, row)
+    # drop the rows without load, renumbering their parents' kids
+    for k in range(m, 0, -1):
+        keep = [i for i, (_, _, t, _, _) in enumerate(rows[k]) if t is not None and t.loaded]
+        new = {i: n for n, i in enumerate(keep)}
+        rows[k] = [rows[k][i] for i in keep]
+        rows[k - 1] = [(x, y, t, tuple(new.get(c) for c in kids), inside)
+                       for x, y, t, kids, inside in rows[k - 1]]
+    return rows
 
 
 # ---------------------------------------------------------------------------

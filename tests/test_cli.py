@@ -8,6 +8,7 @@ import pytest
 
 import gasketbvp
 from gasketbvp import cli, geometry, harmonic
+from gasketbvp.errors import GasketError
 
 F = Fraction
 
@@ -423,7 +424,7 @@ def count_solves(monkeypatch):
     solved = []
     solve = oracle.solve_domain
     monkeypatch.setattr(oracle, "solve_domain",
-                        lambda *a: solved.append(len(a[1]) - 1) or solve(*a))
+                        lambda *a: solved.append(len(a[0].rows) - 1) or solve(*a))
     return solved
 
 
@@ -451,11 +452,11 @@ def test_compare_reads_the_boundary_in_one_batch_per_level(domain, data, tmp_pat
     batches = []
     solve = oracle.solve_domain
 
-    def counted(dom, cells, values, *rest):
+    def counted(tree, values, *rest):
         def batch(points, s):
-            batches.append((len(cells) - 1, len(points)))
+            batches.append((len(tree.rows) - 1, len(points)))
             return values(points, s)
-        return solve(dom, cells, batch, *rest)
+        return solve(tree, batch, *rest)
 
     monkeypatch.setattr(oracle, "solve_domain", counted)
     path = write_json(tmp_path / "f.json", {"schema": 1, **data})
@@ -465,18 +466,54 @@ def test_compare_reads_the_boundary_in_one_batch_per_level(domain, data, tmp_pat
     assert all(n > 0 for _, n in batches)
 
 
+def test_compare_reads_a_batch_of_bounded_size_at_every_level(tmp_path, capsys, monkeypatch):
+    # the data is constant below depth 2, so every level looks up the
+    # corners of the same few cells, however many cells its graph has
+    # (6**20 at level 20)
+    from gasketbvp import oracle
+
+    batches = {}
+    solve = oracle.solve_domain
+
+    def counted(tree, values, targets):
+        def batch(points, s):
+            batches[len(tree.rows) - 1] = len(points)
+            return values(points, s)
+        return solve(tree, batch, targets)
+
+    monkeypatch.setattr(oracle, "solve_domain", counted)
+    path = write_json(tmp_path / "u.json", {"schema": 1, "q0": "1", "default_tail": "0",
+                                            "cylinders": [{"w": "1", "v": "2"},
+                                                          {"w": "31", "v": "-1"}]})
+    code, out, err = run(["compare", "--domain", "upper", "--lambda", "1", "--levels", "3:20",
+                          "--mode", "float", "--data", path], capsys)
+    assert code == 0, err
+    assert sorted(batches) == list(range(3, 21))
+    assert set(batches.values()) == {7}
+    assert out.splitlines()[-1] == "monotone_decreasing,true"
+
+
 def test_compare_builds_each_level_tree_once(half_data, capsys, monkeypatch):
-    # the top level's tree is counted against the budget and the rational
-    # cap first, then solved without being built again
-    built = []
-    tree = geometry.domain_cell_tree
-    monkeypatch.setattr(geometry, "domain_cell_tree",
-                        lambda dom, m: built.append(m) or tree(dom, m))
+    # each level's cells are listed once, on one run's shapes, the top
+    # level first, so that it is counted against the budget before any
+    # level is solved
+    from gasketbvp import oracle
+
+    built, solved, shapes = [], count_solves(monkeypatch), set()
+    tree = oracle.CellShapes.tree
+
+    def listed(self, m, data=None):
+        built.append(m)
+        shapes.add(id(self))
+        assert solved == []
+        return tree(self, m, data)
+
+    monkeypatch.setattr(oracle.CellShapes, "tree", listed)
     for mode in ("rational", "float"):
-        built.clear()
+        built.clear(), solved.clear(), shapes.clear()
         code, out, err = run(["compare", "--domain", "half-sg", "--levels", "2:5", "--mode", mode,
                               "--data", half_data], capsys)
-        assert (code, built) == (0, [5, 2, 3, 4]), err
+        assert (code, built, solved, len(shapes)) == (0, [5, 2, 3, 4], [2, 3, 4, 5], 1), err
 
 
 def test_compare_condenses_large_cells_in_floats(half_data, capsys):
@@ -490,20 +527,33 @@ def test_compare_condenses_large_cells_in_floats(half_data, capsys):
 
 def test_compare_checks_the_tree_budget_before_any_level(half_data, tmp_path, capsys,
                                                         monkeypatch):
-    # levels 8-9 of half-SG3 list 1,012 and 2,035 tree cells (the level-9
-    # graph would have 6**9): solved.  Level 13 lists 32,751, over the
-    # budget, upper lambda = 1 passes it long before level 40, and no data
-    # word reaches level 65: each is refused before any level is solved
+    # the data is constant below its words, so half-SG3 to level 13 and
+    # upper lambda = 1 to level 40 list a few cells and a few hundred
+    # shapes (both were refused when every cell at the cut was listed)
+    from gasketbvp import oracle
+
     solved = count_solves(monkeypatch)
-    code, out, err = run(["compare", "--domain", "half-sg3", "--levels", "8:9",
-                          "--data", half_data], capsys)
-    assert (code, solved) == (0, [8, 9]), err
     upper = write_json(tmp_path / "u.json", {"schema": 1, "q0": "1", "default_tail": "0"})
+    for argv, levels in (
+        (["--domain", "half-sg3", "--levels", "12:13", "--data", half_data], [12, 13]),
+        (["--domain", "upper", "--lambda", "1", "--levels", "39:40", "--data", upper], [39, 40]),
+    ):
+        solved.clear()
+        code, out, err = run(["compare", *argv], capsys)
+        assert (code, solved) == (0, levels), err
+    # without data by word every cell at the cut is listed: half-SG3 lists
+    # 16,383 cells at level 13 and 32,767 at level 14, over the budget
+    shapes = oracle.CellShapes(geometry.HalfDomain(3), "float")
+    assert len(sum(shapes.tree(13).rows, [])) == 16_383
+    with pytest.raises(GasketError, match=f"level 14 lists more than {geometry.MAX_TREE_CELLS} "
+                                          "cells and shapes"):
+        shapes.tree(14)
+    # a budget the top level exceeds, and levels past every data word, are
+    # refused before any level is solved
+    monkeypatch.setattr(geometry, "MAX_TREE_CELLS", 100)
     for argv, message in (
-        (["--domain", "half-sg3", "--levels", "3:13", "--data", half_data],
-         f"level 13 lists more than {geometry.MAX_TREE_CELLS} cells"),
         (["--domain", "upper", "--lambda", "1", "--levels", "3:40", "--data", upper],
-         f"level 40 lists more than {geometry.MAX_TREE_CELLS} cells"),
+         "level 40 lists more than 100 cells and shapes"),
         (["--domain", "half-sg", "--levels", "3:65", "--data", half_data],
          "--levels 3:65: the oracle solves levels up to 64"),
     ):

@@ -15,7 +15,7 @@ from gasketbvp import halfdomain as HD
 from gasketbvp import lowerdomain as LD
 from gasketbvp import upperdomain as UP
 from gasketbvp.errors import AddressError, ContractViolation, ResolutionError
-from graph_helpers import solve_full_gasket
+from graph_helpers import domain_cell_tree, solve_full_gasket
 
 F = Fraction
 
@@ -544,7 +544,7 @@ def test_boundary_batch_matches_one_point_lookup(name, data):
         data.draw(st.dictionaries(words(alphabet, max_len=4), values(exact), max_size=5)),
         data.draw(values(exact)), data.draw(values(exact)))
     m = data.draw(st.integers(1, 5))
-    cells = geometry.domain_cell_tree(domain, m)
+    cells = domain_cell_tree(domain, m)
     ends = list(dict.fromkeys(
         (x + qx, y + qy) for x, y, bits in cells[m]
         for j, (qx, qy) in enumerate(geometry.CORNERS_INT) if bits >> j & 1))

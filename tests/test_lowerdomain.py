@@ -260,8 +260,8 @@ def test_domain_solve_equals_evaluate_on_dyadic_data(k, level, rng):
     frame = LD.LowerFrame(lam)
     s = 2 ** m
     points = [(F(x, s), F(y, s)) for x, y, _ in G.domain_vertices(frame.domain, m)]
-    cells = G.domain_cell_tree(frame.domain, m)
-    got = O.solve_domain(frame.domain, cells, partial(frame.terminals, f), points, "rational")
+    tree = O.CellShapes(frame.domain, "rational").tree(m, (frame, f))
+    got = O.solve_domain(tree, partial(frame.terminals, f), points)
     assert got == LD.evaluate_lower_many(lam, f, points)
 
 

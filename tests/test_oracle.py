@@ -2,7 +2,8 @@ import random
 import tracemalloc
 from collections import deque
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from gasketbvp import halfdomain as HD
 from gasketbvp import harmonic as H
 from gasketbvp import oracle as O
 from gasketbvp.errors import AddressError, ContractViolation, SolvabilityError
-from graph_helpers import read_values_csv, solve_full_gasket, write_values_csv
+from graph_helpers import read_values_csv, reference_rows, solve_full_gasket, write_values_csv
 
 F = Fraction
 
@@ -304,10 +305,9 @@ def test_float_mode_is_accurate_to_rounding(monkeypatch):
 def test_float_types_condense_in_floats():
     # a float solve builds no Fraction: every pivot, weight, conductance and
     # grounding of its types is a float
-    domain = G.HalfDomain(3)
-    cells = G.domain_cell_tree(domain, 4)
-    O.solve_domain(domain, cells, batch(lambda p: float(p == G.Q1)), [G.Q1], "float")
-    types = [t for row in O._tree_types(domain.params, cells, float) for t in row if t]
+    shapes = O.CellShapes(G.HalfDomain(3), "float")
+    O.solve_domain(shapes.tree(4), batch(lambda p: float(p == G.Q1)), [G.Q1])
+    types = [t for t in shapes._types.values() if t]
     assert any(t.schur[2] for t in types)
     for t in types:
         c, g, record = t.schur
@@ -353,9 +353,14 @@ def test_solve_walks_down_only_as_far_as_it_is_read(monkeypatch):
 # the domain entry point against the reference elimination
 
 
-def solve_at(domain, m, *args):
-    """`solve_domain` on the domain's cell tree of level m."""
-    return O.solve_domain(domain, G.domain_cell_tree(domain, m), *args)
+def solve_at(domain, m, boundary_values, targets, mode):
+    """`solve_domain` on the domain's cells of level m; a `frame.terminals`
+    partial also gives the listing its data by word, so the cells where
+    the data is constant are leaves."""
+    data = None
+    if isinstance(boundary_values, partial):
+        data = (boundary_values.func.__self__, *boundary_values.args)
+    return O.solve_domain(O.CellShapes(domain, mode).tree(m, data), boundary_values, targets)
 
 
 def batch(value):
@@ -388,7 +393,7 @@ def test_domain_tree_matches_the_graph_oracle(domain, m):
     random.Random(m).shuffle(points)
     ids = [sk.graph.vertex_id(p) for p in points]
     unknowns = sk.graph.n_vertices() - len(sk.boundary_ids)
-    assert O.domain_unknowns(domain, G.domain_cell_tree(domain, m)) == unknowns
+    assert O.CellShapes(domain, "float").unknowns(m) == unknowns
     # `solve` runs the same engine, so the check is the elimination that
     # shares no code with it
     want = reference_solve(sk.problem(data))
@@ -418,7 +423,7 @@ def test_domain_tree_refuses_what_the_graph_oracle_refuses():
 
 def test_domain_tree_counts_the_rational_cap():
     # level 9 of half-SG has 14757 unknowns: refused before any condensation
-    assert O.domain_unknowns(G.HalfDomain(2), G.domain_cell_tree(G.HalfDomain(2), 9)) == 14757
+    assert O.CellShapes(G.HalfDomain(2), "float").unknowns(9) == 14757
     with pytest.raises(SolvabilityError, match="capped at 5000 unknowns, got 14757"):
         solve_at(G.HalfDomain(2), 9, batch(lambda p: F(1)), [G.Q1], "rational")
 
@@ -435,14 +440,12 @@ def test_float_domain_solve_is_accurate_to_rounding(level, m):
     # 1e-12 relative of the exact one at every vertex; a float elimination
     # that subtracts on the diagonal loses digits to cancellation here
     domain = G.HalfDomain(level)
-    cells = G.domain_cell_tree(domain, m)
-    assert (O.domain_unknowns(domain, cells) <= _exact.EXACT_UNKNOWN_CAP
-            < O.domain_unknowns(domain, G.domain_cell_tree(domain, m + 1)))
+    assert (O.CellShapes(domain, "float").unknowns(m) <= _exact.EXACT_UNKNOWN_CAP
+            < O.CellShapes(domain, "float").unknowns(m + 1))
     s = level ** m
     points = [(F(x, s), F(y, s)) for x, y, _ in G.domain_vertices(domain, m)]
-    exact = O.solve_domain(domain, cells, batch(positive_data), points, "rational")
-    vals = O.solve_domain(domain, cells, batch(lambda p: float(positive_data(p))), points,
-                          "float")
+    exact = solve_at(domain, m, batch(positive_data), points, "rational")
+    vals = solve_at(domain, m, batch(lambda p: float(positive_data(p))), points, "float")
     assert max(abs(v - e) / e for v, e in zip(vals, exact)) <= 1e-12
 
 
@@ -515,3 +518,92 @@ def test_boundary_lookup_and_domain_solve_use_no_extension(name, monkeypatch):
     for m, vals in want.items():
         got = solve_at(domain, m, partial(frame.terminals, f), targets, "float")
         assert got == vals and all(type(v) is float for v in got)
+
+
+# ---------------------------------------------------------------------------
+# the listing by shape and data word against the per-cell reference tree
+
+
+def compression_case(name):
+    """(root frame, data constructor (cylinders, atoms, default, corner
+    value), alphabet at position k of a word)."""
+    from gasketbvp import lowerdomain as LD
+    from gasketbvp import upperdomain as UP
+
+    family, arg = name.split(":")
+    if family == "half":
+        level = int(arg)
+        frame = HD.structure(level)
+        return (frame, lambda cyl, atoms, d, c: HD.HalfBoundaryData(
+            level, q1=c, atoms=atoms, cylinders=cyl, default=d, q0=d), lambda k: frame.alphabet)
+    if family == "upper":
+        lam = UP.TriadicLambda(F(arg))
+        return (UP.UpperFrame(lam), lambda cyl, atoms, d, c: UP.UpperBoundaryData(
+            lam, q0=c, cylinders=cyl, default=d), lambda k: UP.word_alphabet(lam, k))
+    lam = LD.BinaryLambda(F(arg))
+    return (LD.LowerFrame(lam), lambda cyl, atoms, d, c: LD.LowerBoundaryData(
+        lam, q1=c, q2=-c, cylinders=cyl, default=d), lambda k: LD.word_alphabet(lam, k))
+
+
+@lru_cache(maxsize=None)
+def cached_reference_rows(domain, m, number):
+    return reference_rows(domain, m, number)
+
+
+# (case, level in floats, level in Fractions): a rational solve of the
+# reference's 10^4 cells (upper lambda = 1 at m = 8, half-SG3 at m = 10)
+# takes about 2 s, so those two are checked exactly a level or more lower
+COMPRESSION_CASES = [("upper:1", 8, 6), ("half:3", 10, 7), ("lower:1/2", 10, 10),
+                     ("half:4", 5, 5)]
+# float results of the two listings agree to this many units of roundoff
+# u = 2**-53 of max|f| (4 u max|f| is the largest difference seen)
+FLOAT_ULPS = 64
+
+
+@pytest.mark.parametrize("name,m_float,m_exact", COMPRESSION_CASES,
+                         ids=[c[0] for c in COMPRESSION_CASES])
+@settings(max_examples=6, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_listing_by_shape_matches_the_reference_tree(name, m_float, m_exact, data):
+    # random cylinder data, read in one `frame.terminals` batch by each:
+    # the cells where the data is constant are leaves of the listing, and
+    # every cell at the cut is a row of the reference
+    frame, make, alphabet = compression_case(name)
+    exact = data.draw(st.booleans())
+    value = st.integers(-50, 50).map(lambda n: F(n, 7) if exact else n / 7)
+    word = st.lists(st.integers(0, 5), max_size=3).map(lambda picks: "".join(
+        G.WORD_CHARS[alphabet(k)[n % len(alphabet(k))]] for k, n in enumerate(picks, start=1)))
+    cyl = data.draw(st.dictionaries(word, value, max_size=5))
+    atoms = {}
+    if isinstance(frame, HD.HalfStructure):
+        atom = st.tuples(word, st.integers(1, frame.atom_count))
+        atoms = data.draw(st.dictionaries(atom, value, max_size=2))
+    default, corner = data.draw(value), data.draw(value)
+    f = make(cyl, atoms, default, corner)
+    domain, m = frame.domain, m_exact if exact else m_float
+    mode, number = ("rational", F) if exact else ("float", float)
+    s, calls = domain.level ** m, []
+
+    def lookup(points, s):
+        calls.append(len(points))
+        return frame.terminals(f, points, s)
+
+    targets = [(x * domain.level ** (m - 2), y * domain.level ** (m - 2))
+               for x, y, _ in G.domain_vertices(domain, 2)]
+    with mock.patch.object(_exact, "EXACT_UNKNOWN_CAP", 10**9):
+        got = O.solve_domain(O.CellShapes(domain, mode).tree(m, (frame, f)), lookup,
+                             [(F(x, s), F(y, s)) for x, y in targets])
+        levels = O._solve_rows(domain.params, cached_reference_rows(domain, m, number),
+                               lambda points: lookup(points, s), number)
+    found = {}
+    for values in levels:
+        found.update(values)
+        if all(p in found for p in targets):
+            break
+    want = [found[p] for p in targets]
+    assert len(calls) == 2
+    if exact:
+        assert got == want and all(type(v) is F for v in got)
+    else:
+        sup = max(abs(v) for v in [*cyl.values(), *atoms.values(), default, corner])
+        assert max(abs(a - b) for a, b in zip(got, want)) <= FLOAT_ULPS * 2 ** -53 * sup

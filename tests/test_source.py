@@ -4,10 +4,11 @@ kept that nothing reads: every attribute set on `self` is read somewhere,
 every private top-level name is used beyond its definition, and every
 public one by the package, the demos, the bench or the acceptance tests;
 and start-up loads only what a command runs: no `dataclasses` (with its
-`inspect`, `ast`, `dis` and `tokenize`), and numpy and the oracle only
-when a graph is built or `compare` runs."""
+`inspect`, `ast`, `dis` and `tokenize`), numpy and the oracle only when a
+graph is built or `compare` runs, and no exact solve."""
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -32,8 +33,10 @@ TESTED_ONLY = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def names_read(node):
-    """Every name and attribute loaded anywhere under node."""
+    """Every name and attribute loaded anywhere under node (cached: the
+    name rules ask it of every top-level statement once per name)."""
     return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             | {n.attr for n in ast.walk(node)
                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)})
@@ -108,14 +111,40 @@ UNLOADED = {
 }
 
 
+def run_fresh(script):
+    """stdout of script in a fresh interpreter that imports the package
+    from src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True).stdout
+
+
 @pytest.mark.parametrize("module", UNLOADED)
 def test_start_up_loads_only_what_commands_run(module):
     # a fresh interpreter, and only the modules the import adds: what the
     # interpreter's own start loads does not count
     script = ("import sys; before = set(sys.modules); import " + module
               + "; print(' '.join(sorted(set(sys.modules) - before)))")
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    loaded = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-                            capture_output=True, text=True, check=True).stdout.split()
+    loaded = run_fresh(script).split()
     assert module in loaded
     assert [name for name in UNLOADED[module] if name in loaded] == []
+
+
+def test_start_up_runs_no_exact_solve():
+    # upperdomain.RATIO, r^-1 of SG_3, is an exact solve on Gamma_1 made on
+    # its first read, not at import; the profile hook sees that read's solve
+    script = (
+        "import sys\n"
+        "calls = []\n"
+        "def watch(frame, event, arg):\n"
+        "    code = frame.f_code\n"
+        "    if event == 'call' and code.co_name == 'solve' and code.co_filename.endswith('_exact.py'):\n"
+        "        calls.append(code)\n"
+        "sys.setprofile(watch)\n"
+        "import gasketbvp.cli\n"
+        "at_import = len(calls)\n"
+        "ratio = gasketbvp.cli.upperdomain.RATIO\n"
+        "sys.setprofile(None)\n"
+        "print(at_import, len(calls) - at_import, ratio)\n"
+    )
+    assert run_fresh(script).split() == ["0", "1", "15/7"]
