@@ -95,6 +95,12 @@ def _fmt(v):
     return repr(float(v))
 
 
+def _ratio_text(n, d):
+    """str(Fraction(n, d)) for integers n and d > 0, without the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def _fmt_exact(v, flag):
     """_fmt(v), refused as a usage error naming the flag when v is an exact
     value with more digits than the interpreter converts to text."""
@@ -125,14 +131,13 @@ def _emit(lines, out):
 
 
 def _solution_rows(frame, f, dom, m):
-    """(s, rows): (word, corner, x, y, value) at every level-m vertex of the
-    domain, in (x, y) order, the point being (x/s, y/s) for integers x, y
-    and s = l**m; listed before the walk so that the graph cap refuses
-    first, in a function of its own so that the walk is freed before the
-    rows are used."""
-    verts = geometry.domain_vertices(dom, m)
-    values = cylinder.walk(frame, f, m)
-    return dom.params.level ** m, [(a.word, a.corner, x, y, values[x, y]) for x, y, a in verts]
+    """(s, rows, keys): the solution at the level-m vertices of the domain
+    from one walk, rows[x, y] = (word, corner, num, den) (`cylinder.walk`)
+    at the point (x/s, y/s) for s = l**m, and the keys (x, y) in order.  The
+    refusals of `geometry.check_domain_level` come before the walk."""
+    geometry.check_domain_level(dom, m)
+    rows = cylinder.walk(frame, f, m)
+    return dom.params.level ** m, rows, sorted(rows)
 
 
 def _refuse_rational(cfg, fam, lam):
@@ -147,22 +152,29 @@ def cmd_solve(cfg, fam, lam):
     _refuse_rational(cfg, fam, lam)
     # upper data stays exact here: its cut-line values print as fractions
     f = load_boundary_data(cfg.data_path, cfg.domain, cfg.mode, lam=lam, level=cfg.level)
-    s, rows = _solution_rows(frame, f, dom, cfg.depth)
+    s, rows, keys = _solution_rows(frame, f, dom, cfg.depth)
 
     texts = {}
 
-    def coord(n):  # str(Fraction(n, s)) without the Fraction, once per n
+    def coord(n):  # once per n
         if n not in texts:
-            g = gcd(n, s)
-            texts[n] = str(n // g) if g == s else f"{n // g}/{s // g}"
+            texts[n] = _ratio_text(n, s)
         return texts[n]
 
-    rows = [(geometry.word_to_str(w), c, coord(x), coord(y), _fmt(v)) for w, c, x, y, v in rows]
+    def value(n, den):
+        return _fmt(n) if den is None else _ratio_text(n, den)
+
+    # each row becomes text, or a JSON row, straight from the walk's record
+    items = ((key, rows[key]) for key in keys)
     if cfg.fmt == "json":
-        keys = ("word", "corner", "x", "y", "value")
-        payload = {"schema": SCHEMA, "rows": [dict(zip(keys, row)) for row in rows]}
+        payload = {"schema": SCHEMA, "rows": [
+            {"word": w, "corner": c, "x": coord(x), "y": coord(y), "value": value(n, den)}
+            for (x, y), (w, c, n, den) in items]}
         return [json.dumps(payload, sort_keys=True)]
-    return ["word,corner,x,y,value"] + [f"{w},{c},{x},{y},{v}" for w, c, x, y, v in rows]
+    lines = ["word,corner,x,y,value"]
+    lines += [f"{w},{c},{coord(x)},{coord(y)},{value(n, den)}"
+              for (x, y), (w, c, n, den) in items]
+    return lines
 
 
 def cmd_compare(cfg, fam, lam):
@@ -186,12 +198,14 @@ def cmd_compare(cfg, fam, lam):
     # the cell budget refuses before any level
     levels = list(range(lo, hi + 1))
     trees = {m: shapes.tree(m, (frame, f)) for m in (hi, *levels[:-1])}
-    s, rows = _solution_rows(frame, f, dom, cfg.depth)
-    targets = [(F(x, s), F(y, s)) for _, _, x, y, _ in rows]
+    s, rows, keys = _solution_rows(frame, f, dom, cfg.depth)
+    targets = [(F(x, s), F(y, s)) for x, y in keys]
+    # float(Fraction(n, den)) is n / den, both correctly rounded
+    explicit = [float(n) if den is None else n / den for _, _, n, den in map(rows.get, keys)]
     lines, maxes = ["level,max_abs,mean_abs"], []
     for m in levels:
         vals = oracle.solve_domain(trees[m], partial(frame.terminals, f), targets)
-        diffs = [abs(float(row[4]) - float(v)) for row, v in zip(rows, vals)]
+        diffs = [abs(e - float(v)) for e, v in zip(explicit, vals)]
         maxes.append(max(diffs))
         lines.append(f"{m},{maxes[-1]!r},{sum(diffs) / len(diffs)!r}")
     # a step may rise by rounding only, and two or more levels must fall
@@ -373,54 +387,51 @@ SHARED = {"solve": cmd_solve, "compare": cmd_compare}
 # argument parsing
 
 
+def _common_parser(data):
+    """The options every command shares, then --data when the command reads
+    boundary data: the parent of each command's parser."""
+    sp = argparse.ArgumentParser(add_help=False)
+    sp.add_argument("--domain",
+                    choices=["half", "half-sg", "half-sg2", "half-sg3", "upper", "lower"])
+    sp.add_argument("--l", dest="level", type=int,
+                    help="gasket level for half domains (default 3)")
+    sp.add_argument("--lambda", dest="lam",
+                    help='cut parameter: "1/2" or a digit/bit program')
+    sp.add_argument("--mode", choices=["auto", "rational", "float"], default="auto")
+    sp.add_argument("--out")
+    if data:
+        sp.add_argument("--data", dest="data_path", required=True, help="boundary data JSON")
+    return sp
+
+
+# command -> (whether it reads boundary data, its own arguments in order)
+COMMANDS = {
+    "solve": (True, [("--level", dict(dest="depth", type=int, default=2,
+                                      help="vertex enumeration level")),
+                     ("--format", dict(dest="fmt", choices=["csv", "json"], default="csv"))]),
+    "eta": (False, [("--check-closed-form", dict(action="store_true"))]),
+    "measure": (False, [("--word", dict(default="")), ("--j", dict(type=int, default=1)),
+                        ("--depth", dict(type=int, default=4))]),
+    "energy": (True, [("--depth", dict(type=int, default=3))]),
+    "compare": (True, [("--levels", dict(default="3:5", help="oracle level range lo:hi")),
+                       ("--targets-level", dict(dest="depth", type=int, default=2)),
+                       ("--svg", dict(help="optional SVG plot path"))]),
+    "haar": (True, [("--depth", dict(type=int, default=2))]),
+    "dtn": (True, [("--kmax", dict(type=int, default=40))]),
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="gasketbvp",
         description="Dirichlet solvers for half, upper and lower gasket domains",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, data=False):
-        sp.add_argument("--domain",
-                        choices=["half", "half-sg", "half-sg2", "half-sg3",
-                                 "upper", "lower"])
-        sp.add_argument("--l", dest="level", type=int,
-                        help="gasket level for half domains (default 3)")
-        sp.add_argument("--lambda", dest="lam",
-                        help='cut parameter: "1/2" or a digit/bit program')
-        sp.add_argument("--mode", choices=["auto", "rational", "float"], default="auto")
-        sp.add_argument("--out")
-        if data:
-            sp.add_argument("--data", dest="data_path", required=True,
-                            help="boundary data JSON")
-        return sp
-
-    sp = common(sub.add_parser("solve"), data=True)
-    sp.add_argument("--level", dest="depth", type=int, default=2,
-                    help="vertex enumeration level")
-    sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-
-    sp = common(sub.add_parser("eta"))
-    sp.add_argument("--check-closed-form", action="store_true")
-
-    sp = common(sub.add_parser("measure"))
-    sp.add_argument("--word", default="")
-    sp.add_argument("--j", type=int, default=1)
-    sp.add_argument("--depth", type=int, default=4)
-
-    sp = common(sub.add_parser("energy"), data=True)
-    sp.add_argument("--depth", type=int, default=3)
-
-    sp = common(sub.add_parser("compare"), data=True)
-    sp.add_argument("--levels", default="3:5", help="oracle level range lo:hi")
-    sp.add_argument("--targets-level", dest="depth", type=int, default=2)
-    sp.add_argument("--svg", help="optional SVG plot path")
-
-    sp = common(sub.add_parser("haar"), data=True)
-    sp.add_argument("--depth", type=int, default=2)
-
-    sp = common(sub.add_parser("dtn"), data=True)
-    sp.add_argument("--kmax", type=int, default=40)
+    parents = {data: [_common_parser(data)] for data in (False, True)}
+    for name, (data, extra) in COMMANDS.items():
+        sp = sub.add_parser(name, parents=parents[data])
+        for flag, kwargs in extra:
+            sp.add_argument(flag, **kwargs)
     return p
 
 

@@ -178,35 +178,60 @@ def _copy_data(frame, f, values, d):
 
 
 def walk(frame, f, m):
-    """{(x, y): value} of the solution with data f at the level-m vertices
-    of the frame's closed domain, (x, y) integers at scale l**m, m >= 1.
-    The first step to reach a vertex sets it, in `evaluate`'s precedence: a
-    node's own V_1 points (`cell`, else `terminals`, else `values`), its
-    full cells, extended once per subcell down to level m, then its
-    sub-copies (an upper dilation too), depth first in digit order.
+    """{(x, y): (word, corner, num, den)}: the solution with data f at the
+    vertices of the level-m cells in the frame's closed domain, (x, y)
+    integers at scale l**m, m >= 1 (see `geometry.check_domain_level`).
+    (word, corner) is the vertex's address in `domain_graph`: the least
+    over those cells, the word a string of WORD_CHARS.  The value is num
+    itself when den is None, else num / den for integers num and den > 0.
+
+    A node's full cells and sub-copies (an upper dilation too) are walked
+    depth first in digit order, so the level-m cells come in the order of
+    their words and the first to hold a vertex gives its address.  The
+    first step to reach a vertex gives its value, in `evaluate`'s
+    precedence: a node's own V_1 points (`cell`, else `terminals`, else
+    `values`) before its cells, and a cell's corners before its other V_1
+    points.  Points that no level-m cell of the closed domain holds are
+    reached (a node's V_1 points) but left out.
 
     A full cell with exact corner values is filled in integers: its
     subcells carry numerators over q D_l^k (`harmonic.extension_step`), and
-    a vertex's Fraction is built when the vertex is first set."""
-    params = frame.params
+    a vertex it sets keeps its numerator and denominator, no Fraction."""
+    params, dom = frame.params, frame.domain
     l, shifts = params.level, params.int_translations
+    chars = geometry.WORD_CHARS
+    closed, axis = geometry._closed_side(dom, m), dom.axis
     v1 = list({pt: p for cell, exact in zip(params.cell_points, params.cell_corners)
                for pt, p in zip(cell, exact)}.items())
-    out = {}
+    # a V_1 point of a level-(m-1) cell with its least (subcell, corner)
+    least = {}
+    for t, cell in enumerate(params.cell_points):
+        for c, pt in enumerate(cell):
+            least.setdefault(pt, (chars[t], c))
+    least = [(pt, ch, c) for pt, (ch, c) in least.items()]
+    out, rows = {}, {}  # (num, den) of the values above level m, and the rows
 
-    def fill(vals, den, x, y, k):
+    def fill(vals, den, x, y, k, word):
         # vals are values (den None) or integer numerators over den
         step = l ** (m - k - 1)
         ext, den = harmonic.extension_step(l, vals, den)
-        for (px, py), v in ext.items():
-            key = x + step * px, y + step * py
-            if key not in out:
-                out[key] = v if den is None else Fraction(v, den)
         if k + 1 < m:
-            for cell, (tx, ty) in zip(params.cell_points, shifts):
-                fill(tuple(ext[q] for q in cell), den, x + step * tx, y + step * ty, k + 1)
+            for (px, py), v in ext.items():
+                key = x + step * px, y + step * py
+                if key not in out:
+                    out[key] = v, den
+            for t, ((a, b, c), (tx, ty)) in enumerate(zip(params.cell_points, shifts)):
+                fill((ext[a], ext[b], ext[c]), den, x + step * tx, y + step * ty, k + 1,
+                     word + chars[t])
+            return
+        # the subcells are level-m cells: a corner of the cell was set above,
+        # and its other V_1 points belong to it alone
+        for pt, ch, c in least:
+            key = x + pt[0], y + pt[1]
+            if key not in rows:
+                rows[key] = (word + ch, c, *(out.get(key) or (ext[pt], den)))
 
-    def node(frame, f, x, y, k):
+    def node(frame, f, x, y, k, word):
         # corner j of the level-k cell at (x, y) is at l**(m-k) q_j + (x, y),
         # and a V_1 point, an integer pair at scale l, at l**(m-k-1) times it
         step = l ** (m - k - 1)
@@ -218,19 +243,30 @@ def walk(frame, f, m):
         for ((px, py), p), value in zip(todo, ends):
             value = values.get(p) if value is None else value
             if value is not None:
-                out[x + step * px, y + step * py] = value
+                out[x + step * px, y + step * py] = value, None
         if whole is not None:
-            fill(whole, None, x, y, k)
+            fill(whole, None, x, y, k, word)
         elif k + 1 < m:
-            for i in frame.full_cells():
-                fill(tuple(values[q] for q in params.cell_corners[i]), None,
-                     x + step * shifts[i][0], y + step * shifts[i][1], k + 1)
-            for d in frame.copies():
-                node(frame.shift(d), _copy_data(frame, f, values, d),
-                     x + step * shifts[d][0], y + step * shifts[d][1], k + 1)
+            full = frame.full_cells()
+            for d in sorted((*full, *frame.copies())):
+                dx, dy = x + step * shifts[d][0], y + step * shifts[d][1]
+                if d in full:
+                    fill(tuple(values[q] for q in params.cell_corners[d]), None, dx, dy, k + 1,
+                         word + chars[d])
+                else:
+                    node(frame.shift(d), _copy_data(frame, f, values, d), dx, dy, k + 1,
+                         word + chars[d])
+        else:
+            # the node's cells are level-m cells: those in the closed domain
+            for d, cell in enumerate(params.cell_points):
+                keys = [(x + px, y + py) for px, py in cell]
+                if all(closed(key[axis]) for key in keys):
+                    for c, key in enumerate(keys):
+                        if key not in rows:
+                            rows[key] = (word + chars[d], c, *out[key])
 
-    node(frame, f, 0, 0, 0)
-    return out
+    node(frame, f, 0, 0, 0, "")
+    return rows
 
 
 def evaluate(frame, f, vertices):

@@ -13,12 +13,13 @@ the conventional order is 3 = bottom middle, 4 = right, 5 = left).
 Graphs are numpy arrays, and numpy is imported inside the functions that
 build or read them, so that only a caller that builds a graph pays for it:
 graph export, and the tests and demos that give one to `oracle.solve`.
-`domain_vertices` (for `solve`) walks a domain's cells top down in plain
-Python.  For the oracle, `cell_shape` tells what a cell of a domain's
-graph is from its shape alone: the cut's place in the cell's own
-coordinates, its boundary corners and its depth.  The oracle lists a
-level's cells by shape within MAX_TREE_CELLS, which counts the cells it
-lists one by one and the shapes it makes.
+`check_domain_level` refuses a level of a domain before `solve` walks
+its cells (`cylinder.walk` lists the vertices with their addresses).
+For the oracle, `cell_shape` tells what a cell of a domain's graph is
+from its shape alone: the cut's place in the cell's own coordinates, its
+boundary corners and its depth.  The oracle lists a level's cells by
+shape within MAX_TREE_CELLS, which counts the cells it lists one by one
+and the shapes it makes.
 """
 
 import math
@@ -184,24 +185,46 @@ def gamma1_neighbors(level):
     return nbrs
 
 
-def _gamma1_harmonic_values(params, corner_values):
-    """Exact graph-harmonic extension of V_0 data to Gamma_1, as a dict
-    keyed by integer vertex coordinates at scale l."""
+@lru_cache(maxsize=None)
+def gamma1_basis(level):
+    """{pt: (w0, w1, w2)}: the exact graph-harmonic extension of V_0 data to
+    Gamma_1 is w0 v0 + w1 v1 + w2 v2 at pt, keyed by integer vertex
+    coordinates at scale l, the V_0 corners first.  One exact solve, for
+    the unit data at q0; the extensions of the unit data at q1 and q2 are
+    its images under the symmetries of the gasket that swap q0 with q1 and
+    with q2, which permute the barycentric coordinates b0 = y/2,
+    b2 = (2x - y)/4 and b1 = l - b0 - b2 of a point.  Shared; do not mutate."""
+    params = gasket(level)
     corner_pts = {cell[c]: c for c, cell in enumerate(params.cell_points[:3])}
     rows, rhs = {}, {}
-    for k, nb in gamma1_neighbors(params.level).items():
+    for k, nb in gamma1_neighbors(level).items():
         if k in corner_pts:
             continue
         row = rows[k] = {k: len(nb)}
         rhs[k] = Fraction(0)
         for q in nb:
-            if q in corner_pts:
-                rhs[k] += corner_values[corner_pts[q]]
-            else:
+            if q not in corner_pts:
                 row[q] = row.get(q, 0) - 1
-    out = {k: corner_values[c] for k, c in corner_pts.items()}
-    out.update(solve(rows, rhs))
-    return out
+            elif corner_pts[q] == 0:  # the unit value at q0
+                rhs[k] += 1
+    h = {k: Fraction(int(c == 0)) for k, c in corner_pts.items()}
+    h.update(solve(rows, rhs))
+
+    def swapped(pt, c):
+        b = [pt[1] // 2, 0, (2 * pt[0] - pt[1]) // 4]
+        b[1] = level - b[0] - b[2]
+        b[0], b[c] = b[c], b[0]
+        return (b[0] + 2 * b[2], 2 * b[0])
+
+    return {pt: (w, h[swapped(pt, 1)], h[swapped(pt, 2)]) for pt, w in h.items()}
+
+
+def _gamma1_harmonic_values(params, corner_values):
+    """Exact graph-harmonic extension of V_0 data to Gamma_1, as a dict
+    keyed by integer vertex coordinates at scale l (from `gamma1_basis`)."""
+    v0, v1, v2 = corner_values
+    return {pt: w0 * v0 + w1 * v1 + w2 * v2
+            for pt, (w0, w1, w2) in gamma1_basis(params.level).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -577,36 +600,22 @@ def domain_graph(domain, m):
     return build_graph(domain.params, m, contained_cell_filter(domain, m))
 
 
-def domain_vertices(domain, m):
-    """(x, y, address) of every vertex of `domain_graph(domain, m)`, with
-    integer coordinates at scale l**m, in the graph's (x, y) order and with
-    its addresses: each vertex keeps the first (cell word, corner) that
-    reaches it.  Found without numpy, by walking the cells top down: a cell
-    with no corner on the closed side of the cut is dropped with all its
-    subcells, and a level-m cell is kept when every corner is on it."""
+def check_domain_level(domain, m):
+    """Refuse the level-m vertices of a domain before any walk over its
+    cells: m < 1, a level over the graph cap (`check_graph_level`), or a
+    level at which no cell is contained in the domain closure.  Every cell
+    is a translate of the corner cell at the domain's far corner, and that
+    one lies farthest into the closed side, so it alone is tested."""
     if m < 1:
         raise ResolutionError("domain restriction needs m >= 1")
     params = domain.params
     check_graph_level(params, m)
-    l, axis = params.level, domain.axis
+    # corner j of the cell at corner c is at (l**m - 1) q_c + q_j
+    reach = [q[domain.axis] for q in CORNERS_INT]
+    far = (min if domain.side < 0 else max)(reach)
     closed = _closed_side(domain, m)
-    # a level-k cell with offset (x, y) has its corners at l**(m-k) q_j + (x, y)
-    cells = [((), 0, 0)]
-    for k in range(1, m + 1):
-        step = l ** (m - k)
-        reach = [step * q[axis] for q in CORNERS_INT]
-        shifts = [(d, step * tx, step * ty) for d, (tx, ty) in enumerate(params.int_translations)]
-        cells = [(word + (d,), x + dx, y + dy) for word, x, y in cells for d, dx, dy in shifts
-                 if any(closed((x + dx, y + dy)[axis] + r) for r in reach)]
-    first = {}
-    for word, x, y in cells:
-        corners = [(x + qx, y + qy) for qx, qy in CORNERS_INT]
-        if all(closed(p[axis]) for p in corners):
-            for c, p in enumerate(corners):
-                first.setdefault(p, (word, c))
-    if not first:
+    if not all(closed((params.level ** m - 1) * far + r) for r in reach):
         raise ResolutionError("no cells of this level are contained in the domain")
-    return [(x, y, VertexAddress(*first[x, y])) for x, y in sorted(first)]
 
 
 # a cell inside the domain graph that holds no boundary vertex

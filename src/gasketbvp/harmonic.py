@@ -1,7 +1,7 @@
 """Single-cell harmonic extension, cell energies and normal derivatives.
 
 The extension weights of every level come from one exact Dirichlet solve
-on Gamma_1 (geometry's level-1 table): for SG they are the 2/5-1/5 rule,
+on Gamma_1 (`geometry.gamma1_basis`, from the level-1 table): for SG they are the 2/5-1/5 rule,
 for SG_3 the 8-4-3 / 15 rule with mean value at the centre, derived, not
 typed in.  The public `harmonic_extend_cell` still serves only l in {2, 3};
 higher levels are used internally.
@@ -10,8 +10,9 @@ Exact values are extended in integers: the weights of level l are integers
 over their least common denominator D_l (5 on SG, 15 on SG_3, 309 and 1663
 for l = 4, 5), so k extensions of exact corner values over the common
 denominator q give integer numerators over q D_l^k (`extend_numerators`).
-The walk and `descend` carry those numerators down and build a Fraction
-once per value they set; float corner values take float weights.
+The walk and `descend` carry those numerators down; `descend` builds a
+Fraction once per value it sets and the walk hands out the numerator and
+its denominator.  Float corner values take float weights.
 """
 
 import math
@@ -29,26 +30,15 @@ def _is_exact(*vals):
     return all(isinstance(v, (Fraction, int)) for v in vals)
 
 
-def _extension_basis(level):
-    """Weights of the energy-minimising extension: maps each level-1 point
-    (integer coords at scale l) to the coefficient triple on (v0, v1, v2),
-    from the exact Gamma_1 Dirichlet solve of each unit corner triple."""
-    params = gasket(level)
-    basis = {}
-    for c in range(3):
-        unit = tuple(Fraction(1) if j == c else Fraction(0) for j in range(3))
-        vals = geometry._gamma1_harmonic_values(params, unit)
-        for pt, v in vals.items():
-            basis.setdefault(pt, [None, None, None])[c] = v
-    return {pt: tuple(w) for pt, w in basis.items()}
-
-
 _BASIS_CACHE = {}
 
 
 def extension_basis(level):
+    """Weights of the energy-minimising extension: maps each level-1 point
+    (integer coords at scale l) to the coefficient triple on (v0, v1, v2)
+    (`geometry.gamma1_basis`)."""
     if level not in _BASIS_CACHE:
-        _BASIS_CACHE[level] = _extension_basis(level)
+        _BASIS_CACHE[level] = geometry.gamma1_basis(level)
     return _BASIS_CACHE[level]
 
 

@@ -1,14 +1,16 @@
-"""Helpers that only the tests use: the full-gasket oracle, the per-cell
-cell tree of a domain (the reference the oracle's compressed listing is
-checked against), a CSV round trip of oracle values, and functions on a
-graph's vertices with their energy and mean-value residual.  They build on
-the package's API and keep no state of their own."""
+"""Helpers that only the tests use: the full-gasket oracle, the vertices
+of a domain graph listed cell by cell (the reference the walk's rows are
+checked against), the per-cell cell tree of a domain (the reference the
+oracle's compressed listing is checked against), a CSV round trip of
+oracle values, and functions on a graph's vertices with their energy and
+mean-value residual.  They build on the package's API and keep no state
+of their own."""
 
 import math
 from fractions import Fraction
 
 from gasketbvp import geometry, oracle
-from gasketbvp.errors import ContractViolation, GasketError, SolvabilityError
+from gasketbvp.errors import ContractViolation, GasketError, ResolutionError, SolvabilityError
 
 
 class LevelMismatchError(GasketError, ValueError):
@@ -20,6 +22,43 @@ def solve_full_gasket(params, m, corner_values, mode="auto"):
     graph = geometry.build_graph(params, m)
     ids = [graph.vertex_id(q) for q in geometry.CORNERS]
     return graph, oracle.solve(oracle.DirichletProblem(graph, ids, list(corner_values)), mode=mode)
+
+
+# ---------------------------------------------------------------------------
+# the vertices of a domain graph, listed cell by cell
+
+
+def domain_vertices(domain, m):
+    """(x, y, address) of every vertex of `domain_graph(domain, m)`, with
+    integer coordinates at scale l**m, in the graph's (x, y) order and with
+    its addresses: each vertex keeps the first (cell word, corner) that
+    reaches it.  Found without numpy, by walking the cells top down: a cell
+    with no corner on the closed side of the cut is dropped with all its
+    subcells, and a level-m cell is kept when every corner is on it.  The
+    reference `cylinder.walk`'s rows are checked against."""
+    if m < 1:
+        raise ResolutionError("domain restriction needs m >= 1")
+    params = domain.params
+    geometry.check_graph_level(params, m)
+    l, axis = params.level, domain.axis
+    closed = geometry._closed_side(domain, m)
+    # a level-k cell with offset (x, y) has its corners at l**(m-k) q_j + (x, y)
+    cells = [((), 0, 0)]
+    for k in range(1, m + 1):
+        step = l ** (m - k)
+        reach = [step * q[axis] for q in geometry.CORNERS_INT]
+        shifts = [(d, step * tx, step * ty) for d, (tx, ty) in enumerate(params.int_translations)]
+        cells = [(word + (d,), x + dx, y + dy) for word, x, y in cells for d, dx, dy in shifts
+                 if any(closed((x + dx, y + dy)[axis] + r) for r in reach)]
+    first = {}
+    for word, x, y in cells:
+        corners = [(x + qx, y + qy) for qx, qy in geometry.CORNERS_INT]
+        if all(closed(p[axis]) for p in corners):
+            for c, p in enumerate(corners):
+                first.setdefault(p, (word, c))
+    if not first:
+        raise ResolutionError("no cells of this level are contained in the domain")
+    return [(x, y, geometry.VertexAddress(*first[x, y])) for x, y in sorted(first)]
 
 
 # ---------------------------------------------------------------------------

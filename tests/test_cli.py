@@ -9,6 +9,7 @@ import pytest
 import gasketbvp
 from gasketbvp import cli, geometry, harmonic
 from gasketbvp.errors import GasketError
+from graph_helpers import domain_vertices
 
 F = Fraction
 
@@ -257,7 +258,7 @@ def test_solve_upper_dilated_to_the_output_level(tmp_path, capsys, lam, level):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     tlam = UP.TriadicLambda(F(lam))
     dom = geometry.UpperDomain(cut_y=tlam.cut_height())
-    assert len(rows) == len(geometry.domain_vertices(dom, int(level or 2)))
+    assert len(rows) == len(domain_vertices(dom, int(level or 2)))
     f = cli.load_boundary_data(data, "upper", "auto", lam=tlam, level=3)
     want = UP.evaluate_upper_many(tlam, f, [(F(x), F(y)) for _, _, x, y, _ in rows])
     assert [v for *_, v in rows] == [cli._fmt(v) for v in want]
@@ -298,7 +299,7 @@ def test_solve_extends_once_per_cell(tmp_path, capsys, monkeypatch):
     code, out, err = run(["solve", "--domain", "lower", "--lambda", "1/2", "--level", "6",
                           "--mode", "rational", "--data", data], capsys)
     assert code == 0, err
-    assert len(out.splitlines()) == 1 + len(geometry.domain_vertices(geometry.LowerDomain(1), 6))
+    assert len(out.splitlines()) == 1 + len(domain_vertices(geometry.LowerDomain(1), 6))
     assert 0 < len(calls) <= 2 * sum(3 ** k for k in range(5))
 
 
@@ -573,3 +574,61 @@ def test_compare_checks_the_rational_cap_before_any_level(half_data, capsys, mon
     assert err == "error: rational mode capped at 5000 unknowns, got 14757\n"
     code, out, err = run([*argv, "--levels", "3:8"], capsys)
     assert (code, solved) == (0, [3, 4, 5, 6, 7, 8]), err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--domain", "half-sg3", "--level", "9"],
+     f"level 9 of SG_3 has {6 ** 9} cells; graphs are capped at {3 ** 14} cells"
+     " (SG at level 14)"),
+    (["solve", "--domain", "half-sg3", "--level", "0"], "domain restriction needs m >= 1"),
+    (["solve", "--domain", "lower", "--lambda", "3/4", "--level", "1"],
+     "no cells of this level are contained in the domain"),
+    (["solve", "--domain", "upper", "--lambda", "1/9", "--level", "1", "--format", "json"],
+     "no cells of this level are contained in the domain"),
+    (["compare", "--domain", "lower", "--lambda", "3/4", "--levels", "1:2", "--targets-level", "1"],
+     "no cells of this level are contained in the domain"),
+])
+def test_solve_refuses_before_the_walk(argv, message, tmp_path, capsys, monkeypatch):
+    """The graph cap, a level below 1 and a level with no cell contained in
+    the domain are refused, exit 2 with the message, before any walk."""
+    from gasketbvp import cylinder
+
+    monkeypatch.setattr(cylinder, "walk", lambda *a: pytest.fail("walked before refusing"))
+    data = write_json(tmp_path / "f.json", {"schema": 1, "q0": "1", "default_tail": "0"})
+    code, out, err = run(argv + ["--data", data], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# every command's options in the order its help and usage list them
+OPTIONS = {
+    "solve": ["--level", "--format"],
+    "eta": ["--check-closed-form"],
+    "measure": ["--word", "--j", "--depth"],
+    "energy": ["--depth"],
+    "compare": ["--levels", "--targets-level", "--svg"],
+    "haar": ["--depth"],
+    "dtn": ["--kmax"],
+}
+COMMON = ["-h", "--domain", "--l", "--lambda", "--mode", "--out"]
+
+
+def test_help_lists_the_commands_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "{solve,eta,measure,energy,compare,haar,dtn}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_command_options_keep_their_order(command, capsys):
+    """A command's help lists the common options first, --data for the
+    commands that read data, then its own."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: gasketbvp {command} [-h]")
+    listed = [line.split()[0].rstrip(",") for line in text.split("options:\n")[1].splitlines()
+              if line.startswith("  -")]
+    data = ["--data"] if command not in ("eta", "measure") else []
+    assert listed == COMMON + data + OPTIONS[command]

@@ -15,7 +15,7 @@ from gasketbvp import halfdomain as HD
 from gasketbvp import lowerdomain as LD
 from gasketbvp import upperdomain as UP
 from gasketbvp.errors import AddressError, ContractViolation, ResolutionError
-from graph_helpers import domain_cell_tree, solve_full_gasket
+from graph_helpers import domain_cell_tree, domain_vertices, solve_full_gasket
 
 F = Fraction
 
@@ -396,9 +396,9 @@ WALK_CASES = [(name, None) for name in ROUTE_CASES + ["lower:0"]] + [
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_walk_matches_evaluate(name, level, data):
-    """The walk covers every vertex `domain_vertices` lists, and its value
-    there is the evaluator's: equal, of the same type and with the same repr
-    (bit-identical floats)."""
+    """The walk's rows are the vertices `domain_vertices` lists, and the
+    value of each is the evaluator's: equal, of the same type and with the
+    same repr (bit-identical floats)."""
     make, alphabet, domain, m, exact_ok, frame, _, many = _route_case(name)
     exact = exact_ok and data.draw(st.booleans())
     f = make(
@@ -407,16 +407,55 @@ def test_walk_matches_evaluate(name, level, data):
     assert_walk_matches_evaluate(frame, f, domain, level or m, many)
 
 
+def walk_values(frame, f, m):
+    """{(x, y): value} of the walk's rows, an exact numerator and its
+    denominator read as a Fraction."""
+    return {key: n if den is None else F(n, den)
+            for key, (_, _, n, den) in cylinder.walk(frame, f, m).items()}
+
+
 def assert_walk_matches_evaluate(frame, f, domain, m, many):
-    walked = cylinder.walk(frame, f, m)
-    keys = [(x, y) for x, y, _ in geometry.domain_vertices(domain, m)]
-    assert set(keys) <= walked.keys()
+    walked = walk_values(frame, f, m)
+    keys = [(x, y) for x, y, _ in domain_vertices(domain, m)]
+    assert sorted(walked) == keys
     s = domain.level ** m
     for key, v in zip(keys, many(f, [(F(x, s), F(y, s)) for x, y in keys])):
         w = walked[key]
         assert type(w) is type(v)
         assert w == v and repr(w) == repr(v)
     return walked
+
+
+# each family's levels up to where the reference listing stays cheap
+ROW_CASES = [(f"half:{l}", m) for l, top in ((2, 6), (3, 4), (4, 3)) for m in range(1, top + 1)] + [
+    (f"{name}:{lam}", m) for name, lams, top in (("upper", ("1", "2/3", "1/9"), 4),
+                                                 ("lower", ("1/2", "1/3", "0"), 6))
+    for lam in lams for m in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("name,level", ROW_CASES)
+@settings(max_examples=4, deadline=None, database=None)
+@given(data=st.data())
+def test_walk_rows_match_the_reference_listing(name, level, data):
+    """The walk's rows are `domain_vertices`' vertices with their addresses,
+    (x, y, word, corner), in (x, y) order: the least (word, corner) over the
+    level-m cells in the closed domain, though the walk also reaches points
+    that no such cell holds (a node's V_1 points), and the refusals of
+    `check_domain_level` are the reference's."""
+    make, alphabet, domain, _, exact_ok, frame, _, _ = _route_case(name)
+    exact = exact_ok and data.draw(st.booleans())
+    f = make(data.draw(st.dictionaries(words(alphabet), values(exact), max_size=4)),
+             data.draw(values(exact)), data.draw(values(exact)))
+    try:
+        want = [(x, y, geometry.word_to_str(a.word), a.corner)
+                for x, y, a in domain_vertices(domain, level)]
+    except ResolutionError as exc:
+        with pytest.raises(ResolutionError, match=str(exc)):
+            geometry.check_domain_level(domain, level)
+        return
+    geometry.check_domain_level(domain, level)
+    rows = cylinder.walk(frame, f, level)
+    assert [(x, y, *rows[x, y][:2]) for x, y in sorted(rows)] == want
 
 
 @pytest.mark.parametrize("name", ["half:2", "half:3", "half:4", "lower:1/2", "lower:5/8"])
@@ -440,12 +479,12 @@ def test_cut_line_values_of_integer_data_are_exact():
     between X_4 and X_5) their exact mean."""
     lam = LD.BinaryLambda(F(1, 2))
     f = LD.LowerBoundaryData(lam, q1=1, q2=-2, cylinders={"1": 3, "2": -1}, default=0)
-    walked = cylinder.walk(LD.LowerFrame(lam), f, 2)
+    walked = walk_values(LD.LowerFrame(lam), f, 2)
     assert [walked[2, 4], walked[6, 4]] == [3, -1]
     assert type(walked[2, 4]) is type(walked[6, 4]) is F
     lam = UP.TriadicLambda(F(2, 3))
     f = UP.UpperBoundaryData(lam, q0=1, cylinders={"4": 1, "5": 2}, default=0)
-    for got in (cylinder.walk(UP.UpperFrame(lam), f, 2)[9, 6],
+    for got in (walk_values(UP.UpperFrame(lam), f, 2)[9, 6],
                 UP.evaluate_upper_many(lam, f, [(F(1), F(2, 3))])[0]):
         assert got == F(3, 2) and type(got) is F
 

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasketbvp import _exact
 from gasketbvp import geometry as G
+from gasketbvp import halfdomain as HD
+from gasketbvp import harmonic as H
 from gasketbvp.errors import AddressError, CapabilityError, ResolutionError
+from graph_helpers import domain_vertices
 
 
 def F(a, b=1):
@@ -162,6 +166,56 @@ def test_renormalization_factors():
     assert 0 < r4 < 1 and r4.denominator < 10**6
 
 
+def direct_gamma1_solve(params, corner_values):
+    """The Gamma_1 Dirichlet problem for the given corner values, solved
+    exactly on its own: the reference for the shared unit basis."""
+    corner_pts = {cell[c]: c for c, cell in enumerate(params.cell_points[:3])}
+    rows, rhs = {}, {}
+    for k, nb in G.gamma1_neighbors(params.level).items():
+        if k in corner_pts:
+            continue
+        row = rows[k] = {k: len(nb)}
+        rhs[k] = F(0)
+        for q in nb:
+            if q in corner_pts:
+                rhs[k] += corner_values[corner_pts[q]]
+            else:
+                row[q] = row.get(q, 0) - 1
+    out = {k: corner_values[c] for k, c in corner_pts.items()}
+    out.update(_exact.solve(rows, rhs))
+    return out
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_gamma1_extension_from_the_basis_equals_its_own_solve(l):
+    """Every Gamma_1 extension is read off one cached basis, equal (and in
+    the same key order) to the Dirichlet problem solved for its data: the
+    unit triples, h_a's (0, 1, -1) and random exact triples."""
+    p = G.gasket(l)
+    rng = random.Random(l)
+    triples = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)), (F(0), F(1), F(-1))]
+    triples += [tuple(F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(3)) for _ in range(4)]
+    for values in triples:
+        got, want = G._gamma1_harmonic_values(p, values), direct_gamma1_solve(p, values)
+        assert list(got) == list(want)
+        assert got == want
+
+
+def test_gamma1_is_solved_once_per_level(monkeypatch):
+    """The renormalization factor, the half frame's h_a and the extension
+    weights of a level share one exact solve on Gamma_1."""
+    calls = []
+    solve = G.solve
+    monkeypatch.setattr(G, "solve", lambda rows, rhs: calls.append(len(rows)) or solve(rows, rhs))
+    monkeypatch.setattr(H, "_BASIS_CACHE", {})
+    G.gamma1_basis.cache_clear()
+    G.renormalization_factor.cache_clear()
+    for l in (3, 5):
+        HD.HalfStructure(l)
+        H.extension_basis(l)
+    assert calls == [7, 18]
+
+
 @pytest.mark.parametrize("l", range(2, G.MAX_LEVEL + 1))
 def test_level1_table_matches_build_graph(l):
     """The level-1 table against the vectorised graph builder at m = 1."""
@@ -270,16 +324,16 @@ def test_domain_vertices_match_domain_graph(case):
         g = G.domain_graph(domain, m)
     except ResolutionError as exc:
         with pytest.raises(ResolutionError, match=str(exc)):
-            G.domain_vertices(domain, m)
+            domain_vertices(domain, m)
         return
     want = [(int(x), int(y), g.address(i)) for i, (x, y) in enumerate(g.verts)]
-    assert G.domain_vertices(domain, m) == want
+    assert domain_vertices(domain, m) == want
 
 
 @pytest.mark.parametrize("m", [0, -1])
 def test_domain_vertices_need_level_one(m):
     with pytest.raises(ResolutionError, match="domain restriction needs m >= 1"):
-        G.domain_vertices(G.HalfDomain(3), m)
+        domain_vertices(G.HalfDomain(3), m)
 
 
 @pytest.mark.parametrize("domain", [G.LowerDomain(cut_y=F(1, 2)), G.UpperDomain(cut_y=F(16, 9))],
@@ -287,13 +341,13 @@ def test_domain_vertices_need_level_one(m):
 def test_domain_vertices_without_contained_cells(domain):
     # no 1-cell lies wholly below y = 1/2 in SG, or above y = 16/9 in SG_3
     with pytest.raises(ResolutionError, match="no cells of this level are contained"):
-        G.domain_vertices(domain, 1)
+        domain_vertices(domain, 1)
 
 
 def test_domain_vertices_check_the_cap_before_walking(monkeypatch):
     monkeypatch.setattr(G, "_closed_side", lambda *a: pytest.fail("walked past the cap"))
     with pytest.raises(ResolutionError, match=f"level 9 of SG_3 has {6 ** 9} cells"):
-        G.domain_vertices(G.HalfDomain(3), 9)
+        domain_vertices(G.HalfDomain(3), 9)
 
 
 def test_export_csv(tmp_path):

@@ -11,6 +11,7 @@ from gasketbvp import geometry as G
 from gasketbvp import lowerdomain as LD
 from gasketbvp import oracle as O
 from gasketbvp.errors import AddressError, ContractViolation, ResolutionError
+from graph_helpers import domain_vertices
 
 F = Fraction
 
@@ -259,7 +260,7 @@ def test_domain_solve_equals_evaluate_on_dyadic_data(k, level, rng):
     f = random_dyadic_data(lam, rng)
     frame = LD.LowerFrame(lam)
     s = 2 ** m
-    points = [(F(x, s), F(y, s)) for x, y, _ in G.domain_vertices(frame.domain, m)]
+    points = [(F(x, s), F(y, s)) for x, y, _ in domain_vertices(frame.domain, m)]
     tree = O.CellShapes(frame.domain, "rational").tree(m, (frame, f))
     got = O.solve_domain(tree, partial(frame.terminals, f), points)
     assert got == LD.evaluate_lower_many(lam, f, points)

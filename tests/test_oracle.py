@@ -16,7 +16,8 @@ from gasketbvp import halfdomain as HD
 from gasketbvp import harmonic as H
 from gasketbvp import oracle as O
 from gasketbvp.errors import AddressError, ContractViolation, SolvabilityError
-from graph_helpers import read_values_csv, reference_rows, solve_full_gasket, write_values_csv
+from graph_helpers import (domain_vertices, read_values_csv, reference_rows, solve_full_gasket,
+                           write_values_csv)
 
 F = Fraction
 
@@ -344,7 +345,7 @@ def test_solve_walks_down_only_as_far_as_it_is_read(monkeypatch):
     vals = O.solve(sk.problem(lambda p: float(p == G.Q1)), mode="float")
     assert walked == []
     index, s = sk.graph.index(), 3 ** 5
-    coarse = [vals[index[s * x, s * y]] for x, y, _ in G.domain_vertices(domain, 3)]
+    coarse = [vals[index[s * x, s * y]] for x, y, _ in domain_vertices(domain, 3)]
     assert len(walked) == 4
     assert 0 <= min(coarse) < max(coarse) == 1
 
@@ -443,7 +444,7 @@ def test_float_domain_solve_is_accurate_to_rounding(level, m):
     assert (O.CellShapes(domain, "float").unknowns(m) <= _exact.EXACT_UNKNOWN_CAP
             < O.CellShapes(domain, "float").unknowns(m + 1))
     s = level ** m
-    points = [(F(x, s), F(y, s)) for x, y, _ in G.domain_vertices(domain, m)]
+    points = [(F(x, s), F(y, s)) for x, y, _ in domain_vertices(domain, m)]
     exact = solve_at(domain, m, batch(positive_data), points, "rational")
     vals = solve_at(domain, m, batch(lambda p: float(positive_data(p))), points, "float")
     assert max(abs(v - e) / e for v, e in zip(vals, exact)) <= 1e-12
@@ -458,7 +459,7 @@ def test_domain_tree_goes_beyond_the_graph():
     f = HD.HalfBoundaryData(3, q1=1.0, atoms={("", 1): 0.5, ("0", 1): -0.25},
                             cylinders={"03": 2.0, "30": -1.0}, default=0.0, q0=0.0)
     domain = G.HalfDomain(3)
-    targets = [(F(x, 9), F(y, 9)) for x, y, _ in G.domain_vertices(domain, 2)]
+    targets = [(F(x, 9), F(y, 9)) for x, y, _ in domain_vertices(domain, 2)]
     exact = HD.evaluate_many(f, targets)
     errors = {}
     for m in (8, 10):
@@ -504,7 +505,7 @@ def test_boundary_lookup_and_domain_solve_use_no_extension(name, monkeypatch):
     frame, f = independence_case(name)
     domain = frame.domain
     targets = [(F(x, domain.level ** 2), F(y, domain.level ** 2))
-               for x, y, _ in G.domain_vertices(domain, 2)]
+               for x, y, _ in domain_vertices(domain, 2)]
     want = {m: solve_at(domain, m, partial(frame.terminals, f), targets, "float")
             for m in (2, 3, 4)}
 
@@ -589,7 +590,7 @@ def test_listing_by_shape_matches_the_reference_tree(name, m_float, m_exact, dat
         return frame.terminals(f, points, s)
 
     targets = [(x * domain.level ** (m - 2), y * domain.level ** (m - 2))
-               for x, y, _ in G.domain_vertices(domain, 2)]
+               for x, y, _ in domain_vertices(domain, 2)]
     with mock.patch.object(_exact, "EXACT_UNKNOWN_CAP", 10**9):
         got = O.solve_domain(O.CellShapes(domain, mode).tree(m, (frame, f)), lookup,
                              [(F(x, s), F(y, s)) for x, y in targets])

@@ -13,6 +13,7 @@ from gasketbvp import harmonic as H
 from gasketbvp import oracle as O
 from gasketbvp import upperdomain as UP
 from gasketbvp.errors import AddressError, ContractViolation, ResolutionError
+from graph_helpers import domain_vertices
 
 F = Fraction
 
@@ -239,7 +240,7 @@ def test_evaluate_upper_in_a_deep_dilation():
     lam, top = UP.TriadicLambda(F(1, 3 ** 70)), UP.TriadicLambda(1)
     cyl = {"1": 0.5, "31": -1.0, "2": 0.75}
     f, g = (UP.UpperBoundaryData(t, q0=2.0, cylinders=cyl, default=0.25) for t in (lam, top))
-    points = [(F(x, 9), F(y, 9)) for x, y, _ in G.domain_vertices(G.UpperDomain(cut_y=0), 2)]
+    points = [(F(x, 9), F(y, 9)) for x, y, _ in domain_vertices(G.UpperDomain(cut_y=0), 2)]
     deep = [G.apply_word(G.gasket(3), (0,) * 70, p) for p in points]
     assert UP.evaluate_upper_many(lam, f, deep) == UP.evaluate_upper_many(top, g, points)
 
