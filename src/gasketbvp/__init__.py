@@ -8,9 +8,9 @@ data and recursion engine they share (`cylinder`).  `cli` is the
 command-line front end.
 
 Start-up loads the package's modules but `oracle`, and from the standard
-library only what they run: `fractions`, `heapq` and, for `cli`,
-`argparse` and `json`.  No `dataclasses` (with its `inspect`, `ast`, `dis`
-and `tokenize`): records are namedtuples or plain classes.  `oracle` is
+library only what they run: `fractions` and, for `cli`, `argparse` and
+`json`.  No `dataclasses` (with its `inspect`, `ast`, `dis` and
+`tokenize`): records are namedtuples or plain classes.  `oracle` is
 imported on first use of `gasketbvp.oracle`, by `compare` alone, and
 numpy only by the graph code of `geometry` and of the oracle.
 """

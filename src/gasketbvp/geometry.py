@@ -190,25 +190,25 @@ def gamma1_basis(level):
     """{pt: (w0, w1, w2)}: the exact graph-harmonic extension of V_0 data to
     Gamma_1 is w0 v0 + w1 v1 + w2 v2 at pt, keyed by integer vertex
     coordinates at scale l, the V_0 corners first.  One exact solve, for
-    the unit data at q0; the extensions of the unit data at q1 and q2 are
-    its images under the symmetries of the gasket that swap q0 with q1 and
-    with q2, which permute the barycentric coordinates b0 = y/2,
+    the unit data at q0, in conductance form: 1 on each edge between inner
+    vertices, and a grounding of 1 with the corner's value as load on each
+    edge to a corner, eliminated row by row from the base, so that the
+    load next to q0 moves last.  The extensions of the unit data at q1 and
+    q2 are its images under the symmetries of the gasket that swap q0 with
+    q1 and with q2, which permute the barycentric coordinates b0 = y/2,
     b2 = (2x - y)/4 and b1 = l - b0 - b2 of a point.  Shared; do not mutate."""
     params = gasket(level)
     corner_pts = {cell[c]: c for c, cell in enumerate(params.cell_points[:3])}
-    rows, rhs = {}, {}
-    for k, nb in gamma1_neighbors(level).items():
+    c, g, b = {}, {}, {}
+    for k, nb in sorted(gamma1_neighbors(level).items(), key=lambda item: item[0][::-1]):
         if k in corner_pts:
             continue
-        row = rows[k] = {k: len(nb)}
-        rhs[k] = Fraction(0)
-        for q in nb:
-            if q not in corner_pts:
-                row[q] = row.get(q, 0) - 1
-            elif corner_pts[q] == 0:  # the unit value at q0
-                rhs[k] += 1
-    h = {k: Fraction(int(c == 0)) for k, c in corner_pts.items()}
-    h.update(solve(rows, rhs))
+        inner = [q for q in nb if q not in corner_pts]
+        c[k] = dict.fromkeys(inner, Fraction(1))
+        g[k] = Fraction(len(nb) - len(inner))
+        b[k] = Fraction(sum(corner_pts.get(q) == 0 for q in nb))  # the unit value at q0
+    h = {k: Fraction(int(j == 0)) for k, j in corner_pts.items()}
+    h.update(sorted(solve(c, g, b).items()))
 
     def swapped(pt, c):
         b = [pt[1] // 2, 0, (2 * pt[0] - pt[1]) // 4]

@@ -443,30 +443,35 @@ def extend_step(f):
 
 
 def _extend_step_system(f):
+    """The level-1 matching system in conductance form: conductance 1 on each
+    edge between unknowns, a grounding of 1 with the value as load on each
+    edge to q1 or an atom, and a grounding of 3 with 3 times the integral as
+    load at q1 of each sub-copy.  Loads sum in the data's number type."""
     st = f.st
     points = st.params.cell_points
-    cells = [points[i] for i in _contained_cells_level1(f.level)]
     boundary = {(0, 0): f.q1}
     for j, cell in enumerate(st.params.atom_cells):
         boundary[points[cell][2]] = f.atom("", j + 1)
-    rows, rhs = defaultdict(dict), defaultdict(F)
-    for cs in cells:
-        for x, y in permutations(cs, 2):
+    one = F(1)
+    c, g, b = defaultdict(dict), defaultdict(int), defaultdict(F)
+    for cell in _contained_cells_level1(f.level):
+        for x, y in permutations(points[cell], 2):
             if x in boundary:
                 continue
-            row = rows[x]
-            row[x] = row.get(x, 0) + 1
+            row = c[x]
             if y in boundary:
-                rhs[x] += boundary[y]
+                g[x] += 1
+                b[x] += boundary[y]
             else:
-                row[y] = row.get(y, 0) - 1
+                row[y] = one  # an edge lies in one 1-cell
     for i in st.alphabet:
         p = points[i][1]
-        rows[p][p] += 3
-        rhs[p] += 3 * integrate(f, geometry.WORD_CHARS[i])
+        g[p] += 3
+        b[p] += 3 * integrate(f, geometry.WORD_CHARS[i])
     # solved exactly, but float data take float values, as in the closed forms
-    floats = any(type(v) is float for v in rhs.values())
-    return {p: float(v) if floats else v for p, v in sorted(solve(rows, rhs).items())}
+    floats = any(type(v) is float for v in b.values())
+    u = solve(c, {x: F(g[x]) for x in c}, {x: F(b[x]) for x in c})
+    return {p: float(v) if floats else v for p, v in sorted(u.items())}
 
 
 # ---------------------------------------------------------------------------

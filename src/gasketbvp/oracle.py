@@ -10,16 +10,16 @@ It is one static condensation over the cell hierarchy, in conductance
 form: the equations are a grounded graph Laplacian, conductance 1 along
 each edge between free vertices and a grounding for each edge to a
 boundary vertex, whose value is a load.  Each coarser cell eliminates its
-free inner vertices onto its corners by Grassmann-Taksar-Heyman
-elimination (Oper. Res. 33, 1985), which only adds nonnegative terms.  So
-it runs on Fractions in rational mode and on floats in float mode, with
-entrywise relative accuracy (O'Cinneide, Numer. Math. 65, 1993), and a
-pivot is 0 in either mode exactly when some interior component does not
-touch the boundary.  A cell condenses by its type, the free, boundary or
-absent status of every vertex below it, and a cut domain has few types
-per level, so each type is condensed once.  Per cell only loads go up, by
-forward substitution over the type's elimination record, and values come
-down by back substitution.
+free inner vertices onto its corners by the package's one elimination,
+`_exact`'s Grassmann-Taksar-Heyman kernel, which only adds nonnegative
+terms.  So it runs on Fractions in rational mode and on floats in float
+mode, with entrywise relative accuracy, and a pivot is 0 in either mode
+exactly when some interior component does not touch the boundary.  A
+cell condenses by its type, the free, boundary or absent status of every
+vertex below it, and a cut domain has few types per level, so each type
+is condensed once.  Per cell only loads go up, by forward substitution
+over the type's elimination record, and values come down by back
+substitution.
 
 One engine runs it (`_solve_rows`), on listed cells from one of two
 sources.  A domain's cells are typed by shape (`CellShapes`): a cell's
@@ -52,7 +52,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import index, mul
+from operator import index
 
 from . import _exact, geometry
 from .errors import AddressError, ContractViolation, ResolutionError, SolvabilityError
@@ -108,7 +108,7 @@ class _CellType:
                     g[i] += gi
                     for j, v in row.items():
                         c[i][corners[j]] = c[i].get(corners[j], 0) + v
-        record = _eliminate(c, g, [k for k in range(3, len(status)) if status[k] == _FREE])
+        record = _exact._eliminate(c, g, [k for k in range(3, len(status)) if status[k] == _FREE])
         return c[:3], g[:3], record
 
     @cached_property
@@ -133,7 +133,7 @@ class _CellType:
             for corners, (loads, _) in terms:
                 for i, v in zip(corners, loads):
                     b[i] += v
-            ys = _forward(record, b)
+            ys = _exact._forward(record, b)
             return b[:3], ys
 
         corner = [unit([(slots[j], children[j].units[j])]) if status[j] == _BOUNDARY else None
@@ -143,56 +143,6 @@ class _CellType:
                  if child is not None and child.loaded for i in (3, 0, 1, 2)
                  if child.units[i] is not None and (i == 3 or corners[i] >= 3)]
         return corner + [unit(terms)]
-
-
-def _eliminate(c, g, order):
-    """Eliminate the slots `order` in turn from the grounded graph Laplacian
-    of conductances c[i] = {j: c_ij} and groundings g[i]: pivot d_k =
-    sum_j c_kj + g_k, then c_ij += c_ik c_kj / d_k and g_i += c_ik g_k / d_k.
-    c and g are left as the Schur complement onto the other slots; returns
-    the record [(k, d_k, slots j, weights c_kj / d_k)].  No term is negative,
-    so d_k is 0, in floats too, exactly when slot k has no conductance left:
-    some interior component does not touch the boundary."""
-    record = []
-    for k in order:
-        row = c[k]
-        d = sum(row.values()) + g[k]
-        if d == 0:
-            raise SolvabilityError("an interior component does not touch the boundary")
-        slots = tuple(row)
-        weights = tuple(v / d for v in row.values())
-        for i, wi in zip(slots, weights):
-            ci, cik = c[i], row[i]
-            del ci[k]
-            for j, w in zip(slots, weights):
-                if j != i:
-                    ci[j] = ci.get(j, 0) + cik * w
-            g[i] += g[k] * wi
-        record.append((k, d, slots, weights))
-    return record
-
-
-def _forward(record, b):
-    """Forward substitution of the loads b over an elimination record:
-    y_k = b_k / d_k per step, then b_j += (c_kj / d_k) b_k.  Returns the
-    y_k and leaves in b the loads on the slots not eliminated."""
-    ys = []
-    for k, d, slots, weights in record:
-        bk = b[k]
-        ys.append(bk / d)
-        for j, w in zip(slots, weights):
-            b[j] += w * bk
-    return ys
-
-
-def _backward(record, ys, u):
-    """Back substitution over an elimination record into the slot values u,
-    last step first: u_k = y_k + sum_j (c_kj / d_k) u_j.  ys is None for a
-    cell without load, whose y_k are 0."""
-    for n in range(len(record) - 1, -1, -1):
-        k, _, slots, weights = record[n]
-        v = sum(map(mul, weights, map(u.__getitem__, slots)))
-        u[k] = v + ys[n] if ys else v
 
 
 @lru_cache(maxsize=None)
@@ -293,12 +243,12 @@ def _solve_rows(params, rows, lookup, number):
     value = dict(zip(boundary, map(number, lookup(boundary)))).__getitem__
     load, inner = _loads_up(params, rows, value)
     c, g, _ = root.schur
-    record = _eliminate([dict(row) for row in c], list(g),
-                        [j for j, st in enumerate(root.status) if st == _FREE])
+    record = _exact._eliminate([dict(row) for row in c], list(g),
+                               [j for j, st in enumerate(root.status) if st == _FREE])
     s = l ** m
     corners = [value((s * qx, s * qy)) if st == _BOUNDARY else None
                for st, (qx, qy) in zip(root.status, geometry.CORNERS_INT)]
-    _backward(record, _forward(record, load), corners)
+    _exact._backward(record, _exact._forward(record, load), corners)
     return _values_down(params, rows, inner, corners, value)
 
 
@@ -327,7 +277,7 @@ def _loads_up(params, rows, value):
                     if i is not None and below[i] is not None:
                         for n, v in zip(corners, below[i]):
                             b[n] += v
-                ys = _forward(t.schur[2], b)
+                ys = _exact._forward(t.schur[2], b)
                 b = b[:3]
             else:
                 b = None
@@ -362,7 +312,7 @@ def _values_down(params, rows, inner, corners, value):
                 ys = _combine(t, uc, inside, 1)
             u = uc + [(value(p) if inside is None else inside) if st == _BOUNDARY else None
                       for p, st in zip(points, t.parts[2][3:])]
-            _backward(t.schur[2], ys, u)
+            _exact._backward(t.schur[2], ys, u)
             values += [(p, v) for p, v in zip(points, u[3:]) if v is not None]
             if k + 1 == m:
                 continue

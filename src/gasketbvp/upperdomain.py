@@ -366,12 +366,14 @@ def extend_step_upper(lam, f):
     }
     if lam.iota1 == 1:
         den = 3.0 + 4.0 * eta + eta * eta
-        u4 = q0 / (1.0 + eta) + (2 * eta + eta ** 2) / den * ints[4] + eta / den * ints[5]
-        u5 = q0 / (1.0 + eta) + (2 * eta + eta ** 2) / den * ints[5] + eta / den * ints[4]
+        i4, i5 = float(ints[4]), float(ints[5])
+        u4 = q0 / (1.0 + eta) + (2 * eta + eta ** 2) / den * i4 + eta / den * i5
+        u5 = q0 / (1.0 + eta) + (2 * eta + eta ** 2) / den * i5 + eta / den * i4
         return {4: u4, 5: u5}
     d_big = 54.0 + 165.0 * eta + 102.0 * eta ** 2 + 15.0 * eta ** 3
     d_small = 6.0 + 15.0 * eta + 3.0 * eta ** 2
-    i1, i2, i3 = ints[1], ints[2], ints[3]
+    # floats at the products; i1 + i2 is rounded once, from the exact sum
+    i1, i2, i3, i12 = map(float, (ints[1], ints[2], ints[3], ints[1] + ints[2]))
     u1 = (
         (54.0 + 39.0 * eta + 5.0 * eta ** 2) * q0
         + (60.0 * eta + 76.0 * eta ** 2 + 15.0 * eta ** 3) * i1
@@ -387,7 +389,7 @@ def extend_step_upper(lam, f):
     u3 = (
         (6.0 + 2.0 * eta) * q0
         + (5.0 * eta + 3.0 * eta ** 2) * i3
-        + 4.0 * eta * (i1 + i2)
+        + 4.0 * eta * i12
     ) / d_small
     u4 = (
         (54.0 + 84.0 * eta + 39.0 * eta ** 2 + 5.0 * eta ** 3) * q0

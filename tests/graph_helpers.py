@@ -2,10 +2,12 @@
 of a domain graph listed cell by cell (the reference the walk's rows are
 checked against), the per-cell cell tree of a domain (the reference the
 oracle's compressed listing is checked against), a CSV round trip of
-oracle values, and functions on a graph's vertices with their energy and
-mean-value residual.  They build on the package's API and keep no state
-of their own."""
+oracle values, functions on a graph's vertices with their energy and
+mean-value residual, and a minimum-degree Fraction eliminator, the
+reference the package's elimination kernel is checked against.  They
+build on the package's API and keep no state of their own."""
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -22,6 +24,60 @@ def solve_full_gasket(params, m, corner_values, mode="auto"):
     graph = geometry.build_graph(params, m)
     ids = [graph.vertex_id(q) for q in geometry.CORNERS]
     return graph, oracle.solve(oracle.DirichletProblem(graph, ids, list(corner_values)), mode=mode)
+
+
+# ---------------------------------------------------------------------------
+# an exact solver independent of the package's elimination kernel
+
+
+def min_degree_solve(rows, rhs):
+    """Solve sum_j a_ij x_j = b_i exactly; returns {i: x_i} in the order of rows.
+
+    rows maps each unknown i to its sparse row {j: a_ij} and rhs maps i to
+    b_i (ints, floats or Fractions, converted exactly); both are consumed.
+    Minimum-degree elimination without pivoting needs a symmetric positive
+    definite matrix, e.g. a graph Laplacian with a Dirichlet boundary plus
+    nonnegative diagonal terms; a zero pivot raises SolvabilityError.
+    """
+    unknowns = list(rows)
+    for i, row in rows.items():
+        for j, a in row.items():
+            row[j] = Fraction(a)
+        rhs[i] = Fraction(rhs[i])
+    order = []
+    heap = [(len(row) - 1, i) for i, row in rows.items()]
+    heapq.heapify(heap)
+    while heap:
+        deg, i = heapq.heappop(heap)
+        if i not in rows:
+            continue
+        if deg != len(rows[i]) - 1:
+            heapq.heappush(heap, (len(rows[i]) - 1, i))
+            continue
+        row = rows.pop(i)
+        b = rhs.pop(i)
+        piv = row.pop(i, 0)
+        if piv == 0:
+            raise SolvabilityError("singular system in exact elimination (zero pivot)")
+        order.append((i, row, b, piv))
+        for j in row:
+            rj = rows[j]
+            f = rj.pop(i, None)
+            if f is None:
+                continue
+            f /= piv
+            for k, v in row.items():
+                rj[k] = rj[k] - f * v if k in rj else -f * v
+            rhs[j] -= f * b
+            heapq.heappush(heap, (len(rj) - 1, j))
+    x = {}
+    while order:  # popping frees each eliminated row once it is used
+        i, row, b, piv = order.pop()
+        s = b
+        for k, v in row.items():
+            s -= v * x[k]
+        x[i] = s / piv
+    return {i: x[i] for i in unknowns}
 
 
 # ---------------------------------------------------------------------------

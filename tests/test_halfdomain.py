@@ -1,13 +1,18 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketbvp import cylinder
 from gasketbvp import geometry as G
 from gasketbvp import halfdomain as HD
 from gasketbvp import oracle as O
 from gasketbvp.errors import AddressError, ContractViolation
+from graph_helpers import min_degree_solve
 
 F = Fraction
 
@@ -179,6 +184,65 @@ def test_extend_step_matches_general_solver():
         closed = HD.extend_step(f)
         for pt, v in closed.items():
             assert via_system[pt] == v
+
+
+def matrix_form_extend_step(f):
+    """The SG_l half domain's level-1 system as Laplacian rows and a
+    right-hand side summed in the data's number type, solved exactly by the
+    minimum-degree eliminator; float data take float values."""
+    frame = f.st
+    points = frame.params.cell_points
+    boundary = {(0, 0): f.q1}
+    for j, cell in enumerate(frame.params.atom_cells):
+        boundary[points[cell][2]] = f.atom("", j + 1)
+    rows, rhs = defaultdict(dict), defaultdict(F)
+    for cs in (points[i] for i in HD._contained_cells_level1(f.level)):
+        for x, y in permutations(cs, 2):
+            if x in boundary:
+                continue
+            row = rows[x]
+            row[x] = row.get(x, 0) + 1
+            if y in boundary:
+                rhs[x] += boundary[y]
+            else:
+                row[y] = row.get(y, 0) - 1
+    for i in frame.alphabet:
+        p = points[i][1]
+        rows[p][p] += 3
+        rhs[p] += 3 * HD.integrate(f, G.WORD_CHARS[i])
+    floats = any(type(v) is float for v in rhs.values())
+    return {p: float(v) if floats else v for p, v in sorted(min_degree_solve(rows, rhs).items())}
+
+
+@st.composite
+def half_cylinder_data(draw):
+    """Data on the half domain of SG_l, l = 4..8: q1, the depth-0 atoms,
+    atoms and cylinders down to depth 1 or 2, exact or float values."""
+    level = draw(st.integers(4, 8))
+    number = draw(st.sampled_from([F, float]))
+    value = st.fractions(min_value=-9, max_value=9, max_denominator=7).map(number)
+    frame = HD.structure(level)
+    depth = draw(st.integers(1, 2))
+    words = [""]
+    atoms = {}
+    for _ in range(depth):
+        atoms.update({(w, j): draw(value) for w in words
+                      for j in range(1, frame.atom_count + 1)})
+        words = [w + G.WORD_CHARS[i] for w in words for i in frame.alphabet]
+    cylinders = {w: draw(value) for w in words}
+    return HD.HalfBoundaryData(level, q1=draw(value), atoms=atoms, cylinders=cylinders,
+                               q0=draw(value))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(half_cylinder_data())
+def test_extend_step_system_keeps_the_matrix_form_values(f):
+    got, want = HD._extend_step_system(f), matrix_form_extend_step(f)
+    assert list(got) == list(want)
+    if type(f.q1) is float:
+        assert repr(got) == repr(want)
+    else:
+        assert got == want and all(type(v) is F for v in got.values())
 
 
 def test_extend_step_sg4_against_oracle():

@@ -16,8 +16,8 @@ from gasketbvp import halfdomain as HD
 from gasketbvp import harmonic as H
 from gasketbvp import oracle as O
 from gasketbvp.errors import AddressError, ContractViolation, SolvabilityError
-from graph_helpers import (domain_vertices, read_values_csv, reference_rows, solve_full_gasket,
-                           write_values_csv)
+from graph_helpers import (domain_vertices, min_degree_solve, read_values_csv, reference_rows,
+                           solve_full_gasket, write_values_csv)
 
 F = Fraction
 
@@ -101,7 +101,7 @@ def test_zero_pivot_inside_a_cell_type_is_refused(monkeypatch):
     keep = [*range(18, 36), *range(36, 72)]
     g = G.build_graph(G.gasket(3), 3, lambda corners: np.isin(np.arange(len(corners)), keep))
     boundary = np.array([g.vertex_id(G.Q1)])
-    eliminate, refused = O._eliminate, []
+    eliminate, refused = _exact._eliminate, []
 
     def counted(c, g, order):
         try:
@@ -110,7 +110,8 @@ def test_zero_pivot_inside_a_cell_type_is_refused(monkeypatch):
             refused.append(order)
             raise
 
-    monkeypatch.setattr(O, "_eliminate", counted)
+    # the oracle looks the elimination kernel up in _exact
+    monkeypatch.setattr(_exact, "_eliminate", counted)
     messages = []
     for mode, value in (("rational", F(1)), ("float", 1.0)):
         with pytest.raises(SolvabilityError) as error:
@@ -244,8 +245,9 @@ def test_float_condensation_matches_rational_on_random_cells(problem):
 
 def reference_solve(problem):
     """The oracle by the general route: a breadth-first search for a
-    component that does not touch the boundary, then `_exact.solve` over
-    the Laplacian rows read from graph.neighbors."""
+    component that does not touch the boundary, then the minimum-degree
+    eliminator, not the oracle's kernel, over the Laplacian rows read from
+    graph.neighbors."""
     graph = problem.graph
     bmask = np.zeros(graph.n_vertices(), dtype=bool)
     bmask[problem.boundary_ids] = True
@@ -270,7 +272,7 @@ def reference_solve(problem):
                 rhs[i] += values[j]
             else:
                 rows[i][j] = rows[i].get(j, 0) - 1
-    for i, v in _exact.solve(rows, rhs).items():
+    for i, v in min_degree_solve(rows, rhs).items():
         values[i] = v
     return values
 

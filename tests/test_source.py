@@ -106,7 +106,7 @@ def test_no_dataclasses():
 
 # what importing a module must not load
 UNLOADED = {
-    "gasketbvp.cli": ["dataclasses", "inspect", "numpy", "gasketbvp.oracle"],
+    "gasketbvp.cli": ["dataclasses", "inspect", "heapq", "numpy", "gasketbvp.oracle"],
     "gasketbvp.oracle": ["dataclasses", "numpy"],
 }
 
