@@ -14,7 +14,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, isfinite
 
 from . import cylinder, geometry, halfdomain, lowerdomain, upperdomain
 from .errors import AccuracyError, GasketError
@@ -29,13 +29,27 @@ class UsageError(Exception):
 
 
 def _parse_value(v, mode):
-    if mode == "float":
-        return float(F(v)) if isinstance(v, str) else float(v)
-    if isinstance(v, (str, int)):
-        return F(v)
+    """A JSON number, or a string of one, as data of the mode (auto mode
+    keeps JSON floats); UsageError for a value the mode cannot hold."""
+    if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+        raise TypeError(f"{v!r} is not a number")
     if isinstance(v, float) and mode == "rational":
         raise UsageError(f"rational mode cannot take the float literal {v!r}")
-    return v
+    if mode != "float" and not isinstance(v, float):
+        return F(v)
+    try:
+        x = float(F(v)) if isinstance(v, str) else float(v)
+    except OverflowError:
+        raise UsageError(f"{v!r} is too large for a float") from None
+    if not isfinite(x):  # JSON's NaN and Infinity, and 1e400
+        raise UsageError(f"{v!r} is not a finite number")
+    return x
+
+
+def _parse_index(v):
+    if isinstance(v, (bool, float)):  # an atom index, which int() would truncate
+        raise TypeError(f"{v!r} is not an integer")
+    return int(v)
 
 
 def load_boundary_data(path, domain, mode, lam=None, level=3):
@@ -58,6 +72,8 @@ def load_boundary_data(path, domain, mode, lam=None, level=3):
             return None if v is None else parse(v)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"{field}: {v!r} is not {what}") from exc
+        except UsageError as exc:
+            raise UsageError(f"{field}: {exc}") from exc
 
     def entries(key):
         items = raw.get(key, [])
@@ -68,7 +84,7 @@ def load_boundary_data(path, domain, mode, lam=None, level=3):
                 raise UsageError(f'{key}[{n}] needs a word "w" and a value "v"')
             yield e, value(e["v"], f"{key}[{n}].v"), f"{key}[{n}]"
 
-    atoms = {(e["w"], value(e.get("j", 1), f"{at}.j", int, "an integer")): v
+    atoms = {(e["w"], value(e.get("j", 1), f"{at}.j", _parse_index, "an integer")): v
              for e, v, at in entries("atoms")}
     if atoms and not fam.atoms:
         raise UsageError(f"{domain}-domain data has no atoms, use cylinders")

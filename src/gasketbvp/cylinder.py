@@ -20,13 +20,12 @@ A frame provides
     cut_values(f, points, s)  the data's values at points (x/s, y/s) of the
                       cut line, integer pairs (x, y), in one batch (by
                       default the cylinder lookup `cut_values`)
-    terminals(f, points, s), terminal(f, p)  (provided) the value at a
-                      boundary corner or on the cut line, None elsewhere
+    terminals(f, points, s)  (provided) the value at a boundary corner or
+                      on the cut line, None elsewhere
     values(f)         the V_1 values of the solution from the family's
-                      extend step, keyed by exact points, corners included
+                      extend step, keyed by the integer points at scale l
+                      of `GasketParams.cell_points`, corners included
     full_cells()      the level-1 cells lying wholly inside the domain
-    cell(f)           the corner values when the whole domain is one cell,
-                      else None; the node then takes no other hook
     copies(), shift(d)  the digits of the sub-copies that meet X (F_0 alone
                       for an upper domain with m_1 > 1); the frame of F_d
 as the measure state at the node X_word that `integrate` walks
@@ -144,9 +143,10 @@ class Frame:
     """Defaults of the frame protocol (see the module docstring)."""
 
     def terminals(self, f, points, s):
-        """`terminal` at the points (x/s, y/s), for integer pairs (x, y), in
-        order: the boundary corners take `corner_values`, the points of the
-        cut line one batched `cut_values`, and every other point None."""
+        """The data's values at the points (x/s, y/s), for integer pairs
+        (x, y), in order: the boundary corners take `corner_values`, the
+        points of the cut line one batched `cut_values`, and every other
+        point None."""
         dom = self.domain
         ends = {(s * geometry.CORNERS_INT[c][0], s * geometry.CORNERS_INT[c][1]): v
                 for c, v in zip(dom.corners, self.corner_values(f))}
@@ -155,15 +155,8 @@ class Frame:
         vals = dict(zip(cut, self.cut_values(f, cut, s) if cut else ()))
         return [ends.get(p, vals.get(p)) for p in points]
 
-    def terminal(self, f, p):
-        s, [(_, x, y)] = geometry.scaled([p])
-        return self.terminals(f, [(x, y)], s)[0]
-
     def cut_values(self, f, points, s):
         return cut_values(self, f, points, s)
-
-    def cell(self, f):
-        return None
 
     def own(self, f, word):
         return 0
@@ -173,7 +166,7 @@ class Frame:
 
 
 def _copy_data(frame, f, values, d):
-    corners = frame.params.cell_corners[d]
+    corners = frame.params.cell_points[d]
     return f.shifted(d, *(values[corners[s]] for s in frame.slots))
 
 
@@ -189,10 +182,10 @@ def walk(frame, f, m):
     depth first in digit order, so the level-m cells come in the order of
     their words and the first to hold a vertex gives its address.  The
     first step to reach a vertex gives its value, in `evaluate`'s
-    precedence: a node's own V_1 points (`cell`, else `terminals`, else
-    `values`) before its cells, and a cell's corners before its other V_1
-    points.  Points that no level-m cell of the closed domain holds are
-    reached (a node's V_1 points) but left out.
+    precedence: a node's own V_1 points (`terminals`, else `values`) before
+    its cells, and a cell's corners before its other V_1 points.  Points
+    that no level-m cell of the closed domain holds are reached (a node's
+    V_1 points) but left out.
 
     A full cell with exact corner values is filled in integers: its
     subcells carry numerators over q D_l^k (`harmonic.extension_step`), and
@@ -201,8 +194,7 @@ def walk(frame, f, m):
     l, shifts = params.level, params.int_translations
     chars = geometry.WORD_CHARS
     closed, axis = geometry._closed_side(dom, m), dom.axis
-    v1 = list({pt: p for cell, exact in zip(params.cell_points, params.cell_corners)
-               for pt, p in zip(cell, exact)}.items())
+    v1 = list(dict.fromkeys(pt for cell in params.cell_points for pt in cell))
     # a V_1 point of a level-(m-1) cell with its least (subcell, corner)
     least = {}
     for t, cell in enumerate(params.cell_points):
@@ -235,23 +227,18 @@ def walk(frame, f, m):
         # corner j of the level-k cell at (x, y) is at l**(m-k) q_j + (x, y),
         # and a V_1 point, an integer pair at scale l, at l**(m-k-1) times it
         step = l ** (m - k - 1)
-        whole = frame.cell(f)
-        values = frame.values(f) if whole is None else dict(zip(geometry.CORNERS, whole))
-        todo = [(pt, p) for pt, p in v1 if (x + step * pt[0], y + step * pt[1]) not in out]
-        pts = [pt for pt, _ in todo]
-        ends = frame.terminals(f, pts, l) if whole is None else [None] * len(pts)
-        for ((px, py), p), value in zip(todo, ends):
-            value = values.get(p) if value is None else value
+        values = frame.values(f)
+        todo = [pt for pt in v1 if (x + step * pt[0], y + step * pt[1]) not in out]
+        for pt, value in zip(todo, frame.terminals(f, todo, l)):
+            value = values.get(pt) if value is None else value
             if value is not None:
-                out[x + step * px, y + step * py] = value, None
-        if whole is not None:
-            fill(whole, None, x, y, k, word)
-        elif k + 1 < m:
+                out[x + step * pt[0], y + step * pt[1]] = value, None
+        if k + 1 < m:
             full = frame.full_cells()
             for d in sorted((*full, *frame.copies())):
                 dx, dy = x + step * shifts[d][0], y + step * shifts[d][1]
                 if d in full:
-                    fill(tuple(values[q] for q in params.cell_corners[d]), None, dx, dy, k + 1,
+                    fill(tuple(values[q] for q in params.cell_points[d]), None, dx, dy, k + 1,
                          word + chars[d])
                 else:
                     node(frame.shift(d), _copy_data(frame, f, values, d), dx, dy, k + 1,
@@ -278,14 +265,13 @@ def evaluate(frame, f, vertices):
     At each recursion node a point is a boundary point (`terminals`, one
     batch per node) or a V_1 point (`values`), else it lies in the first
     full cell containing it, resolved there by the harmonic extension, or
-    goes on into the first sub-copy containing it; a node that is one cell
-    (`cell`) descends every point.  The points of one node share its extend
-    step, its sub-copies' data and one descent per full cell, and wait with
-    it on a stack, as integers over their common denominator s (a V_1 point
-    is found by its integer pair), at most the deepest point's
-    `harmonic.descent_budget` of sub-copies down."""
+    goes on into the first sub-copy containing it.  The points of one node
+    share its extend step, its sub-copies' data and one descent per full
+    cell, and wait with it on a stack, as integers over their common
+    denominator s (a V_1 point is found by its integer pair at scale l), at
+    most the deepest point's `harmonic.descent_budget` of sub-copies down."""
     params = frame.params
-    l, corners = params.level, params.cell_corners
+    l, corners = params.level, params.cell_points
     points = [geometry.exact_point(params, v) for v in vertices]
     s, batch = geometry.scaled(points)
     for k, x, y in batch:
@@ -298,28 +284,21 @@ def evaluate(frame, f, vertices):
         p = points[budgets.index(None)]
         raise AddressError(f"{p} is no vertex: its denominator divides no power of {l}")
     shifts = geometry.unapply_shifts(params, s)
-    # the V_1 points by integer pair at scale s l: (x/s, y/s) is the V_1
-    # point p when (l x, l y) is its key
-    v1 = {(s * px, s * py): p for cell, exact in zip(params.cell_points, corners)
-          for (px, py), p in zip(cell, exact)}
     out = [None] * len(points)
     stack = [(frame, f, batch, max(budgets, default=1))]  # no points: the root only
     while stack:
         frame, f, batch, depth = stack.pop()
         if depth == 0:
             raise AddressError(f"{points[batch[0][0]]} is no vertex of the {frame.name}")
-        whole = frame.cell(f)
-        if whole is not None:
-            harmonic.descend(frame.level, whole, batch, s, out, points)
-            continue
         values = frame.values(f)
         cells, copies = {}, {}
         targets = [(i, cells) for i in frame.full_cells()] + [(d, copies) for d in frame.copies()]
         ends = frame.terminals(f, [(x, y) for _, x, y in batch], s)
         for (k, x, y), value in zip(batch, ends):
             if value is None:
-                p = v1.get((l * x, l * y))
-                value = None if p is None else values.get(p)
+                # (x/s, y/s) is the V_1 point (px/l, py/l) when l x = s px
+                (px, rx), (py, ry) = divmod(l * x, s), divmod(l * y, s)
+                value = None if rx or ry else values.get((px, py))
             if value is not None:
                 out[k] = value
                 continue
@@ -380,17 +359,11 @@ def cut_values(frame, f, points, s):
     return [Fraction(t, n) if type(t) is int else t / n for t, n in sums]
 
 
-def cut_value(frame, f, p):
-    """`cut_values` at one exact point p."""
-    s, [(_, x, y)] = geometry.scaled([p])
-    return cut_values(frame, f, [(x, y)], s)[0]
-
-
 def stage(frame, f):
     """Corner-value triples of the frame's full cells, and (frame, data)
     of every sub-copy."""
     values = frame.values(f)
-    corners = frame.params.cell_corners
+    corners = frame.params.cell_points
     cells = [tuple(values[q] for q in corners[i]) for i in frame.full_cells()]
     copies = [(frame.shift(d), _copy_data(frame, f, values, d)) for d in frame.copies()]
     return cells, copies

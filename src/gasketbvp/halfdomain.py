@@ -123,11 +123,11 @@ class HalfStructure(cylinder.Frame):
         return out
 
     def values(self, f):
-        l = self.level
-        values = {(F(x, l), F(y, l)): v for (x, y), v in extend_step(f).items()}
-        values[Q1] = f.q1
-        for j, ap in enumerate(self.atom_points):
-            values[ap] = f.atom("", j + 1)
+        values = extend_step(f)
+        values[0, 0] = f.q1
+        points = self.params.cell_points
+        for j, cell in enumerate(self.params.atom_cells, start=1):
+            values[points[cell][2]] = f.atom("", j)
         return values
 
     def full_cells(self):
@@ -446,7 +446,8 @@ def _extend_step_system(f):
     """The level-1 matching system in conductance form: conductance 1 on each
     edge between unknowns, a grounding of 1 with the value as load on each
     edge to q1 or an atom, and a grounding of 3 with 3 times the integral as
-    load at q1 of each sub-copy.  Loads sum in the data's number type."""
+    load at q1 of each sub-copy, eliminated row by row from the base.  Loads
+    sum in the data's number type; float loads are then made exact."""
     st = f.st
     points = st.params.cell_points
     boundary = {(0, 0): f.q1}
@@ -470,7 +471,9 @@ def _extend_step_system(f):
         b[p] += 3 * integrate(f, geometry.WORD_CHARS[i])
     # solved exactly, but float data take float values, as in the closed forms
     floats = any(type(v) is float for v in b.values())
-    u = solve(c, {x: F(g[x]) for x in c}, {x: F(b[x]) for x in c})
+    order = sorted(c, key=lambda p: p[::-1])
+    u = solve({x: c[x] for x in order}, {x: F(g[x]) for x in order},
+              {x: F(b[x]) if type(b[x]) is float else b[x] for x in order})
     return {p: float(v) if floats else v for p, v in sorted(u.items())}
 
 

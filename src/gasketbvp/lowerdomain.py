@@ -12,10 +12,10 @@ lambda every quantity is an exact rational.
 from collections import namedtuple
 from fractions import Fraction
 
-from . import cylinder, geometry
+from . import cylinder, geometry, harmonic
 from .cylinder import CylinderData
 from .errors import AccuracyError, AddressError, ContractViolation, ResolutionError
-from .geometry import Q0, Q1, Q2, gasket
+from .geometry import gasket
 
 F = Fraction
 
@@ -389,11 +389,14 @@ def extend_step_lower(lam, f):
 def boundary_value_at_lower(lam, f, p):
     """Data value at an exact point of the cut-line boundary set."""
     cylinder.check_lam(lam, f)
-    return cylinder.cut_value(LowerFrame(lam), f, p)
+    s, [(_, x, y)] = geometry.scaled([p])
+    return LowerFrame(lam).cut_values(f, [(x, y)], s)[0]
 
 
 class LowerFrame(cylinder.Frame):
-    """The lower domain of SG for one lambda as a recursion frame."""
+    """The lower domain of SG for one lambda as a recursion frame; at
+    lambda = 0 it is the whole gasket, X is the point q0, and the V_1
+    values extend (f(q0), q1, q2) over the cell."""
 
     name = "lower domain"
     level = 2
@@ -414,16 +417,15 @@ class LowerFrame(cylinder.Frame):
     def corner_values(self, f):
         return (f.q1, f.q2)
 
-    def cell(self, f):
-        if self.lam.value == 0:  # the whole gasket: boundary V_0, X reduces to {q0}
-            c0 = f.subtree("")
-            return (self.terminal(f, Q0) if c0 is None else c0, f.q1, f.q2)
-        return None
-
     def values(self, f):
-        values = dict(extend_step_lower(self.lam, f))
-        values[Q1] = f.q1
-        values[Q2] = f.q2
+        if self.lam.value == 0:
+            # constant data keep f(q0) as given: cut_values' sum makes -0.0 0.0
+            q0 = f.subtree("")
+            q0 = self.cut_values(f, [(1, 2)], 1)[0] if q0 is None else q0
+            return harmonic.cell_extension(2, (q0, f.q1, f.q2))
+        values = {(int(2 * x), int(2 * y)): v for (x, y), v in extend_step_lower(self.lam, f).items()}
+        values[0, 0] = f.q1
+        values[4, 0] = f.q2
         return values
 
     def full_cells(self):

@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import cylinder, geometry
 from .cylinder import MAX_RECURSION, CylinderData
 from .errors import AccuracyError, AddressError, ContractViolation, ResolutionError
-from .geometry import Q0, gasket
+from .geometry import gasket
 
 F = Fraction
 
@@ -439,7 +439,8 @@ class UpperFrame(cylinder.Frame):
 
     def values(self, f):
         row = extend_step_upper(self.lam, f).items() if self.lam.m1 == 1 else ()
-        return {Q0: float(f.q0), **{self.params.cell_corners[d][0]: v for d, v in row}}
+        points = self.params.cell_points  # F_0 q_0 is q_0
+        return {points[0][0]: float(f.q0), **{points[d][0]: v for d, v in row}}
 
     def full_cells(self):
         return _FULL_CELLS[self.lam.iota1] if self.lam.m1 == 1 else ()
@@ -473,7 +474,8 @@ def evaluate_upper_many(lam, f, vertices):
 def boundary_value_at_upper(lam, f, p):
     """Data value at an exact point of the cut line; at a junction of two
     cylinders of piecewise-constant data the cylinder values are averaged."""
-    return cylinder.cut_value(UpperFrame(lam), f, p)
+    s, [(_, x, y)] = geometry.scaled([p])
+    return UpperFrame(lam).cut_values(f, [(x, y)], s)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -441,14 +441,14 @@ def test_compare_reads_the_boundary_in_one_batch_per_level(domain, data, tmp_pat
                                                            monkeypatch):
     # each level's boundary values come from one batched lookup; no vertex
     # is looked up on its own from the root
-    from gasketbvp import cylinder, halfdomain, lowerdomain, oracle, upperdomain
+    from gasketbvp import halfdomain, lowerdomain, oracle, upperdomain
 
     def refuse(*args):
         raise AssertionError("one-point boundary lookup")
 
-    for module, attr in ((cylinder, "cut_value"), (halfdomain, "boundary_value_at"),
+    for module, attr in ((halfdomain, "boundary_value_at"),
                          (upperdomain, "boundary_value_at_upper"),
-                         (lowerdomain, "boundary_value_at_lower"), (cylinder.Frame, "terminal")):
+                         (lowerdomain, "boundary_value_at_lower")):
         monkeypatch.setattr(module, attr, refuse)
     batches = []
     solve = oracle.solve_domain

@@ -189,6 +189,64 @@ def test_edge(row, data_paths, capsys):
         assert out.splitlines()[0] == text
 
 
+def half_text(q1='"1"', j="1", v='"1/2"', tail='"0"'):
+    """Half-SG data as JSON text, each field given as raw JSON, so that the
+    JSON extensions NaN and Infinity and out-of-range literals get in."""
+    return (f'{{"schema": 1, "q1": {q1}, "q0": "0", "atoms": [{{"w": "", "j": {j}, "v": {v}}}], '
+            f'"default_tail": {tail}}}')
+
+
+HALF = ["solve", "--domain", "half-sg", "--level", "1"]
+# boundary values that are no number of the mode are refused, naming their
+# field: JSON booleans (ints to Python), atom indices that are no integer,
+# and values that no float holds
+BAD_VALUES = [
+    ([*HALF], half_text(q1="true"), "q1: True is not a number"),
+    ([*HALF, "--mode", "rational"], half_text(v="false"), "atoms[0].v: False is not a number"),
+    ([*HALF], half_text(j="1.5"), "atoms[0].j: 1.5 is not an integer"),
+    ([*HALF], half_text(j="true"), "atoms[0].j: True is not an integer"),
+    ([*HALF], half_text(q1="NaN"), "q1: nan is not a finite number"),
+    ([*HALF, "--mode", "float"], half_text(v="Infinity"), "atoms[0].v: inf is not a finite number"),
+    ([*HALF, "--mode", "float"], half_text(tail="-Infinity"),
+     "default_tail: -inf is not a finite number"),
+    ([*HALF], half_text(q1="1e400"), "q1: inf is not a finite number"),
+    ([*HALF, "--mode", "float"], half_text(q1='"1e400"'), "q1: '1e400' is too large for a float"),
+    ([*HALF, "--mode", "float"], half_text(q1="1" + "0" * 400), "is too large for a float"),
+    ([*HALF, "--mode", "rational"], half_text(q1="NaN"),
+     "q1: rational mode cannot take the float literal nan"),
+    (["compare", "--domain", "half-sg", "--levels", "2:3", "--mode", "float"],
+     half_text(tail="NaN"), "default_tail: nan is not a finite number"),
+    (["compare", *UPPER, "--levels", "2:3"],
+     '{"schema": 1, "q0": "1", "cylinders": [{"w": "1", "v": 1e400}], "default_tail": 0}',
+     "cylinders[0].v: inf is not a finite number"),
+    (["haar", *UPPER],
+     '{"schema": 1, "q0": "1", "cylinders": [{"w": "1", "v": true}], "default_tail": 0}',
+     "cylinders[0].v: True is not a number"),
+]
+
+
+@pytest.mark.parametrize("argv,text,message", BAD_VALUES,
+                         ids=[f"{row[0][0]}-{n}" for n, row in enumerate(BAD_VALUES)])
+def test_bad_boundary_value_is_refused(argv, text, message, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    code = cli.main([*argv, "--data", str(path)])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert message in out.err
+
+
+def test_finite_json_floats_are_read_as_before(tmp_path, capsys):
+    # the checks refuse only what is no finite number: JSON floats and
+    # integer atom indices given as strings still read
+    path = tmp_path / "f.json"
+    path.write_text(half_text(q1="0.5", j='"1"', v="2", tail="-0.25"))
+    code = cli.main([*HALF, "--data", str(path)])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert out.out.splitlines()[1:] == ["1,1,0,0,0.5", "1,0,1/2,1,0.35", "1,2,1,0,2"]
+
+
 # compare's last line: two or more levels whose maxima do not fall are not
 # decreasing, unless every maximum is 0
 MONOTONE = [

@@ -258,22 +258,19 @@ def reference_value_in_cell(level, vals, p):
 
 
 def reference_route(frame, f, p):
-    """One point's walk: the node's one harmonic cell if it is one, else a
-    boundary value, a V_1 value, the first full cell containing it, or else
-    the first sub-copy containing it."""
+    """One point's walk in Fractions: a boundary value (`reference_terminal`),
+    a V_1 value, the first full cell containing it, or else the first
+    sub-copy containing it."""
     params = frame.params
-    corners = frame.params.cell_corners
+    corners = frame.params.cell_points
     contains = lambda i, p: geometry.cells_containing(params, params.unapply_map(i, p))
     while True:
-        whole = frame.cell(f)
-        if whole is not None:
-            return reference_value_in_cell(frame.level, whole, p)
-        value = frame.terminal(f, p)
-        if value is not None:
-            return value
+        if geometry.classify_boundary(frame.domain, p) != geometry.INTERIOR:
+            return reference_terminal(frame, f, p)
         values = frame.values(f)
-        if p in values:
-            return values[p]
+        x, y = (frame.level * c for c in p)  # the V_1 key at scale l
+        if x.denominator == y.denominator == 1 and (int(x), int(y)) in values:
+            return values[int(x), int(y)]
         for i in frame.full_cells():
             if contains(i, p):
                 vals = tuple(values[q] for q in corners[i])
@@ -365,7 +362,7 @@ def test_evaluators_reject_points_off_the_gasket(name):
             many(make({}, 0, 0), [p])
 
 
-@pytest.mark.parametrize("name", ROUTE_CASES)
+@pytest.mark.parametrize("name", ROUTE_CASES + ["lower:0"])
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_batched_route_matches_one_point_route(name, data):
@@ -495,7 +492,8 @@ def test_lower_lambda_zero_is_one_harmonic_cell(data):
     """At lambda = 0 the lower domain is the whole gasket and X is the point
     q0, where f is the value of its deepest cylinder: the batch equals the
     harmonic function with corner values (f(q0), q1, q2), cell by cell and,
-    on exact data, the full-gasket oracle."""
+    on exact data, the full-gasket oracle; the walk's rows are the same
+    cell values."""
     lam = LD.BinaryLambda(0)
     exact = data.draw(st.booleans())
     cyl = data.draw(st.dictionaries(st.integers(0, 3).map(lambda n: "0" * n), values(exact),
@@ -515,11 +513,15 @@ def test_lower_lambda_zero_is_one_harmonic_cell(data):
             assert v == solution[i]
         else:
             assert v == pytest.approx(float(solution[i]), abs=1e-12)
+    for (x, y), v in walk_values(LD.LowerFrame(lam), f, 3).items():
+        cell = harmonic.harmonic_value_in_cell(2, corners, (F(x, 8), F(y, 8)))
+        assert type(v) is type(cell)
+        assert v == cell and repr(v) == repr(cell)
 
 
 # ---------------------------------------------------------------------------
 # the boundary values of the oracle: one batched integer descent equals the
-# one-point lookup, and the per-point Fraction lookup of the reference below
+# per-point Fraction lookup of the reference below
 
 
 def reference_cut_value(frame, f, p):
@@ -575,8 +577,8 @@ BOUNDARY_CASES = (
 @given(data=st.data())
 def test_boundary_batch_matches_one_point_lookup(name, data):
     """At every boundary vertex of `domain_cell_tree` (the corners marked in
-    its level-m rows), `terminals` gives the one-point `terminal` and the
-    reference lookup: equal, of the same type and with the same repr."""
+    its level-m rows), `terminals` gives the reference lookup: equal, of
+    the same type and with the same repr."""
     make, alphabet, domain, _, _, frame, *_ = _route_case(name)
     exact = data.draw(st.booleans())
     f = make(
@@ -589,7 +591,6 @@ def test_boundary_batch_matches_one_point_lookup(name, data):
         for j, (qx, qy) in enumerate(geometry.CORNERS_INT) if bits >> j & 1))
     s = domain.level ** m
     for (x, y), v in zip(ends, frame.terminals(f, ends, s)):
-        p = (F(x, s), F(y, s))
-        for single in (frame.terminal(f, p), reference_terminal(frame, f, p)):
-            assert type(v) is type(single)
-            assert v == single and repr(v) == repr(single)
+        single = reference_terminal(frame, f, (F(x, s), F(y, s)))
+        assert type(v) is type(single)
+        assert v == single and repr(v) == repr(single)

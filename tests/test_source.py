@@ -3,15 +3,20 @@
 kept that nothing reads: every attribute set on `self` is read somewhere,
 every private top-level name is used beyond its definition, and every
 public one by the package, the demos, the bench or the acceptance tests;
-and start-up loads only what a command runs: no `dataclasses` (with its
-`inspect`, `ast`, `dis` and `tokenize`), numpy and the oracle only when a
-graph is built or `compare` runs, and no exact solve."""
+start-up loads only what a command runs: no `dataclasses` (with its
+`inspect`, `ast`, `dis` and `tokenize`), the oracle only when `compare`
+runs, numpy only when a graph is built, and no exact solve; and the
+recursion engine in `cylinder.py` has no special case: it reads V_1 by the
+level-1 table's integer points, and no frame answers for a whole cell or
+one point on its own."""
 
 import ast
 import functools
 import os
 import subprocess
 import sys
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -148,3 +153,65 @@ def test_start_up_runs_no_exact_solve():
         "print(at_import, len(calls) - at_import, ratio)\n"
     )
     assert run_fresh(script).split() == ["0", "1", "15/7"]
+
+
+def test_solve_and_compare_load_no_numpy(tmp_path):
+    # the bench's solve and compare commands, on data of the bench's shapes
+    # (read from bench/workloads.py with ast, values k/7), in one fresh
+    # interpreter: neither the walk nor the oracle's cell types need numpy
+    literals = {t.id: ast.literal_eval(node.value) for node in TREES[ROOT / "bench" / "workloads.py"].body
+                if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)
+                and t.id in ("DATA_SHAPES", "WORKLOADS")}
+    values = (str(Fraction((-1) ** k * (10 + k), 7)) for k in range(1000))
+    paths = {}
+    for shape, spec in literals["DATA_SHAPES"].items():
+        data = {"schema": 1, **{key: next(values) for key in spec["keys"]},
+                "atoms": [{"w": w, "j": j, "v": next(values)} for w, j in spec.get("atoms", [])],
+                "cylinders": [{"w": w, "v": next(values)} for w in spec["cylinders"]]}
+        tail = spec.get("default_tail")
+        if tail is not None:
+            data["default_tail"] = data["q0"] if tail == "q0" else next(values)
+        paths[shape] = tmp_path / (shape.replace("/", "_") + ".json")
+        paths[shape].write_text(json.dumps(data))
+    runs = [[str(paths[shape]) if a == "{data}" else a for a in argv]
+            for workload in ("explicit-solve", "oracle-float", "oracle-exact")
+            for _, shape, argv in literals["WORKLOADS"][workload]]
+    assert {argv[0] for argv in runs} == {"solve", "compare"}
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from gasketbvp import cli\n"
+        f"runs = {runs!r}\n"
+        "codes = []\n"
+        "for argv in runs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "print(json.dumps([codes, sorted({'numpy', 'scipy'} & set(sys.modules))]))\n"
+    )
+    codes, loaded = json.loads(run_fresh(script))
+    assert codes == [0] * len(runs)
+    assert loaded == []
+
+
+def test_engine_reads_v1_by_integer_points():
+    # cylinder.py keys V_1 as the frames' values do, by
+    # GasketParams.cell_points: no exact corner point is read there
+    read = names_read(TREES[SRC / "cylinder.py"])
+    assert {"cell_corners", "CORNERS"} & read == set()
+
+
+def test_no_frame_answers_for_a_whole_cell_or_one_point():
+    # walk and evaluate take one node step for every frame: no hook makes a
+    # frame one harmonic cell, and boundary values come in batches only
+    classes = {node.name: node for path in SOURCES for node in ast.walk(TREES[path])
+               if isinstance(node, ast.ClassDef)}
+
+    def is_frame(node):
+        bases = {b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", None)
+                 for b in node.bases}
+        return node.name == "Frame" or any(is_frame(classes[b]) for b in bases if b in classes)
+
+    frames = [name for name, node in classes.items() if is_frame(node)]
+    assert {"Frame", "HalfStructure", "UpperFrame", "LowerFrame"} <= set(frames)
+    hooks = [f"{name}.{item.name}" for name in frames for item in classes[name].body
+             if isinstance(item, ast.FunctionDef) and item.name in ("cell", "terminal")]
+    assert hooks == []
