@@ -1,8 +1,8 @@
 """The package's one elimination: Grassmann-Taksar-Heyman elimination of a
 grounded graph Laplacian in conductance form (Oper. Res. 33, 1985), exact
 on Fractions and accurate to rounding on floats (O'Cinneide, Numer. Math.
-65, 1993).  The oracle condenses its cell types with it; `solve` eliminates
-every unknown, for Gamma_1 and the SG_l (l >= 4) half-domain extend step."""
+65, 1993).  The oracle condenses its cell types with it, the extend step
+(`cylinder.Frame.values`) each frame's level-1 system, and `solve` Gamma_1."""
 
 from operator import mul
 

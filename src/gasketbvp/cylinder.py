@@ -6,14 +6,15 @@ way: boundary data lives on a Cantor set X addressed by cylinder words, an
 extend step gives the solution on V_1, and a vertex is routed into a
 sub-copy F_d(domain) that carries shifted data, where the same step
 recurses.  `CylinderData` is the data on X; a family's *frame* is its domain
-at one recursion node.  `walk` (every level-m vertex in one pass),
-`evaluate` (given points), `cut_values`, `integrate`, `energy` and `words`
-are the recursions over cylinder words that the families share; the
-formulas stay in the families' extend steps and in `harmonic`.
+at one recursion node.  The extend step, `Frame.values`, is one for every
+family: the level-1 system of the full cells and the copies' Dirichlet-to-
+Neumann maps.  `walk` (every level-m vertex in one pass), `evaluate` (given
+points), `cut_values`, `integrate`, `energy` and `words` are the recursions
+over cylinder words that the families share.
 
 A frame provides
     level, params     the gasket SG_level the domain lives in
-    domain            its geometry.Domain (read at the root frame only)
+    domain            its geometry.Domain
     name, slots       for error messages; the corners q_s whose values
                       F_d(q_s) the data of a sub-copy carries
     corner_values(f)  the data's values at the domain's boundary corners
@@ -22,9 +23,11 @@ A frame provides
                       default the cylinder lookup `cut_values`)
     terminals(f, points, s)  (provided) the value at a boundary corner or
                       on the cut line, None elsewhere
-    values(f)         the V_1 values of the solution from the family's
-                      extend step, keyed by the integer points at scale l
-                      of `GasketParams.cell_points`, corners included
+    values(f)         (provided) the V_1 values of the solution at the full
+                      cells' corners and the copies' slots, keyed by the
+                      integer points at scale l of `GasketParams.cell_points`
+    copy_form(f, d)   the copy F_d's Dirichlet-to-Neumann map on its slots
+                      (by default, one slot: its `coefficient` and integral)
     full_cells()      the level-1 cells lying wholly inside the domain
     copies(), shift(d)  the digits of the sub-copies that meet X (F_0 alone
                       for an upper domain with m_1 > 1); the frame of F_d
@@ -34,15 +37,19 @@ as the measure state at the node X_word that `integrate` walks
     own(f, word)      the node's own mass term (the half domain's atoms)
     closed(f, word)   the integral over X_word in closed form, or None
                       (by default the value of constant data)
-and for `energy`
+and for `energy` (and `coefficient` for the default `copy_form`)
     ratio             r^-1, the scale of one stage
     coefficient()     c: data constant v on X has energy c (a - v)^2, with
                       a the data's value at its one boundary corner
 """
 
+import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
+from operator import mul
 
-from . import geometry, harmonic
+from . import _exact, geometry, harmonic
 from .errors import AddressError, ContractViolation, ResolutionError
 
 MAX_RECURSION = 64
@@ -150,19 +157,110 @@ class Frame:
         dom = self.domain
         ends = {(s * geometry.CORNERS_INT[c][0], s * geometry.CORNERS_INT[c][1]): v
                 for c, v in zip(dom.corners, self.corner_values(f))}
-        line = dom.cut * s
-        cut = [p for p in points if p not in ends and p[dom.axis] == line]
+        # p lies on the cut line when p[axis] / s = cut = num / den
+        num, den, axis = dom.cut.numerator * s, dom.cut.denominator, dom.axis
+        cut = [p for p in points if p not in ends and p[axis] * den == num]
         vals = dict(zip(cut, self.cut_values(f, cut, s) if cut else ()))
         return [ends.get(p, vals.get(p)) for p in points]
 
     def cut_values(self, f, points, s):
         return cut_values(self, f, points, s)
 
+    def copy_form(self, f, d):
+        """(link, [(c_s, I_s) for each slot s]): the copy F_d as its
+        Dirichlet-to-Neumann map, the flux c_s (u(q_s) - I_s) + link (u(q_s)
+        - u(q_t)) out of its slot s, at the scale where a level-1 edge has
+        conductance 1.  By default, for one slot: c is the copy's
+        `coefficient` and I the integral of f over X_d."""
+        sub = self.shift(d)
+        return 0, [(sub.coefficient(), integrate(sub, f, geometry.WORD_CHARS[d]))]
+
+    def values(self, f):
+        """The V_1 values of the solution with data f at the corners of the
+        full cells and the slots of the copies, keyed by integer points at
+        scale l: `terminals` where it gives a value, else solved from the
+        level-1 system, where each edge of a full cell has conductance 1
+        and each copy adds its `copy_form`.  The system depends on the frame
+        alone and is solved once (`_level1_system`); a node sums its sources
+        (known values, integrals) times their solutions, in floats if a
+        conductance is a float, else exactly: float data are made exact and
+        the values rounded once."""
+        points, slots, full = self.params.cell_points, self.slots, self.full_cells()
+        copies = [(d, [points[d][s] for s in slots]) for d in self.copies()]
+        keys = list(dict.fromkeys([p for i in full for p in points[i]]
+                                  + [p for _, ps in copies for p in ps]))
+        values = dict(zip(keys, self.terminals(f, keys, self.level)))
+        unknown = tuple([p for p in keys if values[p] is None])
+        links, ints, todo = [], [], set(unknown)
+        for d, ps in copies:
+            if not todo.isdisjoint(ps):
+                link, form = self.copy_form(f, d)
+                links.append((d, link, *[c for c, _ in form]))
+                ints += [i for _, i in form]
+        exact = float not in {type(c) for _, *cs in links for c in cs}
+        sources, rows, den = _level1_system(self.level, slots, full, unknown, tuple(links), exact)
+        data = [values[s] if type(s) is tuple else ints[s] for s in sources]
+        if not exact:
+            data = list(map(float, data))
+            for p, row in rows:
+                values[p] = sum(map(mul, row, data))
+            return values
+        floats = float in map(type, data)
+        q, nums = harmonic._exact_numerators([Fraction(v) if type(v) is float else v for v in data])
+        for p, row in rows:
+            n = sum(map(mul, row, nums))
+            values[p] = n / (q * den) if floats else Fraction(n, q * den)
+        return values
+
     def own(self, f, word):
         return 0
 
     def closed(self, f, word):
         return f.subtree(word)
+
+
+@lru_cache(maxsize=None)
+def _level1_system(level, slots, full, unknown, links, exact):
+    """(sources, rows, den): a frame's level-1 system (`Frame.values`),
+    eliminated row by row from the base in (y, x) order and solved for the
+    unit value of each source, a known point or the number of a copy's
+    integral: rows (p, [u_p for each source]) of the unknowns, exactly as
+    integers over den, else in floats."""
+    points, number = geometry.gasket(level).cell_points, Fraction if exact else float
+    c = {p: {} for p in unknown}
+    loads = []  # (p, w, source): a grounding w at p, loaded with w times the source
+
+    def edge(p, q, w):
+        if p in c:
+            if q in c:
+                c[p][q] = number(w)
+            else:
+                loads.append((p, w, q))
+
+    for i in full:
+        for p, q in permutations(points[i], 2):
+            edge(p, q, 1)
+    n = 0
+    for d, link, *cs in links:
+        corners = [points[d][s] for s in slots]
+        for p, w in zip(corners, cs):
+            edge(p, n, w)
+            n += 1
+        if link:
+            for p, q in permutations(corners, 2):
+                edge(p, q, link)
+    order = sorted(unknown, key=lambda p: p[::-1])
+    g = {p: number(sum(w for q, w, _ in loads if q == p)) for p in order}
+    record = _exact._eliminate({p: c[p] for p in order}, g, order)
+    sources = list(dict.fromkeys(src for _, _, src in loads))
+    units = [{} for _ in sources]
+    for source, u in zip(sources, units):
+        b = {p: sum(number(w) for q, w, src in loads if (q, src) == (p, source)) for p in order}
+        _exact._backward(record, _exact._forward(record, b), u)
+    if not exact:
+        return sources, [(p, [u[p] for u in units]) for p in order], None
+    den = math.lcm(*(u[p].denominator for u in units for p in order))
+    return sources, [(p, [int(u[p] * den) for u in units]) for p in order], den
 
 
 def _copy_data(frame, f, values, d):
@@ -229,8 +327,10 @@ def walk(frame, f, m):
         step = l ** (m - k - 1)
         values = frame.values(f)
         todo = [pt for pt in v1 if (x + step * pt[0], y + step * pt[1]) not in out]
-        for pt, value in zip(todo, frame.terminals(f, todo, l)):
-            value = values.get(pt) if value is None else value
+        rest = [pt for pt in todo if pt not in values]  # values holds its terminals
+        rest = dict(zip(rest, frame.terminals(f, rest, l)))
+        for pt in todo:
+            value = values[pt] if pt in values else rest[pt]
             if value is not None:
                 out[x + step * pt[0], y + step * pt[1]] = value, None
         if k + 1 < m:
@@ -355,7 +455,8 @@ def cut_values(frame, f, points, s):
                 rec(frame.shift(d), data.shifted(d, *blank), group)
 
     rec(frame, f, [(k, x, y) for k, (x, y) in enumerate(points)])
-    sums = [(sum(v), len(v)) for v in vals]
+    # each sum starts from its first value: 0 + -0.0 would be 0.0
+    sums = [(sum(v[1:], v[0]), len(v)) for v in vals]
     return [Fraction(t, n) if type(t) is int else t / n for t, n in sums]
 
 

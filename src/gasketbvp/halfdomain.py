@@ -13,13 +13,11 @@ carries several atoms.
 """
 
 import warnings
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 from . import cylinder, geometry, harmonic
-from ._exact import solve
 from .cylinder import MAX_RECURSION, CylinderData, check_depth
 from .errors import AddressError, ContractViolation, ResolutionError
 from .geometry import Q0, Q1, gasket
@@ -121,14 +119,6 @@ class HalfStructure(cylinder.Frame):
                     groups.setdefault(cells[0], []).append((k, l * x - sx, l * y - sy))
             stack += [(word + geometry.WORD_CHARS[i], group) for i, group in groups.items()]
         return out
-
-    def values(self, f):
-        values = extend_step(f)
-        values[0, 0] = f.q1
-        points = self.params.cell_points
-        for j, cell in enumerate(self.params.atom_cells, start=1):
-            values[points[cell][2]] = f.atom("", j)
-        return values
 
     def full_cells(self):
         return _contained_cells_level1(self.level)
@@ -396,7 +386,8 @@ def normal_derivative_q1(f):
 
 def extend_step_sg3(f):
     """Values (u(x), u(y), u(z)) at the three crucial V_1 vertices of the
-    SG_3 half domain in terms of the boundary data."""
+    SG_3 half domain in terms of the boundary data: the paper's closed form
+    of what `extend_step` solves."""
     if f.level != 3:
         raise ResolutionError("extend_step_sg3 needs SG_3 data")
     i0 = integrate(f, "0")
@@ -423,58 +414,13 @@ def _contained_cells_level1(level):
     return tuple(i for i, cell in enumerate(gasket(level).cell_points) if cell[2][0] <= level)
 
 
-def _crucial_keys(level):
-    """Integer points (scale l) of the closed-form values: x, y, z on SG_3,
-    z on SG."""
-    points = gasket(level).cell_points
-    return tuple(points[i][c] for name, (i, c) in _CRUCIAL[level].items() if name != "p")
-
-
 def extend_step(f):
-    """Values of the solution at all of V_1 in the open half domain, keyed
-    by integer points at scale l.  Closed forms for l in {2,3}; otherwise
-    the level-1 matching system is assembled and solved exactly."""
-    level = f.level
-    if level == 3:
-        return dict(zip(_crucial_keys(3), extend_step_sg3(f)))
-    if level == 2:
-        return {_crucial_keys(2)[0]: extend_step_sg(f)}
-    return _extend_step_system(f)
-
-
-def _extend_step_system(f):
-    """The level-1 matching system in conductance form: conductance 1 on each
-    edge between unknowns, a grounding of 1 with the value as load on each
-    edge to q1 or an atom, and a grounding of 3 with 3 times the integral as
-    load at q1 of each sub-copy, eliminated row by row from the base.  Loads
-    sum in the data's number type; float loads are then made exact."""
-    st = f.st
-    points = st.params.cell_points
-    boundary = {(0, 0): f.q1}
-    for j, cell in enumerate(st.params.atom_cells):
-        boundary[points[cell][2]] = f.atom("", j + 1)
-    one = F(1)
-    c, g, b = defaultdict(dict), defaultdict(int), defaultdict(F)
-    for cell in _contained_cells_level1(f.level):
-        for x, y in permutations(points[cell], 2):
-            if x in boundary:
-                continue
-            row = c[x]
-            if y in boundary:
-                g[x] += 1
-                b[x] += boundary[y]
-            else:
-                row[y] = one  # an edge lies in one 1-cell
-    for i in st.alphabet:
-        p = points[i][1]
-        g[p] += 3
-        b[p] += 3 * integrate(f, geometry.WORD_CHARS[i])
-    # solved exactly, but float data take float values, as in the closed forms
-    floats = any(type(v) is float for v in b.values())
-    order = sorted(c, key=lambda p: p[::-1])
-    u = solve({x: c[x] for x in order}, {x: F(g[x]) for x in order},
-              {x: F(b[x]) if type(b[x]) is float else b[x] for x in order})
-    return {p: float(v) if floats else v for p, v in sorted(u.items())}
+    """Values of the solution at the V_1 points inside the half domain,
+    keyed by integer points at scale l in sorted order: the frame's level-1
+    solve (`cylinder.Frame.values`) without q1 and the atoms."""
+    params = f.st.params
+    known = [(0, 0), *(params.cell_points[cell][2] for cell in params.atom_cells)]
+    return dict(sorted((p, v) for p, v in f.st.values(f).items() if p not in known))
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +532,8 @@ def dirichlet_to_neumann_sg(f, kmax):
     if kmax < 0:
         raise ContractViolation(f"kmax must be >= 0, not {kmax}")
     _check_q0_limit(f)
-    ints = [integrate(f, "0" * k) for k in range(kmax + 2)]
+    f.st.word_digits("0")
+    ints = [cylinder.integrate(f.st, f, "0" * k) for k in range(kmax + 2)]
     a = [f.q1]
     data = f
     for _ in range(kmax + 1):

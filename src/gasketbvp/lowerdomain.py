@@ -11,8 +11,9 @@ lambda every quantity is an exact rational.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
-from . import cylinder, geometry, harmonic
+from . import cylinder, geometry
 from .cylinder import CylinderData
 from .errors import AccuracyError, AddressError, ContractViolation, ResolutionError
 from .geometry import gasket
@@ -360,30 +361,11 @@ def normal_derivatives_lower(lam, f):
 
 def extend_step_lower(lam, f):
     """Values of the solution on V_1 inside the lower domain, keyed by
-    exact global points (closed forms for both first-digit cases)."""
-    e1 = lam.digit(1)
-    em = etas(lam.shift())
-    x, y = em.eta1, em.eta2
-    corners = gasket(2).cell_corners
-    p_f0q1, p_f0q2, p_f1q2 = corners[0][1], corners[0][2], corners[1][2]
-    # means of f o F_d against the measures of the copy's own lambda
-    if e1 == 0:
-        copy = f.shifted(0, None, None)
-        i10 = integrate_lower(copy, 1)
-        i20 = integrate_lower(copy, 2)
-        den = 4 * x * x + 14 * x - 2 * y - 4 * y * y + 12
-        c_same = 9 + 5 * x + y
-        c_opp = 3 + x + 5 * y
-        c_m1 = (7 + 4 * x) * (x - y)
-        c_m2 = (1 + 4 * y) * (x - y)
-        u01 = (c_same * f.q1 + c_opp * f.q2 + c_m1 * i10 + c_m2 * i20) / den
-        u02 = (c_same * f.q2 + c_opp * f.q1 + c_m1 * i20 + c_m2 * i10) / den
-        u12 = (u01 + u02 + f.q1 + f.q2) / 4
-        return {p_f0q1: u01, p_f0q2: u02, p_f1q2: u12}
-    i12 = integrate_lower(f.shifted(1, None, None), 2)
-    i21 = integrate_lower(f.shifted(2, None, None), 1)
-    u12 = y / (2 * x) * (f.q1 + f.q2) + (x - y) / (2 * x) * (i12 + i21)
-    return {p_f1q2: u12}
+    exact global points: the frame's level-1 solve (`cylinder.Frame.values`)
+    without the corners q1 and q2."""
+    values = LowerFrame(lam).values(f)
+    del values[0, 0], values[4, 0]
+    return {(F(x, 2), F(y, 2)): v for (x, y), v in values.items()}
 
 
 def boundary_value_at_lower(lam, f, p):
@@ -394,9 +376,12 @@ def boundary_value_at_lower(lam, f, p):
 
 
 class LowerFrame(cylinder.Frame):
-    """The lower domain of SG for one lambda as a recursion frame; at
-    lambda = 0 it is the whole gasket, X is the point q0, and the V_1
-    values extend (f(q0), q1, q2) over the cell."""
+    """The lower domain of SG for one lambda as a recursion frame.  Each
+    copy is its derivative pair at S lambda (`copy_form`).  At lambda = 0
+    the domain is the whole gasket and X the point q0: copy 0 has
+    (eta_1, eta_2) = (2, 1) and both integrals f(q0), so its map is the
+    cell's three edges to q0, and the V_1 values are the cell extension of
+    (f(q0), q1, q2)."""
 
     name = "lower domain"
     level = 2
@@ -410,23 +395,20 @@ class LowerFrame(cylinder.Frame):
         self.column = column
         self.matrix = matrix
 
-    @property
+    @cached_property
     def domain(self):
         return geometry.LowerDomain(cut_y=self.lam.cut_height())
 
     def corner_values(self, f):
         return (f.q1, f.q2)
 
-    def values(self, f):
-        if self.lam.value == 0:
-            # constant data keep f(q0) as given: cut_values' sum makes -0.0 0.0
-            q0 = f.subtree("")
-            q0 = self.cut_values(f, [(1, 2)], 1)[0] if q0 is None else q0
-            return harmonic.cell_extension(2, (q0, f.q1, f.q2))
-        values = {(int(2 * x), int(2 * y)): v for (x, y), v in extend_step_lower(self.lam, f).items()}
-        values[0, 0] = f.q1
-        values[4, 0] = f.q2
-        return values
+    def copy_form(self, f, d):
+        """The copy's derivative pair at S lambda: the link eta_2 between its
+        slots q1 and q2, and the grounding eta_1 - eta_2 at each, loaded
+        with the mu_1 and mu_2 integrals of f over X_d."""
+        link, den, roots = _copy_measures(self.lam.value)
+        word = geometry.WORD_CHARS[d]
+        return link, [(den, cylinder.integrate(root, f, word)) for root in roots]
 
     def full_cells(self):
         return (1, 2) if self.lam.digit(1) == 0 else ()
@@ -437,7 +419,7 @@ class LowerFrame(cylinder.Frame):
     def shift(self, d):
         return LowerFrame(self.lam.shift())
 
-    @property
+    @cached_property
     def mass(self):
         return _mass(self.matrix, *self.column)
 
@@ -451,6 +433,15 @@ class LowerFrame(cylinder.Frame):
             (d, 1, LowerFrame(child, self.column, _mul2x2(single_matrix(lam, d), self.matrix)))
             for d in word_alphabet(lam, 1)
         ]
+
+
+@lru_cache(maxsize=None)
+def _copy_measures(value):
+    """(eta_2, eta_1 - eta_2, the root states of mu_1 and mu_2) at S lambda
+    for lambda = value: what `LowerFrame.copy_form` reads of a copy."""
+    lam = BinaryLambda(value).shift()
+    cols, den = _columns(lam)
+    return etas(lam).eta2, den, [LowerFrame(lam, (col, den)) for col in cols]
 
 
 def evaluate_lower(lam, f, v):

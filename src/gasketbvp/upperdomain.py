@@ -12,7 +12,7 @@ extension step, the Haar basis and the energy estimates.
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import cylinder, geometry
 from .cylinder import MAX_RECURSION, CylinderData
@@ -35,7 +35,7 @@ def _ratio():
     return 1 / geometry.renormalization_factor(3)
 
 
-# (15/7)**300 < 2e99: eta < 2 (15/7)**m_1 and its cube in extend_step_upper stay finite
+# (15/7)**300 < 2e99: eta < 2 (15/7)**m_1 and the squares in `_tmap` stay finite
 MAX_RATIO_POWER = 300
 ALPHA_MAX = 0.4415378110            # just above alpha(1) = (75 - sqrt(2353))/60
 
@@ -342,68 +342,22 @@ def normal_derivative_q0(lam, f):
 # extension algorithm
 
 
-def h0_crucial_values(lam):
-    """h_0 at the crucial points p_i, in closed form in eta(R lambda)."""
-    eta = eta_of(lam.shift())
-    if lam.iota1 == 1:
-        a = 1.0 / (1.0 + eta)
-        return {4: a, 5: a}
-    den = 6.0 + 15.0 * eta + 3.0 * eta * eta
-    return {
-        1: (6.0 + eta) / den,
-        2: (6.0 + eta) / den,
-        3: (6.0 + 2.0 * eta) / den,
-    }
-
-
 def extend_step_upper(lam, f):
-    """Values u(p_i) on the first crucial row in terms of the data f."""
-    eta = eta_of(lam.shift())
-    q0 = float(f.q0)
-    ints = {
-        d: integrate_upper(f, geometry.WORD_CHARS[d])
-        for d in level_alphabet(lam)
-    }
-    if lam.iota1 == 1:
-        den = 3.0 + 4.0 * eta + eta * eta
-        i4, i5 = float(ints[4]), float(ints[5])
-        u4 = q0 / (1.0 + eta) + (2 * eta + eta ** 2) / den * i4 + eta / den * i5
-        u5 = q0 / (1.0 + eta) + (2 * eta + eta ** 2) / den * i5 + eta / den * i4
-        return {4: u4, 5: u5}
-    d_big = 54.0 + 165.0 * eta + 102.0 * eta ** 2 + 15.0 * eta ** 3
-    d_small = 6.0 + 15.0 * eta + 3.0 * eta ** 2
-    # floats at the products; i1 + i2 is rounded once, from the exact sum
-    i1, i2, i3, i12 = map(float, (ints[1], ints[2], ints[3], ints[1] + ints[2]))
-    u1 = (
-        (54.0 + 39.0 * eta + 5.0 * eta ** 2) * q0
-        + (60.0 * eta + 76.0 * eta ** 2 + 15.0 * eta ** 3) * i1
-        + (30.0 * eta + eta ** 2) * i2
-        + (36.0 * eta + 20.0 * eta ** 2) * i3
-    ) / d_big
-    u2 = (
-        (54.0 + 39.0 * eta + 5.0 * eta ** 2) * q0
-        + (60.0 * eta + 76.0 * eta ** 2 + 15.0 * eta ** 3) * i2
-        + (30.0 * eta + eta ** 2) * i1
-        + (36.0 * eta + 20.0 * eta ** 2) * i3
-    ) / d_big
-    u3 = (
-        (6.0 + 2.0 * eta) * q0
-        + (5.0 * eta + 3.0 * eta ** 2) * i3
-        + 4.0 * eta * i12
-    ) / d_small
-    u4 = (
-        (54.0 + 84.0 * eta + 39.0 * eta ** 2 + 5.0 * eta ** 3) * q0
-        + (24.0 * eta + 12.0 * eta ** 2 + eta ** 3) * i1
-        + (30.0 * eta + 27.0 * eta ** 2 + 4.0 * eta ** 3) * i2
-        + (27.0 * eta + 24.0 * eta ** 2 + 5.0 * eta ** 3) * i3
-    ) / d_big
-    u5 = (
-        (54.0 + 84.0 * eta + 39.0 * eta ** 2 + 5.0 * eta ** 3) * q0
-        + (24.0 * eta + 12.0 * eta ** 2 + eta ** 3) * i2
-        + (30.0 * eta + 27.0 * eta ** 2 + 4.0 * eta ** 3) * i1
-        + (27.0 * eta + 24.0 * eta ** 2 + 5.0 * eta ** 3) * i3
-    ) / d_big
-    return {1: u1, 2: u2, 3: u3, 4: u4, 5: u5}
+    """Values u(p_d) at the crucial points p_d = F_d q_0 of the first
+    crucial row, keyed by d, once the domain is dilated while m_1 > 1: the
+    frame's level-1 solve (`cylinder.Frame.values`)."""
+    while lam.m1 > 1:
+        lam, f = lam.dilate(), f.shifted(0, f.q0)
+    values = UpperFrame(lam).values(f)
+    points = gasket(3).cell_points
+    return {d: values[points[d][0]] for d in range(1, 6) if points[d][0] in values}
+
+
+def h0_crucial_values(lam):
+    """h_0 at the crucial points p_d of the first alphabet: the extend step
+    of the data 1 at q0 and 0 on X."""
+    step = extend_step_upper(lam, UpperBoundaryData(lam, q0=1.0, default=0.0))
+    return {d: step[d] for d in level_alphabet(lam)}
 
 
 # crucial point coordinates (m_1 = 1 frame): p_i = F_i q_0
@@ -430,17 +384,12 @@ class UpperFrame(cylinder.Frame):
         self.lam = lam
         self.params = gasket(3)
 
-    @property
+    @cached_property
     def domain(self):
         return geometry.UpperDomain(cut_y=self.lam.cut_height())
 
     def corner_values(self, f):
         return (float(f.q0),)
-
-    def values(self, f):
-        row = extend_step_upper(self.lam, f).items() if self.lam.m1 == 1 else ()
-        points = self.params.cell_points  # F_0 q_0 is q_0
-        return {points[0][0]: float(f.q0), **{points[d][0]: v for d, v in row}}
 
     def full_cells(self):
         return _FULL_CELLS[self.lam.iota1] if self.lam.m1 == 1 else ()
@@ -525,7 +474,8 @@ def haar_expand(lam, f, depth, every=True):
     combinations of cylinder means.  Data words hold at most MAX_RECURSION
     digits, so every coefficient below that depth is 0 and depth stops
     there.  Below a word where f is constant every coefficient is an exact
-    0; with every=False those words are left out.  Listing every word is
+    0, written without an integral; with every=False those words are left
+    out.  Listing every word is
     refused past MAX_HAAR_TERMS coefficients, before any integral."""
     if not 0 <= depth <= MAX_RECURSION:
         raise ContractViolation(f"depth must be >= 0 and <= {MAX_RECURSION}, not {depth}")
@@ -538,6 +488,9 @@ def haar_expand(lam, f, depth, every=True):
     keep = None if every else f.refined
     for word in cylinder.words(lambda k: word_alphabet(lam, k), depth - 1, keep=keep):
         k = len(word) + 1
+        if not f.refined(word):
+            coeffs.update(((word, j), 0.0) for j in ((1,) if lam.pair(k)[1] == 1 else (1, 2)))
+            continue
         means = {
             d: integrate_upper(f, word + geometry.WORD_CHARS[d])
             for d in word_alphabet(lam, k)

@@ -72,6 +72,21 @@ def test_solve_lower_rational(tmp_path, capsys):
     assert "/" in out
 
 
+def test_solve_keeps_the_sign_of_zero_on_the_cut_line(tmp_path, capsys):
+    # each cut-line point lies in one cylinder at -0.0; its value is that
+    # cylinder's, not a sum started from the integer 0
+    data = write_json(tmp_path / "g.json", {
+        "schema": 1, "q1": "1", "q2": "2",
+        "cylinders": [{"w": "1", "v": -0.0}, {"w": "2", "v": -0.0}],
+    })
+    code, out, _ = run(
+        ["solve", "--domain", "lower", "--lambda", "1/2", "--data", data,
+         "--level", "1", "--mode", "float"], capsys)
+    assert code == 0
+    rows = {tuple(line.split(",")[2:4]): line.split(",")[4] for line in out.splitlines()[1:]}
+    assert rows["1/2", "1"] == rows["3/2", "1"] == "-0.0"
+
+
 def test_empty_data_usage_error(tmp_path, capsys):
     bad = tmp_path / "empty.json"
     bad.write_text("{}")

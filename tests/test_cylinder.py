@@ -493,7 +493,9 @@ def test_lower_lambda_zero_is_one_harmonic_cell(data):
     q0, where f is the value of its deepest cylinder: the batch equals the
     harmonic function with corner values (f(q0), q1, q2), cell by cell and,
     on exact data, the full-gasket oracle; the walk's rows are the same
-    cell values."""
+    cell values.  Float data have each node's V_1 values solved exactly
+    and rounded once, so a float value is within 4 u max|corner| (u =
+    2**-53) of the exact harmonic value of the same corners."""
     lam = LD.BinaryLambda(0)
     exact = data.draw(st.booleans())
     cyl = data.draw(st.dictionaries(st.integers(0, 3).map(lambda n: "0" * n), values(exact),
@@ -505,18 +507,25 @@ def test_lower_lambda_zero_is_one_harmonic_cell(data):
         geometry.gasket(2), 3, corners, mode="rational" if exact else "float")
     ids = data.draw(st.permutations(range(graph.n_vertices())))
     points = [graph.point(i) for i in ids]
-    for i, p, v in zip(ids, points, LD.evaluate_lower_many(lam, f, points)):
+    bound = 4 * 2.0 ** -53 * max(map(abs, corners))
+
+    def check(v, p):
         cell = harmonic.harmonic_value_in_cell(2, corners, p)
         assert type(v) is type(cell)
-        assert v == cell and repr(v) == repr(cell)
+        if exact:
+            assert v == cell
+        else:
+            exact_cell = harmonic.harmonic_value_in_cell(2, tuple(map(F, corners)), p)
+            assert abs(F(v) - exact_cell) <= bound
+
+    for i, p, v in zip(ids, points, LD.evaluate_lower_many(lam, f, points)):
+        check(v, p)
         if exact:
             assert v == solution[i]
         else:
             assert v == pytest.approx(float(solution[i]), abs=1e-12)
     for (x, y), v in walk_values(LD.LowerFrame(lam), f, 3).items():
-        cell = harmonic.harmonic_value_in_cell(2, corners, (F(x, 8), F(y, 8)))
-        assert type(v) is type(cell)
-        assert v == cell and repr(v) == repr(cell)
+        check(v, (F(x, 8), F(y, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -594,3 +603,189 @@ def test_boundary_batch_matches_one_point_lookup(name, data):
         single = reference_terminal(frame, f, (F(x, s), F(y, s)))
         assert type(v) is type(single)
         assert v == single and repr(v) == repr(single)
+
+
+# ---------------------------------------------------------------------------
+# the one extend step, `Frame.values`, against the paper's closed forms: the
+# upper (iota_1 = 1, 2), lower (e_1 = 0, 1) and h_0 formulas as the family
+# modules held them
+
+
+def upper_closed_form(lam, f):
+    """Values u(p_i) on the first crucial row in terms of the data f."""
+    eta = UP.eta_of(lam.shift())
+    q0 = float(f.q0)
+    ints = {
+        d: UP.integrate_upper(f, geometry.WORD_CHARS[d])
+        for d in UP.level_alphabet(lam)
+    }
+    if lam.iota1 == 1:
+        den = 3.0 + 4.0 * eta + eta * eta
+        i4, i5 = float(ints[4]), float(ints[5])
+        u4 = q0 / (1.0 + eta) + (2 * eta + eta ** 2) / den * i4 + eta / den * i5
+        u5 = q0 / (1.0 + eta) + (2 * eta + eta ** 2) / den * i5 + eta / den * i4
+        return {4: u4, 5: u5}
+    d_big = 54.0 + 165.0 * eta + 102.0 * eta ** 2 + 15.0 * eta ** 3
+    d_small = 6.0 + 15.0 * eta + 3.0 * eta ** 2
+    # floats at the products; i1 + i2 is rounded once, from the exact sum
+    i1, i2, i3, i12 = map(float, (ints[1], ints[2], ints[3], ints[1] + ints[2]))
+    u1 = (
+        (54.0 + 39.0 * eta + 5.0 * eta ** 2) * q0
+        + (60.0 * eta + 76.0 * eta ** 2 + 15.0 * eta ** 3) * i1
+        + (30.0 * eta + eta ** 2) * i2
+        + (36.0 * eta + 20.0 * eta ** 2) * i3
+    ) / d_big
+    u2 = (
+        (54.0 + 39.0 * eta + 5.0 * eta ** 2) * q0
+        + (60.0 * eta + 76.0 * eta ** 2 + 15.0 * eta ** 3) * i2
+        + (30.0 * eta + eta ** 2) * i1
+        + (36.0 * eta + 20.0 * eta ** 2) * i3
+    ) / d_big
+    u3 = (
+        (6.0 + 2.0 * eta) * q0
+        + (5.0 * eta + 3.0 * eta ** 2) * i3
+        + 4.0 * eta * i12
+    ) / d_small
+    u4 = (
+        (54.0 + 84.0 * eta + 39.0 * eta ** 2 + 5.0 * eta ** 3) * q0
+        + (24.0 * eta + 12.0 * eta ** 2 + eta ** 3) * i1
+        + (30.0 * eta + 27.0 * eta ** 2 + 4.0 * eta ** 3) * i2
+        + (27.0 * eta + 24.0 * eta ** 2 + 5.0 * eta ** 3) * i3
+    ) / d_big
+    u5 = (
+        (54.0 + 84.0 * eta + 39.0 * eta ** 2 + 5.0 * eta ** 3) * q0
+        + (24.0 * eta + 12.0 * eta ** 2 + eta ** 3) * i2
+        + (30.0 * eta + 27.0 * eta ** 2 + 4.0 * eta ** 3) * i1
+        + (27.0 * eta + 24.0 * eta ** 2 + 5.0 * eta ** 3) * i3
+    ) / d_big
+    return {1: u1, 2: u2, 3: u3, 4: u4, 5: u5}
+
+
+def h0_closed_form(lam):
+    """h_0 at the crucial points p_i, in closed form in eta(R lambda)."""
+    eta = UP.eta_of(lam.shift())
+    if lam.iota1 == 1:
+        a = 1.0 / (1.0 + eta)
+        return {4: a, 5: a}
+    den = 6.0 + 15.0 * eta + 3.0 * eta * eta
+    return {
+        1: (6.0 + eta) / den,
+        2: (6.0 + eta) / den,
+        3: (6.0 + 2.0 * eta) / den,
+    }
+
+
+def lower_closed_form(lam, f):
+    """Values of the solution on V_1 inside the lower domain, keyed by
+    exact global points (closed forms for both first-digit cases)."""
+    e1 = lam.digit(1)
+    em = LD.etas(lam.shift())
+    x, y = em.eta1, em.eta2
+    corners = geometry.gasket(2).cell_corners
+    p_f0q1, p_f0q2, p_f1q2 = corners[0][1], corners[0][2], corners[1][2]
+    # means of f o F_d against the measures of the copy's own lambda
+    if e1 == 0:
+        copy = f.shifted(0, None, None)
+        i10 = LD.integrate_lower(copy, 1)
+        i20 = LD.integrate_lower(copy, 2)
+        den = 4 * x * x + 14 * x - 2 * y - 4 * y * y + 12
+        c_same = 9 + 5 * x + y
+        c_opp = 3 + x + 5 * y
+        c_m1 = (7 + 4 * x) * (x - y)
+        c_m2 = (1 + 4 * y) * (x - y)
+        u01 = (c_same * f.q1 + c_opp * f.q2 + c_m1 * i10 + c_m2 * i20) / den
+        u02 = (c_same * f.q2 + c_opp * f.q1 + c_m1 * i20 + c_m2 * i10) / den
+        u12 = (u01 + u02 + f.q1 + f.q2) / 4
+        return {p_f0q1: u01, p_f0q2: u02, p_f1q2: u12}
+    i12 = LD.integrate_lower(f.shifted(1, None, None), 2)
+    i21 = LD.integrate_lower(f.shifted(2, None, None), 1)
+    u12 = y / (2 * x) * (f.q1 + f.q2) + (x - y) / (2 * x) * (i12 + i21)
+    return {p_f1q2: u12}
+
+
+def assert_close(got, want, f, corners):
+    """Floats within 8 u max|f| (u = 2**-53) of the closed form."""
+    assert got.keys() == want.keys()
+    bound = 8 * 2.0 ** -53 * max(abs(v) for v in (*corners, *f.data_values()))
+    for key, v in got.items():
+        assert type(v) is float
+        assert abs(v - want[key]) <= bound
+
+
+def extend_case(data, family, arg, exact):
+    """A frame and data on it: cylinders to depth 3, a default and the
+    corner values, exact or float."""
+    value = values(exact)
+    if family == "half":
+        frame, level = HD.structure(int(arg)), int(arg)
+        alphabet = lambda k: "".join(geometry.WORD_CHARS[d] for d in frame.alphabet)
+        atoms = data.draw(st.dictionaries(
+            st.tuples(words(alphabet, max_len=1), st.just(1)), value, max_size=2))
+        cyl = data.draw(st.dictionaries(words(alphabet), value, max_size=4))
+        return frame, HD.HalfBoundaryData(level, q1=data.draw(value), atoms=atoms, cylinders=cyl,
+                                          default=data.draw(value), q0=data.draw(value))
+    chars = lambda ds: "".join(geometry.WORD_CHARS[d] for d in ds)
+    if family == "upper":
+        lam = UP.TriadicLambda(F(arg))
+        alphabet = lambda k: chars(UP.word_alphabet(lam, k))
+        cyl = data.draw(st.dictionaries(words(alphabet), value, max_size=4))
+        return UP.UpperFrame(lam), UP.UpperBoundaryData(
+            lam, q0=data.draw(value), cylinders=cyl, default=data.draw(value))
+    lam = LD.BinaryLambda(F(arg))
+    alphabet = lambda k: chars(LD.word_alphabet(lam, k))
+    cyl = data.draw(st.dictionaries(words(alphabet), value, max_size=4))
+    return LD.LowerFrame(lam), LD.LowerBoundaryData(
+        lam, q1=data.draw(value), q2=data.draw(value), cylinders=cyl, default=data.draw(value))
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_extend_step_is_the_half_domain_closed_form(level, data):
+    frame, f = extend_case(data, "half", level, True)
+    got = frame.values(f)
+    points = HD.crucial_points(level)
+    closed = HD.extend_step_sg3(f) if level == 3 else (HD.extend_step_sg(f),)
+    for name, v in zip("xyz" if level == 3 else "z", closed):
+        u = got[level * points[name][0], level * points[name][1]]
+        assert u == v and type(u) is type(v) is F
+
+
+@pytest.mark.parametrize("arg", ["1/4", "3/8", "1/2", "5/8", "3/4"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_extend_step_is_the_dyadic_lower_closed_form(arg, data):
+    frame, f = extend_case(data, "lower", arg, True)
+    got = frame.values(f)
+    want = lower_closed_form(frame.lam, f)
+    assert {(F(x, 2), F(y, 2)) for x, y in got} - {geometry.Q1, geometry.Q2} == set(want)
+    for (x, y), u in got.items():
+        v = want.get((F(x, 2), F(y, 2)), u)
+        assert u == v and type(u) is type(v) is F
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_extend_step_at_lambda_zero_is_the_cell_extension(data):
+    frame, f = extend_case(data, "lower", "0", True)
+    q0 = f.cylinders[max(f.cylinders, key=len)] if f.cylinders else f.default
+    ext = harmonic.cell_extension(2, (q0, f.q1, f.q2))
+    for p, u in frame.values(f).items():
+        assert u == ext[p] and type(u) is type(ext[p]) is F
+
+
+@pytest.mark.parametrize("family,arg", [("upper", "1"), ("upper", "2/3"), ("upper", "2/9"),
+                                        ("lower", "1/3"), ("lower", "2/3")])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_extend_step_is_the_float_closed_form(family, arg, data):
+    frame, f = extend_case(data, family, arg, False)
+    if family == "upper":
+        # lambda = 2/9 has m_1 = 2: the step dilates to 2/3 first
+        got, want = UP.extend_step_upper(frame.lam, f), upper_closed_form(frame.lam, f)
+        assert_close(got, want, f, [f.q0])
+        h0 = UP.h0_crucial_values(frame.lam)
+        assert_close(h0, h0_closed_form(frame.lam), UP.constant_upper(frame.lam, 1.0), [])
+    else:
+        assert_close(LD.extend_step_lower(frame.lam, f), lower_closed_form(frame.lam, f),
+                     f, [f.q1, f.q2])

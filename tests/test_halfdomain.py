@@ -177,24 +177,32 @@ def test_extend_step_sg():
 
 
 def test_extend_step_matches_general_solver():
+    # the level-1 solve against the paper's closed forms, keyed by the
+    # crucial points at scale l: equal values, and Fractions both
     rng = random.Random(5)
     for level in (2, 3):
         f = random_cylinder_data(rng, 2, level)
-        via_system = HD._extend_step_system(f)
-        closed = HD.extend_step(f)
-        for pt, v in closed.items():
-            assert via_system[pt] == v
+        points = HD.crucial_points(level)
+        closed = HD.extend_step_sg3(f) if level == 3 else (HD.extend_step_sg(f),)
+        names = "xyz" if level == 3 else "z"
+        want = {(int(level * points[n][0]), int(level * points[n][1])): v
+                for n, v in zip(names, closed)}
+        got = HD.extend_step(f)
+        assert got == want
+        assert all(type(got[pt]) is type(v) is F for pt, v in want.items())
 
 
 def matrix_form_extend_step(f):
     """The SG_l half domain's level-1 system as Laplacian rows and a
-    right-hand side summed in the data's number type, solved exactly by the
-    minimum-degree eliminator; float data take float values."""
+    right-hand side summed exactly, float data made exact first, solved by
+    the minimum-degree eliminator; float data take float values, rounded
+    once."""
     frame = f.st
     points = frame.params.cell_points
-    boundary = {(0, 0): f.q1}
+    exact = lambda v: F(v) if type(v) is float else v
+    boundary = {(0, 0): exact(f.q1)}
     for j, cell in enumerate(frame.params.atom_cells):
-        boundary[points[cell][2]] = f.atom("", j + 1)
+        boundary[points[cell][2]] = exact(f.atom("", j + 1))
     rows, rhs = defaultdict(dict), defaultdict(F)
     for cs in (points[i] for i in HD._contained_cells_level1(f.level)):
         for x, y in permutations(cs, 2):
@@ -209,8 +217,8 @@ def matrix_form_extend_step(f):
     for i in frame.alphabet:
         p = points[i][1]
         rows[p][p] += 3
-        rhs[p] += 3 * HD.integrate(f, G.WORD_CHARS[i])
-    floats = any(type(v) is float for v in rhs.values())
+        rhs[p] += 3 * exact(HD.integrate(f, G.WORD_CHARS[i]))
+    floats = any(type(v) is float for v in (f.q1, *f.data_values()))
     return {p: float(v) if floats else v for p, v in sorted(min_degree_solve(rows, rhs).items())}
 
 
@@ -237,7 +245,7 @@ def half_cylinder_data(draw):
 @settings(max_examples=60, deadline=None, database=None)
 @given(half_cylinder_data())
 def test_extend_step_system_keeps_the_matrix_form_values(f):
-    got, want = HD._extend_step_system(f), matrix_form_extend_step(f)
+    got, want = HD.extend_step(f), matrix_form_extend_step(f)
     assert list(got) == list(want)
     if type(f.q1) is float:
         assert repr(got) == repr(want)
@@ -250,7 +258,7 @@ def test_extend_step_sg4_against_oracle():
     # truncated finite-graph oracle (agreement improves with level)
     rng = random.Random(8)
     f = random_cylinder_data(rng, 1, level=4)
-    step = HD._extend_step_system(f)
+    step = HD.extend_step(f)
     errs = []
     for m in (2, 3):
         sk = O.domain_restricted_graph(G.HalfDomain(4), m)
@@ -318,7 +326,9 @@ def test_evaluate_refuses_a_point_no_power_of_l_clears(monkeypatch):
     """(1/2, 0) lies on the bottom edge, inside the closed half domain of
     SG_3, but no power of 3 clears its denominator: it is refused with the
     rest of its batch before any extend step."""
-    monkeypatch.setattr(HD, "extend_step", lambda f: pytest.fail("an extend step ran"))
+    for owner in (HD, cylinder.Frame):
+        attr = "extend_step" if owner is HD else "values"
+        monkeypatch.setattr(owner, attr, lambda *args: pytest.fail("an extend step ran"))
     points = [HD.crucial_points(3)["y"], (F(1, 2), F(0))]
     with pytest.raises(AddressError, match="is no vertex: its denominator divides no power of 3"
                        ) as refused:

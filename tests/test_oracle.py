@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketbvp import _exact
+from gasketbvp import _exact, cylinder
 from gasketbvp import geometry as G
 from gasketbvp import halfdomain as HD
 from gasketbvp import harmonic as H
@@ -516,7 +516,7 @@ def test_boundary_lookup_and_domain_solve_use_no_extension(name, monkeypatch):
 
     for module, attr in ((H, "cell_extension"), (H, "extend_numerators"),
                          (HD, "extend_step"), (UP, "extend_step_upper"),
-                         (LD, "extend_step_lower")):
+                         (LD, "extend_step_lower"), (cylinder.Frame, "values")):
         monkeypatch.setattr(module, attr, refuse)
     for m, vals in want.items():
         got = solve_at(domain, m, partial(frame.terminals, f), targets, "float")

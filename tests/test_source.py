@@ -7,8 +7,9 @@ start-up loads only what a command runs: no `dataclasses` (with its
 `inspect`, `ast`, `dis` and `tokenize`), the oracle only when `compare`
 runs, numpy only when a graph is built, and no exact solve; and the
 recursion engine in `cylinder.py` has no special case: it reads V_1 by the
-level-1 table's integer points, and no frame answers for a whole cell or
-one point on its own."""
+level-1 table's integer points, no frame answers for a whole cell or
+one point on its own, and one extend step, `cylinder.Frame.values`, serves
+every frame."""
 
 import ast
 import functools
@@ -215,3 +216,12 @@ def test_no_frame_answers_for_a_whole_cell_or_one_point():
     hooks = [f"{name}.{item.name}" for name in frames for item in classes[name].body
              if isinstance(item, ast.FunctionDef) and item.name in ("cell", "terminal")]
     assert hooks == []
+
+
+def test_one_extend_step():
+    # every family reaches V_1 through the one level-1 solve of
+    # cylinder.Frame: no other class defines `values`
+    owners = [f"{path.name}:{node.name}" for path in SOURCES for node in ast.walk(TREES[path])
+              if isinstance(node, ast.ClassDef)
+              for item in node.body if isinstance(item, ast.FunctionDef) and item.name == "values"]
+    assert owners == ["cylinder.py:Frame"]
