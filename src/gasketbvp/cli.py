@@ -244,7 +244,7 @@ def _write_svg(path, xs, ys, width=480, height=320):
     if y1 == y0:
         y1 = y0 + 1
     pts = []
-    for i, (x, ly) in enumerate(zip(xs, logy)):
+    for x, ly in zip(xs, logy):
         px = pad + (width - 2 * pad) * (x - xs[0]) / max(xs[-1] - xs[0], 1)
         py = height - pad - (height - 2 * pad) * (ly - y0) / (y1 - y0)
         pts.append(f"{px:.1f},{py:.1f}")

@@ -31,7 +31,7 @@ A frame provides
     full_cells()      the level-1 cells lying wholly inside the domain
     copies(), shift(d)  the digits of the sub-copies that meet X (F_0 alone
                       for an upper domain with m_1 > 1); the frame of F_d
-as the measure state at the node X_word that `integrate` walks
+and for `integrate`, the frame as the measure state at the node X_word it walks
     children()        (digit, weight, node) of the sub-cylinders: a child's
                       integral enters its parent's times weight
     own(f, word)      the node's own mass term (the half domain's atoms)

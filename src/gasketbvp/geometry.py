@@ -12,7 +12,8 @@ the conventional order is 3 = bottom middle, 4 = right, 5 = left).
 
 Graphs are numpy arrays, and numpy is imported inside the functions that
 build or read them, so that only a caller that builds a graph pays for it:
-graph export, and the tests and demos that give one to `oracle.solve`.
+graph export, and the domain skeletons (`oracle.domain_restricted_graph`,
+on `domain_graph`) that the tests and demos give to `oracle.solve`.
 `check_domain_level` refuses a level of a domain before `solve` walks
 its cells (`cylinder.walk` lists the vertices with their addresses).
 For the oracle, `cell_shape` tells what a cell of a domain's graph is
@@ -333,18 +334,15 @@ class Graph:
     """Level-m approximating graph (possibly restricted to a domain).
 
     Vertices carry exact coordinates verts[i] / l**m; rep_cell/rep_corner
-    give one (word, corner) address per vertex.  Graphs from build_graph
-    also keep their level-m cells: the corner vertex ids of each (cells,
-    corner j at column j) and its word code (cell_codes, ascending).
-    The arrays are numpy int64, rep_corner int8: verts (N, 2), coordinates
-    times l**m; edges (E, 2) and cells (C, 3), vertex ids; rep_cell and
-    cell_codes, words encoded base map_count.
+    give one (word, corner) address per vertex.  The arrays are numpy
+    int64, rep_corner int8: verts (N, 2), coordinates times l**m; edges
+    (E, 2), vertex ids; rep_cell, words encoded base map_count.  The
+    oracle lists a domain's cells by shape, never a graph's.
     """
 
-    def __init__(self, params, m, verts, edges, rep_cell, rep_corner, cells=None, cell_codes=None):
+    def __init__(self, params, m, verts, edges, rep_cell, rep_corner):
         self.params, self.m, self.verts, self.edges = params, m, verts, edges
         self.rep_cell, self.rep_corner = rep_cell, rep_corner
-        self.cells, self.cell_codes = cells, cell_codes
         self._index = self._adj = None
 
     @property
@@ -477,28 +475,24 @@ def _cell_corner_coords(params, m):
     return corners
 
 
-def build_graph(params, m, cell_filter=None):
-    """Gamma_m of SG_l, optionally restricted to cells passing cell_filter.
-
-    cell_filter(corners) takes the (ncells, 3, 2) integer corner array and
-    returns a boolean mask of cells to keep (used for domain restriction).
-    """
+def build_graph(params, m, domain=None):
+    """Gamma_m of SG_l, or, given a domain of SG_l, the graph of the level-m
+    cells contained in its closure: those with every corner on the closed
+    side of its cut."""
     import numpy as np
 
     if m < 0:
         raise ResolutionError("graph level must be >= 0")
     corners = _cell_corner_coords(params, m)
-    ncells = len(corners)
-    cell_ids = np.arange(ncells, dtype=np.int64)
-    if cell_filter is not None:
-        mask = cell_filter(corners)
-        corners = corners[mask]
-        cell_ids = cell_ids[mask]
+    cell_ids = np.arange(len(corners), dtype=np.int64)
+    if domain is not None:
+        keep = _closed_side(domain, m)(corners[:, :, domain.axis]).all(axis=1)
+        corners, cell_ids = corners[keep], cell_ids[keep]
         if len(corners) == 0:
             raise ResolutionError("no cells of this level are contained in the domain")
     s = params.level ** m
     keys = corners[:, :, 0] * np.int64(2 * s + 1) + corners[:, :, 1]
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     inverse = inverse.reshape(keys.shape)
     verts = corners.reshape(-1, 2)[first]
     rep_cell = np.repeat(cell_ids, 3)[first]
@@ -507,7 +501,7 @@ def build_graph(params, m, cell_filter=None):
         [inverse[:, (0, 1)], inverse[:, (0, 2)], inverse[:, (1, 2)]], axis=0
     )
     e.sort(axis=1)
-    return Graph(params, m, verts, e, rep_cell, rep_corner, inverse, cell_ids)
+    return Graph(params, m, verts, e, rep_cell, rep_corner)
 
 
 # ---------------------------------------------------------------------------
@@ -587,17 +581,11 @@ def _closed_side(domain, m):
     return lambda c: c >= bound
 
 
-def contained_cell_filter(domain, m):
-    """Mask of level-m cells contained in the domain closure (corner test)."""
-    closed = _closed_side(domain, m)
-    return lambda corners: closed(corners[:, :, domain.axis]).all(axis=1)
-
-
 def domain_graph(domain, m):
     """Level-m graph of the cells contained in the domain closure."""
     if m < 1:
         raise ResolutionError("domain restriction needs m >= 1")
-    return build_graph(domain.params, m, contained_cell_filter(domain, m))
+    return build_graph(domain.params, m, domain)
 
 
 def check_domain_level(domain, m):

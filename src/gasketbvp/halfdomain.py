@@ -12,7 +12,6 @@ cells meeting the line in a Cantor piece: {0} for SG, {0,3} for SG_3,
 carries several atoms.
 """
 
-import warnings
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -54,18 +53,13 @@ class HalfStructure(cylinder.Frame):
         # atom base masses -(1/3) * right normal derivative of h_a at p_{j,<>}
         self.atom_points = []
         self.atom_base = []
-        for j, cell in enumerate(params.atom_cells):
+        for cell in params.atom_cells:
             vals = tuple(ha[p] for p in points[cell])
             nd = harmonic.harmonic_normal_derivative(level, vals, 2, depth=1)
             self.atom_base.append(-nd / 3)
             self.atom_points.append(params.cell_corners[cell][2])
-        total_weight = sum(self.weights.values())
-        self.mass_consistent = sum(self.atom_base) == 1 - total_weight
-        if not self.mass_consistent:
-            warnings.warn(
-                f"half-domain measure for l={level} does not sum to 1 exactly",
-                stacklevel=2,
-            )
+        if sum(self.atom_base) != 1 - sum(self.weights.values()):
+            raise ContractViolation(f"half-domain measure for l={level} does not sum to 1")
         # embedding of each depth-0 atom into deeper cylinders: the digit
         # chain to follow (ends at q0 -> infinite 0-tail, or is finite when
         # the atom sits isolated between cylinders)

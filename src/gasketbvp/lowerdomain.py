@@ -59,7 +59,7 @@ class BinaryLambda:
 
     @property
     def dyadic(self):
-        n, d = self.value.numerator, self.value.denominator
+        d = self.value.denominator
         return d & (d - 1) == 0
 
     @property

@@ -1,4 +1,5 @@
-"""The finite-graph oracle: the Dirichlet problem on approximating graphs.
+"""The finite-graph oracle: the Dirichlet problem on a domain's
+approximating graphs.
 
 Given boundary vertices and values, it solves the mean-value equations
 deg(x) u(x) = sum of neighbour values at every interior vertex.  This is
@@ -21,30 +22,28 @@ is condensed once.  Per cell only loads go up, by forward substitution
 over the type's elimination record, and values come down by back
 substitution.
 
-One engine runs it (`_solve_rows`), on listed cells from one of two
-sources.  A domain's cells are typed by shape (`CellShapes`): a cell's
-type depends only on where the cut lies in the cell's own coordinates,
-which of its corners are boundary corners of the domain, and its depth
-above the graph's level (`geometry.cell_shape`).  So the types are made
-once per shape, by recursion on shapes, and the graphs of every level
-share them.  Only the cells above a frontier are listed one by one: a cell
-is a leaf where no boundary vertex lies strictly inside it, or where the
-boundary data is constant on its cut.  By linearity a leaf's load is its
-type's unit loads times its boundary corners' values and that constant,
-and nothing below it is listed, so the cost follows the data's words and
-the types, not the graph or its boundary.  A domain's listing is bounded
-by geometry.MAX_TREE_CELLS, counting its listed cells and the shapes made.
-A graph's rows, for any graph of build_graph's cells with any boundary
-set, list every cell, so they are for small m.  Values come down one
+One engine runs it (`_solve_rows`), on a domain's cells typed by shape
+(`CellShapes`): a cell's type depends only on where the cut lies in the
+cell's own coordinates, which of its corners are boundary corners of the
+domain, and its depth above the graph's level (`geometry.cell_shape`).
+So the types are made once per shape, by recursion on shapes, and the
+graphs of every level share them.  Only the cells above a frontier are
+listed one by one: a cell is a leaf where no boundary vertex lies
+strictly inside it, or where the boundary data is constant on its cut.
+By linearity a leaf's load is its type's unit loads times its boundary
+corners' values and that constant, and nothing below it is listed, so
+the cost follows the data's words and the types, not the graph or its
+boundary.  A domain's listing is bounded by geometry.MAX_TREE_CELLS,
+counting its listed cells and the shapes made.  Values come down one
 level at a time, only as far as they are read.  `solve_domain` (compare)
 takes a domain's listed cells of one level, asks the caller for the
 boundary values at the leaves' corners in one batch of integer points, a
 data lookup only, stops at its last target and keeps only the targets'
-values.  `solve` lists the domain's cells for a problem of
-DomainSkeleton.problem, where no data is known to be constant, and the
-graph's for any other, and returns a sequence over vertex ids that walks
-down to a vertex's level when the vertex is read.  numpy holds
-only the graph and the boundary ids; the arithmetic is plain Python.
+values.  `solve` lists the same cells for a problem of
+DomainSkeleton.problem, where no data is known to be constant, and
+returns a sequence over the skeleton's vertex ids that walks down to a
+vertex's level when the vertex is read.  numpy holds only the skeleton's
+graph and boundary ids; the arithmetic is plain Python.
 """
 
 import importlib
@@ -466,36 +465,26 @@ def _scaled_point(p, s, m):
 
 
 # ---------------------------------------------------------------------------
-# a problem on a graph of build_graph's cells
+# a domain's problem on its graph
 
 
-class DirichletProblem:
-    """Boundary set B (vertex ids, kept as an int64 array) with values g, a
-    sequence aligned with it, on a level-m graph; solvable iff every
-    connected component of the graph touches B.  `domain` is set when the
-    graph is `geometry.domain_graph(domain, m)` and B its boundary, as
-    `DomainSkeleton.problem` makes it: `solve` then walks the domain's cell
-    tree."""
+class DirichletProblem(namedtuple("DirichletProblem",
+                                  ["graph", "boundary_ids", "boundary_values", "domain"])):
+    """The problem `DomainSkeleton.problem` makes: the graph
+    `geometry.domain_graph(domain, m)`, its boundary ids (an int64 array)
+    and the boundary values read off them, in the same order."""
 
-    def __init__(self, graph, boundary_ids, boundary_values, domain=None):
-        import numpy as np
-
-        self.graph, self.boundary_values, self.domain = graph, boundary_values, domain
-        self.boundary_ids = np.asarray(boundary_ids, dtype=np.int64)
-        if len(self.boundary_ids) == 0:
-            raise SolvabilityError("boundary set must be nonempty")
-        if len(self.boundary_ids) != len(boundary_values):
-            raise SolvabilityError("boundary values must align with boundary ids")
+    __slots__ = ()
 
 
 def solve(problem, mode="auto"):
-    """Solve the graph Dirichlet problem; returns a read-only sequence of
-    the values by vertex id, Fractions in rational mode and floats in float
-    mode ("auto" picks rational when the boundary values are
-    Fractions/ints).  The engine lists the problem's domain's cells by
-    shape when it has a domain, finding no data constant, and every cell
-    of the graph otherwise.  Every refusal comes here; a value is computed
-    when read, down to its vertex's level."""
+    """Solve the domain's Dirichlet problem on its graph; returns a
+    read-only sequence of the values by vertex id, Fractions in rational
+    mode and floats in float mode ("auto" picks rational when the boundary
+    values are Fractions/ints).  The engine lists the domain's cells by
+    shape, finding no data constant.  The skeleton refuses an empty
+    boundary, and every other refusal comes here; a value is computed when
+    read, down to its vertex's level."""
     if mode not in ("auto", "rational", "float"):
         raise ContractViolation(f"unknown oracle mode {mode!r}")
     exact = mode == "rational" or mode == "auto" and all(
@@ -503,39 +492,10 @@ def solve(problem, mode="auto"):
     graph = problem.graph
     points = map(tuple, graph.verts[problem.boundary_ids].tolist())
     given = dict(zip(points, problem.boundary_values))
-    number = Fraction if exact else float
-    if problem.domain is None:
-        rows = _graph_rows(graph, problem.boundary_ids.tolist(), number)
-    else:
-        rows = CellShapes(problem.domain, "rational" if exact else "float").tree(graph.m).rows
-    levels = _solve_rows(graph.params, rows, lambda points: [given[p] for p in points], number)
+    tree = CellShapes(problem.domain, "rational" if exact else "float").tree(graph.m)
+    levels = _solve_rows(graph.params, tree.rows, lambda points: [given[p] for p in points],
+                         tree.number)
     return _Values(graph.verts, levels)
-
-
-def _graph_rows(graph, boundary_ids, number):
-    """The rows of `_solve_rows` for a graph of build_graph's cells, every
-    cell listed: a level-m cell is a leaf whose boundary corners are those
-    in boundary_ids.  Corner 1 of a cell, at q1 = (0, 0), is its offset, and
-    the cell codes ascend, so the parents do too."""
-    if graph.cells is None:
-        raise ContractViolation("the oracle condenses over the cells; this graph has none")
-    params, boundary, n = graph.params, set(boundary_ids), graph.params.map_count
-    finest = _finest_types(number)
-    offsets = graph.verts[graph.cells[:, 1]].tolist()
-    rows = [[(x, y, finest[sum(1 << j for j, v in enumerate(ids) if v in boundary)], None, None)
-             for (x, y), ids in zip(offsets, graph.cells.tolist())]]
-    codes = graph.cell_codes.tolist()
-    for k in range(graph.m - 1, -1, -1):
-        step, parents, below = params.level ** (graph.m - k - 1), {}, rows[0]
-        for i, (code, (x, y, *_)) in enumerate(zip(codes, below)):
-            tx, ty = params.int_translations[code % n]
-            parent = parents.setdefault(code // n, (x - step * tx, y - step * ty, [None] * n))
-            parent[2][code % n] = i
-        codes = list(parents)
-        rows.insert(0, [(x, y, _condense_type(params.level, tuple(
-            None if i is None else below[i][2] for i in kids), number), tuple(kids), None)
-            for x, y, kids in parents.values()])
-    return rows
 
 
 class _Values(Sequence):
@@ -581,6 +541,8 @@ class DomainSkeleton:
             domain, graph, boundary_ids, boundary_kinds)
 
     def problem(self, boundary_value_fn):
+        if len(self.boundary_ids) == 0:
+            raise SolvabilityError("boundary set must be nonempty")
         vals = [boundary_value_fn(self.graph.point(int(i))) for i in self.boundary_ids]
         return DirichletProblem(self.graph, self.boundary_ids, vals, self.domain)
 

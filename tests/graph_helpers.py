@@ -20,10 +20,12 @@ class LevelMismatchError(GasketError, ValueError):
 
 
 def solve_full_gasket(params, m, corner_values, mode="auto"):
-    """Oracle with B = V_0 on the full gasket; cross-checks the extension."""
-    graph = geometry.build_graph(params, m)
-    ids = [graph.vertex_id(q) for q in geometry.CORNERS]
-    return graph, oracle.solve(oracle.DirichletProblem(graph, ids, list(corner_values)), mode=mode)
+    """Oracle with B = V_0 on the full gasket; cross-checks the extension.
+    The gasket is solved as a domain: SG_l below the cut y = 2, whose
+    boundary is q1, q2 and the cut's one point q0."""
+    sk = oracle.domain_restricted_graph(geometry.LowerDomain(2, params.level), m)
+    value = dict(zip(geometry.CORNERS, corner_values))
+    return sk.graph, oracle.solve(sk.problem(value.__getitem__), mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,11 @@ def test_structure_weights():
     st2 = HD.structure(2)
     assert st2.weights == {0: F(1, 3)}
     assert st2.atom_base == [F(2, 3)]
+    # each structure's atoms and digit weights sum to 1 exactly, or it is
+    # refused as it is built
+    for level in range(2, 9):
+        HD.structure(level)
     st4 = HD.structure(4)
-    assert st4.mass_consistent
     assert sum(st4.atom_base) + sum(st4.weights.values()) == 1
 
 

@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from collections import deque
 from fractions import Fraction
 from functools import lru_cache, partial
 from unittest import mock
@@ -15,7 +14,7 @@ from gasketbvp import geometry as G
 from gasketbvp import halfdomain as HD
 from gasketbvp import harmonic as H
 from gasketbvp import oracle as O
-from gasketbvp.errors import AddressError, ContractViolation, SolvabilityError
+from gasketbvp.errors import AddressError, ContractViolation, ResolutionError, SolvabilityError
 from graph_helpers import (domain_vertices, min_degree_solve, read_values_csv, reference_rows,
                            solve_full_gasket, write_values_csv)
 
@@ -73,52 +72,12 @@ def test_maximum_principle_random():
 
 
 def test_empty_boundary_rejected():
-    g = G.build_graph(G.gasket(2), 1)
-    with pytest.raises(SolvabilityError):
-        O.DirichletProblem(g, np.array([], dtype=np.int64), [])
-
-
-def test_disconnected_interior_rejected():
-    # the cells 00 and 22 of SG at level 2 share no vertex; the boundary is
-    # a vertex of 00, so the interior of 22 is a component on its own
-    g = G.build_graph(G.gasket(2), 2, lambda corners: np.isin(np.arange(len(corners)), [0, 8]))
-    assert g.n_vertices() == 6
-    messages = []
-    for mode in ("rational", "float"):
-        with pytest.raises(SolvabilityError) as error:
-            O.solve(O.DirichletProblem(g, np.array([0]), [F(1)]), mode=mode)
-        messages.append(str(error.value))
-    assert messages[0] == messages[1]
-
-
-def test_zero_pivot_inside_a_cell_type_is_refused(monkeypatch):
-    # the cells 03, 04 and 05 of SG_3 hold no corner of cell 0 and meet only
-    # each other, so their level-3 cells are a component of their own; the
-    # boundary is q1, in cell 1.  The zero pivot comes while cell 0's type
-    # eliminates its inner slots, before the root, in both modes.  Their
-    # types carry conductances that are not dyadic, so a float elimination
-    # that subtracts on the diagonal leaves a pivot of about 1e-15 and solves
-    keep = [*range(18, 36), *range(36, 72)]
-    g = G.build_graph(G.gasket(3), 3, lambda corners: np.isin(np.arange(len(corners)), keep))
-    boundary = np.array([g.vertex_id(G.Q1)])
-    eliminate, refused = _exact._eliminate, []
-
-    def counted(c, g, order):
-        try:
-            return eliminate(c, g, order)
-        except SolvabilityError:
-            refused.append(order)
-            raise
-
-    # the oracle looks the elimination kernel up in _exact
-    monkeypatch.setattr(_exact, "_eliminate", counted)
-    messages = []
-    for mode, value in (("rational", F(1)), ("float", 1.0)):
-        with pytest.raises(SolvabilityError) as error:
-            O.solve(O.DirichletProblem(g, boundary, [value]), mode=mode)
-        messages.append(str(error.value))
-    assert messages[0] == messages[1]
-    assert len(refused) == 2 and all(min(order) >= 3 for order in refused)
+    # SG below y = 2/3 with no boundary corner: the cut meets no vertex of
+    # V_2, so the skeleton has no boundary vertex and poses no problem
+    sk = O.domain_restricted_graph(G.Domain(2, 1, F(2, 3), -1, ()), 2)
+    assert len(sk.boundary_ids) == 0
+    with pytest.raises(SolvabilityError, match="nonempty"):
+        sk.problem(lambda p: F(1))
 
 
 def test_half_sg3_skeleton_level1():
@@ -198,68 +157,32 @@ def test_float_matches_rational_on_domain_skeletons(domain, m):
 
 
 # ---------------------------------------------------------------------------
-# the condensation against a general elimination on random cell sets
+# the condensation against a general elimination on random domains' cells
 
 # a fault in how siblings share a slot shows only on m >= 2 graphs whose
 # cells leave some corner untouched, so more examples than test_cylinder's;
-# derandomized, so every run draws the same cell sets and takes the same time
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+# derandomized, so every run draws the same domains and takes the same time
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
 
 @st.composite
-def random_problems(draw):
-    """A level-m graph of SG_l restricted to a random set of cells, with a
-    random nonempty boundary set and Fraction values on it."""
-    level = draw(st.sampled_from([2, 3, 4]))
-    m = draw(st.integers(1, 3))
-    density = draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def cell_filter(corners):
-        keep = rng.random(len(corners)) < density
-        keep[rng.integers(len(corners))] = True
-        return keep
-
-    graph = G.build_graph(G.gasket(level), m, cell_filter)
-    n = graph.n_vertices()
-    ids = rng.choice(n, size=rng.integers(1, n // 3 + 2), replace=False)
-    values = [F(int(k), 7) for k in rng.integers(-50, 51, len(ids))]
-    return O.DirichletProblem(graph, ids, values)
-
-
-@PROPERTY_SETTINGS
-@given(problem=random_problems())
-def test_float_condensation_matches_rational_on_random_cells(problem):
-    try:
-        exact = O.solve(problem, mode="rational")
-    except SolvabilityError:
-        with pytest.raises(SolvabilityError):
-            O.solve(problem, mode="float")
-        return
-    vals = O.solve(problem, mode="float")
-    assert max(abs(v - float(e)) for v, e in zip(vals, exact)) <= 1e-10
-    bmask = np.zeros(problem.graph.n_vertices(), dtype=bool)
-    bmask[problem.boundary_ids] = True
-    assert O.matching_residuals(problem.graph, vals, bmask) <= 1e-10
+def random_domains(draw):
+    """SG_l, l = 2, 3 or 4, on one side of a random cut k/q, q <= 9, along
+    either axis, with a random set of boundary corners."""
+    level = draw(st.integers(2, 4))
+    q = draw(st.integers(1, 9))
+    cut = F(draw(st.integers(0, 2 * q)), q)
+    corners = tuple(sorted(draw(st.sets(st.integers(0, 2)))))
+    return G.Domain(level, draw(st.integers(0, 1)), cut, draw(st.sampled_from([-1, 1])), corners)
 
 
 def reference_solve(problem):
-    """The oracle by the general route: a breadth-first search for a
-    component that does not touch the boundary, then the minimum-degree
-    eliminator, not the oracle's kernel, over the Laplacian rows read from
+    """The oracle by the general route: the minimum-degree eliminator, not
+    the oracle's kernel, over the Laplacian rows read from
     graph.neighbors."""
     graph = problem.graph
     bmask = np.zeros(graph.n_vertices(), dtype=bool)
     bmask[problem.boundary_ids] = True
-    seen = bmask.copy()
-    queue = deque(np.flatnonzero(bmask).tolist())
-    while queue:
-        for j in graph.neighbors(queue.popleft()).tolist():
-            if not seen[j]:
-                seen[j] = True
-                queue.append(j)
-    if not seen.all():
-        raise SolvabilityError("a component does not touch the boundary")
     values = [None] * graph.n_vertices()
     for i, v in zip(problem.boundary_ids.tolist(), problem.boundary_values):
         values[i] = F(v)
@@ -277,20 +200,47 @@ def reference_solve(problem):
     return values
 
 
-@PROPERTY_SETTINGS
-@given(problem=random_problems())
-def test_condensation_matches_reference_on_random_cells(problem):
+def random_problem(domain, m, seed):
+    """The skeleton of `domain` at level m and random k/7 data on its
+    boundary, or None where the skeleton has no cell or no boundary vertex."""
     try:
-        want = reference_solve(problem)
-    except SolvabilityError:
-        for mode in ("rational", "float"):
-            with pytest.raises(SolvabilityError):
-                O.solve(problem, mode=mode)
+        sk = O.domain_restricted_graph(domain, m)
+    except ResolutionError:
+        return None  # no level-m cell lies in the domain's closure
+    if len(sk.boundary_ids) == 0:
+        return None  # refused by the skeleton: test_empty_boundary_rejected
+    rng = random.Random(seed)
+    value = {sk.graph.point(int(i)): F(rng.randint(-50, 50), 7) for i in sk.boundary_ids}
+    return sk, value
+
+
+@PROPERTY_SETTINGS
+@given(domain=random_domains(), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_condensation_matches_reference_on_random_cells(domain, m, seed):
+    drawn = random_problem(domain, m, seed)
+    if drawn is None:
         return
-    exact = O.solve(problem, mode="rational")
+    sk, value = drawn
+    want = reference_solve(sk.problem(value.__getitem__))
+    exact = O.solve(sk.problem(value.__getitem__), mode="rational")
     assert list(exact) == want and all(type(v) is F for v in exact)
-    vals = O.solve(problem, mode="float")
+    vals = O.solve(sk.problem(lambda p: float(value[p])), mode="float")
     assert max(abs(v - float(w)) for v, w in zip(vals, want)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(domain=random_domains(), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_float_condensation_matches_rational_on_random_cells(domain, m, seed):
+    drawn = random_problem(domain, m, seed)
+    if drawn is None:
+        return
+    sk, value = drawn
+    exact = O.solve(sk.problem(value.__getitem__), mode="rational")
+    vals = O.solve(sk.problem(lambda p: float(value[p])), mode="float")
+    assert max(abs(v - float(e)) for v, e in zip(vals, exact)) <= 1e-10
+    bmask = np.zeros(sk.graph.n_vertices(), dtype=bool)
+    bmask[sk.boundary_ids] = True
+    assert O.matching_residuals(sk.graph, vals, bmask) <= 1e-10
 
 
 def test_float_mode_is_accurate_to_rounding(monkeypatch):
@@ -318,16 +268,6 @@ def test_float_types_condense_in_floats():
         assert all(type(v) is float for v, st in zip(g, t.status) if st == O._FREE)
         for _, d, _, weights in record:
             assert type(d) is float and all(type(w) is float for w in weights)
-
-
-def test_float_mode_needs_the_cells():
-    # both modes condense over the cells, so a graph without them is refused
-    g = G.build_graph(G.gasket(2), 2)
-    bare = G.Graph(g.params, g.m, g.verts, g.edges, g.rep_cell, g.rep_corner)
-    problem = O.DirichletProblem(bare, np.array([0]), [1.0])
-    for mode in ("float", "rational"):
-        with pytest.raises(ContractViolation, match="cells"):
-            O.solve(problem, mode=mode)
 
 
 def test_solve_walks_down_only_as_far_as_it_is_read(monkeypatch):

@@ -9,7 +9,8 @@ runs, numpy only when a graph is built, and no exact solve; and the
 recursion engine in `cylinder.py` has no special case: it reads V_1 by the
 level-1 table's integer points, no frame answers for a whole cell or
 one point on its own, and one extend step, `cylinder.Frame.values`, serves
-every frame."""
+every frame; and the oracle lists only a domain's cell tree, never a
+graph's cells."""
 
 import ast
 import functools
@@ -225,3 +226,27 @@ def test_one_extend_step():
               if isinstance(node, ast.ClassDef)
               for item in node.body if isinstance(item, ast.FunctionDef) and item.name == "values"]
     assert owners == ["cylinder.py:Frame"]
+
+
+def test_oracle_lists_only_a_domain_cell_tree():
+    # the oracle has one row source, a domain's cells by shape: every row
+    # list `_solve_rows` takes is a DomainTree's, `CellShapes.tree` alone
+    # makes one, no module reads a graph's cell codes, and `build_graph`
+    # calls nothing a caller hands it, so it takes no caller's cell mask
+    def calls(node, name):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+    rows = [ast.unparse(call.args[1]) for path in SOURCES
+            for call in calls(TREES[path], "_solve_rows")]
+    assert rows and all(arg.endswith(".rows") for arg in rows), rows
+    makers = [f"{node.name}.{item.name}" for path in SOURCES for node in ast.walk(TREES[path])
+              if isinstance(node, (ast.ClassDef, ast.FunctionDef)) for item in node.body
+              if isinstance(item, ast.FunctionDef) and calls(item, "DomainTree")]
+    assert makers == ["CellShapes.tree"]
+    assert not any("cell_codes" in names_read(TREES[path]) for path in SOURCES)
+    build = next(node for node in TREES[SRC / "geometry.py"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "build_graph")
+    called = {n.func.id for n in ast.walk(build)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert called & {a.arg for a in build.args.args} == set()
