@@ -1,8 +1,8 @@
 """The package's one elimination: Grassmann-Taksar-Heyman elimination of a
 grounded graph Laplacian in conductance form (Oper. Res. 33, 1985), exact
 on Fractions and accurate to rounding on floats (O'Cinneide, Numer. Math.
-65, 1993).  The oracle condenses its cell types with it, the extend step
-(`cylinder.Frame.values`) each frame's level-1 system, and `solve` Gamma_1."""
+65, 1993).  The oracle condenses its cell types with it, and
+`geometry.level1_system` the level-1 system of every frame and Gamma_1."""
 
 from operator import mul
 
@@ -68,7 +68,8 @@ def solve(c, g, b):
     grounded graph Laplacian (g_k + sum_j c_kj) u_k - sum_j c_kj u_j = b_k.
     c maps each unknown to its symmetric conductances {j: c_kj} to the
     others, g to its grounding and b to its load; all three are consumed.
-    It computes in their number type, so exact callers pass Fractions."""
+    It computes in their number type, so exact callers pass Fractions.
+    Only the tests and the bench's `solve_dense` span call it."""
     record = _eliminate(c, g, list(c))
     u = {}
     _backward(record, _forward(record, b), u)

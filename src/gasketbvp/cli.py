@@ -117,11 +117,11 @@ def _ratio_text(n, d):
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _fmt_exact(v, flag):
-    """_fmt(v), refused as a usage error naming the flag when v is an exact
-    value with more digits than the interpreter converts to text."""
+def _fmt_exact(v, flag, den=None):
+    """_fmt(v), or _ratio_text(v, den), refused as a usage error naming the
+    flag when v is exact with more digits than the interpreter converts."""
     try:
-        return _fmt(v)
+        return _fmt(v) if den is None else _ratio_text(v, den)
     except ValueError as exc:
         raise UsageError(f"{flag}: the exact value is too long to print") from exc
 
@@ -178,7 +178,7 @@ def cmd_solve(cfg, fam, lam):
         return texts[n]
 
     def value(n, den):
-        return _fmt(n) if den is None else _ratio_text(n, den)
+        return _fmt_exact(n, "--mode", den)
 
     # each row becomes text, or a JSON row, straight from the walk's record
     items = ((key, rows[key]) for key in keys)
@@ -288,8 +288,9 @@ def _dtn(cfg, fam, lam):
         raise UsageError("dtn needs the boundary value at q0 (the atom limit)")
     res = halfdomain.dirichlet_to_neumann_sg(f, cfg.kmax)
     lines = ["k,term,partial_sum"]
-    lines += [f"{k},{_fmt(t)},{_fmt(s)}" for k, (t, s) in enumerate(zip(res.terms, res.partial_sums))]
-    return lines + [f"limit,{_fmt(res.limit)}", f"residual,{_fmt(abs(res.partial_sums[-1] - res.limit))}"]
+    fmt = partial(_fmt_exact, flag="--kmax")
+    lines += [f"{k},{fmt(t)},{fmt(s)}" for k, (t, s) in enumerate(zip(res.terms, res.partial_sums))]
+    return lines + [f"limit,{fmt(res.limit)}", f"residual,{fmt(abs(res.partial_sums[-1] - res.limit))}"]
 
 
 def _eta_upper(cfg, fam, lam):
@@ -355,6 +356,13 @@ def _measure_lower(cfg, fam, lam):
     return [f"mu1_mass,{cfg.word},{_fmt(m1)}", f"mu2_mass,{cfg.word},{_fmt(m2)}"]
 
 
+def _lower_no_rational(lam):
+    if not lam.dyadic:
+        return "rational mode needs dyadic lambda (eta limits are irrational)"
+    if not lowerdomain.etas(lam).exact:
+        return f"rational mode needs exact eta values, here past {lowerdomain.EXACT_ETA_BITS} bits"
+
+
 # ---------------------------------------------------------------------------
 # the domain families
 
@@ -390,7 +398,7 @@ FAMILIES = {
     "lower": Family(
         lowerdomain.LowerBoundaryData, {"q1": 0, "q2": 0}, False, lowerdomain.BinaryLambda.parse,
         lambda level, lam: lowerdomain.LowerFrame(lam),
-        lambda lam: None if lam.dyadic else "rational mode needs dyadic lambda (eta limits are irrational)",
+        _lower_no_rational,
         False,
         {"eta": _eta_lower, "measure": _measure_lower},
     ),

@@ -43,13 +43,10 @@ and for `energy` (and `coefficient` for the default `copy_form`)
                       a the data's value at its one boundary corner
 """
 
-import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations
 from operator import mul
 
-from . import _exact, geometry, harmonic
+from . import geometry, harmonic
 from .errors import AddressError, ContractViolation, ResolutionError
 
 MAX_RECURSION = 64
@@ -181,10 +178,10 @@ class Frame:
         scale l: `terminals` where it gives a value, else solved from the
         level-1 system, where each edge of a full cell has conductance 1
         and each copy adds its `copy_form`.  The system depends on the frame
-        alone and is solved once (`_level1_system`); a node sums its sources
-        (known values, integrals) times their solutions, in floats if a
-        conductance is a float, else exactly: float data are made exact and
-        the values rounded once."""
+        alone and is solved once (`geometry.level1_system`); a node sums
+        its sources (known values, integrals) times their solutions, in
+        floats if a conductance is a float, else exactly: float data are
+        made exact and the values rounded once."""
         points, slots, full = self.params.cell_points, self.slots, self.full_cells()
         copies = [(d, [points[d][s] for s in slots]) for d in self.copies()]
         keys = list(dict.fromkeys([p for i in full for p in points[i]]
@@ -198,7 +195,8 @@ class Frame:
                 links.append((d, link, *[c for c, _ in form]))
                 ints += [i for _, i in form]
         exact = float not in {type(c) for _, *cs in links for c in cs}
-        sources, rows, den = _level1_system(self.level, slots, full, unknown, tuple(links), exact)
+        sources, rows, den = geometry.level1_system(
+            self.level, slots, full, unknown, tuple(links), exact)
         data = [values[s] if type(s) is tuple else ints[s] for s in sources]
         if not exact:
             data = list(map(float, data))
@@ -217,50 +215,6 @@ class Frame:
 
     def closed(self, f, word):
         return f.subtree(word)
-
-
-@lru_cache(maxsize=None)
-def _level1_system(level, slots, full, unknown, links, exact):
-    """(sources, rows, den): a frame's level-1 system (`Frame.values`),
-    eliminated row by row from the base in (y, x) order and solved for the
-    unit value of each source, a known point or the number of a copy's
-    integral: rows (p, [u_p for each source]) of the unknowns, exactly as
-    integers over den, else in floats."""
-    points, number = geometry.gasket(level).cell_points, Fraction if exact else float
-    c = {p: {} for p in unknown}
-    loads = []  # (p, w, source): a grounding w at p, loaded with w times the source
-
-    def edge(p, q, w):
-        if p in c:
-            if q in c:
-                c[p][q] = number(w)
-            else:
-                loads.append((p, w, q))
-
-    for i in full:
-        for p, q in permutations(points[i], 2):
-            edge(p, q, 1)
-    n = 0
-    for d, link, *cs in links:
-        corners = [points[d][s] for s in slots]
-        for p, w in zip(corners, cs):
-            edge(p, n, w)
-            n += 1
-        if link:
-            for p, q in permutations(corners, 2):
-                edge(p, q, link)
-    order = sorted(unknown, key=lambda p: p[::-1])
-    g = {p: number(sum(w for q, w, _ in loads if q == p)) for p in order}
-    record = _exact._eliminate({p: c[p] for p in order}, g, order)
-    sources = list(dict.fromkeys(src for _, _, src in loads))
-    units = [{} for _ in sources]
-    for source, u in zip(sources, units):
-        b = {p: sum(number(w) for q, w, src in loads if (q, src) == (p, source)) for p in order}
-        _exact._backward(record, _exact._forward(record, b), u)
-    if not exact:
-        return sources, [(p, [u[p] for u in units]) for p in order], None
-    den = math.lcm(*(u[p].denominator for u in units for p in order))
-    return sources, [(p, [int(u[p] * den) for u in units]) for p in order], den
 
 
 def _copy_data(frame, f, values, d):

@@ -28,8 +28,9 @@ from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
-from ._exact import solve
+from . import _exact
 from .errors import AddressError, CapabilityError, ContractViolation, ResolutionError
 
 MAX_LEVEL = 8
@@ -159,73 +160,77 @@ def gasket(level):
 @lru_cache(maxsize=None)
 def renormalization_factor(level):
     """Energy renormalization factor r of SG_l (3/5 for SG, 7/15 for SG_3):
-    extend (1,0,0) harmonically to Gamma_1 by the exact Dirichlet solve and
-    take the level-1/level-0 unweighted energy ratio.
+    E_1(h) / E_0(h) for the harmonic extension h of (1,0,0) to Gamma_1,
+    with E_0(h) = 2 and, by Gauss-Green, E_1(h) = 2 - h(F_0 q1) - h(F_0 q2).
     """
-    vals = _gamma1_harmonic_values(gasket(level), (Fraction(1), Fraction(0), Fraction(0)))
-    nbrs = gamma1_neighbors(level)
-    # every edge is seen from both ends, and E_0 of (1,0,0) is 2
-    r = sum((vals[p] - vals[q]) ** 2 for p, nb in nbrs.items() for q in nb) / 4
+    _, p1, p2 = gasket(level).cell_points[0]
+    basis = gamma1_basis(level)
+    r = 1 - (basis[p1][0] + basis[p2][0]) / 2
     if not 0 < r < 1:
         raise ContractViolation(f"renormalization factor of SG_{level} is {r}, not in (0, 1)")
     return r
 
 
 @lru_cache(maxsize=None)
-def gamma1_neighbors(level):
-    """Neighbour lists of Gamma_1 of SG_l, keyed by integer vertex
-    coordinates at scale l in (x, y) order: each 1-cell joins its three
-    corners.  Shared; do not mutate."""
-    cells = gasket(level).cell_points
-    nbrs = {p: [] for p in sorted({p for cell in cells for p in cell})}
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        for cell in cells:
-            p, q = sorted((cell[a], cell[b]))
-            nbrs[p].append(q)
-            nbrs[q].append(p)
-    return nbrs
-
-
-@lru_cache(maxsize=None)
 def gamma1_basis(level):
     """{pt: (w0, w1, w2)}: the exact graph-harmonic extension of V_0 data to
     Gamma_1 is w0 v0 + w1 v1 + w2 v2 at pt, keyed by integer vertex
-    coordinates at scale l, the V_0 corners first.  One exact solve, for
-    the unit data at q0, in conductance form: 1 on each edge between inner
-    vertices, and a grounding of 1 with the corner's value as load on each
-    edge to a corner, eliminated row by row from the base, so that the
-    load next to q0 moves last.  The extensions of the unit data at q1 and
-    q2 are its images under the symmetries of the gasket that swap q0 with
-    q1 and with q2, which permute the barycentric coordinates b0 = y/2,
-    b2 = (2x - y)/4 and b1 = l - b0 - b2 of a point.  Shared; do not mutate."""
-    params = gasket(level)
-    corner_pts = {cell[c]: c for c, cell in enumerate(params.cell_points[:3])}
-    c, g, b = {}, {}, {}
-    for k, nb in sorted(gamma1_neighbors(level).items(), key=lambda item: item[0][::-1]):
-        if k in corner_pts:
-            continue
-        inner = [q for q in nb if q not in corner_pts]
-        c[k] = dict.fromkeys(inner, Fraction(1))
-        g[k] = Fraction(len(nb) - len(inner))
-        b[k] = Fraction(sum(corner_pts.get(q) == 0 for q in nb))  # the unit value at q0
-    h = {k: Fraction(int(j == 0)) for k, j in corner_pts.items()}
-    h.update(sorted(solve(c, g, b).items()))
-
-    def swapped(pt, c):
-        b = [pt[1] // 2, 0, (2 * pt[0] - pt[1]) // 4]
-        b[1] = level - b[0] - b[2]
-        b[0], b[c] = b[c], b[0]
-        return (b[0] + 2 * b[2], 2 * b[0])
-
-    return {pt: (w, h[swapped(pt, 1)], h[swapped(pt, 2)]) for pt, w in h.items()}
+    coordinates at scale l, the V_0 corners first, then the rest in (x, y)
+    order: the level-1 system with every 1-cell full, solved for the unit
+    value at each corner.  Shared; do not mutate."""
+    points = gasket(level).cell_points
+    corners = [cell[c] for c, cell in enumerate(points[:3])]
+    unknown = tuple(sorted({p for cell in points for p in cell} - set(corners)))
+    sources, rows, den = level1_system(level, (), tuple(range(len(points))), unknown, (), True)
+    cols = [sources.index(q) for q in corners]
+    basis = {q: tuple(Fraction(int(c == j)) for j in range(3)) for c, q in enumerate(corners)}
+    basis.update((p, tuple(Fraction(row[j], den) for j in cols)) for p, row in sorted(rows))
+    return basis
 
 
-def _gamma1_harmonic_values(params, corner_values):
-    """Exact graph-harmonic extension of V_0 data to Gamma_1, as a dict
-    keyed by integer vertex coordinates at scale l (from `gamma1_basis`)."""
-    v0, v1, v2 = corner_values
-    return {pt: w0 * v0 + w1 * v1 + w2 * v2
-            for pt, (w0, w1, w2) in gamma1_basis(params.level).items()}
+@lru_cache(maxsize=None)
+def level1_system(level, slots, full, unknown, links, exact):
+    """(sources, rows, den): the package's one level-1 solve, a frame's
+    level-1 system (`cylinder.Frame.values`) or Gamma_1's, eliminated row by
+    row from the base in (y, x) order and solved for the unit value of each
+    source, a known point or the number of a copy's integral: rows (p, [u_p
+    for each source]) of the unknowns, exactly as integers over den, else
+    in floats."""
+    points, number = gasket(level).cell_points, Fraction if exact else float
+    c = {p: {} for p in unknown}
+    loads = []  # (p, w, source): a grounding w at p, loaded with w times the source
+
+    def edge(p, q, w):
+        if p in c:
+            if q in c:
+                c[p][q] = number(w)
+            else:
+                loads.append((p, w, q))
+
+    for i in full:
+        for p, q in permutations(points[i], 2):
+            edge(p, q, 1)
+    n = 0
+    for d, link, *cs in links:
+        corners = [points[d][s] for s in slots]
+        for p, w in zip(corners, cs):
+            edge(p, n, w)
+            n += 1
+        if link:
+            for p, q in permutations(corners, 2):
+                edge(p, q, link)
+    order = sorted(unknown, key=lambda p: p[::-1])
+    g = {p: number(sum(w for q, w, _ in loads if q == p)) for p in order}
+    record = _exact._eliminate({p: c[p] for p in order}, g, order)
+    sources = list(dict.fromkeys(src for _, _, src in loads))
+    units = [{} for _ in sources]
+    for source, u in zip(sources, units):
+        b = {p: sum(number(w) for q, w, src in loads if (q, src) == (p, source)) for p in order}
+        _exact._backward(record, _exact._forward(record, b), u)
+    if not exact:
+        return sources, [(p, [u[p] for u in units]) for p in order], None
+    den = math.lcm(*(u[p].denominator for u in units for p in order))
+    return sources, [(p, [int(u[p] * den) for u in units]) for p in order], den
 
 
 # ---------------------------------------------------------------------------
@@ -400,40 +405,27 @@ class Graph:
 
 
 class VertexIndex(Mapping):
-    """Vertex ids by binary search over the integer keys x*(2s+1)+y.
-
-    build_graph emits vertices already sorted by these keys; other vertex
-    arrays are sorted once.  The key range widens to cover coordinates
-    outside [0, 2s], so distinct points never share a key.
-    """
+    """Vertex ids of `build_graph`'s vertices, which come sorted by the
+    integer keys x*(2s+1)+y, by binary search over those keys."""
 
     def __init__(self, verts, scale):
         import numpy as np
 
         self._verts = verts
-        ys = verts[:, 1]
-        self._ylo = int(ys.min(initial=0))
-        self._stride = int(ys.max(initial=2 * scale)) - self._ylo + 1
-        keys = verts[:, 0] * np.int64(self._stride) + (ys - self._ylo)
-        self._order = None
-        if (keys[1:] < keys[:-1]).any():
-            self._order = np.argsort(keys, kind="stable")
-            keys = keys[self._order]
-        self._keys = keys
+        self._stride = 2 * scale + 1
+        self._keys = keys = verts[:, 0] * np.int64(self._stride) + verts[:, 1]
         # Python-int bounds, so that no query key overflows int64
         self._klo, self._khi = (int(keys[0]), int(keys[-1])) if len(keys) else (0, -1)
 
     def __getitem__(self, point):
         x, y = point
-        if not (self._ylo <= y < self._ylo + self._stride):
-            raise KeyError(point)
-        k = x * self._stride + (y - self._ylo)
-        if not (self._klo <= k <= self._khi):
+        k = x * self._stride + y
+        if not (0 <= y < self._stride and self._klo <= k <= self._khi):
             raise KeyError(point)
         pos = int(self._keys.searchsorted(k))
         if self._keys[pos] != k:
             raise KeyError(point)
-        return pos if self._order is None else int(self._order[pos])
+        return pos
 
     def __iter__(self):
         return ((int(x), int(y)) for x, y in self._verts)

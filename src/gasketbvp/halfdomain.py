@@ -45,7 +45,7 @@ class HalfStructure(cylinder.Frame):
         self.atom_count = len(params.atom_cells)      # floor(l/2)
         self.r = params.renorm_factor
         self.ratio = 1 / self.r
-        ha = geometry._gamma1_harmonic_values(params, (F(0), F(1), F(-1)))
+        ha = harmonic.cell_extension(level, (F(0), F(1), F(-1)))
         self.ha_gamma1 = ha
         points = params.cell_points
         # digit weights mu_i = r^{-1} h_a(F_i q_1)

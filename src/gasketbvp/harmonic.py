@@ -1,10 +1,10 @@
 """Single-cell harmonic extension, cell energies and normal derivatives.
 
-The extension weights of every level come from one exact Dirichlet solve
-on Gamma_1 (`geometry.gamma1_basis`, from the level-1 table): for SG they are the 2/5-1/5 rule,
-for SG_3 the 8-4-3 / 15 rule with mean value at the centre, derived, not
-typed in.  The public `harmonic_extend_cell` still serves only l in {2, 3};
-higher levels are used internally.
+The extension weights of every level come from Gamma_1's level-1 solve
+(`geometry.gamma1_basis`, every 1-cell full): for SG they are the
+2/5-1/5 rule, for SG_3 the 8-4-3 / 15 rule with mean value at the centre,
+derived, not typed in.  The public `harmonic_extend_cell` still serves
+only l in {2, 3}; higher levels are used internally.
 
 Exact values are extended in integers: the weights of level l are integers
 over their least common denominator D_l (5 on SG, 15 on SG_3, 309 and 1663
@@ -112,20 +112,22 @@ def harmonic_extend_cell(level, values):
 
 
 def check_cell_harmonic(level, v1_values):
-    """Verify the matching (mean value) equations at the interior V_1 points
-    of a cell; exact in rational mode, MATCHING_RTOL-tolerant in float mode."""
-    # the V_0 corners: corner cell c fixes q_c
-    corners = {cell[c] for c, cell in enumerate(gasket(level).cell_points[:3])}
+    """Verify the matching (mean value) equations at the V_1 points of a cell
+    but its corners, each summed over the 1-cells that hold the point; exact
+    in rational mode, MATCHING_RTOL-tolerant in float mode."""
+    cells = gasket(level).cell_points
     exact = _is_exact(*v1_values.values())
     scale = max((abs(v) for v in v1_values.values()), default=1)
     tol = 0 if exact else MATCHING_RTOL * max(1.0, float(scale))
-    for pt, nb in geometry.gamma1_neighbors(level).items():
-        if pt in corners:
-            continue
-        res = len(nb) * v1_values[pt] - sum(v1_values[q] for q in nb)
-        if abs(res) > tol:
+    residual = {}
+    for cell in cells:
+        total = sum(v1_values[q] for q in cell)
+        for p in cell:
+            residual[p] = residual.get(p, 0) + 3 * v1_values[p] - total
+    for pt in sorted(residual.keys() - {cell[c] for c, cell in enumerate(cells[:3])}):
+        if abs(residual[pt]) > tol:
             raise ContractViolation(
-                f"values are not harmonic in the cell: residual {res} at {pt}"
+                f"values are not harmonic in the cell: residual {residual[pt]} at {pt}"
             )
 
 

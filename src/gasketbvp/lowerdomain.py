@@ -105,11 +105,14 @@ def apply_t(e, x, y):
     return t0(x, y) if e == 0 else t1(x, y)
 
 
-def composite_eta(lam, depth, seed=(2, 1)):
-    """T_{e_1} o ... o T_{e_depth}(seed), innermost map applied first."""
+def composite_eta(lam, depth, seed=(2, 1), bits=None):
+    """T_{e_1} o ... o T_{e_depth}(seed), innermost map applied first; given
+    bits, None once an exact numerator or denominator passes that length."""
     x, y = seed
     for k in range(depth, 0, -1):
         x, y = apply_t(lam.digit(k), x, y)
+        if bits and max(x.numerator, x.denominator, y.numerator, y.denominator).bit_length() > bits:
+            return None
     return (x, y)
 
 
@@ -129,7 +132,8 @@ def error_bound(lam, depth, seed=(2, 1)):
     return 8.0 * float(F(3, 5)) ** expo * (1.0 / float(c1 - c2) + 1.0)
 
 
-EXACT_DYADIC_CAP = 48
+# under 2**14284 < 10**4300, the interpreter prints every exact eta integer
+EXACT_ETA_BITS = 14284
 
 
 def eta_pair(lam, tol=1e-12, max_depth=400):
@@ -137,13 +141,12 @@ def eta_pair(lam, tol=1e-12, max_depth=400):
     (2, 1).
 
     Dyadic lambda short-circuits at d(lambda) with exact rational output
-    (desk-scale depths only; the exact numerators grow fast); otherwise
-    the depth is chosen from the certified error bound.
+    while the exact numbers stay within EXACT_ETA_BITS; otherwise the depth
+    is chosen from the certified error bound.
     """
-    if lam.dyadic and lam.dyadic_depth <= EXACT_DYADIC_CAP:
-        d = lam.dyadic_depth
-        x, y = composite_eta(lam, d, (F(2), F(1)))
-        pair = EtaPair(x, y, d, F(0), True)
+    exact = lam.dyadic and composite_eta(lam, lam.dyadic_depth, (F(2), F(1)), EXACT_ETA_BITS)
+    if exact:
+        pair = EtaPair(*exact, lam.dyadic_depth, F(0), True)
     else:
         depth = 1
         while depth <= max_depth and error_bound(lam, depth) > tol:

@@ -9,6 +9,9 @@ in SUPPORTED succeed on small data, every other pair is a usage error.
 """
 
 import json
+import re
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +32,8 @@ DATA = {
     "atoms-not-list": {"schema": 1, "q1": "1", "q0": "0", "atoms": 5},
     "upper-atoms": {"schema": 1, "q0": "0", "atoms": [{"w": "1", "v": "1"}]},
     "upper-flat": {"schema": 1, "q0": "1", "default_tail": "0"},
+    # constant on the cut line, so valid for every lambda
+    "lower-flat": {"schema": 1, "q1": "2", "q2": "-1", "default_tail": "1/3"},
     # data words hold at most 64 digits
     "half-65": {"schema": 1, "q1": "0", "q0": "0", "cylinders": [{"w": "0" * 65, "v": "1"}],
                 "default_tail": "0"},
@@ -98,6 +103,9 @@ EDGES = [
       "--data", "{lower}"], 2, "rational mode needs dyadic lambda"),
     (["compare", *LOWER, "--mode", "rational", "--levels", "2:3", "--targets-level", "1",
       "--data", "{lower}"], 0, "level,max_abs,mean_abs"),
+    # a dyadic lambda whose exact eta values pass their bit budget
+    (["solve", "--domain", "lower", "--lambda", "65535/65536", "--mode", "rational",
+      "--data", "{lower-flat}"], 2, "rational mode needs exact eta values"),
     # a domain alias fixes l: an explicit --l must agree with it
     (["solve", "--domain", "half-sg3", "--l", "4", "--data", "{half}"], 2,
      "--l 4 conflicts with the half-sg3 domain (l = 3)"),
@@ -257,6 +265,46 @@ MONOTONE = [
     ([*LOWER, "--mode", "rational", "--levels", "2:3", "--targets-level", "1",
       "--data", "{lower}"], "true"),
 ]
+
+
+@pytest.mark.parametrize("lam", ["281474976710655/281474976710656", "12345678901/281474976710656",
+                                 "65535/65536"])
+def test_eta_past_the_exact_budget_is_certified(lam, capsys):
+    # the exact eta numbers double in length at every 1-digit: past their
+    # bit budget the pair comes from the certified float path, at once
+    start = time.perf_counter()
+    assert cli.main(["eta", "--domain", "lower", "--lambda", lam]) == 0
+    assert time.perf_counter() - start < 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "exact,False" and float(lines[3].split(",")[1]) <= 1e-12
+
+
+def test_rational_solve_at_dyadic_depth_50_is_exact(data_paths, capsys):
+    lam = str(Fraction(1, 2 ** 50))
+    code, out, err = run(["solve", "--domain", "lower", "--lambda", lam, "--mode", "rational",
+                          "--level", "2", "--data", "{lower-flat}"], data_paths, capsys)
+    assert code == 0, err
+    values = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+    assert values and all(re.fullmatch(r"-?\d+(/\d+)?", v) for v in values)
+    assert any(len(v) > 100 for v in values)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["dtn", "--data", "{half}", "--kmax", "1300"], "--kmax"),
+    (["solve", "--domain", "lower", "--lambda", "4095/8192", "--mode", "rational", "--level", "2",
+      "--data", "{lower-flat}"], "--mode"),
+])
+def test_over_long_exact_value_is_a_usage_error(argv, flag, data_paths, capsys):
+    # integers of about 900 digits (dtn) and 2,400 (solve), under the least
+    # limit the interpreter allows on converting ints to text
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(argv, data_paths, capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag}: the exact value is too long to print\n"
 
 
 @pytest.mark.parametrize("args,want", MONOTONE, ids=["flat", "one-level", "all-zero"])

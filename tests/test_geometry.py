@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasketbvp import _exact
 from gasketbvp import geometry as G
 from gasketbvp import halfdomain as HD
 from gasketbvp import harmonic as H
@@ -154,7 +155,7 @@ def test_renormalization_factors():
     # the generic derivation must reproduce the closed-form levels
     for l in (2, 3):
         p = G.gasket(l)
-        vals = G._gamma1_harmonic_values(p, (F(1), F(0), F(0)))
+        vals = {pt: w[0] for pt, w in G.gamma1_basis(l).items()}  # h of (1, 0, 0)
         g = G.build_graph(p, 1)
         e1 = sum(
             (vals[tuple(map(int, g.verts[i]))] - vals[tuple(map(int, g.verts[j]))]) ** 2
@@ -170,8 +171,11 @@ def direct_gamma1_solve(params, corner_values):
     exactly on its own by the minimum-degree eliminator: the reference for
     the shared unit basis."""
     corner_pts = {cell[c]: c for c, cell in enumerate(params.cell_points[:3])}
+    g = G.build_graph(params, 1)
+    pts = [tuple(v) for v in g.verts.tolist()]
     rows, rhs = {}, {}
-    for k, nb in G.gamma1_neighbors(params.level).items():
+    for i, k in enumerate(pts):
+        nb = [pts[j] for j in g.neighbors(i).tolist()]
         if k in corner_pts:
             continue
         row = rows[k] = {k: len(nb)}
@@ -196,18 +200,20 @@ def test_gamma1_extension_from_the_basis_equals_its_own_solve(l):
     triples = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)), (F(0), F(1), F(-1))]
     triples += [tuple(F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(3)) for _ in range(4)]
     for values in triples:
-        got, want = G._gamma1_harmonic_values(p, values), direct_gamma1_solve(p, values)
+        got, want = H.cell_extension(l, values), direct_gamma1_solve(p, values)
         assert list(got) == list(want)
         assert got == want
 
 
 def test_gamma1_is_solved_once_per_level(monkeypatch):
     """The renormalization factor, the half frame's h_a and the extension
-    weights of a level share one exact solve on Gamma_1."""
+    weights of a level share one exact elimination on Gamma_1."""
     calls = []
-    solve = G.solve
-    monkeypatch.setattr(G, "solve", lambda c, g, b: calls.append(len(c)) or solve(c, g, b))
+    eliminate = _exact._eliminate
+    monkeypatch.setattr(_exact, "_eliminate",
+                        lambda c, g, order: calls.append(len(order)) or eliminate(c, g, order))
     monkeypatch.setattr(H, "_BASIS_CACHE", {})
+    G.level1_system.cache_clear()
     G.gamma1_basis.cache_clear()
     G.renormalization_factor.cache_clear()
     for l in (3, 5):
@@ -223,10 +229,6 @@ def test_level1_table_matches_build_graph(l):
     assert not any(isinstance(v, np.ndarray) for v in vars(p).values())
     g = G.build_graph(p, 1)
     pts = [tuple(v) for v in g.verts.tolist()]
-    nbrs = G.gamma1_neighbors(l)
-    assert list(nbrs) == pts
-    for i, q in enumerate(pts):
-        assert sorted(nbrs[q]) == sorted(pts[j] for j in g.neighbors(i).tolist())
     coords = G._cell_corner_coords(p, 1).tolist()
     assert p.cell_points == tuple(tuple(map(tuple, cell)) for cell in coords)
     assert p.cell_corners == tuple(
@@ -360,19 +362,6 @@ def test_export_csv(tmp_path):
     # deterministic output
     G.export_graph_csv(g, tmp_path / "e2.csv", tmp_path / "v2.csv")
     assert (tmp_path / "e2.csv").read_text() == e.read_text()
-
-
-def test_vertex_lookup_on_unsorted_vertices():
-    g = G.build_graph(G.gasket(2), 2)
-    perm = np.random.default_rng(3).permutation(g.n_vertices())
-    shuffled = G.Graph(g.params, 2, g.verts[perm], g.edges, g.rep_cell[perm], g.rep_corner[perm])
-    idx = shuffled.index()
-    assert len(idx) == g.n_vertices()
-    for i in range(g.n_vertices()):
-        x, y = (int(c) for c in shuffled.verts[i])
-        assert idx[(x, y)] == i
-        assert idx.get((x, y)) == i
-        assert shuffled.vertex_id(shuffled.point(i)) == i
 
 
 def test_vertex_lookup_misses():

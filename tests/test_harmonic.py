@@ -55,8 +55,7 @@ def test_extension_unsupported_level():
 def test_extension_matches_gamma1_solve():
     # the closed forms agree with the exact energy-minimising solve
     for l in (2, 3):
-        p = G.gasket(l)
-        vals = G._gamma1_harmonic_values(p, (F(1), F(0), F(0)))
+        vals = {pt: w[0] for pt, w in G.gamma1_basis(l).items()}
         assert vals == H.harmonic_extend_cell(l, (F(1), F(0), F(0)))
 
 

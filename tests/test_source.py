@@ -9,8 +9,9 @@ runs, numpy only when a graph is built, and no exact solve; and the
 recursion engine in `cylinder.py` has no special case: it reads V_1 by the
 level-1 table's integer points, no frame answers for a whole cell or
 one point on its own, and one extend step, `cylinder.Frame.values`, serves
-every frame; and the oracle lists only a domain's cell tree, never a
-graph's cells."""
+every frame; the oracle lists only a domain's cell tree, never a graph's
+cells; and one level-1 solve, `geometry.level1_system`, serves the frames
+and Gamma_1."""
 
 import ast
 import functools
@@ -139,13 +140,14 @@ def test_start_up_loads_only_what_commands_run(module):
 
 def test_start_up_runs_no_exact_solve():
     # upperdomain.RATIO, r^-1 of SG_3, is an exact solve on Gamma_1 made on
-    # its first read, not at import; the profile hook sees that read's solve
+    # its first read, not at import; the profile hook sees that read's one
+    # elimination
     script = (
         "import sys\n"
         "calls = []\n"
         "def watch(frame, event, arg):\n"
         "    code = frame.f_code\n"
-        "    if event == 'call' and code.co_name == 'solve' and code.co_filename.endswith('_exact.py'):\n"
+        "    if event == 'call' and code.co_name == '_eliminate' and code.co_filename.endswith('_exact.py'):\n"
         "        calls.append(code)\n"
         "sys.setprofile(watch)\n"
         "import gasketbvp.cli\n"
@@ -250,3 +252,45 @@ def test_oracle_lists_only_a_domain_cell_tree():
     called = {n.func.id for n in ast.walk(build)
               if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
     assert called & {a.arg for a in build.args.args} == set()
+
+
+def exact_calls():
+    """(caller, name) for every call of a function of `_exact` in the
+    package, as `_exact.name(...)`, by a name imported from it, or within
+    `_exact.py`; caller is the module and the qualified name of the
+    enclosing def."""
+    found = []
+    for path in SOURCES:
+        tree = TREES[path]
+        own = {a.asname or a.name: a.name for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom) and n.module == "_exact" for a in n.names}
+        if path.name == "_exact.py":
+            own.update((n.name, n.name) for n in tree.body if isinstance(n, ast.FunctionDef))
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, f"{where}.{child.name}")
+                    continue
+                if isinstance(child, ast.Call):
+                    f = child.func
+                    if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "_exact":
+                        found.append((where, f.attr))
+                    elif isinstance(f, ast.Name) and f.id in own:
+                        found.append((where, own[f.id]))
+                visit(child, where)
+
+        visit(tree, path.stem)
+    return found
+
+
+def test_one_level1_solve():
+    # Gamma_1's extension is the level-1 system with every 1-cell full: only
+    # geometry.level1_system, _exact.solve and the oracle eliminate, and no
+    # module calls _exact.solve
+    calls = exact_calls()
+    eliminators = {where for where, name in calls if name == "_eliminate"}
+    assert {where.split(".")[0] for where in eliminators} == {"geometry", "_exact", "oracle"}
+    assert {where for where in eliminators if not where.startswith("oracle.")} == {
+        "geometry.level1_system", "_exact.solve"}
+    assert [where for where, name in calls if name in ("solve", "solve_dense")] == []
