@@ -106,7 +106,7 @@ def _data(cfg, fam, lam):
 
 
 def _fmt(v):
-    if isinstance(v, F):
+    if type(v) is F:  # not isinstance: Fraction's ABC check is slow on floats
         return str(v)
     return repr(float(v))
 
@@ -356,6 +356,12 @@ def _measure_lower(cfg, fam, lam):
     return [f"mu1_mass,{cfg.word},{_fmt(m1)}", f"mu2_mass,{cfg.word},{_fmt(m2)}"]
 
 
+def _energy_lower(cfg, fam, lam):
+    _refuse_rational(cfg, fam, lam)
+    e = lowerdomain.domain_energy_lower(lam, _data(cfg, fam, lam))
+    return [f"energy,{_fmt_exact(e, '--mode')}"]
+
+
 def _lower_no_rational(lam):
     if not lam.dyadic:
         return "rational mode needs dyadic lambda (eta limits are irrational)"
@@ -400,7 +406,7 @@ FAMILIES = {
         lambda level, lam: lowerdomain.LowerFrame(lam),
         _lower_no_rational,
         False,
-        {"eta": _eta_lower, "measure": _measure_lower},
+        {"eta": _eta_lower, "measure": _measure_lower, "energy": _energy_lower},
     ),
 }
 

@@ -10,7 +10,7 @@ at one recursion node.  The extend step, `Frame.values`, is one for every
 family: the level-1 system of the full cells and the copies' Dirichlet-to-
 Neumann maps.  `walk` (every level-m vertex in one pass), `evaluate` (given
 points), `cut_values`, `integrate`, `energy` and `words` are the recursions
-over cylinder words that the families share.
+over cylinder words that the families share; a frame's `form` is its map.
 
 A frame provides
     level, params     the gasket SG_level the domain lives in
@@ -26,21 +26,20 @@ A frame provides
     values(f)         (provided) the V_1 values of the solution at the full
                       cells' corners and the copies' slots, keyed by the
                       integer points at scale l of `GasketParams.cell_points`
-    copy_form(f, d)   the copy F_d's Dirichlet-to-Neumann map on its slots
-                      (by default, one slot: its `coefficient` and integral)
+    form              (link, (c_s, ...)): the Dirichlet-to-Neumann map, the
+                      flux c_s (u(q_s) - I_s) + link (u(q_s) - u(q_t)) out of
+                      slot s, I_s the data's integral against measures[s]
+    measures          (provided) the measure roots of the slots: (self,)
+    ratio             r^-1, the scale of one stage of `energy`
     full_cells()      the level-1 cells lying wholly inside the domain
     copies(), shift(d)  the digits of the sub-copies that meet X (F_0 alone
-                      for an upper domain with m_1 > 1); the frame of F_d
+                      for an upper domain with m_1 > 1); F_d's frame, made once
 and for `integrate`, the frame as the measure state at the node X_word it walks
     children()        (digit, weight, node) of the sub-cylinders: a child's
                       integral enters its parent's times weight
     own(f, word)      the node's own mass term (the half domain's atoms)
     closed(f, word)   the integral over X_word in closed form, or None
                       (by default the value of constant data)
-and for `energy` (and `coefficient` for the default `copy_form`)
-    ratio             r^-1, the scale of one stage
-    coefficient()     c: data constant v on X has energy c (a - v)^2, with
-                      a the data's value at its one boundary corner
 """
 
 from fractions import Fraction
@@ -163,14 +162,15 @@ class Frame:
     def cut_values(self, f, points, s):
         return cut_values(self, f, points, s)
 
+    measures = property(lambda self: (self,))
+
     def copy_form(self, f, d):
-        """(link, [(c_s, I_s) for each slot s]): the copy F_d as its
-        Dirichlet-to-Neumann map, the flux c_s (u(q_s) - I_s) + link (u(q_s)
-        - u(q_t)) out of its slot s, at the scale where a level-1 edge has
-        conductance 1.  By default, for one slot: c is the copy's
-        `coefficient` and I the integral of f over X_d."""
-        sub = self.shift(d)
-        return 0, [(sub.coefficient(), integrate(sub, f, geometry.WORD_CHARS[d]))]
+        """(link, [(c_s, I_s) for each slot s]): the `form` of F_d's frame at
+        the scale where a level-1 edge has conductance 1, with the integrals
+        I_s of f over X_d against its measures."""
+        sub, digit = self.shift(d), geometry.WORD_CHARS[d]
+        link, cs = sub.form
+        return link, [(c, integrate(m, f, digit)) for c, m in zip(cs, sub.measures)]
 
     def values(self, f):
         """The V_1 values of the solution with data f at the corners of the
@@ -446,19 +446,21 @@ def energy(frame, f, g, stages=None):
     pairs the energies of the full cells and recurses into the sub-copies,
     both scaled by r^-1.  Without `stages` a branch ends in closed form once
     f or g is constant on it; with `stages` only the first `stages` stages
-    are summed (the pairing over O_stages)."""
+    are summed (the pairing over O_stages).  The closed form, for f constant
+    v on X, is Gauss-Green on the form: sum_s (f(q_s) - v) d_n u_g(q_s)."""
 
     def rec(frame, f, g, k):
         if stages is None:
             sf, sg = f.subtree(""), g.subtree("")
-            if sf is not None or sg is not None:
-                c = frame.coefficient()
-                (fa,), (ga,) = frame.corner_values(f), frame.corner_values(g)
-                if sg is None:
-                    return (fa - sf) * c * (ga - integrate(frame, g))
-                if sf is None:
-                    return (ga - sg) * c * (fa - integrate(frame, f))
-                return c * (fa - sf) * (ga - sg)
+            if sf is None and sg is not None:
+                f, g, sf, sg = g, f, sg, sf
+            if sf is not None:
+                link, cs = frame.form
+                fs, gs = frame.corner_values(f), frame.corner_values(g)
+                terms = [(a - sf) * c * (b - integrate(m, g))
+                         for a, b, c, m in zip(fs, gs, cs, frame.measures)]
+                total = sum(terms[1:], terms[0])
+                return total + link * (fs[0] - fs[1]) * (gs[0] - gs[1]) if link else total
         elif k >= stages:
             return 0
         fcells, fcopies = stage(frame, f)
@@ -471,6 +473,15 @@ def energy(frame, f, g, stages=None):
         return total
 
     return rec(frame, f, g, 0)
+
+
+def normal_derivatives(frame, f):
+    """d_n u(q_s) at each slot s of the solution with data f: the form's
+    c_s (f(q_s) - I_s) + link (f(q_s) - f(q_t))."""
+    link, cs = frame.form
+    fs = frame.corner_values(f)
+    ds = tuple(c * (a - integrate(m, f)) for a, c, m in zip(fs, cs, frame.measures))
+    return tuple(d + link * (a - b) for d, a, b in zip(ds, fs, fs[::-1])) if link else ds
 
 
 def words(alphabet, depth, word="", keep=None):

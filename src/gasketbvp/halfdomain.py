@@ -140,9 +140,8 @@ class HalfStructure(cylinder.Frame):
         mu = self.weights[self.alphabet[0]]
         return a + b * rho ** len(word) * self.atom_base[0] / (1 - rho * mu)
 
-    # the energy: constant data c gives 3 (f(q1) - c)^2
-    def coefficient(self):
-        return 3
+    # the Dirichlet-to-Neumann map: d_n u(q1) = 3 (u(q1) - the integral)
+    form = (0, (3,))
 
     def _embed_chain(self, p):
         chain = []
@@ -370,8 +369,8 @@ def integrate(f, scale_word=""):
 
 
 def normal_derivative_q1(f):
-    """Normal derivative of the solution at q1: 3 f(q1) - 3 * integral."""
-    return 3 * f.q1 - 3 * integrate(f)
+    """Normal derivative of the solution at q1: 3 (f(q1) - integral)."""
+    return cylinder.normal_derivatives(f.st, f)[0]
 
 
 # ---------------------------------------------------------------------------

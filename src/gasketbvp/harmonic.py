@@ -27,7 +27,7 @@ MATCHING_RTOL = 1e-10
 
 
 def _is_exact(*vals):
-    return all(isinstance(v, (Fraction, int)) for v in vals)
+    return all(type(v) is Fraction or type(v) is int for v in vals)  # no slow ABC isinstance
 
 
 _BASIS_CACHE = {}

@@ -11,7 +11,7 @@ lambda every quantity is an exact rational.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import cylinder, geometry
 from .cylinder import CylinderData
@@ -31,6 +31,7 @@ class BinaryLambda:
         if not (0 <= value < 1):
             raise ResolutionError("lambda must lie in [0, 1)")
         self.value = value
+        self._shifted = None
 
     @classmethod
     def parse(cls, text):
@@ -70,9 +71,10 @@ class BinaryLambda:
         return self.value.denominator.bit_length() - 1
 
     def shift(self):
-        """S lambda = fractional part of 2 lambda."""
-        v = 2 * self.value
-        return BinaryLambda(v - self.digit(1))
+        """S lambda = fractional part of 2 lambda, made once."""
+        if self._shifted is None:
+            self._shifted = BinaryLambda(2 * self.value - self.digit(1))
+        return self._shifted
 
     def cut_height(self):
         """Global y coordinate of the cut line."""
@@ -295,13 +297,6 @@ def transfer_matrix(lam, word):
     return m
 
 
-def _columns(lam):
-    """The columns (eta1, -eta2) of mu_1 and (-eta2, eta1) of mu_2, and
-    their common denominator eta1 - eta2."""
-    em = etas(lam)
-    return ((em.eta1, -em.eta2), (-em.eta2, em.eta1)), em.eta1 - em.eta2
-
-
 def _mass(mw, col, den):
     """[1 1] M_w col / den: the measure of X_w from its transfer matrix."""
     return (mw[0][0] * col[0] + mw[0][1] * col[1]
@@ -310,9 +305,8 @@ def _mass(mw, col, den):
 
 def lower_measures(lam, word):
     """(mu_1(X_w), mu_2(X_w)) via the transfer matrix pairing."""
-    cols, den = _columns(lam)
     mw = transfer_matrix(lam, word)
-    return _mass(mw, cols[0], den), _mass(mw, cols[1], den)
+    return tuple(_mass(mw, *root.column) for root in LowerFrame(lam).measures)
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +337,23 @@ def constant_lower(lam, c):
 
 def integrate_lower(f, measure=1):
     """The integral of f over X against mu_1 or mu_2 of f's own lambda."""
-    cols, den = _columns(f.lam)
-    return cylinder.integrate(LowerFrame(f.lam, (cols[measure - 1], den)), f)
+    return cylinder.integrate(LowerFrame(f.lam).measures[measure - 1], f)
 
 
 def normal_derivatives_lower(lam, f):
     """(d_n u(q1), d_n u(q2)) from the boundary data via the measure pair."""
     cylinder.check_lam(lam, f)
-    em = etas(lam)
-    i1 = integrate_lower(f, 1)
-    i2 = integrate_lower(f, 2)
-    d1 = em.eta1 * f.q1 - em.eta2 * f.q2 - (em.eta1 - em.eta2) * i1
-    d2 = em.eta1 * f.q2 - em.eta2 * f.q1 - (em.eta1 - em.eta2) * i2
-    return d1, d2
+    return cylinder.normal_derivatives(LowerFrame(lam), f)
+
+
+def domain_energy_lower(lam, f, g=None):
+    """Exact E(u_f, u_g) for dyadic lambda, summed over cylinder pieces with
+    the constant-data remainder in closed form (the solution with data a at
+    q1, b at q2 and c on X has energy (eta1 - eta2)((a-c)^2 + (b-c)^2) +
+    eta2 (a-b)^2); floats through eta for other lambda."""
+    g = f if g is None else g
+    cylinder.check_lam(lam, f, g)
+    return cylinder.energy(LowerFrame(lam), f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +377,18 @@ def boundary_value_at_lower(lam, f, p):
 
 
 class LowerFrame(cylinder.Frame):
-    """The lower domain of SG for one lambda as a recursion frame.  Each
-    copy is its derivative pair at S lambda (`copy_form`).  At lambda = 0
-    the domain is the whole gasket and X the point q0: copy 0 has
-    (eta_1, eta_2) = (2, 1) and both integrals f(q0), so its map is the
-    cell's three edges to q0, and the V_1 values are the cell extension of
-    (f(q0), q1, q2)."""
+    """The lower domain of SG for one lambda as a recursion frame.  Its form
+    is its derivative pair: the link eta_2 and the grounding eta_1 - eta_2
+    at q1 and q2 against mu_1 and mu_2.  At lambda = 0 the domain is the
+    whole gasket and X the point q0: (eta_1, eta_2) = (2, 1) and both
+    integrals f(q0), so the form is the cell's three edges to q0, and the
+    V_1 values are the cell extension of (f(q0), q1, q2)."""
 
     name = "lower domain"
     level = 2
     slots = (1, 2)
+
+    ratio = cached_property(lambda self: 1 / geometry.renormalization_factor(2))
 
     def __init__(self, lam, column=None, matrix=((1, 0), (0, 1))):
         self.lam = lam
@@ -405,13 +405,17 @@ class LowerFrame(cylinder.Frame):
     def corner_values(self, f):
         return (f.q1, f.q2)
 
-    def copy_form(self, f, d):
-        """The copy's derivative pair at S lambda: the link eta_2 between its
-        slots q1 and q2, and the grounding eta_1 - eta_2 at each, loaded
-        with the mu_1 and mu_2 integrals of f over X_d."""
-        link, den, roots = _copy_measures(self.lam.value)
-        word = geometry.WORD_CHARS[d]
-        return link, [(den, cylinder.integrate(root, f, word)) for root in roots]
+    @cached_property
+    def form(self):
+        em = etas(self.lam)
+        return em.eta2, (em.eta1 - em.eta2,) * 2
+
+    @cached_property
+    def measures(self):
+        # the columns (eta1, -eta2) of mu_1 and (-eta2, eta1) of mu_2 over eta1 - eta2
+        em = etas(self.lam)
+        cols = (em.eta1, -em.eta2), (-em.eta2, em.eta1)
+        return tuple(LowerFrame(self.lam, (col, em.eta1 - em.eta2)) for col in cols)
 
     def full_cells(self):
         return (1, 2) if self.lam.digit(1) == 0 else ()
@@ -420,7 +424,9 @@ class LowerFrame(cylinder.Frame):
         return word_alphabet(self.lam, 1)
 
     def shift(self, d):
-        return LowerFrame(self.lam.shift())
+        return self._child
+
+    _child = cached_property(lambda self: LowerFrame(self.lam.shift()))
 
     @cached_property
     def mass(self):
@@ -436,15 +442,6 @@ class LowerFrame(cylinder.Frame):
             (d, 1, LowerFrame(child, self.column, _mul2x2(single_matrix(lam, d), self.matrix)))
             for d in word_alphabet(lam, 1)
         ]
-
-
-@lru_cache(maxsize=None)
-def _copy_measures(value):
-    """(eta_2, eta_1 - eta_2, the root states of mu_1 and mu_2) at S lambda
-    for lambda = value: what `LowerFrame.copy_form` reads of a copy."""
-    lam = BinaryLambda(value).shift()
-    cols, den = _columns(lam)
-    return etas(lam).eta2, den, [LowerFrame(lam, (col, den)) for col in cols]
 
 
 def evaluate_lower(lam, f, v):
@@ -463,8 +460,7 @@ def gauss_green_telescope(lam, hq1, hq2, m):
     """Sum over W~_m of the derivative pairs of h = hq1 h_1 + hq2 h_2; the
     localized Gauss-Green identity makes it equal the level-0 pair sum
     for every m."""
-    em = etas(lam)
-    base = (em.eta1 * hq1 - em.eta2 * hq2, em.eta1 * hq2 - em.eta2 * hq1)
+    base = cylinder.normal_derivatives(LowerFrame(lam), LowerBoundaryData(lam, hq1, hq2, default=0))
 
     total = 0
     per_word = []

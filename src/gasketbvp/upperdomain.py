@@ -335,7 +335,7 @@ def integrate_upper(f, prefix=""):
 def normal_derivative_q0(lam, f):
     """eta(lambda) * (f(q0) - int f dmu^lambda)."""
     cylinder.check_lam(lam, f)
-    return eta_of(lam) * (float(f.q0) - integrate_upper(f))
+    return cylinder.normal_derivatives(UpperFrame(lam), f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +398,18 @@ class UpperFrame(cylinder.Frame):
         return level_alphabet(self.lam) if self.lam.m1 == 1 else (0,)
 
     def shift(self, d):
-        return UpperFrame(self.lam.shift() if self.lam.m1 == 1 else self.lam.dilate())
+        return self._child
+
+    _child = cached_property(
+        lambda self: UpperFrame(self.lam.shift() if self.lam.m1 == 1 else self.lam.dilate()))
+
+    @cached_property
+    def form(self):
+        return 0, (eta_of(self.lam),)
 
     def children(self):
         child = UpperFrame(self.lam.shift())
         return [(d, w, child) for d, w in measure_weights(self.lam).items()]
-
-    def coefficient(self):
-        return eta_of(self.lam)
 
 
 def evaluate_upper(lam, f, v):

@@ -160,6 +160,29 @@ def test_energy_half_depth_past_the_data(tmp_path, capsys):
     assert outs[0].splitlines()[0] != "Q,0"
 
 
+@pytest.mark.parametrize("abc", [("2", "-1", "1/3"), ("5/7", "0", "-3"), ("1", "1", "1")])
+def test_energy_lower_constant_data_is_the_closed_form(abc, tmp_path, capsys):
+    # a at q1, b at q2 and c on X: (eta1 - eta2)((a-c)^2 + (b-c)^2) + eta2 (a-b)^2
+    a, b, c = abc
+    data = write_json(tmp_path / "c.json", {"schema": 1, "q1": a, "q2": b, "default_tail": c})
+    code, out, err = run(["energy", "--domain", "lower", "--lambda", "1/2", "--mode", "rational",
+                          "--data", data], capsys)
+    assert code == 0, err
+    a, b, c, eta1, eta2 = map(F, (a, b, c, F(35, 12), F(5, 12)))
+    assert out == f"energy,{(eta1 - eta2) * ((a - c) ** 2 + (b - c) ** 2) + eta2 * (a - b) ** 2}\n"
+
+
+def test_energy_lower_refuses_rational_mode_off_dyadic_lambda(tmp_path, capsys):
+    data = write_json(tmp_path / "c.json", {"schema": 1, "q1": "1", "q2": "0", "default_tail": "0"})
+    argv = ["energy", "--domain", "lower", "--lambda", "1/3", "--data", data]
+    code, out, err = run([*argv, "--mode", "rational"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: rational mode needs dyadic lambda (eta limits are irrational)\n"
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert "/" not in out and float(out.split(",")[1]) > 0
+
+
 def test_compare_half(half_data, tmp_path, capsys):
     svg = tmp_path / "plot.svg"
     code, out, _ = run(

@@ -121,7 +121,7 @@ EDGES = [
     # commands without a domain
     (["eta"], 2, "eta is for upper or lower domains"),
     (["measure"], 2, "measure is for half, upper or lower domains"),
-    (["energy", "--data", "{half}"], 2, "energy is for half or upper domains"),
+    (["energy", "--data", "{half}"], 2, "energy is for half, upper or lower domains"),
     (["solve", "--data", "{half}"], 2, "solve is for half, upper or lower domains"),
     # haar means upper without --domain
     (["haar", "--lambda", "1", "--data", "{upper}"], 0, "word,j,coefficient"),
@@ -339,7 +339,7 @@ SUPPORTED = {
     "compare": ("half", "upper", "lower"),
     "eta": ("upper", "lower"),
     "measure": ("half", "upper", "lower"),
-    "energy": ("half", "upper"),
+    "energy": ("half", "upper", "lower"),
     "haar": ("upper",),
     "dtn": ("half",),
 }
@@ -351,6 +351,7 @@ FIRST_LINES = {
     ("measure", "lower"): "mu1_mass,",
     ("energy", "half"): "Q,",
     ("energy", "upper"): "weighted_sum,",
+    ("energy", "lower"): "energy,",
 }
 
 

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasketbvp import cylinder
 from gasketbvp import geometry as G
 from gasketbvp import lowerdomain as LD
 from gasketbvp import oracle as O
 from gasketbvp.errors import AddressError, ContractViolation, ResolutionError
-from graph_helpers import domain_vertices
+from graph_helpers import GraphFunction, domain_vertices, graph_energy
 
 F = Fraction
 
@@ -212,23 +213,30 @@ def test_extend_step_cases():
     assert set(LD.extend_step_lower(lam14, ones14).values()) == {F(1)}
 
 
+def oracle_solution(lam, f, m):
+    """(graph, values): the oracle's solution with data f on the level-m
+    graph of the lower domain."""
+    sk = O.domain_restricted_graph(G.LowerDomain(cut_y=lam.cut_height()), m)
+
+    def bv(p):
+        if p == G.Q1:
+            return f.q1
+        if p == G.CORNERS[2]:
+            return f.q2
+        return LD.boundary_value_at_lower(lam, f, p)
+
+    return sk.graph, O.solve(sk.problem(bv))
+
+
 def test_extend_step_vs_oracle_dyadic():
     rng = random.Random(11)
     for lv in (F(1, 2), F(1, 4), F(3, 8)):
         lam = LD.BinaryLambda(lv)
         f = random_dyadic_data(lam, rng)
         step = LD.extend_step_lower(lam, f)
-        m = max(lam.dyadic_depth, 1) + 1
-        sk = O.domain_restricted_graph(G.LowerDomain(cut_y=lam.cut_height()), m)
-        def bv(p):
-            if p == G.Q1:
-                return f.q1
-            if p == G.CORNERS[2]:
-                return f.q2
-            return LD.boundary_value_at_lower(lam, f, p)
-        vals = O.solve(sk.problem(bv))
+        graph, vals = oracle_solution(lam, f, max(lam.dyadic_depth, 1) + 1)
         for pt, v in step.items():
-            assert vals[sk.graph.vertex_id(pt)] == v
+            assert vals[graph.vertex_id(pt)] == v
 
 
 def test_evaluate_equals_oracle_dyadic():
@@ -236,17 +244,41 @@ def test_evaluate_equals_oracle_dyadic():
     for lv in (F(1, 2), F(1, 4), F(3, 8)):
         lam = LD.BinaryLambda(lv)
         f = random_dyadic_data(lam, rng)
-        m = max(lam.dyadic_depth, 2) + 1
-        sk = O.domain_restricted_graph(G.LowerDomain(cut_y=lam.cut_height()), m)
-        def bv(p):
-            if p == G.Q1:
-                return f.q1
-            if p == G.CORNERS[2]:
-                return f.q2
-            return LD.boundary_value_at_lower(lam, f, p)
-        vals = O.solve(sk.problem(bv))
-        for i in range(sk.graph.n_vertices()):
-            assert LD.evaluate_lower(lam, f, sk.graph.point(i)) == vals[i]
+        graph, vals = oracle_solution(lam, f, max(lam.dyadic_depth, 2) + 1)
+        for i in range(graph.n_vertices()):
+            assert LD.evaluate_lower(lam, f, graph.point(i)) == vals[i]
+
+
+@pytest.mark.parametrize("lv", [F(1, 2), F(1, 4), F(3, 8), F(5, 8), F(3, 4), F(7, 16)], ids=str)
+@settings(max_examples=12, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_energy_equals_oracle_graph_energy_on_dyadic_data(lv, rng):
+    # from m = max(d, 2) on, the rational oracle's solution is the domain's
+    # solution at every level-m vertex, so its graph energy is the energy
+    lam = LD.BinaryLambda(lv)
+    f = random_dyadic_data(lam, rng)
+    energy = LD.domain_energy_lower(lam, f)
+    for m in range(max(lam.dyadic_depth, 2), lam.dyadic_depth + 3):
+        graph, vals = oracle_solution(lam, f, m)
+        assert graph_energy(GraphFunction(graph, list(vals))) == energy
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(lv=st.sampled_from([F(1, 3), F(2, 5)]), abc=st.tuples(*[st.integers(-9, 9)] * 3))
+def test_stage_energies_rise_to_the_constant_data_closed_form(lv, abc):
+    # a at q1, b at q2 and c on X: by Gauss-Green the energy is
+    # (eta1 - eta2)((a-c)^2 + (b-c)^2) + eta2 (a-b)^2; the stage sums rise
+    # to it (they pass 1e-12 of it from m = 35, too slow to run here)
+    lam = LD.BinaryLambda(lv)
+    a, b, c = abc
+    f = LD.LowerBoundaryData(lam, q1=F(a), q2=F(b), default=F(c))
+    ep = LD.etas(lam)
+    closed = (ep.eta1 - ep.eta2) * ((a - c) ** 2 + (b - c) ** 2) + ep.eta2 * (a - b) ** 2
+    assert LD.domain_energy_lower(lam, f) == pytest.approx(closed, rel=1e-14, abs=1e-12)
+    sums = [cylinder.energy(LD.LowerFrame(lam), f, f, stages=m) for m in range(17)]
+    assert sums[0] == 0
+    assert all(x <= y + 1e-12 for x, y in zip(sums, sums[1:]))
+    assert closed * (1 - 1e-5) <= sums[-1] <= closed + 1e-12
 
 
 @settings(max_examples=12, deadline=None, database=None)

@@ -10,8 +10,10 @@ recursion engine in `cylinder.py` has no special case: it reads V_1 by the
 level-1 table's integer points, no frame answers for a whole cell or
 one point on its own, and one extend step, `cylinder.Frame.values`, serves
 every frame; the oracle lists only a domain's cell tree, never a graph's
-cells; and one level-1 solve, `geometry.level1_system`, serves the frames
-and Gamma_1."""
+cells; one level-1 solve, `geometry.level1_system`, serves the frames
+and Gamma_1; and each frame states its Dirichlet-to-Neumann map once, as
+its `form`, which the copies' maps, the energy and the corner derivatives
+read."""
 
 import ast
 import functools
@@ -294,3 +296,22 @@ def test_one_level1_solve():
     assert {where for where in eliminators if not where.startswith("oracle.")} == {
         "geometry.level1_system", "_exact.solve"}
     assert [where for where, name in calls if name in ("solve", "solve_dense")] == []
+
+
+def test_one_dirichlet_to_neumann_form():
+    # a frame's map is its `form`: no class has a `coefficient` hook, only
+    # cylinder.Frame makes a copy's map, and the copies' maps, the energy's
+    # closed end and the corner derivatives all read the form
+    defs = {(path.name, node.name, item.name): item for path in SOURCES
+            for node in ast.walk(TREES[path]) if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef)}
+    names = {(path.name, node.name, t.id) for path in SOURCES
+             for node in ast.walk(TREES[path]) if isinstance(node, ast.ClassDef)
+             for item in node.body if isinstance(item, ast.Assign)
+             for t in item.targets if isinstance(t, ast.Name)} | set(defs)
+    assert [key for key in names if key[2] == "coefficient"] == []
+    assert [key[:2] for key in names if key[2] == "copy_form"] == [("cylinder.py", "Frame")]
+    funcs = {node.name: node for node in TREES[SRC / "cylinder.py"].body
+             if isinstance(node, ast.FunctionDef)}
+    readers = [funcs["energy"], funcs["normal_derivatives"], defs["cylinder.py", "Frame", "copy_form"]]
+    assert all("form" in names_read(node) for node in readers)
